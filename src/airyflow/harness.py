@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, geometry, schemes, spectral
-from .errors import BlowUp, ParseError, ValidationError
+from .errors import BlowUp, ClosureViolation, ParseError, ValidationError
 from .geometry import ThetaLState
 from .schemes import SchemeConfig
 
@@ -301,7 +301,7 @@ DIAGNOSTICS_COLUMNS = (
 @dataclass
 class RunResult:
     config: RunConfig
-    status: str  # "completed" | "blowup"
+    status: str  # "completed" | "blowup" | "closure"
     steps_completed: int
     final_state: Optional[ThetaLState]
     rows: list
@@ -412,8 +412,9 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
 
     Writes diagnostics.csv, snapshot CSVs, the resolved config echo, and a
     manifest recording termination status and every emitted file.  A
-    blow-up terminates the run but keeps partial outputs, flagged in the
-    manifest.
+    blow-up, or a state whose curve does not close when an observer
+    reconstructs it, terminates the run but keeps partial outputs, flagged
+    in the manifest as status "blowup" or "closure".
     """
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
@@ -425,7 +426,17 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
     initial = build_initial_state(cfg)
     probe = _DiagnosticsProbe(cfg, initial)
     snapshots = _SnapshotWriter(cfg, out_dir)
-    observers = [(cfg.diagnostic_stride, probe), (cfg.snapshot_stride, snapshots)]
+    observed = [0]  # step of the latest observer call, for errors raised inside one
+
+    def tracked(observer):
+        def call(step, state):
+            observed[0] = step
+            observer(step, state)
+
+        return call
+
+    observers = [(cfg.diagnostic_stride, tracked(probe)),
+                 (cfg.snapshot_stride, tracked(snapshots))]
 
     status, error, final_state = "completed", None, initial
     steps_done = cfg.steps
@@ -436,6 +447,11 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
     except BlowUp as exc:
         status, error = "blowup", str(exc)
         steps_done = exc.step - 1
+        final_state = None
+    except ClosureViolation as exc:
+        step = observed[0]
+        status, error = "closure", f"closure at step {step} (t={step * cfg.dt:.6g}): {exc}"
+        steps_done = step - 1
         final_state = None
     wall = _time.perf_counter() - started
 
@@ -541,9 +557,8 @@ class FilterStudyResult:
 
 
 def _run_filter_variant(args):
-    label, scheme, filter_mode, base = args
+    label, scheme, filter_mode, base, initial = args
     cfg = replace(base, scheme=scheme, filter=filter_mode, output_dir=None)
-    initial = build_initial_state(cfg)
     baseline = diagnostics.conserved_quantities(initial).m3
     series = []
     last_power = [spectral.power_spectrum(spectral.dft(initial.phi))]
@@ -571,7 +586,8 @@ def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> Fil
     M3 drift comparison CSV; a failing variant is recorded and the study
     continues with the rest.
     """
-    jobs = [(label, scheme, filt, base) for label, scheme, filt in FILTER_STUDY_VARIANTS]
+    initial = build_initial_state(base)
+    jobs = [(label, scheme, filt, base, initial) for label, scheme, filt in FILTER_STUDY_VARIANTS]
     xi_series, spectra, errors = {}, {}, {}
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:

@@ -11,6 +11,12 @@ Three non-stiff schemes are provided:
 * ``cnadb`` -- the cn scheme with its first step replaced by the average
   of the adb and cn first steps.
 
+Every step of every scheme is one two-level recurrence per mode,
+phi^{j+1} = A phi^j + B phi^{j-1} + C NL^j + D NL^{j-1}, so a scheme is
+data: a start rule and a step rule of coefficients (:func:`step_rules`).
+:func:`integrate` is one loop over the half spectrum of phi that applies
+them.
+
 All updates act on the modes of phi = theta - alpha: the alpha-linear
 part of theta is not periodic, has the same linear symbol for every mode
 it shares with phi, and enters the dynamics only through
@@ -20,6 +26,7 @@ term is evaluated pointwise in physical space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -29,16 +36,15 @@ import numpy as np
 from .errors import BlowUp, MissingHistory, NonCommensurateTime, NonFiniteField
 from .geometry import ThetaLState
 from .spectral import (
+    FILTERS,
     GridField,
-    Spectrum,
     _check_grid_size,
-    _filtered_derivative_values,
-    apply_mode_filter,
+    _derivative_symbol,
+    filter_modes,
     wavenumbers,
 )
 
 SCHEMES = ("adb", "cn", "cnadb")
-FILTERS = ("none", "dpr", "krasny", "both")
 
 # provider of the physical-space nonlinear term; injectable for testing
 NonlinearProvider = Callable[[ThetaLState], GridField]
@@ -62,19 +68,6 @@ class SchemeConfig:
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         _check_grid_size(self.n)
-
-
-@dataclass(frozen=True)
-class SchemeMemory:
-    """Per-scheme history carried between steps.
-
-    ``prev_nl`` holds the previous nonlinear spectrum (adb only);
-    ``prev_theta`` holds the phi spectrum one level back (cn/cnadb only).
-    """
-
-    step_count: int
-    prev_nl: Optional[Spectrum] = None
-    prev_theta: Optional[Spectrum] = None
 
 
 @dataclass(frozen=True)
@@ -109,146 +102,82 @@ def modal_multipliers(n: int, dt: float, length: float) -> Multipliers:
     return Multipliers(gamma=gamma, zeta=zeta, zeta1=zeta1, zeta2=zeta2)
 
 
-def nonlinear_term(state: ThetaLState, filter: str = "none") -> GridField:
-    """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2.
+@dataclass(frozen=True)
+class StepRule:
+    """Per-mode coefficients of phi^{j+1} = a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1}.
 
-    D is the first derivative with the configured mode filter; the
-    solution itself is never filtered.
+    Every level is a half spectrum and every coefficient an array over its
+    modes or a scalar; a coefficient left at None drops its term.  A rule
+    with ``b`` or ``d`` set needs the level one step back.
     """
-    theta_a = 1.0 + _filtered_derivative_values(state.phi.values, filter)
-    return GridField((2.0 * np.pi / state.length) ** 3 * theta_a**3 / 2.0)
+
+    a: np.ndarray | float | None = None
+    b: np.ndarray | float | None = None
+    c: np.ndarray | float | None = None
+    d: np.ndarray | float | None = None
 
 
-def _nl_hat(state, cfg, nonlinear) -> np.ndarray:
-    """Spectrum of the nonlinear term, with the configured mode filter.
+def step_rules(cfg: SchemeConfig, length: float) -> tuple[StepRule, StepRule]:
+    """The (start, step) rules of ``cfg.scheme`` for a curve of length L:
 
-    The filter acts twice: on the derivative inside the term and on the
-    term's own spectrum.  The cubic regenerates (aliased) content beyond
-    the filtered band, so damping only the derivative leaves an undamped
-    feedback loop at the filter edge that destabilizes the adb scheme.
+    ============  ===================  =====  ================  ==============
+    rule          a                    b      c                 d
+    ============  ===================  =====  ================  ==============
+    adb           zeta                        1.5 dt zeta       -0.5 dt zeta^2
+    cn, cnadb                          zeta1  2 dt zeta2
+    adb start     zeta                        dt zeta
+    cn start      1 - i gamma                 dt
+    cnadb start   (zeta + 1 - i gamma)/2      dt (1 + zeta)/2
+    ============  ===================  =====  ================  ==============
+
+    The cnadb start is the average of the adb and cn starts.
     """
-    nl = nonlinear(state) if nonlinear is not None else nonlinear_term(state, cfg.filter)
-    return apply_mode_filter(np.fft.fft(nl.values) / state.n, cfg.filter)
+    mult = modal_multipliers(cfg.n, cfg.dt, length)
+    half = slice(0, cfg.n // 2 + 1)
+    zeta, gamma, dt = mult.zeta[half], mult.gamma[half], cfg.dt
+    if cfg.scheme == "adb":
+        return (StepRule(a=zeta, c=dt * zeta),
+                StepRule(a=zeta, c=1.5 * dt * zeta, d=-0.5 * dt * zeta**2))
+    leapfrog = StepRule(b=mult.zeta1[half], c=2.0 * dt * mult.zeta2[half])
+    if cfg.scheme == "cn":
+        return StepRule(a=1.0 - 1j * gamma, c=dt), leapfrog
+    return StepRule(a=0.5 * (zeta + 1.0 - 1j * gamma), c=0.5 * dt * (1.0 + zeta)), leapfrog
 
 
-def _phi_hat(state) -> np.ndarray:
-    return np.fft.fft(state.phi.values) / state.n
+def _recur(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
+    out = None
+    for coef, level in ((rule.a, phi_hat), (rule.b, prev_hat), (rule.c, nl_hat),
+                        (rule.d, prev_nl)):
+        if coef is None:
+            continue
+        if level is None:
+            raise MissingHistory("the step rule needs the level one step back")
+        term = coef * level
+        out = term if out is None else out + term
+    return out
 
 
-def _advance(state, new_hat, dt) -> ThetaLState:
-    phi = (np.fft.ifft(new_hat) * state.n).real
-    return replace(state, phi=GridField(phi), time=state.time + dt)
+def init_step(rule: StepRule, phi_hat: np.ndarray, nl_hat: np.ndarray) -> np.ndarray:
+    """First step: phi^1 from level 0 alone by a start rule."""
+    return _recur(rule, phi_hat, nl_hat, None, None)
 
 
-def _check_cfg(state, cfg):
-    if state.n != cfg.n:
-        raise ValueError(f"state grid size {state.n} does not match config n={cfg.n}")
+def step(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
+    """Later step: phi^{j+1} from the spectra of phi and NL at levels j and j-1."""
+    return _recur(rule, phi_hat, nl_hat, prev_hat, prev_nl)
 
 
-def adb_init_step(
-    state: ThetaLState, cfg: SchemeConfig, nonlinear: Optional[NonlinearProvider] = None
-) -> tuple[ThetaLState, SchemeMemory]:
-    """Integrating-factor Euler start: phi^1 = zeta (phi^0 + dt NL^0) per mode."""
-    _check_cfg(state, cfg)
-    mult = modal_multipliers(cfg.n, cfg.dt, state.length)
-    nl_hat = _nl_hat(state, cfg, nonlinear)
-    new_hat = mult.zeta * (_phi_hat(state) + cfg.dt * nl_hat)
-    new_state = _advance(state, new_hat, cfg.dt)
-    return new_state, SchemeMemory(step_count=1, prev_nl=Spectrum(nl_hat))
+def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> np.ndarray:
+    """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2 at the nodes.
 
-
-def adb_step(
-    state: ThetaLState,
-    memory: SchemeMemory,
-    cfg: SchemeConfig,
-    nonlinear: Optional[NonlinearProvider] = None,
-) -> tuple[ThetaLState, SchemeMemory]:
-    """Adams-Bashforth step with exact linear propagation:
-
-    phi^{j+1} = zeta phi^j + (dt/2) [3 zeta NL^j - zeta^2 NL^{j-1}].
+    ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
+    the first derivative with the configured mode filter; the solution
+    itself is never filtered.
     """
-    _check_cfg(state, cfg)
-    if memory.prev_nl is None:
-        raise MissingHistory("adb_step needs the previous nonlinear spectrum")
-    mult = modal_multipliers(cfg.n, cfg.dt, state.length)
-    nl_hat = _nl_hat(state, cfg, nonlinear)
-    new_hat = mult.zeta * _phi_hat(state) + 0.5 * cfg.dt * (
-        3.0 * mult.zeta * nl_hat - mult.zeta**2 * memory.prev_nl.coeffs
-    )
-    new_state = _advance(state, new_hat, cfg.dt)
-    return new_state, SchemeMemory(step_count=memory.step_count + 1, prev_nl=Spectrum(nl_hat))
-
-
-def cn_init_step(
-    state: ThetaLState, cfg: SchemeConfig, nonlinear: Optional[NonlinearProvider] = None
-) -> tuple[ThetaLState, SchemeMemory]:
-    """Explicit Euler start: phi^1 = (1 - i gamma) phi^0 + dt NL^0 per mode."""
-    _check_cfg(state, cfg)
-    mult = modal_multipliers(cfg.n, cfg.dt, state.length)
-    phi_hat = _phi_hat(state)
-    nl_hat = _nl_hat(state, cfg, nonlinear)
-    new_hat = (1.0 - 1j * mult.gamma) * phi_hat + cfg.dt * nl_hat
-    new_state = _advance(state, new_hat, cfg.dt)
-    return new_state, SchemeMemory(step_count=1, prev_theta=Spectrum(phi_hat))
-
-
-def cn_step(
-    state: ThetaLState,
-    memory: SchemeMemory,
-    cfg: SchemeConfig,
-    nonlinear: Optional[NonlinearProvider] = None,
-) -> tuple[ThetaLState, SchemeMemory]:
-    """Leapfrog Crank-Nicolson step:
-
-    phi^{j+1} = zeta1 phi^{j-1} + 2 dt zeta2 NL^j,
-
-    coupling levels j+1 and j-1 with the nonlinear term at the middle
-    level.  The pre-update phi^j becomes the new history level.
-    """
-    _check_cfg(state, cfg)
-    if memory.prev_theta is None:
-        raise MissingHistory("cn_step needs the phi spectrum one level back")
-    mult = modal_multipliers(cfg.n, cfg.dt, state.length)
-    phi_hat = _phi_hat(state)
-    nl_hat = _nl_hat(state, cfg, nonlinear)
-    new_hat = mult.zeta1 * memory.prev_theta.coeffs + 2.0 * cfg.dt * mult.zeta2 * nl_hat
-    new_state = _advance(state, new_hat, cfg.dt)
-    return new_state, SchemeMemory(step_count=memory.step_count + 1, prev_theta=Spectrum(phi_hat))
-
-
-def cnadb_init_step(
-    state: ThetaLState, cfg: SchemeConfig, nonlinear: Optional[NonlinearProvider] = None
-) -> tuple[ThetaLState, SchemeMemory]:
-    """First step averaging the adb and cn starts per mode:
-
-    phi^1 = phi^0 (1/2)[e^{-i gamma} + (1 - i gamma)]
-            + NL^0 (dt/2)[1 + e^{-i gamma}].
-
-    Subsequent steps use :func:`cn_step`.
-    """
-    _check_cfg(state, cfg)
-    mult = modal_multipliers(cfg.n, cfg.dt, state.length)
-    phi_hat = _phi_hat(state)
-    nl_hat = _nl_hat(state, cfg, nonlinear)
-    new_hat = phi_hat * 0.5 * (mult.zeta + 1.0 - 1j * mult.gamma) + nl_hat * (
-        0.5 * cfg.dt
-    ) * (1.0 + mult.zeta)
-    new_state = _advance(state, new_hat, cfg.dt)
-    return new_state, SchemeMemory(step_count=1, prev_theta=Spectrum(phi_hat))
-
-
-_INIT_STEPS = {"adb": adb_init_step, "cn": cn_init_step, "cnadb": cnadb_init_step}
-_STEPS = {"adb": adb_step, "cn": cn_step, "cnadb": cn_step}
-
-
-def init_step(state, cfg, nonlinear=None):
-    """Dispatch the scheme's first step."""
-    return _INIT_STEPS[cfg.scheme](state, cfg, nonlinear)
-
-
-def step(state, memory, cfg, nonlinear=None):
-    """Dispatch a subsequent step of the scheme."""
-    return _STEPS[cfg.scheme](state, memory, cfg, nonlinear)
+    n = 2 * (phi_hat.size - 1)
+    d_phi = _derivative_symbol(n, 1)[: phi_hat.size] * filter_modes(phi_hat, filter, n)
+    theta_a = 1.0 + np.fft.irfft(d_phi, n, norm="forward")
+    return (2.0 * np.pi / length) ** 3 * theta_a**3 / 2.0
 
 
 def integrate(
@@ -266,6 +195,12 @@ def integrate(
     callback(step_index, state) fires at step 0, every ``stride`` steps,
     and at the final step.  Raises :class:`BlowUp` if the solution goes
     non-finite or max|phi| exceeds the configured guard.
+
+    The spectrum of the nonlinear term is filtered as configured, on top
+    of the filtered derivative inside the term: the cubic regenerates
+    (aliased) content beyond the filtered band, so damping only the
+    derivative leaves an undamped feedback loop at the filter edge that
+    destabilizes the adb scheme.
     """
     elapsed = t_final - initial.time
     if elapsed < 0:
@@ -276,28 +211,44 @@ def integrate(
         raise NonCommensurateTime(
             f"t_final - t0 = {elapsed!r} is not an integer multiple of dt = {cfg.dt!r}"
         )
+    if initial.n != cfg.n:
+        raise ValueError(f"state grid size {initial.n} does not match config n={cfg.n}")
     observers = tuple(observers)
+    start, rule = step_rules(cfg, initial.length)
+    n, t0, dt = cfg.n, initial.time, cfg.dt
 
-    def notify(j, state):
-        for stride, callback in observers:
-            if j == 0 or j == steps or j % stride == 0:
+    def state_at(j, phi):
+        return initial if j == 0 else replace(initial, phi=GridField(phi), time=t0 + j * dt)
+
+    def notify(j, phi):
+        due = [callback for stride, callback in observers
+               if j == 0 or j == steps or j % stride == 0]
+        if due:
+            state = state_at(j, phi)
+            for callback in due:
                 callback(j, state)
 
-    state = initial
-    notify(0, state)
-    memory = None
-    t0 = initial.time
+    phi = initial.phi.values
+    phi_hat = np.fft.rfft(phi, norm="forward")
+    prev = None  # (phi_hat, nl_hat) one level back
+    notify(0, phi)
     for j in range(1, steps + 1):
-        try:
-            if memory is None:
-                state, memory = init_step(state, cfg, nonlinear)
-            else:
-                state, memory = step(state, memory, cfg, nonlinear)
-        except NonFiniteField as exc:
-            raise BlowUp(j, t0 + j * cfg.dt, str(exc)) from exc
-        state = replace(state, time=t0 + j * cfg.dt)
-        peak = float(np.max(np.abs(state.phi.values)))
-        if not peak <= cfg.blowup_limit:
-            raise BlowUp(j, state.time, f"max|phi| = {peak:.3e} exceeds {cfg.blowup_limit:.3e}")
-        notify(j, state)
-    return state
+        if nonlinear is None:
+            nl = nonlinear_term(phi_hat, initial.length, cfg.filter)
+        else:
+            try:
+                nl = nonlinear(state_at(j - 1, phi)).values
+            except NonFiniteField as exc:
+                raise BlowUp(j, t0 + j * dt, str(exc)) from exc
+        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter, n)
+        if prev is None:
+            new_hat = init_step(start, phi_hat, nl_hat)
+        else:
+            new_hat = step(rule, phi_hat, nl_hat, *prev)
+        prev, phi_hat = (phi_hat, nl_hat), new_hat
+        phi = np.fft.irfft(phi_hat, n, norm="forward")
+        peak = float(np.abs(phi).max())
+        if not (math.isfinite(peak) and peak <= cfg.blowup_limit):
+            raise BlowUp(j, t0 + j * dt, f"max|phi| = {peak:.3e} exceeds {cfg.blowup_limit:.3e}")
+        notify(j, phi)
+    return state_at(steps, phi)

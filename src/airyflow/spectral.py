@@ -7,7 +7,9 @@ Grids have N nodes alpha_k = 2*pi*k/N with N a power of two.  The forward
 transform carries the 1/N factor, so a pure mode cos(m*alpha) has
 coefficients of 0.5 at +/-m.  Coefficients are stored internally in
 FFT-natural order; the public accessor indexes by signed wavenumber
-m = -N/2+1 ... N/2 (the Nyquist slot is labelled +N/2).
+m = -N/2+1 ... N/2 (the Nyquist slot is labelled +N/2).  The time stepper
+works on the half spectrum of a real field, ``rfft(f, norm="forward")``:
+the leading N/2+1 of those coefficients, for m = 0..N/2.
 
 Odd-order spectral operations (derivative orders 1 and 3, and the
 antiderivative) zero the Nyquist mode: on a real grid that mode carries no
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteField, NonRealResult
 
-_FILTER_MODES = ("none", "dpr", "krasny", "both")
+FILTERS = ("none", "dpr", "krasny", "both")
 KRASNY_THRESHOLD = 1e-13
 _REAL_RESIDUE_LIMIT = 1e-9
 
@@ -223,51 +225,40 @@ def krasny_rho2(amplitude):
     return float(arr) if np.ndim(amplitude) == 0 else arr
 
 
-def _filtered_derivative_values(values: np.ndarray, mode: str) -> np.ndarray:
-    """First derivative of real samples with optional mode filtering.
+def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
+    """Apply a mode filter to the Fourier coefficients of a real N-point field.
+
+    ``coeffs`` holds the leading modes in FFT-natural order: all N of
+    them, or the half spectrum m = 0..N/2 that ``rfft`` returns.
+    "krasny" zeroes the modes whose amplitude is below 1e-13 (rho2),
+    "dpr" multiplies mode m by rho1(m*h/pi), "both" does the first and
+    then the second, and "none" returns the input unchanged.
+    """
+    if mode not in FILTERS:
+        raise ValueError(f"filter mode must be one of {FILTERS}, got {mode!r}")
+    if mode in ("krasny", "both"):
+        coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0.0, coeffs)
+    if mode in ("dpr", "both"):
+        coeffs = coeffs * _dpr_profile(n)[: coeffs.size]
+    return coeffs
+
+
+def _derivative_values(values: np.ndarray, order: int = 1, mode: str = "none") -> np.ndarray:
+    """Derivative of real samples, the modes filtered first.
 
     Single code path for the filtered and unfiltered derivative so that
     mode "none" is bitwise identical to the plain spectral derivative.
     """
-    if mode not in _FILTER_MODES:
-        raise ValueError(f"filter mode must be one of {_FILTER_MODES}, got {mode!r}")
     n = values.size
-    fhat = np.fft.fft(values) / n
-    if mode in ("krasny", "both"):
-        fhat = np.where(np.abs(fhat) < KRASNY_THRESHOLD, 0.0, fhat)
-    mult = _derivative_symbol(n, 1)
-    if mode in ("dpr", "both"):
-        mult = mult * _dpr_profile(n)
-    return (np.fft.ifft(mult * fhat) * n).real
-
-
-def apply_mode_filter(coeffs: np.ndarray, mode: str) -> np.ndarray:
-    """Multiply spectrum coefficients by the configured filter profile.
-
-    Applies rho1(m*h/pi) for "dpr" and the rho2 amplitude cutoff for
-    "krasny" ("both" applies both); "none" returns the input unchanged.
-    """
-    if mode not in _FILTER_MODES:
-        raise ValueError(f"filter mode must be one of {_FILTER_MODES}, got {mode!r}")
-    if mode == "none":
-        return coeffs
-    out = coeffs
-    if mode in ("krasny", "both"):
-        out = np.where(np.abs(out) < KRASNY_THRESHOLD, 0.0, out)
-    if mode in ("dpr", "both"):
-        out = out * _dpr_profile(out.size)
-    return out
+    fhat = filter_modes(np.fft.fft(values) / n, mode, n)
+    return (np.fft.ifft(_derivative_symbol(n, order) * fhat) * n).real
 
 
 def spectral_derivative(field: GridField, order: int = 1) -> GridField:
     """Spectral derivative of the given order (1, 2, or 3)."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    if order == 1:
-        return GridField(_filtered_derivative_values(field.values, "none"))
-    n = field.n
-    fhat = np.fft.fft(field.values) / n
-    return GridField((np.fft.ifft(_derivative_symbol(n, order) * fhat) * n).real)
+    return GridField(_derivative_values(field.values, order))
 
 
 def filtered_derivative(field: GridField, mode: str = "none") -> GridField:
@@ -277,7 +268,7 @@ def filtered_derivative(field: GridField, mode: str = "none") -> GridField:
     on, and by rho2(|f_hat_m|) when Krasny filtering is on.  Mode "none"
     reduces exactly to the plain first derivative.
     """
-    return GridField(_filtered_derivative_values(field.values, mode))
+    return GridField(_derivative_values(field.values, 1, mode))
 
 
 def spectral_antiderivative(field: GridField) -> GridField:

@@ -44,7 +44,7 @@ def _m3_series(state, cfg, t_final, stride):
 def _cnadb_start_xi(state, dt):
     """M3 drift after the documented cnadb first step, computed in plain numpy.
 
-    Per mode (README scheme table, ``cnadb_init_step`` docstring):
+    Per mode (README scheme table, ``schemes.step_rules`` docstring):
     phi^1 = (1/2)[e^{-i gamma} + 1 - i gamma] phi^0 + (dt/2)[1 + e^{-i gamma}] NL^0,
     with NL = (2 pi/L)^3 (1 + phi_alpha)^3 / 2, gamma = dt (2 pi m/L)^3 and
     the Nyquist mode dropped from both odd symbols.
@@ -99,7 +99,7 @@ def test_criterion_3_conservation():
 
     Table 3 gives 0.06 for the M3 drift at N=256, dt=2.5e-4; the
     documented scheme measures max |xi| = 0.0603 there, for a measured
-    cause.  The cnadb start (README scheme table, ``cnadb_init_step``)
+    cause.  The cnadb start (README scheme table, ``schemes.step_rules``)
     raises M3 by 0.0611 in its first step alone, at the modes whose phase
     rotation per step is order one.  The leapfrog then splits this jolt
     between its even and odd levels: their mean stays between 0.032 and

@@ -1,0 +1,81 @@
+"""The names the benchmark's probes wrap, and the call counts they read.
+
+``perfbench/probes.py`` times layers by replacing module attributes, and
+counts integrator steps as calls of ``schemes.init_step`` plus
+``schemes.step``.  These tests pin that contract.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from airyflow import schemes
+from airyflow.errors import BlowUp
+from airyflow.geometry import ThetaLState
+from airyflow.schemes import SchemeConfig, integrate
+from airyflow.spectral import GridField
+
+from conftest import catalog_state
+
+_PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
+
+
+def load_probes():
+    spec = importlib.util.spec_from_file_location("perfbench_probes", _PROBES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spanned_names_resolve():
+    for module, name in load_probes()._SPANNED:
+        assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme):
+    calls = dict.fromkeys(("init_step", "step", "nonlinear_term"), 0)
+    for name in calls:
+        original = getattr(schemes, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(schemes, name, counted)
+    state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
+    integrate(state, SchemeConfig(scheme=scheme, dt=1e-4, n=32), 7e-4)
+    assert calls == {"init_step": 1, "step": 6, "nonlinear_term": 7}
+
+
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_guard_reports_unobserved_step(scheme):
+    # NL = 1 on a zero state grows the mean mode by exactly dt per step
+    # under every scheme: max|phi| = 0.25, 0.5, 0.75 trips the guard at step 3
+    n = 16
+    state = ThetaLState(phi=GridField(np.zeros(n)), length=2 * np.pi)
+    cfg = SchemeConfig(scheme=scheme, dt=0.25, n=n, blowup_limit=0.6)
+    seen = []
+    with pytest.raises(BlowUp) as err:
+        integrate(state, cfg, 2.5, observers=[(100, lambda j, s: seen.append(j))],
+                  nonlinear=lambda s: GridField(np.ones(n)))
+    assert err.value.step == 3 and seen == [0]
+
+
+def test_guard_catches_non_finite_on_unobserved_step(monkeypatch):
+    calls = [0]
+    original = schemes.nonlinear_term
+
+    def poisoned(*args):
+        calls[0] += 1
+        nl = original(*args)
+        return nl * np.nan if calls[0] == 3 else nl
+
+    monkeypatch.setattr(schemes, "nonlinear_term", poisoned)
+    state, _ = catalog_state("circle", 16)
+    with pytest.raises(BlowUp) as err:
+        integrate(state, SchemeConfig(scheme="cnadb", dt=1e-3, n=16), 0.01,
+                  observers=[(100, lambda j, s: None)])
+    assert err.value.step == 3

@@ -18,7 +18,7 @@ from airyflow.diagnostics import (
 )
 from airyflow.errors import DegenerateBaseline, MissingSnapshots, NonPositiveError
 from airyflow.geometry import ThetaLState
-from airyflow.schemes import SchemeConfig, init_step, integrate, step
+from airyflow.schemes import SchemeConfig, integrate
 from airyflow.spectral import GridField, grid_nodes
 
 from conftest import band_limited_field, catalog_state
@@ -27,14 +27,13 @@ from conftest import band_limited_field, catalog_state
 def run_keeping(state, cfg, keep_steps, nonlinear=None):
     """Step a trajectory, returning the states at the requested step indices."""
     out = {}
-    s, memory = state, None
-    for j in range(1, max(keep_steps) + 1):
-        if memory is None:
-            s, memory = init_step(s, cfg, nonlinear)
-        else:
-            s, memory = step(s, memory, cfg, nonlinear)
+
+    def keep(j, s):
         if j in keep_steps:
             out[j] = s
+
+    last = max(keep_steps)
+    integrate(state, cfg, state.time + last * cfg.dt, [(1, keep)], nonlinear)
     return [out[j] for j in sorted(keep_steps)]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airyflow import harness
+from airyflow import cli, harness
 from airyflow.errors import ParseError, ValidationError
 from airyflow.harness import (
     ConvergenceStudyConfig,
@@ -189,6 +189,24 @@ class TestRunExperiment:
         manifest = (result.output_dir / "manifest.txt").read_text()
         assert "status = blowup" in manifest
         assert (result.output_dir / "diagnostics.csv").exists()
+
+    def test_closure_violation_flagged_with_partial_outputs(self, tmp_path, capsys):
+        # airyflow preset E scheme=adb dt=2e-3: the diagnostics observer's
+        # curve reconstruction fails the closure check a few steps in
+        out = tmp_path / "e"
+        code = cli.main(["preset", "E", "scheme=adb", "dt=2e-3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("closure: ")
+        manifest = dict(
+            line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        assert manifest["status"] == "closure"
+        assert "curve does not close" in manifest["error"]
+        steps = int(manifest["steps_completed"])
+        assert 0 < steps < int(manifest["steps_requested"]) == 1000
+        assert manifest["error"].startswith(f"closure at step {steps + 1} ")
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert rows[0] == ",".join(harness.DIAGNOSTICS_COLUMNS) and len(rows) > 1
 
     def test_requires_output_dir(self, tmp_path):
         cfg = small_run_config(tmp_path, output_dir=None)

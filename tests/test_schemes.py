@@ -6,15 +6,10 @@ from airyflow.errors import BlowUp, MissingHistory, NonCommensurateTime
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import (
     SchemeConfig,
-    SchemeMemory,
-    adb_init_step,
-    adb_step,
-    cn_init_step,
-    cn_step,
-    cnadb_init_step,
     integrate,
     modal_multipliers,
     nonlinear_term,
+    step_rules,
 )
 from airyflow.spectral import GridField, Spectrum, grid_nodes, wavenumbers
 
@@ -27,6 +22,23 @@ def zero_nl(state):
 
 def phi_hat(state):
     return np.fft.fft(state.phi.values) / state.n
+
+
+def half(state):
+    """The half spectrum the stepper carries."""
+    return np.fft.rfft(state.phi.values, norm="forward")
+
+
+def first_step(state, cfg, nonlinear=None):
+    return integrate(state, cfg, state.time + cfg.dt, nonlinear=nonlinear)
+
+
+def trajectory(state, cfg, steps, nonlinear=None):
+    """The states at steps 0..steps."""
+    states = []
+    integrate(state, cfg, state.time + steps * cfg.dt,
+              observers=[(1, lambda j, s: states.append(s))], nonlinear=nonlinear)
+    return states
 
 
 def single_mode_state(n, m, amplitude=0.2, length=2 * np.pi):
@@ -68,20 +80,20 @@ class TestMultipliers:
 class TestNonlinearTerm:
     def test_circle_is_constant_half(self):
         state, _ = catalog_state("circle", 64)
-        nl = nonlinear_term(state)
-        assert np.max(np.abs(nl.values - 0.5)) < 1e-12
+        nl = nonlinear_term(half(state), state.length)
+        assert np.max(np.abs(nl - 0.5)) < 1e-12
 
     def test_low_mode_state_pointwise(self):
         alpha = grid_nodes(64)
         state = ThetaLState(phi=GridField(0.1 * np.sin(alpha)), length=2 * np.pi)
-        nl = nonlinear_term(state)
-        assert np.max(np.abs(nl.values - (1 + 0.1 * np.cos(alpha)) ** 3 / 2)) <= 1e-13
+        nl = nonlinear_term(half(state), state.length)
+        assert np.max(np.abs(nl - (1 + 0.1 * np.cos(alpha)) ** 3 / 2)) <= 1e-13
 
     def test_filters_inert_on_low_modes(self, rng):
         phi = band_limited_field(64, 6, rng, scale=0.05)
         state = ThetaLState(phi=GridField(phi), length=5.0)
-        a = nonlinear_term(state, "none").values
-        b = nonlinear_term(state, "both").values
+        a = nonlinear_term(half(state), state.length, "none")
+        b = nonlinear_term(half(state), state.length, "both")
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
@@ -89,14 +101,16 @@ class TestAdb:
     def test_init_is_exact_on_linear_problem(self):
         state = single_mode_state(64, 3)
         cfg = SchemeConfig(scheme="adb", dt=1e-2, n=64)
-        new, memory = adb_init_step(state, cfg, nonlinear=zero_nl)
-        assert memory.step_count == 1 and memory.prev_nl is not None
+        new = first_step(state, cfg, nonlinear=zero_nl)
+        # the start needs no history; later steps carry NL one level back
+        start, rule = step_rules(cfg, state.length)
+        assert start.b is None and start.d is None and rule.d is not None
         assert np.max(np.abs(new.phi.values - exact_linear_phi(state, 1e-2))) <= 1e-14
 
     def test_zero_mode_euler_growth(self):
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme="adb", dt=1e-3, n=64)
-        new, _ = adb_init_step(state, cfg)
+        new = first_step(state, cfg)
         # NL is 1/2 on the unit circle and zeta_0 = 1
         assert np.mean(new.phi.values) - np.mean(state.phi.values) == pytest.approx(
             5e-4, rel=1e-10
@@ -123,8 +137,10 @@ class TestAdb:
     def test_step_requires_history(self):
         state = single_mode_state(16, 2)
         cfg = SchemeConfig(scheme="adb", dt=1e-3, n=16)
+        _, rule = step_rules(cfg, state.length)
+        level = half(state)
         with pytest.raises(MissingHistory):
-            adb_step(state, SchemeMemory(step_count=1), cfg)
+            schemes.step(rule, level, level, level, None)
 
 
 class TestCn:
@@ -135,8 +151,8 @@ class TestCn:
             phi=GridField(np.full(64, np.pi / 2)), length=2 * np.pi, anchor=(1.0, 0.0)
         )
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=64)
-        a, _ = cn_init_step(state, cfg)
-        b, _ = adb_init_step(state, SchemeConfig(scheme="adb", dt=1e-3, n=64))
+        a = first_step(state, cfg)
+        b = first_step(state, SchemeConfig(scheme="adb", dt=1e-3, n=64))
         assert np.max(np.abs(a.phi.values - b.phi.values)) <= 1e-15
 
     def test_init_from_zero_state_is_dt_times_forcing(self, rng):
@@ -144,13 +160,13 @@ class TestCn:
         g = band_limited_field(n, 5, rng)
         state = ThetaLState(phi=GridField(np.zeros(n)), length=2 * np.pi)
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=n)
-        new, _ = cn_init_step(state, cfg, nonlinear=lambda s: GridField(g))
+        new = first_step(state, cfg, nonlinear=lambda s: GridField(g))
         assert np.max(np.abs(new.phi.values - 1e-3 * g)) <= 1e-16
 
     def test_init_single_mode_multiplier(self):
         state = single_mode_state(32, 1, amplitude=0.1)
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=32)
-        new, _ = cn_init_step(state, cfg, nonlinear=zero_nl)
+        new = first_step(state, cfg, nonlinear=zero_nl)
         # gamma_1 = dt at L = 2*pi, so the mode picks up (1 - i dt)
         expected = (1.0 - 1e-3j) * phi_hat(state)[1]
         assert phi_hat(new)[1] == pytest.approx(expected, abs=1e-16)
@@ -161,13 +177,10 @@ class TestCn:
         # euler-started phi^1) for any number of steps
         state = single_mode_state(32, 2)
         cfg = SchemeConfig(scheme="cn", dt=2e-3, n=32)
-        s, memory = cn_init_step(state, cfg, nonlinear=zero_nl)
+        states = trajectory(state, cfg, 501, nonlinear=zero_nl)
         amp_even = abs(phi_hat(state)[2])
-        amp_odd = abs(phi_hat(s)[2])
-        levels = {}
-        for level in range(2, 502):
-            s, memory = cn_step(s, memory, cfg, nonlinear=zero_nl)
-            levels[level] = abs(phi_hat(s)[2])
+        amp_odd = abs(phi_hat(states[1])[2])
+        levels = {level: abs(phi_hat(s)[2]) for level, s in enumerate(states)}
         assert levels[500] == pytest.approx(amp_even, rel=1e-12)
         assert levels[501] == pytest.approx(amp_odd, rel=1e-12)
 
@@ -177,9 +190,7 @@ class TestCn:
         n = 32
         state = single_mode_state(n, 1)
         cfg = SchemeConfig(scheme="cn", dt=1.0, n=n)
-        s1, memory = cn_init_step(state, cfg, nonlinear=zero_nl)
-        s2, memory = cn_step(s1, memory, cfg, nonlinear=zero_nl)
-        s3, memory = cn_step(s2, memory, cfg, nonlinear=zero_nl)
+        _, s1, s2, s3 = trajectory(state, cfg, 3, nonlinear=zero_nl)
         assert phi_hat(s2)[1] == pytest.approx(-1j * phi_hat(state)[1], abs=1e-15)
         assert phi_hat(s3)[1] == pytest.approx(-1j * phi_hat(s1)[1], abs=1e-15)
 
@@ -195,15 +206,17 @@ class TestCn:
     def test_step_requires_history(self):
         state = single_mode_state(16, 2)
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=16)
+        _, rule = step_rules(cfg, state.length)
+        level = half(state)
         with pytest.raises(MissingHistory):
-            cn_step(state, SchemeMemory(step_count=1), cfg)
+            schemes.step(rule, level, level, None, None)
 
 
 class TestCnadb:
     def test_zero_gamma_reduces_to_euler_mean(self):
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-3, n=64)
-        new, _ = cnadb_init_step(state, cfg)
+        new = first_step(state, cfg)
         assert np.mean(new.phi.values) - np.mean(state.phi.values) == pytest.approx(
             5e-4, rel=1e-10
         )
@@ -212,9 +225,9 @@ class TestCnadb:
         phi = band_limited_field(64, 10, rng, 0.05)
         state = ThetaLState(phi=GridField(phi), length=4.8)
         dt = 5e-4
-        avg, _ = cnadb_init_step(state, SchemeConfig(scheme="cnadb", dt=dt, n=64))
-        a, _ = adb_init_step(state, SchemeConfig(scheme="adb", dt=dt, n=64))
-        c, _ = cn_init_step(state, SchemeConfig(scheme="cn", dt=dt, n=64))
+        avg = first_step(state, SchemeConfig(scheme="cnadb", dt=dt, n=64))
+        a = first_step(state, SchemeConfig(scheme="adb", dt=dt, n=64))
+        c = first_step(state, SchemeConfig(scheme="cn", dt=dt, n=64))
         mean = 0.5 * (a.phi.values + c.phi.values)
         assert np.max(np.abs(avg.phi.values - mean)) <= 1e-13
 
@@ -222,16 +235,19 @@ class TestCnadb:
         # residual is dt * |phi_t|, and |phi_t| ~ 1e2 for this ellipse
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-12, n=64)
-        new, _ = cnadb_init_step(state, cfg)
+        new = first_step(state, cfg)
         assert np.max(np.abs(new.phi.values - state.phi.values)) <= 1e-9
 
     def test_memory_feeds_cn_steps(self):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-4, n=64)
-        s, memory = cnadb_init_step(state, cfg)
-        assert memory.prev_theta is not None and memory.prev_nl is None
-        s2, memory2 = cn_step(s, memory, cfg)
-        assert memory2.step_count == 2
+        start, rule = step_rules(cfg, state.length)
+        # the history is phi one level back, not NL, and the steps are cn's
+        assert start.b is None and rule.b is not None and rule.d is None
+        _, cn_rule = step_rules(SchemeConfig(scheme="cn", dt=1e-4, n=64), state.length)
+        assert np.array_equal(rule.b, cn_rule.b) and np.array_equal(rule.c, cn_rule.c)
+        states = trajectory(state, cfg, 2)
+        assert len(states) == 3 and states[-1].time == 2 * 1e-4
 
 
 class TestIntegrate:
@@ -310,7 +326,7 @@ class TestSchemeProperties:
         n = 64
         state = single_mode_state(n, 5, amplitude=0.1, length=4.0)
         cfg = SchemeConfig(scheme="adb", dt=1e-4, n=n)
-        new, _ = adb_init_step(state, cfg)
+        new = first_step(state, cfg)
         spec = np.fft.fft(new.phi.values) / n
         assert spec[n - 5] == pytest.approx(np.conj(spec[5]), abs=1e-16)
 
