@@ -76,26 +76,8 @@ def _cmd_filters(args) -> int:
     return 0 if not result.errors else 1
 
 
-def _parse_overrides(pairs):
-    overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise AiryflowError(f"override {pair!r} is not key=value")
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        if key in ("n", "snapshot_stride", "diagnostic_stride"):
-            overrides[key] = int(value)
-        elif key in ("dt", "t_final", "closure_tol"):
-            overrides[key] = float(value)
-        elif key in ("scheme", "filter"):
-            overrides[key] = value.strip()
-        else:
-            raise AiryflowError(f"preset override for unknown field {key!r}")
-    return overrides
-
-
 def _cmd_preset(args) -> int:
-    cfg = preset_config(args.name, **_parse_overrides(args.overrides))
+    cfg = preset_config(args.name, **harness.parse_overrides(args.overrides))
     cfg = replace(cfg, output_dir=_require_out(None, args.out))
     if harness.is_extended_preset(args.name):
         print(f"note: {args.name.upper()} is an extended preset ({cfg.steps} steps)")

@@ -208,18 +208,16 @@ def resample_equal_arclength(
         raise NotRegular("curve has a vanishing tangent (s_alpha <= 0)")
     length = 2.0 * np.pi * float(np.mean(s_a))
 
-    # s(beta) = (L/2pi) beta + periodic part; strictly increasing since s_a > 0
+    # s(beta) = (L/2pi) beta + periodic part, 0 at beta = 0; strictly increasing since s_a > 0
     periodic = spectral_antiderivative(GridField(s_a - np.mean(s_a))).values
-    p0 = spectral.trig_interpolate(periodic, np.array([0.0]))[0]
-
-    def arclength(beta):
-        return length / (2.0 * np.pi) * beta + spectral.trig_interpolate(periodic, beta) - p0
-
+    periodic = periodic - periodic[0]
     targets = np.arange(n) * length / n
-    beta = alpha.copy()
+    # Newton starts from s at the nodes, exact there, inverted by linear interpolation
+    at_nodes = length / (2.0 * np.pi) * alpha + periodic
+    beta = np.interp(targets, np.append(at_nodes, length), np.append(alpha, 2.0 * np.pi))
     tol_abs = tol * length
     for _ in range(_NEWTON_MAX_ITER):
-        resid = arclength(beta) - targets
+        resid = length / (2.0 * np.pi) * beta + spectral.trig_interpolate(periodic, beta) - targets
         # update before the convergence test: the final step polishes the
         # just-in-tolerance residual down to the interpolation floor
         beta = beta - resid / spectral.trig_interpolate(s_a, beta)

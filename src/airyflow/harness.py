@@ -31,6 +31,8 @@ _INT_KEYS = {"n", "m", "snapshot_stride", "diagnostic_stride"}
 _FLOAT_KEYS = {"a", "b", "r", "r0", "delta0", "dt", "t_final", "t0", "closure_tol"}
 _STR_KEYS = {"kind", "shape", "scheme", "filter", "axis", "out"}
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+#: keys a preset override may set: the run settings, not the shape or the study
+_OVERRIDE_KEYS = _KNOWN_KEYS - {*_SHAPE_PARAM_KEYS, "shape", "kind", "axis", "t0", "out"}
 
 #: scheme/filter variants exercised by the filter study, in output order
 FILTER_STUDY_VARIANTS = (
@@ -191,17 +193,14 @@ def _parse_lines(text: str):
         yield lineno, value_col, key, value
 
 
-def _convert(lineno: int, col: int, key: str, value: str):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(lineno, col, f"{key} expects an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(lineno, col, f"{key} expects a number, got {value!r}") from None
+def _convert(key: str, value: str):
+    """The value typed by its key; a ValueError names the key and the type."""
+    for keys, cast, kind in ((_INT_KEYS, int, "an integer"), (_FLOAT_KEYS, float, "a number")):
+        if key in keys:
+            try:
+                return cast(value)
+            except ValueError:
+                raise ValueError(f"{key} expects {kind}, got {value!r}") from None
     return value
 
 
@@ -217,7 +216,10 @@ def parse_config(text: str):
             raise ValidationError(f"unknown key {key!r} on line {lineno}")
         if key in values:
             raise ValidationError(f"duplicate key {key!r} on line {lineno}")
-        values[key] = _convert(lineno, col, key, value)
+        try:
+            values[key] = _convert(key, value)
+        except ValueError as exc:
+            raise ParseError(lineno, col, str(exc)) from None
 
     kind = values.pop("kind", "run")
     if kind not in ("run", "converge"):
@@ -265,6 +267,19 @@ def preset_config(name: str, **overrides) -> RunConfig:
     shape_params = {k: preset.pop(k) for k in _SHAPE_PARAM_KEYS if k in preset}
     preset.update(overrides)
     return RunConfig(shape=shape, shape_params=shape_params, **preset)
+
+
+def parse_overrides(pairs) -> dict:
+    """Typed preset overrides from ``key=value`` strings, keys typed as in a config."""
+    overrides = {}
+    for pair in pairs:
+        key, sep, value = (part.strip() for part in pair.partition("="))
+        if not sep:
+            raise ValidationError(f"override {pair!r} is not key=value")
+        if key not in _OVERRIDE_KEYS:
+            raise ValidationError(f"preset override for unknown field {key!r}")
+        overrides[key] = _convert(key, value)
+    return overrides
 
 
 def is_extended_preset(name: str) -> bool:
@@ -561,22 +576,21 @@ def _run_filter_variant(args):
     cfg = replace(base, scheme=scheme, filter=filter_mode, output_dir=None)
     baseline = diagnostics.conserved_quantities(initial).m3
     series = []
-    last_power = [spectral.power_spectrum(spectral.dft(initial.phi))]
+    last = [initial]  # the final state, or the last observed one after a blow-up
 
     def probe(step, state):
         m3 = diagnostics.conserved_quantities(state).m3
         series.append((state.time, (m3 - baseline) / baseline))
-        last_power[0] = spectral.power_spectrum(spectral.dft(state.phi))
+        last[0] = state
 
     error = None
     try:
-        final = schemes.integrate(
+        last[0] = schemes.integrate(
             initial, cfg.scheme_config(), cfg.t_final, [(cfg.diagnostic_stride, probe)]
         )
-        last_power[0] = spectral.power_spectrum(spectral.dft(final.phi))
     except BlowUp as exc:
         error = f"BlowUp: {exc}"
-    return label, series, last_power[0], error
+    return label, series, spectral.power_spectrum(spectral.dft(last[0].phi)), error
 
 
 def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> FilterStudyResult:

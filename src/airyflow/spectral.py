@@ -304,16 +304,20 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     """Evaluate the trigonometric interpolant of real samples at points beta.
 
     Uses the symmetric interpolant: the Nyquist coefficient contributes
-    cos(N*beta/2) so the result is real for real input.
+    cos(N*beta/2) so the result is real for real input; modes 1..N/2-1 are
+    doubled.  With m = kB + j and B ~ sqrt(N/2), e^{im beta} = e^{ij beta} e^{ikB beta}:
+    P points take a P x B and a P x K exp table and one matrix product.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
+    _check_grid_size(n)
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    fhat = np.fft.fft(values) / n
-    m = wavenumbers(n)
-    interior = np.ones(n, dtype=bool)
-    interior[n // 2] = False
-    phases = np.exp(1j * np.outer(beta, m[interior]))
-    out = (phases @ fhat[interior]).real
-    out += fhat[n // 2].real * np.cos(0.5 * n * beta)
-    return out
+    half = n // 2
+    fhat = np.fft.rfft(values, norm="forward")
+    coeffs = 2.0 * fhat[:half]
+    coeffs[0] = fhat[0]
+    block = 1 << (half.bit_length() // 2)  # B; the K = N/2 / B block starts are kB
+    inner = np.exp(1j * np.outer(beta, np.arange(block)))
+    outer = np.exp(1j * np.outer(beta, np.arange(0, half, block)))
+    out = np.einsum("pk,pk->p", outer, inner @ coeffs.reshape(-1, block).T).real
+    return out + fhat[half].real * np.cos(half * beta)

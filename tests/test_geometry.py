@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -129,6 +131,31 @@ class TestResample:
             for i in range(256)
         ])
         assert np.max(np.abs(gaps - length / 256)) / (length / 256) <= 1e-8
+
+    def test_cardioid_equal_arclength_certificate(self):
+        # the catalog cardioid is r = 1 + 0.7 sin t in polar form, so the
+        # parameter of a point is its polar angle
+        n = 1024
+        curve = sample_catalog_curve("cardioid", n)
+        points, length = resample_equal_arclength(curve, n)
+        t = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
+        t = np.append(t, t[0] + 2 * np.pi)
+        speed = lambda u: np.hypot(-np.sin(u) + 0.7 * np.cos(2 * u),
+                                   np.cos(u) + 0.7 * np.sin(2 * u))
+        gaps = np.array([
+            quad(speed, t[i], t[i + 1], epsabs=1e-14, limit=100)[0] for i in range(n)
+        ])
+        assert np.max(np.abs(gaps - length / n)) / (length / n) <= 1e-8
+
+    def test_cardioid_4096_peak_memory(self):
+        curve = sample_catalog_curve("cardioid", 4096)
+        tracemalloc.start()
+        try:
+            resample_equal_arclength(curve, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_degenerate_curve_rejected(self):
         curve = ParametricCurve(

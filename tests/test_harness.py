@@ -115,6 +115,27 @@ class TestPresets:
         with pytest.raises(ValidationError):
             preset_config("Q")
 
+    def test_override_strings_typed_as_config_keys(self):
+        pairs = ["n=256", "dt = 1e-3", "scheme= adb", "closure_tol=1e-6"]
+        overrides = harness.parse_overrides(pairs)
+        assert overrides == {"n": 256, "dt": 1e-3, "scheme": "adb", "closure_tol": 1e-6}
+        assert type(overrides["n"]) is int
+
+    @pytest.mark.parametrize("pair, message", [
+        ("dt", "is not key=value"),
+        ("shape=circle", "unknown field 'shape'"),
+        ("colour=blue", "unknown field 'colour'"),
+    ])
+    def test_bad_override_rejected(self, pair, message, tmp_path, capsys):
+        with pytest.raises(ValidationError, match=message):
+            harness.parse_overrides([pair])
+        assert cli.main(["preset", "E", pair, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_override_value_rejected(self):
+        with pytest.raises(ValueError, match="n expects an integer"):
+            harness.parse_overrides(["n=many"])
+
 
 def small_run_config(tmp_path, **overrides):
     base = dict(

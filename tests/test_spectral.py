@@ -269,3 +269,26 @@ class TestInterpolation:
         m = wavenumbers(32)
         exact = np.array([np.sum(fhat * np.exp(1j * m * a)).real for a in alpha])
         assert np.max(np.abs(trig_interpolate(f, alpha) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_matches_dense_reference(self, n, rng):
+        # the sum over the whole spectrum, one exp per point and mode, with
+        # the Nyquist mode as cos(N*beta/2)
+        f = rng.normal(size=n)
+        beta = rng.uniform(0.0, 2 * np.pi, 200)
+        fhat = np.fft.fft(f) / n
+        m = spectral.wavenumbers(n)
+        interior = m != n // 2
+        dense = (np.exp(1j * np.outer(beta, m[interior])) @ fhat[interior]).real
+        dense += fhat[n // 2].real * np.cos(n // 2 * beta)
+        assert np.max(np.abs(trig_interpolate(f, beta) - dense)) <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("n", [8, 16, 4096])
+    def test_band_limited_exact_across_block_splits(self, n, rng):
+        # N/2 = 4 splits modes into 2 x 2 blocks, N/2 = 8 and 2048 into unequal ones
+        alpha = np.array([0.3, 1.234, 5.9])
+        f = band_limited_field(n, n // 2 - 1, rng, scale=1.0 / np.sqrt(n))
+        fhat = np.fft.fft(f) / n
+        m = spectral.wavenumbers(n)
+        exact = np.array([np.sum(fhat * np.exp(1j * m * a)).real for a in alpha])
+        assert np.max(np.abs(trig_interpolate(f, alpha) - exact)) < 1e-12
