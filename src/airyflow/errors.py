@@ -59,8 +59,12 @@ class MissingHistory(AiryflowError):
     """A multistep update was requested without the required history level."""
 
 
-class NonCommensurateTime(AiryflowError):
-    """Final time is not an integer multiple of the time step."""
+class ValidationError(AiryflowError, ValueError):
+    """A config or its settings violate a run invariant."""
+
+
+class NonCommensurateTime(ValidationError):
+    """A run time is negative or not a whole number of time steps."""
 
 
 class BlowUp(AiryflowError):
@@ -92,7 +96,3 @@ class ParseError(AiryflowError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
-
-
-class ValidationError(AiryflowError):
-    """A parsed config violates an invariant."""

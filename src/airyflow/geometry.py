@@ -103,17 +103,6 @@ class ThetaLState:
         return grid_nodes(self.n) + self.phi.values
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Curvature samples at the equal-arc-length nodes s_j = j*L/N."""
-
-    k: GridField
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.k.values
-
-
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -287,10 +276,10 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     return np.column_stack([x, y])
 
 
-def curvature(state: ThetaLState) -> CurvatureField:
-    """Curvature k = theta_s = (2*pi/L)(1 + phi_alpha) at the nodes."""
+def curvature(state: ThetaLState) -> GridField:
+    """Curvature k = theta_s = (2*pi/L)(1 + phi_alpha) at the equal-arc-length nodes."""
     phi_a = spectral_derivative(state.phi, 1).values
-    return CurvatureField(GridField(2.0 * np.pi / state.length * (1.0 + phi_a)))
+    return GridField(2.0 * np.pi / state.length * (1.0 + phi_a))
 
 
 def point_curvature(points) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -85,24 +85,10 @@ class RunConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if self.scheme not in schemes.SCHEMES:
-            raise ValidationError(f"scheme must be one of {schemes.SCHEMES}, got {self.scheme!r}")
-        if self.filter not in schemes.FILTERS:
-            raise ValidationError(f"filter must be one of {schemes.FILTERS}, got {self.filter!r}")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ValidationError(f"n must be a power of two >= 8, got {self.n}")
-        if self.t_final < 0:
-            raise ValidationError("t_final must be nonnegative")
-        ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValidationError(
-                f"t_final = {self.t_final!r} is not an integer multiple of dt = {self.dt!r}"
-            )
+        self.scheme_config()  # checks scheme, filter, dt and n
+        steps = self.steps  # checks t_final
         if self.snapshot_stride < 0 or self.diagnostic_stride < 0:
             raise ValidationError("strides must be positive (or 0 for the default)")
-        steps = int(round(ratio))
         if self.snapshot_stride == 0:
             object.__setattr__(self, "snapshot_stride", max(1, steps))
         if self.diagnostic_stride == 0:
@@ -112,7 +98,7 @@ class RunConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return schemes.step_count(self.t_final, self.dt)
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(scheme=self.scheme, dt=self.dt, n=self.n, filter=self.filter)
@@ -142,23 +128,16 @@ class ConvergenceStudyConfig:
     base: RunConfig
     axis: str
     comparison_time: float
-    levels: int = 3
 
     def __post_init__(self):
         if self.axis not in ("time", "space"):
             raise ValidationError(f"axis must be 'time' or 'space', got {self.axis!r}")
-        if self.levels != 3:
-            raise ValidationError("convergence studies use exactly 3 levels")
-        ratio = self.comparison_time / self.base.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValidationError(
-                "comparison time t0 must be commensurate with the largest dt"
-            )
+        schemes.step_count(self.comparison_time, self.base.dt, "t0")
 
     def level_configs(self):
         """The three run configs, coarsest first."""
         out = []
-        for level in range(self.levels):
+        for level in range(3):
             if self.axis == "time":
                 cfg = replace(self.base, dt=self.base.dt / 2**level,
                               t_final=self.comparison_time)
@@ -234,19 +213,8 @@ def parse_config(text: str):
     missing = [k for k in ("n", "dt", "t_final") if k not in values]
     if missing:
         raise ValidationError(f"config must set {missing}")
-    run = RunConfig(
-        shape=values.pop("shape"),
-        n=values.pop("n"),
-        dt=values.pop("dt"),
-        t_final=values.pop("t_final"),
-        scheme=values.pop("scheme", "cnadb"),
-        filter=values.pop("filter", "none"),
-        shape_params=shape_params,
-        snapshot_stride=values.pop("snapshot_stride", 0),
-        diagnostic_stride=values.pop("diagnostic_stride", 0),
-        closure_tol=values.pop("closure_tol", geometry.DEFAULT_CLOSURE_TOL),
-        output_dir=out,
-    )
+    values.setdefault("scheme", "cnadb")
+    run = RunConfig(shape_params=shape_params, output_dir=out, **values)
     if kind == "run":
         if axis is not None or t0 is not None:
             raise ValidationError("'axis'/'t0' are only valid with kind = converge")
@@ -307,10 +275,7 @@ class DiagnosticsRow:
     centroid_y: float
 
 
-DIAGNOSTICS_COLUMNS = (
-    "time", "m1", "m2", "m3", "xi", "max_curvature",
-    "delta_n", "radius_n", "tail_max", "centroid_x", "centroid_y",
-)
+DIAGNOSTICS_COLUMNS = tuple(column.name for column in fields(DiagnosticsRow))
 
 
 @dataclass
@@ -337,18 +302,23 @@ def _spectrum_tail_max(phi_hat_power: np.ndarray, n: int) -> float:
 
 
 class _DiagnosticsProbe:
-    """Observer that accumulates DiagnosticsRow records."""
+    """Observer that accumulates DiagnosticsRow records.
 
-    def __init__(self, cfg: RunConfig, initial: ThetaLState):
+    The step-0 call sets the baselines of ``xi`` (M3) and ``delta_n``
+    (the effective radius), so a curve that does not close at step 0
+    raises inside the run like at any later step.
+    """
+
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.rows: list[DiagnosticsRow] = []
-        self.m3_baseline = diagnostics.conserved_quantities(initial).m3
-        points0 = geometry.reconstruct_curve(initial, cfg.closure_tol)
-        self.r0 = geometry.recover_radius(points0)
 
     def __call__(self, step: int, state: ThetaLState) -> None:
         triple = diagnostics.conserved_quantities(state)
         points = geometry.reconstruct_curve(state, self.cfg.closure_tol)
+        radius = geometry.recover_radius(points)
+        if step == 0:
+            self.m3_baseline, self.r0 = triple.m3, radius
         cx, cy = geometry.centroid(points)
         radial = np.hypot(points[:, 0] - cx, points[:, 1] - cy)
         power = spectral.power_spectrum(spectral.dft(state.phi))
@@ -362,7 +332,7 @@ class _DiagnosticsProbe:
                 xi=(triple.m3 - self.m3_baseline) / self.m3_baseline,
                 max_curvature=float(np.max(np.abs(k))),
                 delta_n=float(np.max(radial - self.r0)),
-                radius_n=float(np.sqrt(geometry.enclosed_area(points) / np.pi)),
+                radius_n=radius,
                 tail_max=_spectrum_tail_max(power, state.n),
                 centroid_x=cx,
                 centroid_y=cy,
@@ -439,7 +409,7 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
 
     started = _time.perf_counter()
     initial = build_initial_state(cfg)
-    probe = _DiagnosticsProbe(cfg, initial)
+    probe = _DiagnosticsProbe(cfg)
     snapshots = _SnapshotWriter(cfg, out_dir)
     observed = [0]  # step of the latest observer call, for errors raised inside one
 
@@ -466,20 +436,12 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
     except ClosureViolation as exc:
         step = observed[0]
         status, error = "closure", f"closure at step {step} (t={step * cfg.dt:.6g}): {exc}"
-        steps_done = step - 1
+        steps_done = max(step - 1, 0)
         final_state = None
     wall = _time.perf_counter() - started
 
     diag_path = out_dir / "diagnostics.csv"
-    _write_csv(
-        diag_path,
-        DIAGNOSTICS_COLUMNS,
-        (
-            (r.time, r.m1, r.m2, r.m3, r.xi, r.max_curvature, r.delta_n,
-             r.radius_n, r.tail_max, r.centroid_x, r.centroid_y)
-            for r in probe.rows
-        ),
-    )
+    _write_csv(diag_path, DIAGNOSTICS_COLUMNS, (astuple(row) for row in probe.rows))
 
     outputs = [out_dir / "config.txt", diag_path, *snapshots.written]
     manifest = [

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUp, MissingHistory, NonCommensurateTime, NonFiniteField
+from .errors import BlowUp, MissingHistory, NonCommensurateTime, NonFiniteField, ValidationError
 from .geometry import ThetaLState
 from .spectral import (
     FILTERS,
@@ -52,7 +52,11 @@ NonlinearProvider = Callable[[ThetaLState], GridField]
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection, step size, mode filter, and grid size for a run."""
+    """Scheme selection, step size, mode filter, and grid size for a run.
+
+    These checks are the only ones of the four settings: ``RunConfig``
+    builds a SchemeConfig to validate them.
+    """
 
     scheme: str
     dt: float
@@ -62,12 +66,30 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.filter not in FILTERS:
-            raise ValueError(f"filter must be one of {FILTERS}, got {self.filter!r}")
+            raise ValidationError(f"filter must be one of {FILTERS}, got {self.filter!r}")
         if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+            raise ValidationError(f"dt must be positive, got {self.dt!r}")
         _check_grid_size(self.n)
+
+
+def step_count(span: float, dt: float, name: str = "t_final") -> int:
+    """The number of steps of size dt in ``span``, the run time ``name`` sets.
+
+    Raises :class:`NonCommensurateTime`, naming ``name``, for a negative
+    span or one that is not a whole number of steps: a partial final step
+    would break the multistep error structure.
+    """
+    if span < 0:
+        raise NonCommensurateTime(f"{name} precedes the start time by {-span!r}")
+    ratio = span / dt
+    steps = int(round(ratio))
+    if abs(ratio - steps) > 1e-9 * max(1.0, ratio):
+        raise NonCommensurateTime(
+            f"{name} spans {span!r}, not a whole number of steps of dt = {dt!r}"
+        )
+    return steps
 
 
 @dataclass(frozen=True)
@@ -189,8 +211,8 @@ def integrate(
 ) -> ThetaLState:
     """Advance the state from its current time to t_final.
 
-    ``t_final - initial.time`` must be an integer multiple of dt (no
-    partial final step: it would break the multistep error structure).
+    ``t_final - initial.time`` must be a whole number of steps
+    (:func:`step_count`).
     ``observers`` is an iterable of (stride, callback) pairs; each
     callback(step_index, state) fires at step 0, every ``stride`` steps,
     and at the final step.  Raises :class:`BlowUp` if the solution goes
@@ -202,15 +224,7 @@ def integrate(
     derivative leaves an undamped feedback loop at the filter edge that
     destabilizes the adb scheme.
     """
-    elapsed = t_final - initial.time
-    if elapsed < 0:
-        raise NonCommensurateTime(f"t_final {t_final} precedes state time {initial.time}")
-    ratio = elapsed / cfg.dt
-    steps = int(round(ratio))
-    if abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
-        raise NonCommensurateTime(
-            f"t_final - t0 = {elapsed!r} is not an integer multiple of dt = {cfg.dt!r}"
-        )
+    steps = step_count(t_final - initial.time, cfg.dt)
     if initial.n != cfg.n:
         raise ValueError(f"state grid size {initial.n} does not match config n={cfg.n}")
     observers = tuple(observers)

@@ -18,13 +18,12 @@ odd-derivative information, and zeroing keeps all outputs real.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteField, NonRealResult
+from .errors import DomainError, NonFiniteField, NonRealResult, ValidationError
 
 FILTERS = ("none", "dpr", "krasny", "both")
 KRASNY_THRESHOLD = 1e-13
@@ -33,7 +32,7 @@ _REAL_RESIDUE_LIMIT = 1e-9
 
 def _check_grid_size(n: int) -> None:
     if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        raise ValidationError(f"grid size n must be a power of two >= 8, got {n}")
 
 
 def grid_nodes(n: int) -> np.ndarray:
@@ -122,30 +121,6 @@ class Spectrum:
         return self.coeffs[m % self.n]
 
 
-class _ResidueStats:
-    """Largest imaginary residue discarded by idft since the last reset."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._max = 0.0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            if value > self._max:
-                self._max = value
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    def reset(self) -> None:
-        with self._lock:
-            self._max = 0.0
-
-
-imag_residue_stats = _ResidueStats()
-
-
 def dft(field: GridField) -> Spectrum:
     """Forward transform, coefficients f_hat_m = (1/N) sum_k f_k e^{-im alpha_k}."""
     return Spectrum(np.fft.fft(field.values) / field.n)
@@ -155,13 +130,11 @@ def idft(spectrum: Spectrum) -> GridField:
     """Inverse transform f_k = sum_m f_hat_m e^{im alpha_k}, returned as a real field.
 
     Imaginary residue (from a not-quite conjugate-symmetric spectrum) is
-    discarded and tracked in :data:`imag_residue_stats`; residue above
-    1e-9 raises :class:`NonRealResult` since it signals an upstream
-    symmetry violation rather than roundoff.
+    discarded; residue above 1e-9 raises :class:`NonRealResult` since it
+    signals an upstream symmetry violation rather than roundoff.
     """
     w = np.fft.ifft(spectrum.coeffs) * spectrum.n
     residue = float(np.max(np.abs(w.imag))) if spectrum.n else 0.0
-    imag_residue_stats.observe(residue)
     if residue > _REAL_RESIDUE_LIMIT:
         raise NonRealResult(
             f"imaginary residue {residue:.3e} exceeds {_REAL_RESIDUE_LIMIT:.0e}"

@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from airyflow import cli, harness
-from airyflow.errors import ParseError, ValidationError
+from airyflow import cli, harness, schemes
+from airyflow.errors import NonCommensurateTime, ParseError, ValidationError
 from airyflow.harness import (
     ConvergenceStudyConfig,
     RunConfig,
@@ -13,6 +16,7 @@ from airyflow.harness import (
     run_experiment,
     run_filter_study,
 )
+from airyflow.schemes import SchemeConfig
 from airyflow.spectral import GridField
 
 MINIMAL = """
@@ -87,6 +91,22 @@ class TestParseConfig:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")
+
+    def test_readme_grammar_block(self):
+        # README's config-grammar block parses, names every key of the
+        # grammar, and the lines it marks "(default)" set the defaults
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert isinstance(cfg, RunConfig) and cfg.shape == "ellipse" and cfg.steps == 4000
+        for key in harness._KNOWN_KEYS:
+            assert re.search(rf"\b{key}\b", section), f"README grammar omits {key!r}"
+        marked = [line for line in block.splitlines() if "(default)" in line]
+        assert {line.split("=")[0].strip() for line in marked} == {
+            "kind", "scheme", "filter", "closure_tol"}
+        unset = "\n".join(line for line in block.splitlines() if line not in marked)
+        assert parse_config(unset) == cfg
 
 
 class TestPresets:
@@ -229,6 +249,21 @@ class TestRunExperiment:
         rows = (out / "diagnostics.csv").read_text().splitlines()
         assert rows[0] == ",".join(harness.DIAGNOSTICS_COLUMNS) and len(rows) > 1
 
+    def test_closure_violation_at_step_0(self, tmp_path, capsys):
+        # the initial curve closes only to ~1e-15: the run ends at step 0
+        # with its outputs written instead of escaping run_experiment
+        out = tmp_path / "e"
+        code = cli.main(["preset", "E", "closure_tol=1e-17", "t_final=0.01", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("closure: 0/20 steps")
+        manifest = dict(
+            line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        assert manifest["status"] == "closure" and manifest["steps_completed"] == "0"
+        assert manifest["error"].startswith("closure at step 0 (t=0): curve does not close")
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert rows == [",".join(harness.DIAGNOSTICS_COLUMNS)]
+
     def test_requires_output_dir(self, tmp_path):
         cfg = small_run_config(tmp_path, output_dir=None)
         with pytest.raises(ValidationError):
@@ -313,3 +348,52 @@ class TestFormatting:
 
     def test_negative_zero_normalized(self):
         assert format_float(-0.0) == "0"
+
+
+# ---------------------------------------------------------------------------
+# run invariants: each entry point rejects each bad setting it takes with the
+# documented error type, and the message names the offending key
+
+_SCHEME = dict(scheme="cnadb", dt=1e-2, n=32)
+_RUN = dict(shape="circle", t_final=0.1, **_SCHEME)
+_BAD = [("scheme", "rk4"), ("filter", "lowpass"), ("dt", 0.0), ("dt", -1e-3), ("n", 24),
+        ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("t0", 0.10025)]
+_SCHEME_KEYS = {"scheme", "filter", "dt", "n"}
+_RUN_KEYS = _SCHEME_KEYS | {"t_final"}
+
+
+def _parse_with(key, value):
+    settings = {**_RUN, key: value}
+    if key == "t0":
+        settings.update(kind="converge", axis="time")
+    return parse_config("".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+
+def _integrate_to(key, t_final):
+    state = harness.build_initial_state(RunConfig(**_RUN))
+    return schemes.integrate(state, SchemeConfig(**_SCHEME), t_final)
+
+
+_ENTRY_POINTS = {
+    "parse_config": (_parse_with, ValidationError, _RUN_KEYS | {"t0"}),
+    "RunConfig": (lambda key, value: RunConfig(**{**_RUN, key: value}), ValidationError,
+                  _RUN_KEYS),
+    "preset_config": (lambda key, value: preset_config("E", **{key: value}), ValidationError,
+                      _RUN_KEYS),
+    "SchemeConfig": (lambda key, value: SchemeConfig(**{**_SCHEME, key: value}),
+                     ValidationError, _SCHEME_KEYS),
+    "integrate": (_integrate_to, NonCommensurateTime, {"t_final"}),
+}
+
+
+@pytest.mark.parametrize("entry, key, value", [
+    (entry, key, value)
+    for entry, (_, _, keys) in _ENTRY_POINTS.items()
+    for key, value in _BAD if key in keys
+])
+def test_invariant_rejected_naming_key(entry, key, value):
+    call, error, _ = _ENTRY_POINTS[entry]
+    with pytest.raises(error) as err:
+        call(key, value)
+    assert isinstance(err.value, ValueError)
+    assert re.search(rf"\b{key}\b", str(err.value)), str(err.value)

@@ -86,11 +86,6 @@ class TestTransforms:
         with pytest.raises(NonRealResult):
             idft(Spectrum(coeffs))
 
-    def test_residue_statistic_updates(self, rng):
-        spectral.imag_residue_stats.reset()
-        idft(dft(GridField(rng.standard_normal(32))))
-        assert 0.0 <= spectral.imag_residue_stats.max < 1e-12
-
     def test_coeff_indexing_out_of_range(self):
         s = dft(GridField(np.ones(16)))
         with pytest.raises(IndexError):
