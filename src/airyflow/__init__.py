@@ -12,7 +12,7 @@ from .errors import AiryflowError
 from .geometry import ThetaLState
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 from .schemes import SchemeConfig, integrate
-from .spectral import GridField, Spectrum
+from .spectral import GridField
 
 __all__ = [
     "AiryflowError",
@@ -20,7 +20,6 @@ __all__ = [
     "GridField",
     "RunConfig",
     "SchemeConfig",
-    "Spectrum",
     "ThetaLState",
     "diagnostics",
     "geometry",

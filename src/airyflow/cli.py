@@ -7,8 +7,8 @@ Subcommands:
 * ``filters <config>``   -- scheme/filter comparison from shared initial data
 * ``preset <name> [key=value ...]`` -- run a named preset with overrides
 
-``--out`` chooses (or overrides) the output directory; ``--parallel``
-bounds concurrent runs inside a study.
+``--out`` chooses (or overrides) the output directory; ``filters --parallel``
+bounds concurrent runs inside the filter study.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .errors import AiryflowError
+from .errors import AiryflowError, StudyFailed
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 
 
@@ -52,12 +52,18 @@ def _cmd_converge(args) -> int:
     if not isinstance(cfg, ConvergenceStudyConfig):
         raise AiryflowError("'converge' expects a config with kind = converge")
     out = _require_out(cfg.base.output_dir, args.out)
-    row = harness.run_convergence_study(cfg, output_dir=out, parallel=args.parallel)
+    try:
+        row = harness.run_convergence_study(cfg, output_dir=out)
+    except StudyFailed as exc:
+        for message in exc.errors.values():
+            print(f"FAILED {message}")
+        print(f"wrote {out / 'convergence_manifest.txt'}")
+        return 1
     print(
         f"{row.curve}/{row.scheme} t0={row.t0:g}: "
         f"err {row.err_coarse:.6g} -> {row.err_fine:.6g}, order {row.order:.4f}"
     )
-    print(f"wrote {out / 'convergence.csv'}")
+    print(f"wrote {out / 'convergence.csv'} and {out / 'convergence_manifest.txt'}")
     return 0
 
 
@@ -98,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     converge = sub.add_parser("converge", help="three-level refinement study")
     converge.add_argument("config")
     converge.add_argument("--out", default=None)
-    converge.add_argument("--parallel", type=int, default=1)
     converge.set_defaults(func=_cmd_converge)
 
     filters = sub.add_parser("filters", help="scheme/filter comparison study")

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from . import geometry
+from . import geometry, spectral
 from .errors import DegenerateBaseline, MissingSnapshots, NonPositiveError
 from .geometry import ThetaLState
-from .spectral import GridField, l2_norm, spectral_derivative
+from .spectral import GridField, _derivative_symbol, l2_norm, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,71 @@ def _integrate_ds(values: np.ndarray, length: float) -> float:
     return float(np.mean(values) * length)
 
 
-def conserved_quantities(state: ThetaLState) -> ConservedTriple:
-    """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha."""
-    k = geometry.curvature(state).values
-    k_s = 2.0 * np.pi / state.length * spectral_derivative(GridField(k), 1).values
+def _curvature_and_slope(phi_hat: np.ndarray, length: float):
+    """k = (2*pi/L)(1 + D phi) and k_s = (2*pi/L) D k from the half spectrum of phi."""
+    n = 2 * (phi_hat.size - 1)
+    scale = 2.0 * np.pi / length
+    d_phi = _derivative_symbol(n, 1) * phi_hat
+    k = scale * (1.0 + np.fft.irfft(d_phi, n, norm="forward"))
+    k_s = scale**2 * np.fft.irfft(_derivative_symbol(n, 1) * d_phi, n, norm="forward")
+    return k, k_s
+
+
+def conserved_quantities(state: ThetaLState, k=None, k_s=None) -> ConservedTriple:
+    """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha.
+
+    ``k`` and ``k_s`` are the curvature and its arc-length derivative at
+    the nodes, computed from the state unless the caller already has them.
+    """
+    if k is None:
+        k, k_s = _curvature_and_slope(np.fft.rfft(state.phi.values, norm="forward"),
+                                      state.length)
     return ConservedTriple(
         m1=_integrate_ds(k, state.length),
         m2=_integrate_ds(k**2, state.length),
         m3=_integrate_ds(0.5 * k_s**2 - 0.125 * k**4, state.length),
         time=state.time,
     )
+
+
+@dataclass(frozen=True)
+class Observation:
+    """What the run's observers read off one state (see :func:`observe`)."""
+
+    triple: ConservedTriple
+    k: np.ndarray  # curvature at the nodes
+    phi_hat: np.ndarray  # half spectrum of phi, m = 0..N/2
+    power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2
+    points: Optional[np.ndarray] = None  # the reconstructed curve, (N, 2)
+    radius: Optional[float] = None  # effective radius sqrt(area / pi)
+    centroid: Optional[tuple[float, float]] = None
+
+
+def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observation:
+    """Every observer quantity of a state from one ``rfft`` of phi.
+
+    k and k_s take one inverse transform each and M1-M3 are means of them.
+    With a ``closure_tol`` the curve is reconstructed too, by one complex
+    antiderivative of its tangent, and raises :class:`ClosureViolation`
+    like :func:`geometry.reconstruct_curve`; its area
+    pi * mean(x y_alpha - y x_alpha) uses that tangent less its mean, the
+    tangent of the closed curve, and no further derivatives.  Without one
+    the curve is skipped and ``points``, ``radius`` and ``centroid`` are
+    None.
+    """
+    phi_hat = np.fft.rfft(state.phi.values, norm="forward")
+    k, k_s = _curvature_and_slope(phi_hat, state.length)
+    curve = {}
+    if closure_tol is not None:
+        points = geometry.reconstruct_curve(state, closure_tol)
+        tangent = geometry.curve_tangent(state)
+        tangent = tangent - np.mean(tangent)
+        x, y = points[:, 0], points[:, 1]
+        area = abs(np.pi * float(np.mean(x * tangent.imag - y * tangent.real)))
+        curve = dict(points=points, radius=float(np.sqrt(area / np.pi)),
+                     centroid=(float(np.mean(x)), float(np.mean(y))))
+    return Observation(triple=conserved_quantities(state, k, k_s), k=k, phi_hat=phi_hat,
+                       power=spectral.power_spectrum(phi_hat), **curve)
 
 
 def relative_m3_error(series) -> tuple[np.ndarray, np.ndarray]:

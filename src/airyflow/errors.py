@@ -14,10 +14,6 @@ class NonFiniteField(AiryflowError, ValueError):
     """A grid field contains NaN or infinite samples."""
 
 
-class NonRealResult(AiryflowError):
-    """An inverse transform expected to be real carries too much imaginary residue."""
-
-
 class DomainError(AiryflowError, ValueError):
     """A scalar argument lies outside the function's domain."""
 
@@ -75,6 +71,14 @@ class BlowUp(AiryflowError):
         self.time = time
         self.detail = detail
         super().__init__(f"blow-up at step {step} (t={time:.6g}): {detail}")
+
+
+class StudyFailed(AiryflowError):
+    """One or more runs of a study failed; ``errors`` maps each to its message."""
+
+    def __init__(self, errors: dict):
+        self.errors = errors
+        super().__init__("; ".join(errors.values()))
 
 
 class MissingSnapshots(AiryflowError):

@@ -15,6 +15,7 @@ depend on orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -253,27 +254,38 @@ def extract_theta_l(points, length: float, time: float = 0.0) -> ThetaLState:
     )
 
 
+def curve_tangent(state: ThetaLState) -> np.ndarray:
+    """Tangent z_alpha = (L/2*pi) e^{i theta} of z = x + iy at the nodes."""
+    return state.length / (2.0 * np.pi) * np.exp(1j * state.theta())
+
+
+@lru_cache(maxsize=64)
+def _complex_antiderivative_symbol(n: int) -> np.ndarray:
+    """1/(i*m) in ``np.fft.fft`` order, with the mean and Nyquist slots zeroed."""
+    m = np.fft.fftfreq(n, 1.0 / n)
+    sym = np.zeros(n, dtype=np.complex128)
+    keep = (m != 0) & (np.abs(m) != n // 2)
+    sym[keep] = 1.0 / (1j * m[keep])
+    sym.setflags(write=False)
+    return sym
+
+
 def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_TOL) -> np.ndarray:
     """Curve points from a tangent-angle state, anchored at state.anchor.
 
-    Integrates (x_alpha, y_alpha) = s_alpha (cos theta, sin theta) with
-    s_alpha = L/(2*pi).  The integrand must have (near-)zero mean for the
-    curve to close; the mean below tolerance is dropped, which makes the
-    reconstructed polygon exactly periodic.
+    Integrates the complex tangent z_alpha = (L/2*pi) e^{i theta}
+    (:func:`curve_tangent`) by one complex FFT antiderivative: z = x + iy
+    is the one complex field of the package.  The tangent must have
+    (near-)zero mean for the curve to close; the mean below tolerance is
+    dropped, which makes the reconstructed polygon exactly periodic.
     """
-    theta = state.theta()
-    s_a = state.length / (2.0 * np.pi)
-    integrand_x = s_a * np.cos(theta)
-    integrand_y = s_a * np.sin(theta)
-    mean_x = float(np.mean(integrand_x))
-    mean_y = float(np.mean(integrand_y))
-    if abs(mean_x) > closure_tol or abs(mean_y) > closure_tol:
-        raise ClosureViolation(mean_x, mean_y, closure_tol)
-    fx = spectral_antiderivative(GridField(integrand_x)).values
-    fy = spectral_antiderivative(GridField(integrand_y)).values
-    x = state.anchor[0] + fx - fx[0]
-    y = state.anchor[1] + fy - fy[0]
-    return np.column_stack([x, y])
+    z_a = curve_tangent(state)
+    mean = complex(np.mean(z_a))
+    if abs(mean.real) > closure_tol or abs(mean.imag) > closure_tol:
+        raise ClosureViolation(mean.real, mean.imag, closure_tol)
+    z = np.fft.ifft(np.fft.fft(z_a) * _complex_antiderivative_symbol(state.n))
+    z = complex(*state.anchor) + (z - z[0])
+    return np.column_stack([z.real, z.imag])
 
 
 def curvature(state: ThetaLState) -> GridField:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, geometry, schemes, spectral
-from .errors import BlowUp, ClosureViolation, ParseError, ValidationError
+from .errors import BlowUp, ClosureViolation, ParseError, StudyFailed, ValidationError
 from .geometry import ThetaLState
 from .schemes import SchemeConfig
 
@@ -296,9 +296,10 @@ def build_initial_state(cfg: RunConfig) -> ThetaLState:
     return geometry.extract_theta_l(points, length)
 
 
-def _spectrum_tail_max(phi_hat_power: np.ndarray, n: int) -> float:
-    m = spectral.symmetric_wavenumbers(n)
-    return float(np.max(phi_hat_power[np.abs(m) > n // 4]))
+def _spectrum_tail_max(phi_hat: np.ndarray) -> float:
+    """The largest |phi_hat_m|^2 over m > N/4 of a half spectrum."""
+    n = 2 * (phi_hat.size - 1)
+    return float(np.max(np.abs(phi_hat[n // 4 + 1:]) ** 2))
 
 
 class _DiagnosticsProbe:
@@ -314,15 +315,12 @@ class _DiagnosticsProbe:
         self.rows: list[DiagnosticsRow] = []
 
     def __call__(self, step: int, state: ThetaLState) -> None:
-        triple = diagnostics.conserved_quantities(state)
-        points = geometry.reconstruct_curve(state, self.cfg.closure_tol)
-        radius = geometry.recover_radius(points)
+        obs = diagnostics.observe(state, self.cfg.closure_tol)
+        triple = obs.triple
         if step == 0:
-            self.m3_baseline, self.r0 = triple.m3, radius
-        cx, cy = geometry.centroid(points)
-        radial = np.hypot(points[:, 0] - cx, points[:, 1] - cy)
-        power = spectral.power_spectrum(spectral.dft(state.phi))
-        k = geometry.curvature(state).values
+            self.m3_baseline, self.r0 = triple.m3, obs.radius
+        cx, cy = obs.centroid
+        radial = np.hypot(obs.points[:, 0] - cx, obs.points[:, 1] - cy)
         self.rows.append(
             DiagnosticsRow(
                 time=state.time,
@@ -330,10 +328,10 @@ class _DiagnosticsProbe:
                 m2=triple.m2,
                 m3=triple.m3,
                 xi=(triple.m3 - self.m3_baseline) / self.m3_baseline,
-                max_curvature=float(np.max(np.abs(k))),
+                max_curvature=float(np.max(np.abs(obs.k))),
                 delta_n=float(np.max(radial - self.r0)),
-                radius_n=radius,
-                tail_max=_spectrum_tail_max(power, state.n),
+                radius_n=obs.radius,
+                tail_max=_spectrum_tail_max(obs.phi_hat),
                 centroid_x=cx,
                 centroid_y=cy,
             )
@@ -350,21 +348,18 @@ class _SnapshotWriter:
 
     def __call__(self, step: int, state: ThetaLState) -> None:
         tag = f"{state.time:.6f}"
-        points = geometry.reconstruct_curve(state, self.cfg.closure_tol)
-        k = geometry.curvature(state).values
-        alpha = state.phi.nodes
+        obs = diagnostics.observe(state, self.cfg.closure_tol)
         curve_path = self.out_dir / "snapshots" / f"curve_t{tag}.csv"
         _write_csv(
             curve_path,
             ("alpha", "x", "y", "k"),
-            zip(alpha, points[:, 0], points[:, 1], k),
+            zip(state.phi.nodes, obs.points[:, 0], obs.points[:, 1], obs.k),
         )
-        power = spectral.power_spectrum(spectral.dft(state.phi))
         spectrum_path = self.out_dir / f"spectrum_t{tag}.csv"
         _write_csv(
             spectrum_path,
             ("m", "power"),
-            zip(spectral.symmetric_wavenumbers(state.n), power),
+            zip(spectral.symmetric_wavenumbers(state.n), obs.power),
         )
         self.written += [curve_path, spectrum_path]
 
@@ -482,28 +477,35 @@ class ConvergenceRow:
     order: float
 
 
-def _integrate_level(cfg: RunConfig, nonlinear=None) -> ThetaLState:
-    initial = build_initial_state(cfg)
-    return schemes.integrate(initial, cfg.scheme_config(), cfg.t_final, (), nonlinear)
-
-
 def run_convergence_study(
     study: ConvergenceStudyConfig,
     output_dir=None,
     nonlinear=None,
-    parallel: int = 1,
 ) -> ConvergenceRow:
     """Run the three refinement levels and report the observed order.
 
     Levels differ by factors of 2 in dt (axis "time") or n (axis
     "space"); states are compared at t0 on the coarser grid of each pair.
+    A level that blows up is recorded and the study goes on with the
+    rest.  With ``output_dir``, ``convergence_manifest.txt`` gives each
+    level's status, and ``convergence.csv`` is written only when all three
+    levels complete.  Raises :class:`StudyFailed` after any level failed.
     """
-    configs = study.level_configs()
-    if parallel > 1 and nonlinear is None:
-        with ProcessPoolExecutor(max_workers=min(parallel, len(configs))) as pool:
-            states = list(pool.map(_integrate_level, configs))
-    else:
-        states = [_integrate_level(cfg, nonlinear) for cfg in configs]
+    states, errors = [], {}
+    for level, cfg in enumerate(study.level_configs()):
+        try:
+            initial = build_initial_state(cfg)
+            states.append(schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
+                                            (), nonlinear))
+        except BlowUp as exc:
+            setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
+            errors[level] = f"level {level} ({setting}): {exc}"
+    if output_dir is not None:
+        status = [(f"level.{level}", "failed" if level in errors else "ok") for level in range(3)]
+        status += [(f"error.{level}", msg) for level, msg in errors.items()]
+        _write_keyvalue(Path(output_dir) / "convergence_manifest.txt", status)
+    if errors:
+        raise StudyFailed(errors)
     err_coarse = diagnostics.state_difference_norm(states[0], states[1])
     err_fine = diagnostics.state_difference_norm(states[1], states[2])
     order = diagnostics.convergence_order([err_coarse, err_fine])
@@ -536,23 +538,24 @@ class FilterStudyResult:
 def _run_filter_variant(args):
     label, scheme, filter_mode, base, initial = args
     cfg = replace(base, scheme=scheme, filter=filter_mode, output_dir=None)
-    baseline = diagnostics.conserved_quantities(initial).m3
     series = []
-    last = [initial]  # the final state, or the last observed one after a blow-up
+    baseline = power = None
 
     def probe(step, state):
-        m3 = diagnostics.conserved_quantities(state).m3
-        series.append((state.time, (m3 - baseline) / baseline))
-        last[0] = state
+        nonlocal baseline, power
+        obs = diagnostics.observe(state)  # no curve: the study reads M3 and power
+        if step == 0:
+            baseline = obs.triple.m3
+        series.append((state.time, (obs.triple.m3 - baseline) / baseline))
+        power = obs.power  # the final state's, or the last observed one's after a failure
 
     error = None
     try:
-        last[0] = schemes.integrate(
-            initial, cfg.scheme_config(), cfg.t_final, [(cfg.diagnostic_stride, probe)]
-        )
+        schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
+                          [(cfg.diagnostic_stride, probe)])
     except BlowUp as exc:
         error = f"BlowUp: {exc}"
-    return label, series, spectral.power_spectrum(spectral.dft(last[0].phi)), error
+    return label, series, power, error
 
 
 def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> FilterStudyResult:

@@ -35,14 +35,7 @@ import numpy as np
 
 from .errors import BlowUp, MissingHistory, NonCommensurateTime, NonFiniteField, ValidationError
 from .geometry import ThetaLState
-from .spectral import (
-    FILTERS,
-    GridField,
-    _check_grid_size,
-    _derivative_symbol,
-    filter_modes,
-    wavenumbers,
-)
+from .spectral import FILTERS, GridField, _check_grid_size, _derivative_symbol, filter_modes
 
 SCHEMES = ("adb", "cn", "cnadb")
 
@@ -99,9 +92,10 @@ class Multipliers:
     zeta  = exp(-i gamma)            |zeta| = 1
     zeta1 = (1 - i gamma)/(1 + i gamma)   |zeta1| = 1
     zeta2 = (1 - i gamma)/(1 + gamma^2)   |zeta2| <= 1
-    with gamma_m = dt (2 pi m / L)^3.  The Nyquist gamma is zeroed: the
-    third-derivative symbol is odd and carries no information there on a
-    real grid, and a real multiplier keeps phi real.
+    with gamma_m = dt (2 pi m / L)^3 over the half spectrum m = 0..N/2.
+    The Nyquist gamma is zeroed: the third-derivative symbol is odd and
+    carries no information there on a real grid, and a real multiplier
+    keeps phi real.
     """
 
     gamma: np.ndarray
@@ -112,9 +106,9 @@ class Multipliers:
 
 @lru_cache(maxsize=64)
 def modal_multipliers(n: int, dt: float, length: float) -> Multipliers:
-    """Update factors for all modes in FFT-natural order."""
-    m = wavenumbers(n).astype(np.float64).copy()
-    m[n // 2] = 0.0
+    """Update factors for the modes m = 0..N/2."""
+    m = np.arange(n // 2 + 1, dtype=np.float64)
+    m[-1] = 0.0
     gamma = dt * (2.0 * np.pi * m / length) ** 3
     zeta = np.exp(-1j * gamma)
     zeta1 = (1.0 - 1j * gamma) / (1.0 + 1j * gamma)
@@ -155,12 +149,11 @@ def step_rules(cfg: SchemeConfig, length: float) -> tuple[StepRule, StepRule]:
     The cnadb start is the average of the adb and cn starts.
     """
     mult = modal_multipliers(cfg.n, cfg.dt, length)
-    half = slice(0, cfg.n // 2 + 1)
-    zeta, gamma, dt = mult.zeta[half], mult.gamma[half], cfg.dt
+    zeta, gamma, dt = mult.zeta, mult.gamma, cfg.dt
     if cfg.scheme == "adb":
         return (StepRule(a=zeta, c=dt * zeta),
                 StepRule(a=zeta, c=1.5 * dt * zeta, d=-0.5 * dt * zeta**2))
-    leapfrog = StepRule(b=mult.zeta1[half], c=2.0 * dt * mult.zeta2[half])
+    leapfrog = StepRule(b=mult.zeta1, c=2.0 * dt * mult.zeta2)
     if cfg.scheme == "cn":
         return StepRule(a=1.0 - 1j * gamma, c=dt), leapfrog
     return StepRule(a=0.5 * (zeta + 1.0 - 1j * gamma), c=0.5 * dt * (1.0 + zeta)), leapfrog
@@ -197,7 +190,7 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> 
     itself is never filtered.
     """
     n = 2 * (phi_hat.size - 1)
-    d_phi = _derivative_symbol(n, 1)[: phi_hat.size] * filter_modes(phi_hat, filter, n)
+    d_phi = _derivative_symbol(n, 1) * filter_modes(phi_hat, filter, n)
     theta_a = 1.0 + np.fft.irfft(d_phi, n, norm="forward")
     return (2.0 * np.pi / length) ** 3 * theta_a**3 / 2.0
 

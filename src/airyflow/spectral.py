@@ -1,15 +1,15 @@
-"""Discrete Fourier transforms, spectral calculus, and mode filters on
-uniform 2*pi-periodic grids.
+"""Real Fourier transforms, spectral calculus, and mode filters on uniform
+2*pi-periodic grids.
 
 Conventions
 -----------
-Grids have N nodes alpha_k = 2*pi*k/N with N a power of two.  The forward
-transform carries the 1/N factor, so a pure mode cos(m*alpha) has
-coefficients of 0.5 at +/-m.  Coefficients are stored internally in
-FFT-natural order; the public accessor indexes by signed wavenumber
-m = -N/2+1 ... N/2 (the Nyquist slot is labelled +N/2).  The time stepper
-works on the half spectrum of a real field, ``rfft(f, norm="forward")``:
-the leading N/2+1 of those coefficients, for m = 0..N/2.
+Grids have N nodes alpha_k = 2*pi*k/N with N a power of two.  Every field
+is real, and its one spectral form is the half spectrum
+``rfft(f, norm="forward")``: the N/2+1 coefficients of m = 0..N/2, with
+the 1/N factor in the forward transform, so cos(m*alpha) has coefficient
+0.5 at m.  The coefficients of negative m are the conjugates and are
+never stored; power spectra are the one output that lists them, with
+|f_hat_m|^2 mirrored to ascending m = -N/2+1 ... N/2.
 
 Odd-order spectral operations (derivative orders 1 and 3, and the
 antiderivative) zero the Nyquist mode: on a real grid that mode carries no
@@ -23,11 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteField, NonRealResult, ValidationError
+from .errors import DomainError, NonFiniteField, ValidationError
 
 FILTERS = ("none", "dpr", "krasny", "both")
 KRASNY_THRESHOLD = 1e-13
-_REAL_RESIDUE_LIMIT = 1e-9
 
 
 def _check_grid_size(n: int) -> None:
@@ -39,16 +38,6 @@ def grid_nodes(n: int) -> np.ndarray:
     """Nodes alpha_k = 2*pi*k/N, k = 0..N-1."""
     _check_grid_size(n)
     return 2.0 * np.pi * np.arange(n) / n
-
-
-@lru_cache(maxsize=128)
-def wavenumbers(n: int) -> np.ndarray:
-    """Signed wavenumbers in FFT-natural order, with the Nyquist slot at +N/2."""
-    _check_grid_size(n)
-    m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-    m[n // 2] = n // 2
-    m.setflags(write=False)
-    return m
 
 
 def symmetric_wavenumbers(n: int) -> np.ndarray:
@@ -83,76 +72,16 @@ class GridField:
         return grid_nodes(self.n)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex Fourier coefficients indexed by wavenumber m = -N/2+1 ... N/2.
-
-    A spectrum of a real field is conjugate symmetric,
-    coeff(-m) == conj(coeff(m)), with a real Nyquist coefficient; this is
-    not enforced at construction but is checked by :func:`idft` when a
-    real field is requested.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1:
-            raise ValueError("Spectrum coeffs must be one-dimensional")
-        _check_grid_size(c.size)
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return wavenumbers(self.n)
-
-    def coeff(self, m):
-        """Coefficient(s) for signed wavenumber(s) m in -N/2+1 ... N/2."""
-        m = np.asarray(m)
-        half = self.n // 2
-        if np.any(m < -half + 1) or np.any(m > half):
-            raise IndexError(f"wavenumber out of range -{half - 1}..{half}")
-        return self.coeffs[m % self.n]
-
-
-def dft(field: GridField) -> Spectrum:
-    """Forward transform, coefficients f_hat_m = (1/N) sum_k f_k e^{-im alpha_k}."""
-    return Spectrum(np.fft.fft(field.values) / field.n)
-
-
-def idft(spectrum: Spectrum) -> GridField:
-    """Inverse transform f_k = sum_m f_hat_m e^{im alpha_k}, returned as a real field.
-
-    Imaginary residue (from a not-quite conjugate-symmetric spectrum) is
-    discarded; residue above 1e-9 raises :class:`NonRealResult` since it
-    signals an upstream symmetry violation rather than roundoff.
-    """
-    w = np.fft.ifft(spectrum.coeffs) * spectrum.n
-    residue = float(np.max(np.abs(w.imag))) if spectrum.n else 0.0
-    if residue > _REAL_RESIDUE_LIMIT:
-        raise NonRealResult(
-            f"imaginary residue {residue:.3e} exceeds {_REAL_RESIDUE_LIMIT:.0e}"
-        )
-    return GridField(w.real)
-
-
 @lru_cache(maxsize=128)
 def _derivative_symbol(n: int, order: int) -> np.ndarray:
-    """(i*m)**order with the Nyquist slot zeroed for odd orders.
+    """(i*m)**order over m = 0..N/2, the Nyquist slot zeroed for odd orders.
 
     Built from integer powers of m (exact in floats) rather than complex
     exponentiation, which loses ~1e-12 through the exp/log path.
     """
-    m = wavenumbers(n).astype(np.float64)
+    m = np.arange(n // 2 + 1, dtype=np.float64)
     if order % 2:
-        m = m.copy()
-        m[n // 2] = 0.0
+        m[-1] = 0.0
     i_power = {0: 1.0, 1: 1j, 2: -1.0, 3: -1j}[order % 4]
     sym = i_power * m**order
     sym.setflags(write=False)
@@ -160,10 +89,18 @@ def _derivative_symbol(n: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _antiderivative_symbol(n: int) -> np.ndarray:
+    """1/(i*m) over m = 0..N/2, with the mean and Nyquist slots zeroed."""
+    sym = np.zeros(n // 2 + 1, dtype=np.complex128)
+    sym[1:-1] = 1.0 / (1j * np.arange(1, n // 2))
+    sym.setflags(write=False)
+    return sym
+
+
+@lru_cache(maxsize=128)
 def _dpr_profile(n: int) -> np.ndarray:
-    """Smooth damping profile rho1(m*h/pi) over the FFT-ordered modes."""
-    x = wavenumbers(n).astype(np.float64) * 2.0 / n
-    profile = _rho1_array(x)
+    """Smooth damping profile rho1(m*h/pi) over m = 0..N/2."""
+    profile = _rho1_array(np.arange(n // 2 + 1) * 2.0 / n)
     profile.setflags(write=False)
     return profile
 
@@ -199,10 +136,8 @@ def krasny_rho2(amplitude):
 
 
 def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
-    """Apply a mode filter to the Fourier coefficients of a real N-point field.
+    """Apply a mode filter to the half spectrum of a real N-point field.
 
-    ``coeffs`` holds the leading modes in FFT-natural order: all N of
-    them, or the half spectrum m = 0..N/2 that ``rfft`` returns.
     "krasny" zeroes the modes whose amplitude is below 1e-13 (rho2),
     "dpr" multiplies mode m by rho1(m*h/pi), "both" does the first and
     then the second, and "none" returns the input unchanged.
@@ -212,36 +147,17 @@ def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
     if mode in ("krasny", "both"):
         coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0.0, coeffs)
     if mode in ("dpr", "both"):
-        coeffs = coeffs * _dpr_profile(n)[: coeffs.size]
+        coeffs = coeffs * _dpr_profile(n)
     return coeffs
-
-
-def _derivative_values(values: np.ndarray, order: int = 1, mode: str = "none") -> np.ndarray:
-    """Derivative of real samples, the modes filtered first.
-
-    Single code path for the filtered and unfiltered derivative so that
-    mode "none" is bitwise identical to the plain spectral derivative.
-    """
-    n = values.size
-    fhat = filter_modes(np.fft.fft(values) / n, mode, n)
-    return (np.fft.ifft(_derivative_symbol(n, order) * fhat) * n).real
 
 
 def spectral_derivative(field: GridField, order: int = 1) -> GridField:
     """Spectral derivative of the given order (1, 2, or 3)."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    return GridField(_derivative_values(field.values, order))
-
-
-def filtered_derivative(field: GridField, mode: str = "none") -> GridField:
-    """First derivative with DPR and/or Krasny filtering of the modes.
-
-    Each mode is multiplied by i*m, by rho1(m*h/pi) when DPR filtering is
-    on, and by rho2(|f_hat_m|) when Krasny filtering is on.  Mode "none"
-    reduces exactly to the plain first derivative.
-    """
-    return GridField(_derivative_values(field.values, 1, mode))
+    n = field.n
+    fhat = np.fft.rfft(field.values, norm="forward")
+    return GridField(np.fft.irfft(_derivative_symbol(n, order) * fhat, n, norm="forward"))
 
 
 def spectral_antiderivative(field: GridField) -> GridField:
@@ -252,19 +168,14 @@ def spectral_antiderivative(field: GridField) -> GridField:
     any Nyquist content) to roundoff.
     """
     n = field.n
-    fhat = np.fft.fft(field.values) / n
-    m = wavenumbers(n).astype(np.float64)
-    denom = 1j * m
-    denom[0] = 1.0  # placeholder; mean is dropped below
-    out = fhat / denom
-    out[0] = 0.0
-    out[n // 2] = 0.0
-    return GridField((np.fft.ifft(out) * n).real)
+    fhat = np.fft.rfft(field.values, norm="forward")
+    return GridField(np.fft.irfft(_antiderivative_symbol(n) * fhat, n, norm="forward"))
 
 
-def power_spectrum(spectrum: Spectrum) -> np.ndarray:
-    """|coeff(m)|^2 ordered by ascending m = -N/2+1 ... N/2."""
-    return np.abs(spectrum.coeff(symmetric_wavenumbers(spectrum.n))) ** 2
+def power_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """|f_hat_m|^2 of a half spectrum, mirrored to ascending m = -N/2+1 ... N/2."""
+    power = np.abs(coeffs) ** 2
+    return np.concatenate([power[-2:0:-1], power])
 
 
 def l2_norm(values) -> float:

@@ -22,7 +22,7 @@ from airyflow.diagnostics import (
 from airyflow.geometry import ThetaLState, reconstruct_curve
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
-from airyflow.spectral import GridField, grid_nodes, wavenumbers
+from airyflow.spectral import GridField, grid_nodes
 
 from conftest import band_limited_field, catalog_state
 
@@ -193,7 +193,7 @@ def test_criterion_5_linear_exactness():
                         length=2 * np.pi)
     cfg = SchemeConfig(scheme="adb", dt=1e-3, n=n)
     final = integrate(state, cfg, 10.0, nonlinear=lambda s: GridField(np.zeros(n)))
-    m = wavenumbers(n).astype(float).copy()
+    m = np.fft.fftfreq(n, 1.0 / n)
     m[n // 2] = 0.0
     exact_hat = (np.fft.fft(state.phi.values) / n) * np.exp(-1j * m**3 * 10.0)
     exact = (np.fft.ifft(exact_hat) * n).real

@@ -59,6 +59,73 @@ class TestConservedQuantities:
             assert conserved_quantities(state).m1 == pytest.approx(2 * np.pi, abs=1e-10)
 
 
+def _fft_wavenumbers(n, odd):
+    m = np.fft.fftfreq(n, 1.0 / n)
+    if odd:
+        m[n // 2] = 0.0
+    return m
+
+
+def _fft_derivative(values):
+    """First derivative through the full complex FFT, the Nyquist mode zeroed."""
+    return np.fft.ifft(1j * _fft_wavenumbers(values.size, True) * np.fft.fft(values)).real
+
+
+def _fft_antiderivative(values):
+    m = _fft_wavenumbers(values.size, False)
+    m[0] = 1.0  # placeholder: the mean is dropped with the Nyquist mode
+    out = np.fft.fft(values) / (1j * m)
+    out[[0, values.size // 2]] = 0.0
+    return np.fft.ifft(out).real
+
+
+def _reference_observation(state):
+    """The observer quantities computed independently in the full complex FFT:
+    two real derivatives for k and k_s, two real antiderivatives for the
+    curve, spectral derivatives of x and y for the area, and fft/N power."""
+    n, length = state.n, state.length
+    k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi.values))
+    k_s = 2 * np.pi / length * _fft_derivative(k)
+    m3 = length * np.mean(0.5 * k_s**2 - 0.125 * k**4)
+    theta, s_a = state.theta(), length / (2 * np.pi)
+    fx, fy = _fft_antiderivative(s_a * np.cos(theta)), _fft_antiderivative(s_a * np.sin(theta))
+    x, y = state.anchor[0] + fx - fx[0], state.anchor[1] + fy - fy[0]
+    area = abs(np.pi * np.mean(x * _fft_derivative(y) - y * _fft_derivative(x)))
+    coeffs = np.fft.fft(state.phi.values) / n
+    power = np.abs(coeffs[np.arange(-(n // 2) + 1, n // 2 + 1) % n]) ** 2
+    return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
+                points=np.column_stack([x, y]), radius=np.sqrt(area / np.pi),
+                centroid=(np.mean(x), np.mean(y)), power=power)
+
+
+class TestObservePass:
+    # dt and closure_tol of presets E and CARDIOID
+    @pytest.mark.parametrize("shape, params, dt, tol", [
+        ("ellipse", dict(a=1.0, b=0.5), 5e-4, 1e-8), ("cardioid", {}, 1e-5, 1e-4)])
+    @pytest.mark.parametrize("steps", [0, 50])
+    def test_matches_full_fft_reference(self, shape, params, dt, tol, steps):
+        state, _ = catalog_state(shape, 512, **params)
+        if steps:
+            state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt, n=512), steps * dt)
+        obs = diagnostics.observe(state, tol)
+        ref = _reference_observation(state)
+        for got, want in zip((obs.triple.m1, obs.triple.m2, obs.triple.m3), ref["m"]):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(np.max(np.abs(obs.k)) - ref["max_k"]) <= 1e-12 * ref["max_k"]
+        assert abs(obs.radius - ref["radius"]) <= 1e-12 * ref["radius"]
+        # points and centroid relative to the size of the curve
+        size = np.max(np.abs(ref["points"]))
+        assert np.max(np.abs(obs.points - ref["points"])) <= 1e-12 * size
+        assert np.max(np.abs(np.subtract(obs.centroid, ref["centroid"]))) <= 1e-12 * size
+        assert np.max(np.abs(obs.power - ref["power"])) <= 1e-15
+
+    def test_without_tolerance_skips_the_curve(self):
+        state, _ = catalog_state("circle", 64)
+        obs = diagnostics.observe(state)
+        assert obs.points is None and obs.radius is None and obs.centroid is None
+        assert obs.triple == conserved_quantities(state)
+
+
 class TestRelativeM3Error:
     def test_constant_series_is_zero(self):
         series = [ConservedTriple(m1=1, m2=2, m3=-0.7, time=0.1 * i) for i in range(5)]

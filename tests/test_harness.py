@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from airyflow import cli, harness, schemes
-from airyflow.errors import NonCommensurateTime, ParseError, ValidationError
+from airyflow.errors import NonCommensurateTime, ParseError, StudyFailed, ValidationError
 from airyflow.harness import (
     ConvergenceStudyConfig,
     RunConfig,
@@ -291,6 +291,38 @@ class TestConvergenceStudy:
         fields = text[1].split(",")
         assert fields[0] == "ellipse" and fields[1] == "cn"
         assert float(fields[5]) == pytest.approx(row.order, rel=1e-15)
+        manifest = (tmp_path / "convergence_manifest.txt").read_text().splitlines()
+        assert manifest == ["level.0 = ok", "level.1 = ok", "level.2 = ok"]
+
+    def test_failed_levels_recorded(self, tmp_path):
+        # adb at n=128 blows up at t=0.062 with dt=2e-3 and at t=0.089 with
+        # dt=1e-3; the dt=5e-4 level reaches t0 = 0.1
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=128, dt=2e-3, t_final=0.1, scheme="adb")
+        study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.1)
+        with pytest.raises(StudyFailed) as err:
+            run_convergence_study(study, output_dir=tmp_path)
+        assert sorted(err.value.errors) == [0, 1]
+        manifest = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "convergence_manifest.txt").read_text().splitlines())
+        assert [manifest[f"level.{k}"] for k in range(3)] == ["failed", "failed", "ok"]
+        assert manifest["error.0"].startswith("level 0 (dt = 0.002): blow-up at step 31")
+        assert manifest["error.1"].startswith("level 1 (dt = 0.001): blow-up at step")
+        assert "error.2" not in manifest
+        assert not (tmp_path / "convergence.csv").exists()
+
+    def test_cli_blowup_exits_1_with_manifest(self, tmp_path, capsys):
+        config = tmp_path / "study.txt"
+        config.write_text("kind = converge\naxis = time\nt0 = 0.5\nshape = ellipse\n"
+                          "a = 1\nb = 0.5\nn = 128\ndt = 2e-3\nt_final = 0.5\n"
+                          "scheme = adb\n")
+        out = tmp_path / "out"
+        assert cli.main(["converge", str(config), "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "FAILED level 0 (dt = 0.002): blow-up at step 31 (t=0.062)" in printed
+        manifest = (out / "convergence_manifest.txt").read_text().splitlines()
+        assert manifest[:3] == ["level.0 = failed", "level.1 = failed", "level.2 = failed"]
+        assert not (out / "convergence.csv").exists()
 
     def test_cardioid_cn_reference_order(self):
         # reference refinement row: dt in {2e-4, 1e-4, 5e-5} at t0 = 0.5

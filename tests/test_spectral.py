@@ -3,15 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from airyflow import spectral
-from airyflow.errors import DomainError, NonFiniteField, NonRealResult
+from airyflow.errors import DomainError, NonFiniteField
 from airyflow.spectral import (
     GridField,
-    Spectrum,
-    dft,
     dpr_rho1,
-    filtered_derivative,
+    filter_modes,
     grid_nodes,
-    idft,
     krasny_rho2,
     l2_norm,
     power_spectrum,
@@ -22,6 +19,26 @@ from airyflow.spectral import (
 )
 
 from conftest import band_limited_field
+
+
+def half_spectrum(values):
+    """The package's one spectral form: rfft with the 1/N in the forward transform."""
+    return np.fft.rfft(values, norm="forward")
+
+
+def fft_wavenumbers(n):
+    """Signed wavenumbers in np.fft.fft order, the Nyquist slot labelled +N/2."""
+    m = np.fft.fftfreq(n, 1.0 / n)
+    m[n // 2] = n // 2
+    return m
+
+
+def filtered_derivative(field, mode):
+    """First derivative of the filtered modes, as schemes.nonlinear_term takes it."""
+    n = field.n
+    fhat = filter_modes(half_spectrum(field.values), mode, n)
+    d_hat = spectral._derivative_symbol(n, 1) * fhat
+    return GridField(np.fft.irfft(d_hat, n, norm="forward"))
 
 
 class TestGridField:
@@ -46,57 +63,29 @@ class TestGridField:
 
 
 class TestTransforms:
+    """The half-spectrum convention every transform in the package uses."""
+
     def test_constant_field(self):
-        s = dft(GridField(np.ones(16)))
-        assert s.coeff(0) == pytest.approx(1.0, abs=1e-15)
-        others = np.delete(s.coeffs, 0)
-        assert np.max(np.abs(others)) < 1e-15
+        s = half_spectrum(np.ones(16))
+        assert s[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(s[1:])) < 1e-15
 
     def test_single_cosine_mode(self):
-        s = dft(GridField(np.cos(2 * grid_nodes(16))))
-        assert s.coeff(2) == pytest.approx(0.5, abs=1e-15)
-        assert s.coeff(-2) == pytest.approx(0.5, abs=1e-15)
-        mask = np.ones(16, dtype=bool)
-        mask[[2, 14]] = False
-        assert np.max(np.abs(s.coeffs[mask])) < 1e-15
-
-    def test_round_trip_random(self, rng):
-        values = rng.standard_normal(64)
-        assert np.max(np.abs(idft(dft(GridField(values))).values - values)) <= 1e-13
+        s = half_spectrum(np.cos(2 * grid_nodes(16)))
+        assert s.size == 16 // 2 + 1
+        assert s[2] == pytest.approx(0.5, abs=1e-15)
+        assert np.max(np.abs(np.delete(s, 2))) < 1e-15
 
     def test_idft_constant(self):
-        coeffs = np.zeros(16, dtype=complex)
+        coeffs = np.zeros(9, dtype=complex)
         coeffs[0] = 3.0
-        assert np.allclose(idft(Spectrum(coeffs)).values, 3.0, atol=1e-14)
+        assert np.allclose(np.fft.irfft(coeffs, 16, norm="forward"), 3.0, atol=1e-14)
 
     def test_idft_cosine(self):
-        coeffs = np.zeros(32, dtype=complex)
-        coeffs[1] = coeffs[-1] = 0.5
-        assert np.max(np.abs(idft(Spectrum(coeffs)).values - np.cos(grid_nodes(32)))) < 1e-14
-
-    def test_spectrum_round_trip(self, rng):
-        values = rng.standard_normal(32)
-        s = dft(GridField(values))
-        again = dft(idft(s))
-        assert np.max(np.abs(again.coeffs - s.coeffs)) <= 1e-13
-
-    def test_idft_rejects_asymmetric_spectrum(self):
-        coeffs = np.zeros(16, dtype=complex)
-        coeffs[1] = 1.0  # no conjugate partner at -1
-        with pytest.raises(NonRealResult):
-            idft(Spectrum(coeffs))
-
-    def test_coeff_indexing_out_of_range(self):
-        s = dft(GridField(np.ones(16)))
-        with pytest.raises(IndexError):
-            s.coeff(9)
-
-    def test_linearity(self, rng):
-        a = rng.standard_normal(32)
-        b = rng.standard_normal(32)
-        lhs = dft(GridField(2.0 * a + 3.0 * b)).coeffs
-        rhs = 2.0 * dft(GridField(a)).coeffs + 3.0 * dft(GridField(b)).coeffs
-        assert np.max(np.abs(lhs - rhs)) < 1e-14
+        coeffs = np.zeros(17, dtype=complex)
+        coeffs[1] = 0.5
+        values = np.fft.irfft(coeffs, 32, norm="forward")
+        assert np.max(np.abs(values - np.cos(grid_nodes(32)))) < 1e-14  # +-1 both carry 0.5
 
 
 class TestDerivatives:
@@ -115,7 +104,7 @@ class TestDerivatives:
         d = spectral_derivative(GridField(np.sin(3 * alpha)), 3)
         # (i*3)^3 mode mapping is exact; the pointwise bound is set by the
         # transform noise floor amplified by m^3 (~3e-11 at N=64)
-        assert dft(d).coeff(3) == pytest.approx(-13.5, abs=1e-13)
+        assert half_spectrum(d.values)[3] == pytest.approx(-13.5, abs=1e-13)
         assert np.max(np.abs(d.values - (-27.0) * np.cos(3 * alpha))) <= 4e-11
 
     def test_order_validation(self):
@@ -217,7 +206,7 @@ class TestFilteredDerivative:
         alpha = grid_nodes(n)
         assert dpr_rho1(2.0 * m / n) == 0.0
         d = filtered_derivative(GridField(np.cos(m * alpha)), "dpr")
-        assert abs(dft(d).coeff(m)) < 1e-25  # mode killed; transform noise only
+        assert abs(half_spectrum(d.values)[m]) < 1e-25  # mode killed; transform noise only
         assert np.max(np.abs(d.values)) < 1e-12  # residue of other modes only
 
     def test_krasny_zeroes_tiny_modes(self):
@@ -234,19 +223,19 @@ class TestFilteredDerivative:
 
 class TestPowerSpectrum:
     def test_single_mode(self):
-        s = dft(GridField(np.cos(3 * grid_nodes(32))))
-        power = power_spectrum(s)
+        power = power_spectrum(half_spectrum(np.cos(3 * grid_nodes(32))))
         m = symmetric_wavenumbers(32)
         assert power[m == 3] == pytest.approx(0.25, abs=1e-15)
         assert power[m == -3] == pytest.approx(0.25, abs=1e-15)
         assert np.sum(power) == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_spectrum(self):
-        assert np.all(power_spectrum(Spectrum(np.zeros(16, dtype=complex))) == 0.0)
+        power = power_spectrum(np.zeros(9, dtype=complex))
+        assert power.size == 16 and np.all(power == 0.0)
 
     def test_parseval(self, rng):
         values = rng.standard_normal(64)
-        total = np.sum(power_spectrum(dft(GridField(values))))
+        total = np.sum(power_spectrum(half_spectrum(values)))
         assert total == pytest.approx(l2_norm(values) ** 2 / (2 * np.pi), rel=1e-12)
 
 
@@ -258,10 +247,8 @@ class TestInterpolation:
     def test_band_limited_exact_off_grid(self, rng):
         alpha = np.array([0.3, 1.234, 5.9])
         f = band_limited_field(32, 6, rng)
-        from airyflow.spectral import wavenumbers  # reconstruct analytically
-
-        fhat = np.fft.fft(f) / 32
-        m = wavenumbers(32)
+        fhat = np.fft.fft(f) / 32  # reconstruct analytically
+        m = fft_wavenumbers(32)
         exact = np.array([np.sum(fhat * np.exp(1j * m * a)).real for a in alpha])
         assert np.max(np.abs(trig_interpolate(f, alpha) - exact)) < 1e-12
 
@@ -272,7 +259,7 @@ class TestInterpolation:
         f = rng.normal(size=n)
         beta = rng.uniform(0.0, 2 * np.pi, 200)
         fhat = np.fft.fft(f) / n
-        m = spectral.wavenumbers(n)
+        m = fft_wavenumbers(n)
         interior = m != n // 2
         dense = (np.exp(1j * np.outer(beta, m[interior])) @ fhat[interior]).real
         dense += fhat[n // 2].real * np.cos(n // 2 * beta)
@@ -284,6 +271,6 @@ class TestInterpolation:
         alpha = np.array([0.3, 1.234, 5.9])
         f = band_limited_field(n, n // 2 - 1, rng, scale=1.0 / np.sqrt(n))
         fhat = np.fft.fft(f) / n
-        m = spectral.wavenumbers(n)
+        m = fft_wavenumbers(n)
         exact = np.array([np.sum(fhat * np.exp(1j * m * a)).real for a in alpha])
         assert np.max(np.abs(trig_interpolate(f, alpha) - exact)) < 1e-12
