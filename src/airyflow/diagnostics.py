@@ -184,8 +184,7 @@ class LinearComparisonRecord:
     The numerical perturbation is measured about the snapshot centroid:
     the reconstruction anchors the curve at a fixed point while material
     points slide tangentially, so the reconstructed curve acquires a
-    rigid-motion offset that recentering removes.  ``delta_abs`` is the
-    max |radial deviation| companion to the max-excess measure.
+    rigid-motion offset that recentering removes.
     """
 
     time: float
@@ -193,8 +192,6 @@ class LinearComparisonRecord:
     radius_numeric: float
     delta_linear: float
     delta_numeric: float
-    delta_abs: float
-    centroid: tuple[float, float]
 
     @property
     def radius_error(self) -> float:
@@ -226,16 +223,13 @@ def linear_comparison(snapshots, r0: float, delta0: float, m: int):
     records = []
     for time, points in snapshots:
         oracle = linear_oracle(r0, delta0, m, time)
-        radial = _recentered_radial(points)
         records.append(
             LinearComparisonRecord(
                 time=time,
                 radius_linear=r0,
                 radius_numeric=geometry.recover_radius(points),
                 delta_linear=oracle.delta_magnitude,
-                delta_numeric=float(np.max(radial - r0_numeric)),
-                delta_abs=float(np.max(np.abs(radial - r0_numeric))),
-                centroid=geometry.centroid(points),
+                delta_numeric=float(np.max(_recentered_radial(points) - r0_numeric)),
             )
         )
     return records

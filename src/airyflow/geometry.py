@@ -9,7 +9,7 @@ k = theta_s = (2*pi/L)(1 + phi_alpha).
 
 All internal curves are counterclockwise; clockwise input is rejected
 rather than silently flipped, since normal/curvature sign conventions
-depend on orientation.
+depend on the direction of traversal.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class ParametricCurve:
     y: np.ndarray
     x_func: Optional[Callable] = field(default=None, repr=False)
     y_func: Optional[Callable] = field(default=None, repr=False)
-    orientation: str = "ccw"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64).copy()
@@ -178,16 +177,14 @@ def sample_catalog_curve(shape: str, n: int, **params) -> ParametricCurve:
 # resampling and the theta-L representation
 
 
-def resample_equal_arclength(
-    curve: ParametricCurve, n: int, tol: float = DEFAULT_RESAMPLE_TOL
-) -> tuple[np.ndarray, float]:
+def resample_equal_arclength(curve: ParametricCurve, n: int) -> tuple[np.ndarray, float]:
     """Resample a regular closed curve at n points uniform in arc length.
 
     The cumulative arc length is built from the spectral antiderivative of
     s_alpha and inverted by Newton iteration on its trigonometric
     interpolant, so the construction is spectrally accurate end to end.
-    Returns the (n, 2) points and the total length L.  ``tol`` is relative
-    to L.
+    Returns the (n, 2) points and the total length L.  Newton stops once
+    the arc-length residual is below ``DEFAULT_RESAMPLE_TOL`` times L.
     """
     alpha = grid_nodes(n)
     xs, ys = curve.evaluate(alpha)
@@ -205,7 +202,7 @@ def resample_equal_arclength(
     # Newton starts from s at the nodes, exact there, inverted by linear interpolation
     at_nodes = length / (2.0 * np.pi) * alpha + periodic
     beta = np.interp(targets, np.append(at_nodes, length), np.append(alpha, 2.0 * np.pi))
-    tol_abs = tol * length
+    tol_abs = DEFAULT_RESAMPLE_TOL * length
     for _ in range(_NEWTON_MAX_ITER):
         resid = length / (2.0 * np.pi) * beta + spectral.trig_interpolate(periodic, beta) - targets
         # update before the convergence test: the final step polishes the
@@ -309,7 +306,7 @@ def enclosed_area(points) -> float:
     """Enclosed area via the spectrally accurate contour integral.
 
     Area = (1/2) |oint (x y_alpha - y x_alpha) d alpha|; the absolute
-    value normalizes orientation.
+    value makes it independent of the direction of traversal.
     """
     x, y = _as_points(points)
     x_a = spectral_derivative(GridField(x), 1).values

@@ -210,6 +210,10 @@ def parse_config(text: str):
     out = values.pop("out", None)
 
     shape_params = {k: values.pop(k) for k in _SHAPE_PARAM_KEYS if k in values}
+    if kind == "converge":
+        if axis is None or t0 is None:
+            raise ValidationError("kind = converge requires 'axis' and 't0'")
+        values.setdefault("t_final", t0)  # every level runs to t0
     missing = [k for k in ("n", "dt", "t_final") if k not in values]
     if missing:
         raise ValidationError(f"config must set {missing}")
@@ -219,8 +223,6 @@ def parse_config(text: str):
         if axis is not None or t0 is not None:
             raise ValidationError("'axis'/'t0' are only valid with kind = converge")
         return run
-    if axis is None or t0 is None:
-        raise ValidationError("kind = converge requires 'axis' and 't0'")
     return ConvergenceStudyConfig(base=run, axis=axis, comparison_time=t0)
 
 
@@ -280,10 +282,8 @@ DIAGNOSTICS_COLUMNS = tuple(column.name for column in fields(DiagnosticsRow))
 
 @dataclass
 class RunResult:
-    config: RunConfig
     status: str  # "completed" | "blowup" | "closure"
     steps_completed: int
-    final_state: Optional[ThetaLState]
     rows: list
     output_dir: Optional[Path]
     error: Optional[str] = None
@@ -387,7 +387,7 @@ def _write_keyvalue(path: Path, pairs) -> None:
             handle.write(f"{key} = {value}\n")
 
 
-def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
+def run_experiment(cfg: RunConfig) -> RunResult:
     """Run one trajectory and write its output bundle.
 
     Writes diagnostics.csv, snapshot CSVs, the resolved config echo, and a
@@ -418,21 +418,17 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
     observers = [(cfg.diagnostic_stride, tracked(probe)),
                  (cfg.snapshot_stride, tracked(snapshots))]
 
-    status, error, final_state = "completed", None, initial
+    status, error = "completed", None
     steps_done = cfg.steps
     try:
-        final_state = schemes.integrate(
-            initial, cfg.scheme_config(), cfg.t_final, observers, nonlinear
-        )
+        schemes.integrate(initial, cfg.scheme_config(), cfg.t_final, observers)
     except BlowUp as exc:
         status, error = "blowup", str(exc)
         steps_done = exc.step - 1
-        final_state = None
     except ClosureViolation as exc:
         step = observed[0]
         status, error = "closure", f"closure at step {step} (t={step * cfg.dt:.6g}): {exc}"
         steps_done = max(step - 1, 0)
-        final_state = None
     wall = _time.perf_counter() - started
 
     diag_path = out_dir / "diagnostics.csv"
@@ -451,10 +447,8 @@ def run_experiment(cfg: RunConfig, nonlinear=None) -> RunResult:
     _write_keyvalue(out_dir / "manifest.txt", manifest)
 
     return RunResult(
-        config=cfg,
         status=status,
         steps_completed=steps_done,
-        final_state=final_state,
         rows=probe.rows,
         output_dir=out_dir,
         error=error,
@@ -477,11 +471,7 @@ class ConvergenceRow:
     order: float
 
 
-def run_convergence_study(
-    study: ConvergenceStudyConfig,
-    output_dir=None,
-    nonlinear=None,
-) -> ConvergenceRow:
+def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> ConvergenceRow:
     """Run the three refinement levels and report the observed order.
 
     Levels differ by factors of 2 in dt (axis "time") or n (axis
@@ -495,8 +485,7 @@ def run_convergence_study(
     for level, cfg in enumerate(study.level_configs()):
         try:
             initial = build_initial_state(cfg)
-            states.append(schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
-                                            (), nonlinear))
+            states.append(schemes.integrate(initial, cfg.scheme_config(), cfg.t_final))
         except BlowUp as exc:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
             errors[level] = f"level {level} ({setting}): {exc}"
@@ -532,7 +521,6 @@ class FilterStudyResult:
     xi_series: dict  # label -> list of (time, xi)
     spectra: dict  # label -> power array at t_final
     errors: dict  # label -> error string for failed runs
-    output_dir: Optional[Path]
 
 
 def _run_filter_variant(args):
@@ -581,8 +569,8 @@ def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> Fil
             errors[label] = error
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
 
-    out = Path(output_dir) if output_dir is not None else None
-    if out is not None:
+    if output_dir is not None:
+        out = Path(output_dir)
         m = spectral.symmetric_wavenumbers(base.n)
         _write_csv(
             out / "filters_spectra.csv",
@@ -604,6 +592,4 @@ def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> Fil
                   for label in labels]
         status += [(f"error.{label}", msg) for label, msg in errors.items()]
         _write_keyvalue(out / "filters_manifest.txt", status)
-    return FilterStudyResult(
-        labels=labels, xi_series=xi_series, spectra=spectra, errors=errors, output_dir=out
-    )
+    return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

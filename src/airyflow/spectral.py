@@ -129,12 +129,6 @@ def dpr_rho1(x):
     return float(arr[0]) if np.isscalar(x) or np.ndim(x) == 0 else arr
 
 
-def krasny_rho2(amplitude):
-    """Hard cutoff: 0 for amplitudes below 1e-13, else 1."""
-    arr = np.where(np.asarray(amplitude, dtype=np.float64) < KRASNY_THRESHOLD, 0.0, 1.0)
-    return float(arr) if np.ndim(amplitude) == 0 else arr
-
-
 def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
     """Apply a mode filter to the half spectrum of a real N-point field.
 

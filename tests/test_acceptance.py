@@ -192,7 +192,7 @@ def test_criterion_5_linear_exactness():
     state = ThetaLState(phi=GridField(band_limited_field(n, 8, rng, 0.1)),
                         length=2 * np.pi)
     cfg = SchemeConfig(scheme="adb", dt=1e-3, n=n)
-    final = integrate(state, cfg, 10.0, nonlinear=lambda s: GridField(np.zeros(n)))
+    final = integrate(state, cfg, 10.0, nonlinear=lambda *args: np.zeros(n))
     m = np.fft.fftfreq(n, 1.0 / n)
     m[n // 2] = 0.0
     exact_hat = (np.fft.fft(state.phi.values) / n) * np.exp(-1j * m**3 * 10.0)

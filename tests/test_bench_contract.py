@@ -51,16 +51,17 @@ def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
-def test_guard_reports_unobserved_step(scheme):
+def test_guard_reports_unobserved_step(monkeypatch, scheme):
     # NL = 1 on a zero state grows the mean mode by exactly dt per step
     # under every scheme: max|phi| = 0.25, 0.5, 0.75 trips the guard at step 3
+    monkeypatch.setattr(schemes, "BLOWUP_LIMIT", 0.6)
     n = 16
     state = ThetaLState(phi=GridField(np.zeros(n)), length=2 * np.pi)
-    cfg = SchemeConfig(scheme=scheme, dt=0.25, n=n, blowup_limit=0.6)
+    cfg = SchemeConfig(scheme=scheme, dt=0.25, n=n)
     seen = []
     with pytest.raises(BlowUp) as err:
         integrate(state, cfg, 2.5, observers=[(100, lambda j, s: seen.append(j))],
-                  nonlinear=lambda s: GridField(np.ones(n)))
+                  nonlinear=lambda *args: np.ones(n))
     assert err.value.step == 3 and seen == [0]
 
 

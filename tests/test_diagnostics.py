@@ -24,7 +24,7 @@ from airyflow.spectral import GridField, grid_nodes
 from conftest import band_limited_field, catalog_state
 
 
-def run_keeping(state, cfg, keep_steps, nonlinear=None):
+def run_keeping(state, cfg, keep_steps):
     """Step a trajectory, returning the states at the requested step indices."""
     out = {}
 
@@ -33,7 +33,7 @@ def run_keeping(state, cfg, keep_steps, nonlinear=None):
             out[j] = s
 
     last = max(keep_steps)
-    integrate(state, cfg, state.time + last * cfg.dt, [(1, keep)], nonlinear)
+    integrate(state, cfg, state.time + last * cfg.dt, [(1, keep)])
     return [out[j] for j in sorted(keep_steps)]
 
 

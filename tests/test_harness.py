@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from airyflow.harness import (
     run_filter_study,
 )
 from airyflow.schemes import SchemeConfig
-from airyflow.spectral import GridField
 
 MINIMAL = """
 # reference evolution
@@ -80,6 +80,15 @@ class TestParseConfig:
         assert isinstance(study, ConvergenceStudyConfig)
         assert study.axis == "time" and study.comparison_time == 0.92
 
+    @pytest.mark.parametrize("t_final", ["", "t_final = 7\n"], ids=["unset", "set"])
+    def test_converge_levels_run_to_t0(self, t_final):
+        # t_final is optional under kind = converge: every level runs to t0
+        study = parse_config("kind = converge\naxis = time\nt0 = 0.1\nshape = circle\n"
+                             f"n = 32\ndt = 1e-2\n{t_final}")
+        assert isinstance(study, ConvergenceStudyConfig)
+        assert [cfg.t_final for cfg in study.level_configs()] == [0.1, 0.1, 0.1]
+        assert [cfg.steps for cfg in study.level_configs()] == [10, 20, 40]
+
     def test_converge_requires_axis_and_t0(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "kind = converge\n")
@@ -107,6 +116,20 @@ class TestParseConfig:
             "kind", "scheme", "filter", "closure_tol"}
         unset = "\n".join(line for line in block.splitlines() if line not in marked)
         assert parse_config(unset) == cfg
+
+    def test_readme_cli_block(self):
+        # every command line of README's CLI block parses, optional
+        # "[...]" parts included
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## CLI", 1)[1].split("\n### ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()]
+        commands = [re.sub(r"\[([^]]*)\]", r"\1", line).split()
+                    for line in lines if line.startswith("airyflow ")]
+        assert len(commands) == len(block.splitlines())
+        for words in commands:
+            args = cli.build_parser().parse_args(words[1:])
+            assert args.command == words[1]
 
 
 class TestPresets:
@@ -221,10 +244,10 @@ class TestRunExperiment:
         for rel in ("diagnostics.csv", "snapshots/curve_t0.200000.csv", "spectrum_t0.200000.csv"):
             assert (a.output_dir / rel).read_bytes() == (b.output_dir / rel).read_bytes()
 
-    def test_blowup_flagged_with_partial_outputs(self, tmp_path):
-        bad = lambda state: GridField(np.full(state.n, 1e6))
+    def test_blowup_flagged_with_partial_outputs(self, tmp_path, monkeypatch):
         cfg = small_run_config(tmp_path, diagnostic_stride=1)
-        result = run_experiment(cfg, nonlinear=bad)
+        monkeypatch.setattr(schemes, "nonlinear_term", lambda *args: np.full(cfg.n, 1e6))
+        result = run_experiment(cfg)
         assert result.status == "blowup"
         assert result.error and "blow-up" in result.error
         manifest = (result.output_dir / "manifest.txt").read_text()
@@ -264,6 +287,17 @@ class TestRunExperiment:
         rows = (out / "diagnostics.csv").read_text().splitlines()
         assert rows == [",".join(harness.DIAGNOSTICS_COLUMNS)]
 
+    @pytest.mark.parametrize("cfg", [
+        preset_config("E"),
+        preset_config("PC3", t_final=1e-4),  # non-default closure_tol
+        RunConfig(shape="perturbed_circle", shape_params={"r0": 1.0, "delta0": 0.05, "m": 3},
+                  n=64, dt=1e-3, t_final=0.01, scheme="cn", filter="dpr"),
+    ], ids=["E", "PC3", "perturbed_circle"])
+    def test_config_echo_round_trips(self, cfg, tmp_path):
+        result = run_experiment(replace(cfg, output_dir=tmp_path))
+        assert result.status == "completed"
+        assert parse_config((tmp_path / "config.txt").read_text()) == cfg
+
     def test_requires_output_dir(self, tmp_path):
         cfg = small_run_config(tmp_path, output_dir=None)
         with pytest.raises(ValidationError):
@@ -271,14 +305,15 @@ class TestRunExperiment:
 
 
 class TestConvergenceStudy:
-    def test_linear_problem_at_roundoff_floor(self, tmp_path):
+    def test_linear_problem_at_roundoff_floor(self, tmp_path, monkeypatch):
         # with the nonlinear term zeroed the integrating-factor scheme is
         # exact, so both difference norms sit at the roundoff floor
         base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
                          n=64, dt=2e-3, t_final=0.4, scheme="adb")
         study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.4)
-        zero = lambda state: GridField(np.zeros(state.n))
-        row = run_convergence_study(study, nonlinear=zero)
+        monkeypatch.setattr(schemes, "nonlinear_term",
+                            lambda phi_hat, length, filter: np.zeros(2 * (phi_hat.size - 1)))
+        row = run_convergence_study(study)
         assert row.err_coarse <= 1e-13 and row.err_fine <= 1e-13
 
     def test_time_axis_bundle(self, tmp_path):
@@ -353,6 +388,18 @@ class TestFilterStudy:
         assert len(spectra) == 65  # header + one row per mode
         xi = (tmp_path / "filters_xi.csv").read_text().splitlines()
         assert xi[0] == "time," + ",".join(f"xi_{x}" for x in result.labels)
+
+    def test_parallel_outputs_match_serial(self, tmp_path):
+        # adb and adbk blow up at step 31 on this config: the failed
+        # variants' empty cells and errors must match too
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=128, dt=2e-3, t_final=0.1, scheme="adb", diagnostic_stride=5)
+        serial = run_filter_study(base, output_dir=tmp_path / "serial")
+        assert sorted(serial.errors) == ["ADB", "ADBK"]
+        run_filter_study(base, output_dir=tmp_path / "parallel", parallel=2)
+        for name in ("filters_spectra.csv", "filters_xi.csv", "filters_manifest.txt"):
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "parallel" / name).read_bytes()), name
 
     def test_adbk_differs_from_adb_only_below_threshold(self, tmp_path):
         # short horizon where unfiltered adb is still healthy: the krasny

@@ -9,7 +9,6 @@ from airyflow.spectral import (
     dpr_rho1,
     filter_modes,
     grid_nodes,
-    krasny_rho2,
     l2_norm,
     power_spectrum,
     spectral_antiderivative,
@@ -177,14 +176,25 @@ class TestDprRho1:
 
 
 class TestKrasnyRho2:
-    def test_threshold(self):
-        assert krasny_rho2(1e-14) == 0.0
-        assert krasny_rho2(1e-12) == 1.0
-        assert krasny_rho2(0.0) == 0.0
+    """rho2 as filter_modes applies it to a half spectrum (N = 8, 5 modes)."""
 
-    @given(st.floats(min_value=0, max_value=1.0, allow_nan=False))
-    def test_binary(self, amplitude):
-        assert krasny_rho2(amplitude) in (0.0, 1.0)
+    def test_threshold(self):
+        out = filter_modes(np.array([1e-14, 1e-12, 0.0, 0.5, 1.0]), "krasny", 8)
+        assert out[0] == 0.0
+        assert out[1] == 1e-12
+        assert out[2] == 0.0
+
+    @given(st.lists(st.one_of(st.floats(min_value=0, max_value=1.0),
+                              st.floats(min_value=0, max_value=1e-12)),
+                    min_size=5, max_size=5),
+           st.floats(min_value=-np.pi, max_value=np.pi))
+    def test_binary(self, amplitudes, phase):
+        # each mode is zeroed (amplitude below 1e-13) or passed bitwise
+        coeffs = np.array(amplitudes) * np.exp(1j * phase)
+        out = filter_modes(coeffs, "krasny", 8)
+        below = np.abs(coeffs) < 1e-13
+        assert np.all(out[below] == 0.0)
+        assert np.array_equal(out[~below], coeffs[~below])
 
 
 class TestFilteredDerivative:
