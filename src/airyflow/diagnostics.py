@@ -96,8 +96,8 @@ def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observat
     k, k_s = _curvature_and_slope(phi_hat, state.length)
     curve = {}
     if closure_tol is not None:
-        points = geometry.reconstruct_curve(state, closure_tol)
         tangent = geometry.curve_tangent(state)
+        points = geometry.reconstruct_curve(state, closure_tol, tangent)
         tangent = tangent - np.mean(tangent)
         x, y = points[:, 0], points[:, 1]
         area = abs(np.pi * float(np.mean(x * tangent.imag - y * tangent.real)))

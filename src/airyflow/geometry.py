@@ -267,16 +267,18 @@ def _complex_antiderivative_symbol(n: int) -> np.ndarray:
     return sym
 
 
-def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_TOL) -> np.ndarray:
+def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_TOL,
+                      tangent: Optional[np.ndarray] = None) -> np.ndarray:
     """Curve points from a tangent-angle state, anchored at state.anchor.
 
     Integrates the complex tangent z_alpha = (L/2*pi) e^{i theta}
-    (:func:`curve_tangent`) by one complex FFT antiderivative: z = x + iy
-    is the one complex field of the package.  The tangent must have
-    (near-)zero mean for the curve to close; the mean below tolerance is
-    dropped, which makes the reconstructed polygon exactly periodic.
+    (:func:`curve_tangent`, or ``tangent`` when the caller already has
+    it) by one complex FFT antiderivative: z = x + iy is the one complex
+    field of the package.  The tangent must have (near-)zero mean for the
+    curve to close; the mean below tolerance is dropped, which makes the
+    reconstructed polygon exactly periodic.
     """
-    z_a = curve_tangent(state)
+    z_a = curve_tangent(state) if tangent is None else tangent
     mean = complex(np.mean(z_a))
     if abs(mean.real) > closure_tol or abs(mean.imag) > closure_tol:
         raise ClosureViolation(mean.real, mean.imag, closure_tol)

@@ -213,7 +213,10 @@ def parse_config(text: str):
     if kind == "converge":
         if axis is None or t0 is None:
             raise ValidationError("kind = converge requires 'axis' and 't0'")
-        values.setdefault("t_final", t0)  # every level runs to t0
+        if "t_final" not in values and "dt" in values:
+            # every level runs to t0: name t0, not the t_final copied from it
+            schemes.step_count(t0, values["dt"], "t0")
+        values.setdefault("t_final", t0)
     missing = [k for k in ("n", "dt", "t_final") if k not in values]
     if missing:
         raise ValidationError(f"config must set {missing}")

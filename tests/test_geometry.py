@@ -223,6 +223,11 @@ class TestReconstruct:
             again = reconstruct_curve(state)
             assert np.max(np.abs(again - points)) <= 1e-10
 
+    def test_given_tangent_is_the_state_tangent(self):
+        state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
+        given = reconstruct_curve(state, tangent=geometry.curve_tangent(state))
+        assert np.array_equal(given, reconstruct_curve(state))
+
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
             phi=GridField(np.full(64, np.pi / 2 + 0.5)), length=2 * np.pi, anchor=(1.0, 0.0)

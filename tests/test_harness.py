@@ -97,6 +97,12 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "kind = converge\naxis = time\nt0 = 0.9213\n")
 
+    def test_t0_incommensurate_named_without_t_final(self):
+        # without t_final every level runs to t0, so the error names t0
+        with pytest.raises(NonCommensurateTime, match=r"^t0 spans 0\.10025, not a whole"):
+            parse_config("kind = converge\naxis = time\nt0 = 0.10025\nshape = circle\n"
+                         "n = 32\ndt = 1e-2")
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")

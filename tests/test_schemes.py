@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from airyflow.schemes import (
     nonlinear_term,
     step_rules,
 )
-from airyflow.spectral import GridField, grid_nodes
+from airyflow.spectral import GridField, filter_modes, grid_nodes
 
 from conftest import band_limited_field, catalog_state
 
@@ -40,6 +42,49 @@ def trajectory(state, cfg, steps, nonlinear=None):
     integrate(state, cfg, state.time + steps * cfg.dt,
               observers=[(1, lambda j, s: states.append(s))], nonlinear=nonlinear)
     return states
+
+
+def reference_levels(state, cfg, steps, nonlinear=None):
+    """The integrate loop in plain steps: yields (j, phi_hat) after step j."""
+    term = nonlinear or nonlinear_term
+    start, rule = step_rules(cfg, state.length)
+    level, prev = half(state), None
+    for j in range(1, steps + 1):
+        nl = term(level, state.length, cfg.filter)
+        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter, cfg.n)
+        if prev is None:
+            new = schemes.init_step(start, level, nl_hat)
+        else:
+            new = schemes.step(rule, level, nl_hat, *prev)
+        prev, level = (level, nl_hat), new
+        yield j, level
+
+
+def exact_guard_run(state, cfg, steps, nonlinear=None):
+    """The reference loop with max|phi| read off the grid at every step.
+
+    Returns the (step, message) of the first :class:`BlowUp`, or None, and
+    the number of steps that passed the guard although the spectral bound
+    2 sum|phi_hat_m| exceeded half the limit.
+    """
+    near = 0
+    for j, level in reference_levels(state, cfg, steps, nonlinear):
+        peak = float(np.abs(np.fft.irfft(level, cfg.n, norm="forward")).max())
+        limit = schemes.BLOWUP_LIMIT
+        if not (math.isfinite(peak) and peak <= limit):
+            detail = f"max|phi| = {peak:.3e} exceeds {limit:.3e}"
+            return (j, str(BlowUp(j, state.time + j * cfg.dt, detail))), near
+        near += 2.0 * np.abs(level).sum() > limit / 2
+    return None, near
+
+
+def guarded_run(state, cfg, steps, nonlinear=None):
+    """integrate's (step, message) of its BlowUp, or None."""
+    try:
+        integrate(state, cfg, state.time + steps * cfg.dt, nonlinear=nonlinear)
+    except BlowUp as err:
+        return err.step, str(err)
+    return None
 
 
 def single_mode_state(n, m, amplitude=0.2, length=2 * np.pi):
@@ -278,6 +323,92 @@ class TestIntegrate:
         cfg = SchemeConfig(scheme="adb", dt=1e-3, n=32)
         with pytest.raises(BlowUp):
             integrate(state, cfg, 0.1)
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEMES)
+    def test_guard_step_exact_under_growth(self, rng, scheme):
+        # NL = 30 phi grows phi about 35% a step: the spectral bound passes
+        # half the limit a few steps before max|phi| passes the limit
+        n = 32
+        state = ThetaLState(phi=GridField(band_limited_field(n, 5, rng, 0.1)),
+                            length=2 * np.pi)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-2, n=n)
+
+        def grow(phi_hat, length, filter):
+            return 30.0 * np.fft.irfft(phi_hat, n, norm="forward")
+
+        expected, near = exact_guard_run(state, cfg, 200, grow)
+        assert expected is not None and near >= 2
+        assert guarded_run(state, cfg, 200, grow) == expected
+
+    def test_guard_step_exact_on_nan(self):
+        state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
+        cfg = SchemeConfig(scheme="cnadb", dt=1e-4, n=32)
+
+        def poisoned_at_5(calls):
+            def term(*args):
+                calls.append(None)
+                nl = nonlinear_term(*args)
+                return nl * np.nan if len(calls) == 5 else nl
+            return term
+
+        expected, _ = exact_guard_run(state, cfg, 20, poisoned_at_5([]))
+        assert expected[0] == 5 and "max|phi| = nan" in expected[1]
+        assert guarded_run(state, cfg, 20, poisoned_at_5([])) == expected
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEMES)
+    def test_guard_step_exact_with_small_limit(self, monkeypatch, scheme):
+        # the under-resolved ellipse's max|phi| creeps from 2.06 past 2.3
+        monkeypatch.setattr(schemes, "BLOWUP_LIMIT", 2.3)
+        state, _ = catalog_state("ellipse", 32, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-3, n=32)
+        expected, _ = exact_guard_run(state, cfg, 1000)
+        assert expected is not None and expected[0] > 20
+        assert guarded_run(state, cfg, 1000) == expected
+
+    def test_observed_states_bitwise_equal_across_strides(self):
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.6)
+        cfg = SchemeConfig(scheme="cnadb", dt=1e-4, n=64)
+        every, sevenths = {}, {}
+        t_final = 30 * cfg.dt
+        integrate(state, cfg, t_final, observers=[(1, lambda j, s: every.setdefault(j, s))])
+        integrate(state, cfg, t_final, observers=[(7, lambda j, s: sevenths.setdefault(j, s))])
+        unobserved = integrate(state, cfg, t_final)
+        assert sorted(sevenths) == [0, 7, 14, 21, 28, 30]
+        for j, level in reference_levels(state, cfg, 30):
+            phi = np.fft.irfft(level, cfg.n, norm="forward")
+            assert np.array_equal(every[j].phi.values, phi)
+        for j, seen in sevenths.items():
+            assert seen.time == every[j].time
+            assert np.array_equal(seen.phi.values, every[j].phi.values)
+        assert unobserved.time == every[30].time
+        assert np.array_equal(unobserved.phi.values, every[30].phi.values)
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEMES)
+    def test_unobserved_step_takes_two_real_transforms(self, monkeypatch, scheme):
+        counts = dict.fromkeys(("rfft", "irfft", "fft", "ifft"), 0)
+        for name in counts:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-4, n=32)
+
+        def transforms(steps, observers=()):
+            before = dict(counts)
+            integrate(state, cfg, steps * cfg.dt, observers=observers)
+            return {name: counts[name] - before[name] for name in counts}
+
+        # per step the irfft of D phi and the rfft of NL; phi's own rfft at
+        # the start and irfft at the final step
+        assert transforms(10) == dict(rfft=11, irfft=11, fft=0, ifft=0)
+        assert transforms(20) == dict(rfft=21, irfft=21, fft=0, ifft=0)
+        # an observer due at step 5 adds the irfft of phi there
+        quiet = [(5, lambda j, s: None)]
+        assert transforms(10, quiet) == dict(rfft=11, irfft=12, fft=0, ifft=0)
 
     def test_linear_hook_exact_at_final_time(self, rng):
         state = ThetaLState(
