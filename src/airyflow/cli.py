@@ -7,8 +7,7 @@ Subcommands:
 * ``filters <config>``   -- scheme/filter comparison from shared initial data
 * ``preset <name> [key=value ...]`` -- run a named preset with overrides
 
-``--out`` chooses (or overrides) the output directory; ``filters --parallel``
-bounds concurrent runs inside the filter study.
+``--out`` chooses (or overrides) the output directory.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ def _cmd_filters(args) -> int:
     if not isinstance(cfg, RunConfig):
         raise AiryflowError("'filters' expects a config with kind = run")
     out = _require_out(cfg.output_dir, args.out)
-    result = harness.run_filter_study(cfg, output_dir=out, parallel=args.parallel)
+    result = harness.run_filter_study(cfg, output_dir=out)
     for label in result.labels:
         series = result.xi_series[label]
         peak = max((abs(v) for _, v in series), default=float("nan"))
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     filters = sub.add_parser("filters", help="scheme/filter comparison study")
     filters.add_argument("config")
     filters.add_argument("--out", default=None)
-    filters.add_argument("--parallel", type=int, default=1)
     filters.set_defaults(func=_cmd_filters)
 
     preset = sub.add_parser("preset", help="run a named preset (E, E1, E2, PC3, CARDIOID)")

@@ -1,9 +1,9 @@
 """Closed-curve geometry: the shape catalog, equal-arc-length resampling,
 tangent-angle extraction/reconstruction, curvature, and shape statistics.
 
-A curve is represented either parametrically (samples plus optional
-analytic evaluators) or by its tangent angle theta(alpha) = alpha +
-phi(alpha) together with its total length L.  Under the equal-arc-length
+A curve is represented either parametrically (samples plus analytic
+evaluators) or by its tangent angle theta(alpha) = alpha + phi(alpha)
+together with its total length L.  Under the equal-arc-length
 parametrization s(alpha) = alpha*L/(2*pi), so curvature is
 k = theta_s = (2*pi/L)(1 + phi_alpha).
 
@@ -40,16 +40,14 @@ _NEWTON_MAX_ITER = 50
 class ParametricCurve:
     """Closed planar curve sampled at uniform parameter values.
 
-    ``x`` and ``y`` hold samples at alpha_k = 2*pi*k/N.  When the curve
-    comes from the analytic catalog, ``x_func``/``y_func`` evaluate it
-    exactly at arbitrary parameters; otherwise evaluation falls back to
-    trigonometric interpolation of the samples.
+    ``x`` and ``y`` hold samples at alpha_k = 2*pi*k/N; ``x_func`` and
+    ``y_func`` evaluate the curve exactly at arbitrary parameters.
     """
 
     x: np.ndarray
     y: np.ndarray
-    x_func: Optional[Callable] = field(default=None, repr=False)
-    y_func: Optional[Callable] = field(default=None, repr=False)
+    x_func: Callable = field(repr=False)
+    y_func: Callable = field(repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64).copy()
@@ -61,19 +59,10 @@ class ParametricCurve:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @property
-    def n(self) -> int:
-        return self.x.size
-
     def evaluate(self, beta) -> tuple[np.ndarray, np.ndarray]:
         """Curve position at arbitrary parameter values."""
         beta = np.asarray(beta, dtype=np.float64)
-        if self.x_func is not None and self.y_func is not None:
-            return self.x_func(beta), self.y_func(beta)
-        return (
-            spectral.trig_interpolate(self.x, beta),
-            spectral.trig_interpolate(self.y, beta),
-        )
+        return self.x_func(beta), self.y_func(beta)
 
 
 @dataclass(frozen=True)
@@ -331,9 +320,3 @@ def recover_perturbation(points, r0: float) -> float:
     x, y = _as_points(points)
     return float(np.max(np.hypot(x, y) - r0))
 
-
-def centroid(points) -> tuple[float, float]:
-    """Mean of the sample points; equals the curve centroid for
-    equal-arc-length samples."""
-    x, y = _as_points(points)
-    return float(np.mean(x)), float(np.mean(y))

@@ -14,7 +14,6 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -87,12 +86,12 @@ class RunConfig:
     def __post_init__(self):
         self.scheme_config()  # checks scheme, filter, dt and n
         steps = self.steps  # checks t_final
-        if self.snapshot_stride < 0 or self.diagnostic_stride < 0:
-            raise ValidationError("strides must be positive (or 0 for the default)")
         if self.snapshot_stride == 0:
             object.__setattr__(self, "snapshot_stride", max(1, steps))
         if self.diagnostic_stride == 0:
             object.__setattr__(self, "diagnostic_stride", max(1, steps // 500))
+        schemes.check_stride(self.snapshot_stride, "snapshot_stride")
+        schemes.check_stride(self.diagnostic_stride, "diagnostic_stride")
         if self.output_dir is not None:
             object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -136,17 +135,10 @@ class ConvergenceStudyConfig:
 
     def level_configs(self):
         """The three run configs, coarsest first."""
-        out = []
-        for level in range(3):
-            if self.axis == "time":
-                cfg = replace(self.base, dt=self.base.dt / 2**level,
-                              t_final=self.comparison_time)
-            else:
-                cfg = replace(self.base, n=self.base.n * 2**level,
-                              t_final=self.comparison_time)
-            out.append(replace(cfg, output_dir=None, snapshot_stride=cfg.steps or 1,
-                               diagnostic_stride=cfg.steps or 1))
-        return out
+        base, t0 = self.base, self.comparison_time
+        if self.axis == "time":
+            return [replace(base, dt=base.dt / 2**level, t_final=t0) for level in range(3)]
+        return [replace(base, n=base.n * 2**level, t_final=t0) for level in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +518,8 @@ class FilterStudyResult:
     errors: dict  # label -> error string for failed runs
 
 
-def _run_filter_variant(args):
-    label, scheme, filter_mode, base, initial = args
-    cfg = replace(base, scheme=scheme, filter=filter_mode, output_dir=None)
+def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
+    """One variant's (time, xi) series, last power spectrum and error (None if it completed)."""
     series = []
     baseline = power = None
 
@@ -540,16 +531,15 @@ def _run_filter_variant(args):
         series.append((state.time, (obs.triple.m3 - baseline) / baseline))
         power = obs.power  # the final state's, or the last observed one's after a failure
 
-    error = None
     try:
         schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
                           [(cfg.diagnostic_stride, probe)])
     except BlowUp as exc:
-        error = f"BlowUp: {exc}"
-    return label, series, power, error
+        return series, power, f"BlowUp: {exc}"
+    return series, power, None
 
 
-def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> FilterStudyResult:
+def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
     """Run every scheme/filter variant from shared initial data.
 
     Emits one spectrum comparison CSV at the final time and one relative
@@ -557,17 +547,10 @@ def run_filter_study(base: RunConfig, output_dir=None, parallel: int = 1) -> Fil
     continues with the rest.
     """
     initial = build_initial_state(base)
-    jobs = [(label, scheme, filt, base, initial) for label, scheme, filt in FILTER_STUDY_VARIANTS]
     xi_series, spectra, errors = {}, {}, {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
-            outcomes = [(job[0], pool.submit(_run_filter_variant, job)) for job in jobs]
-            outcomes = [(label, future.result()) for label, future in outcomes]
-    else:
-        outcomes = [(job[0], _run_filter_variant(job)) for job in jobs]
-    for label, (_label, series, power, error) in outcomes:
-        xi_series[label] = series
-        spectra[label] = power
+    for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
+        cfg = replace(base, scheme=scheme, filter=filter_mode)
+        xi_series[label], spectra[label], error = _run_filter_variant(cfg, initial)
         if error is not None:
             errors[label] = error
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]

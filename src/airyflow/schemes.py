@@ -87,6 +87,16 @@ def step_count(span: float, dt: float, name: str = "t_final") -> int:
     return steps
 
 
+def check_stride(stride, name: str = "observer stride") -> None:
+    """Reject a stride that is not a whole number of steps >= 1, naming it.
+
+    An observer fires at step 0 and on each multiple of its stride, which
+    the stepping loop reaches only for a positive integer.
+    """
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValidationError(f"{name} must be an integer >= 1, got {stride!r}")
+
+
 @dataclass(frozen=True)
 class Multipliers:
     """Per-mode update factors; constant along a trajectory since L is.
@@ -210,8 +220,9 @@ def integrate(
     (:func:`step_count`).
     ``observers`` is an iterable of (stride, callback) pairs; each
     callback(step_index, state) fires at step 0, every ``stride`` steps,
-    and at the final step.  Raises :class:`BlowUp` if the solution goes
-    non-finite or max|phi| exceeds :data:`BLOWUP_LIMIT`.
+    and at the final step; a stride that is not an integer >= 1 raises
+    :class:`ValidationError` before step 0.  Raises :class:`BlowUp` if
+    the solution goes non-finite or max|phi| exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
     2 sum|phi_hat_m| exceeds half the limit, and phi is otherwise
@@ -233,6 +244,8 @@ def integrate(
     if initial.n != cfg.n:
         raise ValueError(f"state grid size {initial.n} does not match config n={cfg.n}")
     observers = tuple(observers)
+    for stride, _ in observers:
+        check_stride(stride)
     start, rule = step_rules(cfg, initial.length)
     term = nonlinear or nonlinear_term
     n, t0, dt = cfg.n, initial.time, cfg.dt

@@ -103,6 +103,13 @@ class TestParseConfig:
             parse_config("kind = converge\naxis = time\nt0 = 0.10025\nshape = circle\n"
                          "n = 32\ndt = 1e-2")
 
+    @pytest.mark.parametrize("key, stride", [("diagnostic_stride", 2.5),
+                                             ("snapshot_stride", -1)])
+    def test_bad_stride_rejected_naming_it(self, key, stride):
+        with pytest.raises(ValidationError, match=f"{key} must be an integer >= 1, got {stride}"):
+            RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=64, dt=1e-3,
+                      t_final=0.05, scheme="cnadb", **{key: stride})
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")
@@ -304,6 +311,15 @@ class TestRunExperiment:
         assert result.status == "completed"
         assert parse_config((tmp_path / "config.txt").read_text()) == cfg
 
+    def test_cli_run_writes_bundle(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text("shape = circle\nn = 32\ndt = 1e-2\nt_final = 0.2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"completed: 20/20 steps -> {out}")
+        assert "status = completed" in (out / "manifest.txt").read_text()
+        assert (out / "diagnostics.csv").exists()
+
     def test_requires_output_dir(self, tmp_path):
         cfg = small_run_config(tmp_path, output_dir=None)
         with pytest.raises(ValidationError):
@@ -365,6 +381,16 @@ class TestConvergenceStudy:
         assert manifest[:3] == ["level.0 = failed", "level.1 = failed", "level.2 = failed"]
         assert not (out / "convergence.csv").exists()
 
+    def test_cli_writes_order(self, tmp_path, capsys):
+        config = tmp_path / "study.txt"
+        config.write_text("kind = converge\naxis = time\nt0 = 0.05\nshape = ellipse\n"
+                          "a = 1\nb = 0.5\nn = 64\ndt = 1e-3\nscheme = cn\n")
+        out = tmp_path / "out"
+        assert cli.main(["converge", str(config), "--out", str(out)]) == 0
+        assert "ellipse/cn t0=0.05: err " in capsys.readouterr().out
+        rows = (out / "convergence.csv").read_text().splitlines()
+        assert rows[0] == "curve,scheme,t0,err_coarse,err_fine,order" and len(rows) == 2
+
     def test_cardioid_cn_reference_order(self):
         # reference refinement row: dt in {2e-4, 1e-4, 5e-5} at t0 = 0.5
         # reproduces the tabulated order 2.024 to four digits
@@ -382,6 +408,10 @@ class TestConvergenceStudy:
         assert all(c.dt == 1e-3 for c in configs)
 
 
+FILTER_128 = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                       n=128, dt=2e-3, t_final=0.1, scheme="adb", diagnostic_stride=5)
+
+
 class TestFilterStudy:
     def test_variant_set_and_schemas(self, tmp_path):
         base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
@@ -395,17 +425,34 @@ class TestFilterStudy:
         xi = (tmp_path / "filters_xi.csv").read_text().splitlines()
         assert xi[0] == "time," + ",".join(f"xi_{x}" for x in result.labels)
 
-    def test_parallel_outputs_match_serial(self, tmp_path):
-        # adb and adbk blow up at step 31 on this config: the failed
-        # variants' empty cells and errors must match too
-        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
-                         n=128, dt=2e-3, t_final=0.1, scheme="adb", diagnostic_stride=5)
-        serial = run_filter_study(base, output_dir=tmp_path / "serial")
-        assert sorted(serial.errors) == ["ADB", "ADBK"]
-        run_filter_study(base, output_dir=tmp_path / "parallel", parallel=2)
+    def test_failed_variants_recorded(self, tmp_path):
+        # adb and adbk blow up at step 31 on this config, after their
+        # last observed step 30
+        result = run_filter_study(FILTER_128, output_dir=tmp_path)
+        assert sorted(result.errors) == ["ADB", "ADBK"]
+        manifest = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "filters_manifest.txt").read_text().splitlines())
+        assert manifest["variant.ADB"] == "failed" and manifest["variant.CN"] == "ok"
+        assert manifest["error.ADB"].startswith("BlowUp: blow-up at step 31 (t=0.062)")
+        rows = [line.split(",") for line in
+                (tmp_path / "filters_xi.csv").read_text().splitlines()]
+        header, body = rows[0], rows[1:]
+        assert len(body) == 11  # steps 0, 5, ..., 50
+        for label in ("ADB", "ADBK"):
+            cells = [row[header.index(f"xi_{label}")] for row in body]
+            assert len(result.xi_series[label]) == 7  # steps 0, 5, ..., 30
+            assert all(cells[:7]) and not any(cells[7:]), label
+
+    def test_cli_exits_1_naming_failed_variants(self, tmp_path, capsys):
+        config = tmp_path / "filters.txt"
+        config.write_text("shape = ellipse\na = 1\nb = 0.5\nn = 128\ndt = 2e-3\n"
+                          "t_final = 0.1\nscheme = adb\ndiagnostic_stride = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["filters", str(config), "--out", str(out)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+        assert [line.split(":", 1)[0] for line in failed] == ["ADB", "ADBK"]
         for name in ("filters_spectra.csv", "filters_xi.csv", "filters_manifest.txt"):
-            assert ((tmp_path / "serial" / name).read_bytes()
-                    == (tmp_path / "parallel" / name).read_bytes()), name
+            assert (out / name).exists(), name
 
     def test_adbk_differs_from_adb_only_below_threshold(self, tmp_path):
         # short horizon where unfiltered adb is still healthy: the krasny

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airyflow import diagnostics, geometry, schemes
-from airyflow.errors import BlowUp, MissingHistory, NonCommensurateTime
+from airyflow.errors import BlowUp, MissingHistory, NonCommensurateTime, ValidationError
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import (
     SchemeConfig,
@@ -313,9 +313,21 @@ class TestIntegrate:
     def test_observer_strides_and_forced_final(self):
         state, _ = catalog_state("circle", 32)
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=32)
+        seen, seen_np = [], []
+        integrate(state, cfg, 0.01, observers=[(3, lambda j, s: seen.append(j)),
+                                               (np.int64(3), lambda j, s: seen_np.append(j))])
+        assert seen == seen_np == [0, 3, 6, 9, 10]
+
+    @pytest.mark.parametrize("stride", [0, -1, 2.5])
+    def test_bad_observer_stride_rejected_before_step_0(self, stride):
+        # observers fire on whole multiples of their stride: any other
+        # stride never fires again, so the final phi is never computed
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme="cnadb", dt=1e-3, n=64)
         seen = []
-        integrate(state, cfg, 0.01, observers=[(3, lambda j, s: seen.append(j))])
-        assert seen == [0, 3, 6, 9, 10]
+        with pytest.raises(ValidationError, match=f"stride must be an integer >= 1, got {stride}"):
+            integrate(state, cfg, 0.05, observers=[(stride, lambda j, s: seen.append(j))])
+        assert seen == []
 
     def test_blowup_guard(self, monkeypatch):
         monkeypatch.setattr(schemes, "BLOWUP_LIMIT", 1e-6)
