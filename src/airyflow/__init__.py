@@ -12,12 +12,10 @@ from .errors import AiryflowError
 from .geometry import ThetaLState
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 from .schemes import SchemeConfig, integrate
-from .spectral import GridField
 
 __all__ = [
     "AiryflowError",
     "ConvergenceStudyConfig",
-    "GridField",
     "RunConfig",
     "SchemeConfig",
     "ThetaLState",

@@ -77,7 +77,8 @@ def _cmd_filters(args) -> int:
         peak = max((abs(v) for _, v in series), default=float("nan"))
         note = f" FAILED ({result.errors[label]})" if label in result.errors else ""
         print(f"{label}: max|xi| = {peak:.4g}{note}")
-    print(f"wrote {out / 'filters_spectra.csv'} and {out / 'filters_xi.csv'}")
+    print(f"wrote {out / 'filters_spectra.csv'}, {out / 'filters_xi.csv'} "
+          f"and {out / 'filters_manifest.txt'}")
     return 0 if not result.errors else 1
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry, spectral
 from .errors import DegenerateBaseline, MissingSnapshots, NonPositiveError
 from .geometry import ThetaLState
-from .spectral import GridField, _derivative_symbol, l2_norm, spectral_derivative
+from .spectral import _derivative_symbol, l2_norm, spectral_derivative
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def conserved_quantities(state: ThetaLState, k=None, k_s=None) -> ConservedTripl
     the nodes, computed from the state unless the caller already has them.
     """
     if k is None:
-        k, k_s = _curvature_and_slope(np.fft.rfft(state.phi.values, norm="forward"),
-                                      state.length)
+        k, k_s = _curvature_and_slope(np.fft.rfft(state.phi, norm="forward"), state.length)
     return ConservedTriple(
         m1=_integrate_ds(k, state.length),
         m2=_integrate_ds(k**2, state.length),
@@ -92,7 +91,7 @@ def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observat
     the curve is skipped and ``points``, ``radius`` and ``centroid`` are
     None.
     """
-    phi_hat = np.fft.rfft(state.phi.values, norm="forward")
+    phi_hat = np.fft.rfft(state.phi, norm="forward")
     k, k_s = _curvature_and_slope(phi_hat, state.length)
     curve = {}
     if closure_tol is not None:
@@ -238,8 +237,8 @@ def linear_comparison(snapshots, r0: float, delta0: float, m: int):
 def mkdv_rhs(k: np.ndarray, length: float) -> np.ndarray:
     """Curvature rate k_sss + (3/2) k^2 k_s with spectral s-derivatives."""
     two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(GridField(k), 1).values
-    k_sss = two_pi_over_l**3 * spectral_derivative(GridField(k), 3).values
+    k_s = two_pi_over_l * spectral_derivative(k, 1)
+    k_sss = two_pi_over_l**3 * spectral_derivative(k, 3)
     return k_sss + 1.5 * k**2 * k_s
 
 
@@ -247,9 +246,9 @@ def curve_motion_rhs(k: np.ndarray, length: float) -> np.ndarray:
     """Curvature rate -V_ss + k_s T - k^2 V from the velocity decomposition,
     with normal velocity V = -k_s and tangential velocity T = k^2/2."""
     two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(GridField(k), 1).values
+    k_s = two_pi_over_l * spectral_derivative(k, 1)
     v = -k_s
-    v_ss = two_pi_over_l**2 * spectral_derivative(GridField(v), 2).values
+    v_ss = two_pi_over_l**2 * spectral_derivative(v, 2)
     t = 0.5 * k**2
     return -v_ss + k_s * t - k**2 * v
 
@@ -269,9 +268,7 @@ def mkdv_residual(states) -> float:
     dt1, dt2 = t1 - t0, t2 - t1
     if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
         raise ValueError("states must be equally spaced in time")
-    k0 = geometry.curvature(states[0]).values
-    k1 = geometry.curvature(states[1]).values
-    k2 = geometry.curvature(states[2]).values
+    k0, k1, k2 = (geometry.curvature(s) for s in states)
     k_t = (k2 - k0) / (t2 - t0)
     return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
 
@@ -290,7 +287,7 @@ def state_difference_norm(a: ThetaLState, b: ThetaLState) -> float:
     Finer grids are restricted to the coarser grid's nodes (grids nest),
     introducing no interpolation error.
     """
-    va, vb = a.phi.values, b.phi.values
+    va, vb = a.phi, b.phi
     n = min(va.size, vb.size)
     return l2_norm(restrict_to_grid(va, n) - restrict_to_grid(vb, n))
 

@@ -11,7 +11,7 @@ class AiryflowError(Exception):
 
 
 class NonFiniteField(AiryflowError, ValueError):
-    """A grid field contains NaN or infinite samples."""
+    """A state's phi contains NaN or infinite samples."""
 
 
 class DomainError(AiryflowError, ValueError):
@@ -31,7 +31,7 @@ class NoConvergence(AiryflowError):
 
 
 class NotRegular(AiryflowError):
-    """The curve has a vanishing tangent (s_alpha <= 0 somewhere)."""
+    """The curve has a vanishing or non-finite tangent (s_alpha not > 0 somewhere)."""
 
 
 class WindingError(AiryflowError):

@@ -1,11 +1,11 @@
 """Closed-curve geometry: the shape catalog, equal-arc-length resampling,
 tangent-angle extraction/reconstruction, curvature, and shape statistics.
 
-A curve is represented either parametrically (samples plus analytic
-evaluators) or by its tangent angle theta(alpha) = alpha + phi(alpha)
-together with its total length L.  Under the equal-arc-length
-parametrization s(alpha) = alpha*L/(2*pi), so curvature is
-k = theta_s = (2*pi/L)(1 + phi_alpha).
+A curve is represented either parametrically, by the evaluator pair
+(x(beta), y(beta)) of a catalog shape, or by its tangent angle
+theta(alpha) = alpha + phi(alpha) together with its total length L.
+Under the equal-arc-length parametrization s(alpha) = alpha*L/(2*pi), so
+curvature is k = theta_s = (2*pi/L)(1 + phi_alpha).
 
 All internal curves are counterclockwise; clockwise input is rejected
 rather than silently flipped, since normal/curvature sign conventions
@@ -14,7 +14,7 @@ depend on the direction of traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -25,11 +25,12 @@ from .errors import (
     ClosureViolation,
     InvalidParameter,
     NoConvergence,
+    NonFiniteField,
     NotRegular,
     UnknownShape,
     WindingError,
 )
-from .spectral import GridField, grid_nodes, spectral_antiderivative, spectral_derivative
+from .spectral import _check_grid_size, grid_nodes, spectral_antiderivative, spectral_derivative
 
 DEFAULT_CLOSURE_TOL = 1e-8
 DEFAULT_RESAMPLE_TOL = 1e-12
@@ -37,59 +38,40 @@ _NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
-class ParametricCurve:
-    """Closed planar curve sampled at uniform parameter values.
-
-    ``x`` and ``y`` hold samples at alpha_k = 2*pi*k/N; ``x_func`` and
-    ``y_func`` evaluate the curve exactly at arbitrary parameters.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    x_func: Callable = field(repr=False)
-    y_func: Callable = field(repr=False)
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64).copy()
-        y = np.asarray(self.y, dtype=np.float64).copy()
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("x and y samples must be 1-D arrays of equal length")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def evaluate(self, beta) -> tuple[np.ndarray, np.ndarray]:
-        """Curve position at arbitrary parameter values."""
-        beta = np.asarray(beta, dtype=np.float64)
-        return self.x_func(beta), self.y_func(beta)
-
-
-@dataclass(frozen=True)
 class ThetaLState:
     """Tangent-angle representation of a closed curve at one instant.
 
-    ``phi`` is the periodic deviation theta(alpha) - alpha; ``length`` is
-    the (flow-invariant) total arc length; ``anchor`` is the curve point
-    at alpha = 0, carried so the curve can be reconstructed.
+    ``phi`` is the periodic deviation theta(alpha) - alpha at the N grid
+    nodes, kept as a read-only float64 copy: one-dimensional, N a power
+    of two >= 8, and finite.  ``length`` is the (flow-invariant) total arc
+    length; ``anchor`` is the curve point at alpha = 0, carried so the
+    curve can be reconstructed.
     """
 
-    phi: GridField
+    phi: np.ndarray
     length: float
     time: float = 0.0
     anchor: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        phi = np.array(self.phi, dtype=np.float64)
+        if phi.ndim != 1:
+            raise ValueError("phi must be one-dimensional")
+        _check_grid_size(phi.size)
+        if not np.all(np.isfinite(phi)):
+            raise NonFiniteField("phi must be finite")
+        phi.setflags(write=False)
+        object.__setattr__(self, "phi", phi)
         if not self.length > 0.0:
             raise ValueError("curve length must be positive")
 
     @property
     def n(self) -> int:
-        return self.phi.n
+        return self.phi.size
 
     def theta(self) -> np.ndarray:
         """Unwrapped tangent angle theta = alpha + phi at the nodes."""
-        return grid_nodes(self.n) + self.phi.values
+        return grid_nodes(self.n) + self.phi
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +126,8 @@ _CATALOG = {
 }
 
 
-def sample_catalog_curve(shape: str, n: int, **params) -> ParametricCurve:
-    """Analytic catalog curve sampled at n uniform parameter nodes.
+def catalog_curve(shape: str, **params) -> tuple[Callable, Callable]:
+    """The evaluator pair (x(beta), y(beta)) of an analytic catalog curve.
 
     Known shapes: circle(r), ellipse(a, b), perturbed_circle(r0, delta0, m),
     pc3, cardioid.  All are simple, counterclockwise, and 2*pi-periodic.
@@ -157,17 +139,19 @@ def sample_catalog_curve(shape: str, n: int, **params) -> ParametricCurve:
     extra = set(params) - set(allowed)
     if extra:
         raise InvalidParameter(f"shape {shape!r} does not take parameters {sorted(extra)}")
-    fx, fy = factory(**params)
-    alpha = grid_nodes(n)
-    return ParametricCurve(x=fx(alpha), y=fy(alpha), x_func=fx, y_func=fy)
+    return factory(**params)
 
 
 # ---------------------------------------------------------------------------
 # resampling and the theta-L representation
 
 
-def resample_equal_arclength(curve: ParametricCurve, n: int) -> tuple[np.ndarray, float]:
+def resample_equal_arclength(curve: tuple[Callable, Callable],
+                             n: int) -> tuple[np.ndarray, float]:
     """Resample a regular closed curve at n points uniform in arc length.
+
+    ``curve`` is the evaluator pair (x(beta), y(beta)) of
+    :func:`catalog_curve`, exact at arbitrary parameters.
 
     The cumulative arc length is built from the spectral antiderivative of
     s_alpha and inverted by Newton iteration on its trigonometric
@@ -175,17 +159,17 @@ def resample_equal_arclength(curve: ParametricCurve, n: int) -> tuple[np.ndarray
     Returns the (n, 2) points and the total length L.  Newton stops once
     the arc-length residual is below ``DEFAULT_RESAMPLE_TOL`` times L.
     """
+    fx, fy = curve
     alpha = grid_nodes(n)
-    xs, ys = curve.evaluate(alpha)
-    x_a = spectral_derivative(GridField(xs), 1).values
-    y_a = spectral_derivative(GridField(ys), 1).values
+    x_a = spectral_derivative(fx(alpha), 1)
+    y_a = spectral_derivative(fy(alpha), 1)
     s_a = np.hypot(x_a, y_a)
-    if np.min(s_a) <= 0.0:
-        raise NotRegular("curve has a vanishing tangent (s_alpha <= 0)")
+    if not np.min(s_a) > 0.0:  # also fails for a non-finite s_alpha
+        raise NotRegular("curve has a vanishing or non-finite tangent (s_alpha not > 0)")
     length = 2.0 * np.pi * float(np.mean(s_a))
 
     # s(beta) = (L/2pi) beta + periodic part, 0 at beta = 0; strictly increasing since s_a > 0
-    periodic = spectral_antiderivative(GridField(s_a - np.mean(s_a))).values
+    periodic = spectral_antiderivative(s_a - np.mean(s_a))
     periodic = periodic - periodic[0]
     targets = np.arange(n) * length / n
     # Newton starts from s at the nodes, exact there, inverted by linear interpolation
@@ -203,8 +187,7 @@ def resample_equal_arclength(curve: ParametricCurve, n: int) -> tuple[np.ndarray
         raise NoConvergence(
             f"arc-length inversion did not reach {tol_abs:.3e} in {_NEWTON_MAX_ITER} iterations"
         )
-    px, py = curve.evaluate(beta)
-    return np.column_stack([px, py]), length
+    return np.column_stack([fx(beta), fy(beta)]), length
 
 
 def _wrap_to_pi(angles: np.ndarray) -> np.ndarray:
@@ -220,8 +203,8 @@ def extract_theta_l(points, length: float, time: float = 0.0) -> ThetaLState:
     """
     x, y = _as_points(points)
     n = x.size
-    x_a = spectral_derivative(GridField(x), 1).values
-    y_a = spectral_derivative(GridField(y), 1).values
+    x_a = spectral_derivative(x, 1)
+    y_a = spectral_derivative(y, 1)
     theta_raw = np.arctan2(y_a, x_a)
     steps = _wrap_to_pi(np.diff(theta_raw, append=theta_raw[:1]))
     turning = float(np.sum(steps))
@@ -231,9 +214,8 @@ def extract_theta_l(points, length: float, time: float = 0.0) -> ThetaLState:
             "simple and counterclockwise"
         )
     theta = theta_raw[0] + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-    phi = theta - grid_nodes(n)
     return ThetaLState(
-        phi=GridField(phi),
+        phi=theta - grid_nodes(n),
         length=float(length),
         time=time,
         anchor=(float(x[0]), float(y[0])),
@@ -276,19 +258,19 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     return np.column_stack([z.real, z.imag])
 
 
-def curvature(state: ThetaLState) -> GridField:
+def curvature(state: ThetaLState) -> np.ndarray:
     """Curvature k = theta_s = (2*pi/L)(1 + phi_alpha) at the equal-arc-length nodes."""
-    phi_a = spectral_derivative(state.phi, 1).values
-    return GridField(2.0 * np.pi / state.length * (1.0 + phi_a))
+    phi_a = spectral_derivative(state.phi, 1)
+    return 2.0 * np.pi / state.length * (1.0 + phi_a)
 
 
 def point_curvature(points) -> np.ndarray:
     """Curvature from point samples, k = (x_a y_aa - x_aa y_a) / s_a^3."""
     x, y = _as_points(points)
-    x_a = spectral_derivative(GridField(x), 1).values
-    y_a = spectral_derivative(GridField(y), 1).values
-    x_aa = spectral_derivative(GridField(x), 2).values
-    y_aa = spectral_derivative(GridField(y), 2).values
+    x_a = spectral_derivative(x, 1)
+    y_a = spectral_derivative(y, 1)
+    x_aa = spectral_derivative(x, 2)
+    y_aa = spectral_derivative(y, 2)
     s_a = np.hypot(x_a, y_a)
     return (x_a * y_aa - x_aa * y_a) / s_a**3
 
@@ -300,8 +282,8 @@ def enclosed_area(points) -> float:
     value makes it independent of the direction of traversal.
     """
     x, y = _as_points(points)
-    x_a = spectral_derivative(GridField(x), 1).values
-    y_a = spectral_derivative(GridField(y), 1).values
+    x_a = spectral_derivative(x, 1)
+    y_a = spectral_derivative(y, 1)
     return float(abs(np.pi * np.mean(x * y_a - y * x_a)))
 
 

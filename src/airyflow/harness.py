@@ -6,17 +6,19 @@ Config grammar (one setting per line, flat key/value)::
     # comment            blank lines and '#' comments are ignored
     key = value          keys are lower_snake_case identifiers
 
-Floats are written every way Python accepts (``5e-4``, ``0.0005``); CSV
+Floats are written every way Python accepts (``5e-4``, ``0.0005``) except
+``nan`` and ``inf``, which are rejected; CSV
 output uses 17 significant digits so values round-trip exactly and
 identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -164,9 +166,21 @@ def _parse_lines(text: str):
         yield lineno, value_col, key, value
 
 
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _convert(key: str, value: str):
-    """The value typed by its key; a ValueError names the key and the type."""
-    for keys, cast, kind in ((_INT_KEYS, int, "an integer"), (_FLOAT_KEYS, float, "a number")):
+    """The value typed by its key; a ValueError names the key and the type.
+
+    Config text and preset overrides become numbers only here, so nan and
+    inf are rejected here for every float setting.
+    """
+    for keys, cast, kind in ((_INT_KEYS, int, "an integer"),
+                             (_FLOAT_KEYS, _finite_float, "a finite number")):
         if key in keys:
             try:
                 return cast(value)
@@ -255,8 +269,7 @@ def is_extended_preset(name: str) -> bool:
 # running experiments
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
+class DiagnosticsRow(NamedTuple):
     """Timestamped scalar health record emitted along a trajectory."""
 
     time: float
@@ -272,7 +285,7 @@ class DiagnosticsRow:
     centroid_y: float
 
 
-DIAGNOSTICS_COLUMNS = tuple(column.name for column in fields(DiagnosticsRow))
+DIAGNOSTICS_COLUMNS = DiagnosticsRow._fields
 
 
 @dataclass
@@ -286,7 +299,7 @@ class RunResult:
 
 def build_initial_state(cfg: RunConfig) -> ThetaLState:
     """Catalog shape -> equal-arc-length samples -> tangent-angle state."""
-    curve = geometry.sample_catalog_curve(cfg.shape, cfg.n, **cfg.shape_params)
+    curve = geometry.catalog_curve(cfg.shape, **cfg.shape_params)
     points, length = geometry.resample_equal_arclength(curve, cfg.n)
     return geometry.extract_theta_l(points, length)
 
@@ -348,7 +361,7 @@ class _SnapshotWriter:
         _write_csv(
             curve_path,
             ("alpha", "x", "y", "k"),
-            zip(state.phi.nodes, obs.points[:, 0], obs.points[:, 1], obs.k),
+            zip(spectral.grid_nodes(state.n), obs.points[:, 0], obs.points[:, 1], obs.k),
         )
         spectrum_path = self.out_dir / f"spectrum_t{tag}.csv"
         _write_csv(
@@ -427,7 +440,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     wall = _time.perf_counter() - started
 
     diag_path = out_dir / "diagnostics.csv"
-    _write_csv(diag_path, DIAGNOSTICS_COLUMNS, (astuple(row) for row in probe.rows))
+    _write_csv(diag_path, DIAGNOSTICS_COLUMNS, probe.rows)
 
     outputs = [out_dir / "config.txt", diag_path, *snapshots.written]
     manifest = [

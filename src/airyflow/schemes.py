@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowUp, MissingHistory, NonCommensurateTime, ValidationError
 from .geometry import ThetaLState
-from .spectral import FILTERS, GridField, _check_grid_size, _derivative_symbol, filter_modes
+from .spectral import FILTERS, _check_grid_size, _derivative_symbol, filter_modes
 
 SCHEMES = ("adb", "cn", "cnadb")
 
@@ -98,39 +97,6 @@ def check_stride(stride, name: str = "observer stride") -> None:
 
 
 @dataclass(frozen=True)
-class Multipliers:
-    """Per-mode update factors; constant along a trajectory since L is.
-
-    zeta  = exp(-i gamma)            |zeta| = 1
-    zeta1 = (1 - i gamma)/(1 + i gamma)   |zeta1| = 1
-    zeta2 = (1 - i gamma)/(1 + gamma^2)   |zeta2| <= 1
-    with gamma_m = dt (2 pi m / L)^3 over the half spectrum m = 0..N/2.
-    The Nyquist gamma is zeroed: the third-derivative symbol is odd and
-    carries no information there on a real grid, and a real multiplier
-    keeps phi real.
-    """
-
-    gamma: np.ndarray
-    zeta: np.ndarray
-    zeta1: np.ndarray
-    zeta2: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def modal_multipliers(n: int, dt: float, length: float) -> Multipliers:
-    """Update factors for the modes m = 0..N/2."""
-    m = np.arange(n // 2 + 1, dtype=np.float64)
-    m[-1] = 0.0
-    gamma = dt * (2.0 * np.pi * m / length) ** 3
-    zeta = np.exp(-1j * gamma)
-    zeta1 = (1.0 - 1j * gamma) / (1.0 + 1j * gamma)
-    zeta2 = (1.0 - 1j * gamma) / (1.0 + gamma**2)
-    for arr in (gamma, zeta, zeta1, zeta2):
-        arr.setflags(write=False)
-    return Multipliers(gamma=gamma, zeta=zeta, zeta1=zeta1, zeta2=zeta2)
-
-
-@dataclass(frozen=True)
 class StepRule:
     """Per-mode coefficients of phi^{j+1} = a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1}.
 
@@ -158,14 +124,29 @@ def step_rules(cfg: SchemeConfig, length: float) -> tuple[StepRule, StepRule]:
     cnadb start   (zeta + 1 - i gamma)/2      dt (1 + zeta)/2
     ============  ===================  =====  ================  ==============
 
-    The cnadb start is the average of the adb and cn starts.
+    The cnadb start is the average of the adb and cn starts.  The per-mode
+    factors, constant along a trajectory since L is, are
+
+    zeta  = exp(-i gamma)                 |zeta| = 1
+    zeta1 = (1 - i gamma)/(1 + i gamma)   |zeta1| = 1
+    zeta2 = (1 - i gamma)/(1 + gamma^2)   |zeta2| <= 1
+
+    with gamma_m = dt (2 pi m / L)^3 over the half spectrum m = 0..N/2.
+    The Nyquist gamma is zeroed: the third-derivative symbol is odd and
+    carries no information there on a real grid, and a real multiplier
+    keeps phi real.
     """
-    mult = modal_multipliers(cfg.n, cfg.dt, length)
-    zeta, gamma, dt = mult.zeta, mult.gamma, cfg.dt
+    dt = cfg.dt
+    m = np.arange(cfg.n // 2 + 1, dtype=np.float64)
+    m[-1] = 0.0
+    gamma = dt * (2.0 * np.pi * m / length) ** 3
+    zeta = np.exp(-1j * gamma)
     if cfg.scheme == "adb":
         return (StepRule(a=zeta, c=dt * zeta),
                 StepRule(a=zeta, c=1.5 * dt * zeta, d=-0.5 * dt * zeta**2))
-    leapfrog = StepRule(b=mult.zeta1, c=2.0 * dt * mult.zeta2)
+    zeta1 = (1.0 - 1j * gamma) / (1.0 + 1j * gamma)
+    zeta2 = (1.0 - 1j * gamma) / (1.0 + gamma**2)
+    leapfrog = StepRule(b=zeta1, c=2.0 * dt * zeta2)
     if cfg.scheme == "cn":
         return StepRule(a=1.0 - 1j * gamma, c=dt), leapfrog
     return StepRule(a=0.5 * (zeta + 1.0 - 1j * gamma), c=0.5 * dt * (1.0 + zeta)), leapfrog
@@ -251,7 +232,7 @@ def integrate(
     n, t0, dt = cfg.n, initial.time, cfg.dt
 
     def state_at(j, phi):
-        return initial if j == 0 else replace(initial, phi=GridField(phi), time=t0 + j * dt)
+        return initial if j == 0 else replace(initial, phi=phi, time=t0 + j * dt)
 
     def notify(j, phi):
         state = state_at(j, phi)
@@ -263,7 +244,7 @@ def integrate(
         """The first step after j at which an observer fires: the final step at the latest."""
         return min([steps] + [j + stride - j % stride for stride, _ in observers])
 
-    phi = initial.phi.values
+    phi = initial.phi
     phi_hat = np.fft.rfft(phi, norm="forward")
     prev = None  # (phi_hat, nl_hat) one level back
     notify(0, phi)

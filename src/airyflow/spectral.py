@@ -18,12 +18,11 @@ odd-derivative information, and zeroing keeps all outputs real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteField, ValidationError
+from .errors import DomainError, ValidationError
 
 FILTERS = ("none", "dpr", "krasny", "both")
 KRASNY_THRESHOLD = 1e-13
@@ -44,32 +43,6 @@ def symmetric_wavenumbers(n: int) -> np.ndarray:
     """Wavenumbers m = -N/2+1 ... N/2 in ascending order."""
     _check_grid_size(n)
     return np.arange(-(n // 2) + 1, n // 2 + 1)
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Real samples of a 2*pi-periodic function on a uniform N-point grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("GridField values must be one-dimensional")
-        _check_grid_size(v.size)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteField("GridField values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return grid_nodes(self.n)
 
 
 @lru_cache(maxsize=128)
@@ -145,25 +118,27 @@ def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
     return coeffs
 
 
-def spectral_derivative(field: GridField, order: int = 1) -> GridField:
-    """Spectral derivative of the given order (1, 2, or 3)."""
+def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral derivative of the given order (1, 2, or 3) of real grid samples."""
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    n = field.n
-    fhat = np.fft.rfft(field.values, norm="forward")
-    return GridField(np.fft.irfft(_derivative_symbol(n, order) * fhat, n, norm="forward"))
+    n = np.size(values)
+    _check_grid_size(n)
+    fhat = np.fft.rfft(values, norm="forward")
+    return np.fft.irfft(_derivative_symbol(n, order) * fhat, n, norm="forward")
 
 
-def spectral_antiderivative(field: GridField) -> GridField:
+def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """Zero-mean antiderivative: divides mode m by i*m and drops the mean.
 
     The Nyquist mode is zeroed like in the odd-order derivatives, so the
     derivative of the result recovers the input minus its mean (and minus
     any Nyquist content) to roundoff.
     """
-    n = field.n
-    fhat = np.fft.rfft(field.values, norm="forward")
-    return GridField(np.fft.irfft(_antiderivative_symbol(n) * fhat, n, norm="forward"))
+    n = np.size(values)
+    _check_grid_size(n)
+    fhat = np.fft.rfft(values, norm="forward")
+    return np.fft.irfft(_antiderivative_symbol(n) * fhat, n, norm="forward")
 
 
 def power_spectrum(coeffs: np.ndarray) -> np.ndarray:

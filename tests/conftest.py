@@ -17,7 +17,7 @@ def band_limited_field(n, max_mode, rng, scale=1.0):
 
 def catalog_state(shape, n, **params):
     """Equal-arc-length tangent-angle state for a catalog curve."""
-    curve = geometry.sample_catalog_curve(shape, n, **params)
+    curve = geometry.catalog_curve(shape, **params)
     points, length = geometry.resample_equal_arclength(curve, n)
     return geometry.extract_theta_l(points, length), points
 

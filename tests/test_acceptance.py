@@ -22,7 +22,6 @@ from airyflow.diagnostics import (
 from airyflow.geometry import ThetaLState, reconstruct_curve
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
-from airyflow.spectral import GridField, grid_nodes
 
 from conftest import band_limited_field, catalog_state
 
@@ -52,7 +51,7 @@ def _cnadb_start_xi(state, dt):
     n, length = state.n, state.length
     m = np.fft.fftfreq(n, 1.0 / n)
     m[n // 2] = 0.0
-    phi_hat = np.fft.fft(state.phi.values) / n
+    phi_hat = np.fft.fft(state.phi) / n
     theta_a = 1.0 + (np.fft.ifft(1j * m * phi_hat) * n).real
     nl_hat = np.fft.fft((2.0 * np.pi / length) ** 3 * theta_a**3 / 2.0) / n
     gamma = dt * (2.0 * np.pi * m / length) ** 3
@@ -60,7 +59,7 @@ def _cnadb_start_xi(state, dt):
     new_hat = 0.5 * (zeta + 1.0 - 1j * gamma) * phi_hat + 0.5 * dt * (1.0 + zeta) * nl_hat
     phi1 = (np.fft.ifft(new_hat) * n).real
     m3_0 = conserved_quantities(state).m3
-    m3_1 = conserved_quantities(replace(state, phi=GridField(phi1), time=dt)).m3
+    m3_1 = conserved_quantities(replace(state, phi=phi1, time=dt)).m3
     return (m3_1 - m3_0) / m3_0
 
 
@@ -189,15 +188,15 @@ def test_criterion_5_linear_exactness():
     """With the nonlinear term zeroed, ADB is exact after 1e4 steps."""
     n = 64
     rng = np.random.default_rng(11)
-    state = ThetaLState(phi=GridField(band_limited_field(n, 8, rng, 0.1)),
+    state = ThetaLState(phi=band_limited_field(n, 8, rng, 0.1),
                         length=2 * np.pi)
     cfg = SchemeConfig(scheme="adb", dt=1e-3, n=n)
     final = integrate(state, cfg, 10.0, nonlinear=lambda *args: np.zeros(n))
     m = np.fft.fftfreq(n, 1.0 / n)
     m[n // 2] = 0.0
-    exact_hat = (np.fft.fft(state.phi.values) / n) * np.exp(-1j * m**3 * 10.0)
+    exact_hat = (np.fft.fft(state.phi) / n) * np.exp(-1j * m**3 * 10.0)
     exact = (np.fft.ifft(exact_hat) * n).real
-    dev = float(np.max(np.abs(final.phi.values - exact)))
+    dev = float(np.max(np.abs(final.phi - exact)))
     _report("criterion 5", dev <= 1e-12, f"modal deviation {dev:.2e} <= 1e-12 after 1e4 steps")
 
 
@@ -227,7 +226,7 @@ def test_criterion_7_shape_invariance():
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3, n=64)
         final = integrate(state, cfg, 1.0)
-        dev = float(np.max(np.abs(geometry.curvature(final).values - 1.0)))
+        dev = float(np.max(np.abs(geometry.curvature(final) - 1.0)))
         _report(
             f"criterion 7 ({scheme})",
             dev <= 1e-10,

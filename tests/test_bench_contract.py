@@ -2,7 +2,8 @@
 
 ``perfbench/probes.py`` times layers by replacing module attributes, and
 counts integrator steps as calls of ``schemes.init_step`` plus
-``schemes.step``.  These tests pin that contract.
+``schemes.step``.  These tests pin that contract: a renamed function
+would break the benchmark's install step before it measured anything.
 """
 
 import importlib.util
@@ -11,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyflow import schemes
+from airyflow import geometry, harness, schemes
 from airyflow.errors import BlowUp
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import SchemeConfig, integrate
-from airyflow.spectral import GridField
 
 from conftest import catalog_state
 
@@ -32,6 +32,19 @@ def load_probes():
 def test_spanned_names_resolve():
     for module, name in load_probes()._SPANNED:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+# replaced by Probes.install on every repeat, besides the _SPANNED names
+_INSTALLED = (
+    (harness, "build_initial_state"),
+    (schemes, "integrate"),
+    (geometry, "resample_equal_arclength"),
+)
+
+
+@pytest.mark.parametrize("module, name", _INSTALLED, ids=lambda x: getattr(x, "__name__", x))
+def test_installed_names_resolve(module, name):
+    assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
@@ -56,7 +69,7 @@ def test_guard_reports_unobserved_step(monkeypatch, scheme):
     # under every scheme: max|phi| = 0.25, 0.5, 0.75 trips the guard at step 3
     monkeypatch.setattr(schemes, "BLOWUP_LIMIT", 0.6)
     n = 16
-    state = ThetaLState(phi=GridField(np.zeros(n)), length=2 * np.pi)
+    state = ThetaLState(phi=np.zeros(n), length=2 * np.pi)
     cfg = SchemeConfig(scheme=scheme, dt=0.25, n=n)
     seen = []
     with pytest.raises(BlowUp) as err:

@@ -19,7 +19,6 @@ from airyflow.diagnostics import (
 from airyflow.errors import DegenerateBaseline, MissingSnapshots, NonPositiveError
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import SchemeConfig, integrate
-from airyflow.spectral import GridField, grid_nodes
 
 from conftest import band_limited_field, catalog_state
 
@@ -84,14 +83,14 @@ def _reference_observation(state):
     two real derivatives for k and k_s, two real antiderivatives for the
     curve, spectral derivatives of x and y for the area, and fft/N power."""
     n, length = state.n, state.length
-    k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi.values))
+    k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi))
     k_s = 2 * np.pi / length * _fft_derivative(k)
     m3 = length * np.mean(0.5 * k_s**2 - 0.125 * k**4)
     theta, s_a = state.theta(), length / (2 * np.pi)
     fx, fy = _fft_antiderivative(s_a * np.cos(theta)), _fft_antiderivative(s_a * np.sin(theta))
     x, y = state.anchor[0] + fx - fx[0], state.anchor[1] + fy - fy[0]
     area = abs(np.pi * np.mean(x * _fft_derivative(y) - y * _fft_derivative(x)))
-    coeffs = np.fft.fft(state.phi.values) / n
+    coeffs = np.fft.fft(state.phi) / n
     power = np.abs(coeffs[np.arange(-(n // 2) + 1, n // 2 + 1) % n]) ** 2
     return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
                 points=np.column_stack([x, y]), radius=np.sqrt(area / np.pi),
@@ -234,7 +233,7 @@ class TestMkdvResidual:
         # exactly constant phi: extraction junk would otherwise be amplified
         # by the 1/(2 dt) centered difference
         state = ThetaLState(
-            phi=GridField(np.full(64, np.pi / 2)), length=2 * np.pi, anchor=(1.0, 0.0)
+            phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
         cfg = SchemeConfig(scheme="cnadb", dt=1e-3, n=64)
         states = run_keeping(state, cfg, {8, 9, 10})
@@ -273,7 +272,7 @@ class TestMkdvResidual:
 
         def roll(s, shift):
             return ThetaLState(
-                phi=GridField(np.roll(s.phi.values, shift)),
+                phi=np.roll(s.phi, shift),
                 length=s.length, time=s.time, anchor=s.anchor,
             )
 

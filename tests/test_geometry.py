@@ -8,13 +8,14 @@ from airyflow import geometry
 from airyflow.errors import (
     ClosureViolation,
     InvalidParameter,
+    NonFiniteField,
     NotRegular,
     UnknownShape,
     WindingError,
 )
 from airyflow.geometry import (
-    ParametricCurve,
     ThetaLState,
+    catalog_curve,
     curvature,
     enclosed_area,
     extract_theta_l,
@@ -23,9 +24,8 @@ from airyflow.geometry import (
     recover_perturbation,
     recover_radius,
     resample_equal_arclength,
-    sample_catalog_curve,
 )
-from airyflow.spectral import GridField, grid_nodes, spectral_derivative
+from airyflow.spectral import grid_nodes, spectral_derivative
 
 from conftest import catalog_state
 
@@ -50,45 +50,47 @@ def pc3_curvature(alpha):
 class TestCatalog:
     def test_ellipse_max_squared_curvature(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = curvature(state).values
+        k = curvature(state)
         assert np.max(np.abs(k)) ** 2 == pytest.approx(16.0, abs=1e-8)
 
     def test_circle_regularity_and_curvature(self):
-        curve = sample_catalog_curve("circle", 64, r=2.0)
-        x_a = spectral_derivative(GridField(curve.x), 1).values
-        y_a = spectral_derivative(GridField(curve.y), 1).values
+        fx, fy = catalog_curve("circle", r=2.0)
+        alpha = grid_nodes(64)
+        x_a = spectral_derivative(fx(alpha), 1)
+        y_a = spectral_derivative(fy(alpha), 1)
         assert np.allclose(np.hypot(x_a, y_a), 2.0, atol=1e-12)
         state, _ = catalog_state("circle", 64, r=2.0)
-        assert np.allclose(curvature(state).values, 0.5, atol=1e-12)
+        assert np.allclose(curvature(state), 0.5, atol=1e-12)
 
     def test_perturbed_circle_matches_radial_formula(self):
-        curve = sample_catalog_curve("perturbed_circle", 512, r0=1.0, delta0=0.4, m=3)
+        fx, fy = catalog_curve("perturbed_circle", r0=1.0, delta0=0.4, m=3)
         alpha = grid_nodes(512)
         r = 1.0 + 0.4 * np.cos(3 * alpha)
-        assert np.max(np.abs(curve.x - r * np.cos(alpha))) < 1e-15
-        assert np.max(np.abs(curve.y - r * np.sin(alpha))) < 1e-15
+        assert np.max(np.abs(fx(alpha) - r * np.cos(alpha))) < 1e-15
+        assert np.max(np.abs(fy(alpha) - r * np.sin(alpha))) < 1e-15
 
     def test_pc3_is_preset_perturbed_circle(self):
-        a = sample_catalog_curve("pc3", 128)
-        b = sample_catalog_curve("perturbed_circle", 128, r0=1.0, delta0=0.4, m=3)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        alpha = grid_nodes(128)
+        ax, ay = (f(alpha) for f in catalog_curve("pc3"))
+        bx, by = (f(alpha) for f in catalog_curve("perturbed_circle", r0=1.0, delta0=0.4, m=3))
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_unknown_shape(self):
         with pytest.raises(UnknownShape):
-            sample_catalog_curve("heart", 64)
+            catalog_curve("heart")
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
-            sample_catalog_curve("ellipse", 64, a=1.0, b=-0.5)
+            catalog_curve("ellipse", a=1.0, b=-0.5)
         with pytest.raises(InvalidParameter):
-            sample_catalog_curve("perturbed_circle", 64, r0=1.0, delta0=1.5, m=2)
+            catalog_curve("perturbed_circle", r0=1.0, delta0=1.5, m=2)
         with pytest.raises(InvalidParameter):
-            sample_catalog_curve("cardioid", 64, a=1.0)
+            catalog_curve("cardioid", a=1.0)
 
 
 class TestResample:
     def test_circle_is_fixed_point(self):
-        curve = sample_catalog_curve("circle", 64)
+        curve = catalog_curve("circle")
         points, length = resample_equal_arclength(curve, 64)
         alpha = grid_nodes(64)
         assert abs(length - 2 * np.pi) <= 1e-12
@@ -98,9 +100,7 @@ class TestResample:
     def test_reparametrized_circle(self):
         fx = lambda t: np.cos(t + 0.3 * np.sin(t))
         fy = lambda t: np.sin(t + 0.3 * np.sin(t))
-        alpha = grid_nodes(128)
-        curve = ParametricCurve(x=fx(alpha), y=fy(alpha), x_func=fx, y_func=fy)
-        points, length = resample_equal_arclength(curve, 128)
+        points, length = resample_equal_arclength((fx, fy), 128)
         assert abs(length - 2 * np.pi) <= 1e-10
         radii = np.hypot(points[:, 0], points[:, 1])
         assert np.max(np.abs(radii - 1.0)) <= 1e-10
@@ -113,14 +113,14 @@ class TestResample:
         val, _ = quad(lambda t: np.hypot(np.sin(t), 0.5 * np.cos(t)), 0.0, 2 * np.pi,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
         assert val == pytest.approx(ELLIPSE_PERIMETER, abs=1e-12)
-        curve = sample_catalog_curve("ellipse", 256, a=1.0, b=0.5)
+        curve = catalog_curve("ellipse", a=1.0, b=0.5)
         _, length = resample_equal_arclength(curve, 256)
         assert length == pytest.approx(ELLIPSE_PERIMETER, abs=1e-10)
 
     def test_equal_arclength_certificate(self):
         # independent oracle: adaptive quadrature of s_alpha between the
         # parameter values recovered from consecutive resampled points
-        curve = sample_catalog_curve("ellipse", 256, a=1.0, b=0.5)
+        curve = catalog_curve("ellipse", a=1.0, b=0.5)
         points, length = resample_equal_arclength(curve, 256)
         t = np.unwrap(np.arctan2(points[:, 1] / 0.5, points[:, 0]))
         t = np.append(t, t[0] + 2 * np.pi)
@@ -135,7 +135,7 @@ class TestResample:
         # the catalog cardioid is r = 1 + 0.7 sin t in polar form, so the
         # parameter of a point is its polar angle
         n = 1024
-        curve = sample_catalog_curve("cardioid", n)
+        curve = catalog_curve("cardioid")
         points, length = resample_equal_arclength(curve, n)
         t = np.unwrap(np.arctan2(points[:, 1], points[:, 0]))
         t = np.append(t, t[0] + 2 * np.pi)
@@ -147,7 +147,7 @@ class TestResample:
         assert np.max(np.abs(gaps - length / n)) / (length / n) <= 1e-8
 
     def test_cardioid_4096_peak_memory(self):
-        curve = sample_catalog_curve("cardioid", 4096)
+        curve = catalog_curve("cardioid")
         tracemalloc.start()
         try:
             resample_equal_arclength(curve, 4096)
@@ -157,18 +157,48 @@ class TestResample:
         assert peak < 64 * 2**20
 
     def test_degenerate_curve_rejected(self):
-        curve = ParametricCurve(
-            x=np.zeros(64), y=np.zeros(64),
-            x_func=lambda t: 0.0 * t, y_func=lambda t: 0.0 * t,
-        )
+        curve = (lambda t: 0.0 * t, lambda t: 0.0 * t)
         with pytest.raises(NotRegular):
             resample_equal_arclength(curve, 64)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_non_finite_curve_rejected(self, a):
+        with pytest.raises(NotRegular, match="non-finite"):
+            resample_equal_arclength(catalog_curve("ellipse", a=a), 64)
+
+
+class TestThetaLState:
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            ThetaLState(phi=np.zeros(24), length=2 * np.pi)
+
+    def test_rejects_tiny_grid(self):
+        with pytest.raises(ValueError):
+            ThetaLState(phi=np.zeros(4), length=2 * np.pi)
+
+    def test_rejects_nan(self):
+        values = np.zeros(16)
+        values[3] = np.nan
+        with pytest.raises(NonFiniteField):
+            ThetaLState(phi=values, length=2 * np.pi)
+
+    def test_rejects_non_1d_phi(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ThetaLState(phi=np.zeros((2, 16)), length=2 * np.pi)
+
+    def test_values_are_immutable(self):
+        values = np.zeros(16)
+        state = ThetaLState(phi=values, length=2 * np.pi)
+        with pytest.raises(ValueError):
+            state.phi[0] = 1.0
+        values[0] = 1.0  # the state holds a copy
+        assert state.phi[0] == 0.0
 
 
 class TestExtract:
     def test_circle_gives_constant_phi(self):
         state, _ = catalog_state("circle", 64)
-        assert np.max(np.abs(state.phi.values - np.pi / 2)) < 1e-12
+        assert np.max(np.abs(state.phi - np.pi / 2)) < 1e-12
         assert state.anchor == pytest.approx((1.0, 0.0), abs=1e-14)
 
     def test_clockwise_rejected(self):
@@ -185,7 +215,7 @@ class TestExtract:
 
     def test_ellipse_curvature_extremes(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = curvature(state).values
+        k = curvature(state)
         # resampling anchors node 0 at (1, 0), the max-curvature point, and
         # symmetry puts node N/4 at (0, b), the min-curvature point
         assert k[0] == pytest.approx(4.0, abs=1e-8)
@@ -196,14 +226,14 @@ class TestExtract:
     def test_turning_number_mean_derivative(self):
         for shape, kw in (("ellipse", dict(a=1.0, b=0.5)), ("cardioid", {})):
             state, _ = catalog_state(shape, 256, **kw)
-            phi_a = spectral_derivative(state.phi, 1).values
+            phi_a = spectral_derivative(state.phi, 1)
             assert abs(np.mean(phi_a)) < 1e-13
 
 
 class TestReconstruct:
     def test_constant_phi_gives_circle(self):
         state = ThetaLState(
-            phi=GridField(np.full(64, np.pi / 2)), length=2 * np.pi, anchor=(1.0, 0.0)
+            phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
         points = reconstruct_curve(state)
         alpha = grid_nodes(64)
@@ -229,7 +259,7 @@ class TestReconstruct:
 
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
-            phi=GridField(np.full(64, np.pi / 2 + 0.5)), length=2 * np.pi, anchor=(1.0, 0.0)
+            phi=np.full(64, np.pi / 2 + 0.5), length=2 * np.pi, anchor=(1.0, 0.0)
         )
         points = reconstruct_curve(state)
         # still a closed unit circle, rotated about the anchor construction
@@ -241,7 +271,7 @@ class TestReconstruct:
         # phi = alpha/2 - ish cannot close; build open-tangent data directly
         alpha = grid_nodes(64)
         state = ThetaLState(
-            phi=GridField(np.pi / 2 + 0.3 * np.cos(alpha)), length=2 * np.pi
+            phi=np.pi / 2 + 0.3 * np.cos(alpha), length=2 * np.pi
         )
         with pytest.raises(ClosureViolation):
             reconstruct_curve(state)
@@ -251,7 +281,7 @@ class TestCurvature:
     def test_circle_radius_r(self):
         for r in (0.5, 1.0, 3.0):
             state, _ = catalog_state("circle", 64, r=r)
-            assert np.allclose(curvature(state).values, 1.0 / r, atol=1e-12)
+            assert np.allclose(curvature(state), 1.0 / r, atol=1e-12)
 
     def test_pc3_matches_closed_form(self):
         # 1024 nodes: the dimpled profile needs ~768 modes to push the
@@ -259,7 +289,7 @@ class TestCurvature:
         state, points = catalog_state("pc3", 1024)
         # the radial graph lets each node recover its polar angle exactly
         beta = np.arctan2(points[:, 1], points[:, 0])
-        k = curvature(state).values
+        k = curvature(state)
         assert np.max(np.abs(k - pc3_curvature(beta))) <= 1e-8
 
     def test_consistency_with_point_formula(self):
@@ -270,7 +300,7 @@ class TestCurvature:
         ):
             state, _ = catalog_state(shape, n, **kw)
             points = reconstruct_curve(state)
-            assert np.max(np.abs(point_curvature(points) - curvature(state).values)) <= 1e-8
+            assert np.max(np.abs(point_curvature(points) - curvature(state))) <= 1e-8
 
 
 class TestShapeStatistics:

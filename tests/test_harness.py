@@ -60,6 +60,18 @@ class TestParseConfig:
             parse_config("shape = circle\nn = 32\ndt = fast\nt_final = 1\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("t_final", "inf"), ("t_final", "nan"), ("dt", "inf"), ("dt", "-inf"),
+        ("closure_tol", "nan"), ("a", "nan"), ("a", "inf"),
+    ])
+    def test_non_finite_number_is_parse_error(self, key, value):
+        settings = dict(shape="ellipse", a="1", b="0.5", n="64", dt="1e-3", t_final="0.01")
+        settings[key] = value
+        text = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        with pytest.raises(ParseError, match=f"{key} expects a finite number") as err:
+            parse_config(text)
+        assert err.value.line == list(settings).index(key) + 1
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "colour = blue\n")
@@ -191,6 +203,13 @@ class TestPresets:
     def test_bad_override_value_rejected(self):
         with pytest.raises(ValueError, match="n expects an integer"):
             harness.parse_overrides(["n=many"])
+
+    @pytest.mark.parametrize("pair", ["t_final=inf", "t_final=nan", "dt=inf",
+                                      "closure_tol=nan"])
+    def test_non_finite_override_exits_2(self, pair, tmp_path, capsys):
+        key = pair.split("=")[0]
+        assert cli.main(["preset", "E", pair, "--out", str(tmp_path)]) == 2
+        assert f"{key} expects a finite number" in capsys.readouterr().err
 
 
 def small_run_config(tmp_path, **overrides):
@@ -449,10 +468,12 @@ class TestFilterStudy:
                           "t_final = 0.1\nscheme = adb\ndiagnostic_stride = 5\n")
         out = tmp_path / "out"
         assert cli.main(["filters", str(config), "--out", str(out)]) == 1
-        failed = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+        printed = capsys.readouterr().out.splitlines()
+        failed = [line for line in printed if "FAILED" in line]
         assert [line.split(":", 1)[0] for line in failed] == ["ADB", "ADBK"]
         for name in ("filters_spectra.csv", "filters_xi.csv", "filters_manifest.txt"):
             assert (out / name).exists(), name
+            assert str(out / name) in printed[-1], name
 
     def test_adbk_differs_from_adb_only_below_threshold(self, tmp_path):
         # short horizon where unfiltered adb is still healthy: the krasny

@@ -9,11 +9,10 @@ from airyflow.geometry import ThetaLState
 from airyflow.schemes import (
     SchemeConfig,
     integrate,
-    modal_multipliers,
     nonlinear_term,
     step_rules,
 )
-from airyflow.spectral import GridField, filter_modes, grid_nodes
+from airyflow.spectral import filter_modes, grid_nodes
 
 from conftest import band_limited_field, catalog_state
 
@@ -24,12 +23,12 @@ def zero_nl(phi_hat, length, filter):
 
 
 def phi_hat(state):
-    return np.fft.fft(state.phi.values) / state.n
+    return np.fft.fft(state.phi) / state.n
 
 
 def half(state):
     """The half spectrum the stepper carries."""
-    return np.fft.rfft(state.phi.values, norm="forward")
+    return np.fft.rfft(state.phi, norm="forward")
 
 
 def first_step(state, cfg, nonlinear=None):
@@ -89,7 +88,7 @@ def guarded_run(state, cfg, steps, nonlinear=None):
 
 def single_mode_state(n, m, amplitude=0.2, length=2 * np.pi):
     return ThetaLState(
-        phi=GridField(amplitude * np.cos(m * grid_nodes(n))), length=length
+        phi=amplitude * np.cos(m * grid_nodes(n)), length=length
     )
 
 
@@ -105,18 +104,17 @@ def exact_linear_phi(state, t):
 
 class TestMultipliers:
     def test_unimodularity_and_zero_mode(self):
-        mult = modal_multipliers(4096, 1e-3, 5.0)
-        assert mult.zeta.size == 4096 // 2 + 1  # the half spectrum m = 0..N/2
+        # zeta is the adb start's a; zeta1 and 2 dt zeta2 are the cn step's b and c
+        dt = 1e-3
+        zeta = step_rules(SchemeConfig(scheme="adb", dt=dt, n=4096), 5.0)[0].a
+        leapfrog = step_rules(SchemeConfig(scheme="cn", dt=dt, n=4096), 5.0)[1]
+        zeta1, zeta2 = leapfrog.b, leapfrog.c / (2.0 * dt)
+        assert zeta.size == 4096 // 2 + 1  # the half spectrum m = 0..N/2
         # exp(i*gamma) is unimodular up to one rounding of cos/sin
-        assert np.max(np.abs(np.abs(mult.zeta) - 1.0)) <= 3e-16
-        assert np.max(np.abs(np.abs(mult.zeta1) - 1.0)) <= 1e-15
-        assert np.max(np.abs(mult.zeta2)) <= 1.0 + 1e-15
-        assert mult.zeta[0] == mult.zeta1[0] == mult.zeta2[0] == 1.0
-
-    def test_constant_along_trajectory(self):
-        # multipliers depend only on (n, dt, L); L is flow-invariant,
-        # so the cache returns the identical object at every step
-        assert modal_multipliers(64, 1e-3, 4.0) is modal_multipliers(64, 1e-3, 4.0)
+        assert np.max(np.abs(np.abs(zeta) - 1.0)) <= 3e-16
+        assert np.max(np.abs(np.abs(zeta1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(zeta2)) <= 1.0 + 1e-15
+        assert zeta[0] == zeta1[0] == zeta2[0] == 1.0
 
 
 class TestNonlinearTerm:
@@ -127,13 +125,13 @@ class TestNonlinearTerm:
 
     def test_low_mode_state_pointwise(self):
         alpha = grid_nodes(64)
-        state = ThetaLState(phi=GridField(0.1 * np.sin(alpha)), length=2 * np.pi)
+        state = ThetaLState(phi=0.1 * np.sin(alpha), length=2 * np.pi)
         nl = nonlinear_term(half(state), state.length)
         assert np.max(np.abs(nl - (1 + 0.1 * np.cos(alpha)) ** 3 / 2)) <= 1e-13
 
     def test_filters_inert_on_low_modes(self, rng):
         phi = band_limited_field(64, 6, rng, scale=0.05)
-        state = ThetaLState(phi=GridField(phi), length=5.0)
+        state = ThetaLState(phi=phi, length=5.0)
         a = nonlinear_term(half(state), state.length, "none")
         b = nonlinear_term(half(state), state.length, "both")
         assert np.max(np.abs(a - b)) <= 1e-13
@@ -147,26 +145,26 @@ class TestAdb:
         # the start needs no history; later steps carry NL one level back
         start, rule = step_rules(cfg, state.length)
         assert start.b is None and start.d is None and rule.d is not None
-        assert np.max(np.abs(new.phi.values - exact_linear_phi(state, 1e-2))) <= 1e-14
+        assert np.max(np.abs(new.phi - exact_linear_phi(state, 1e-2))) <= 1e-14
 
     def test_zero_mode_euler_growth(self):
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme="adb", dt=1e-3, n=64)
         new = first_step(state, cfg)
         # NL is 1/2 on the unit circle and zeta_0 = 1
-        assert np.mean(new.phi.values) - np.mean(state.phi.values) == pytest.approx(
+        assert np.mean(new.phi) - np.mean(state.phi) == pytest.approx(
             5e-4, rel=1e-10
         )
-        assert np.max(np.abs(new.phi.values - np.mean(new.phi.values))) < 1e-12
+        assert np.max(np.abs(new.phi - np.mean(new.phi))) < 1e-12
 
     def test_multistep_linear_exactness(self):
         state = ThetaLState(
-            phi=GridField(band_limited_field(64, 8, np.random.default_rng(7), 0.1)),
+            phi=band_limited_field(64, 8, np.random.default_rng(7), 0.1),
             length=2 * np.pi,
         )
         cfg = SchemeConfig(scheme="adb", dt=1e-3, n=64)
         final = integrate(state, cfg, 10.0, nonlinear=zero_nl)
-        assert np.max(np.abs(final.phi.values - exact_linear_phi(state, 10.0))) <= 1e-12
+        assert np.max(np.abs(final.phi - exact_linear_phi(state, 10.0))) <= 1e-12
 
     def test_circle_modes_stay_empty(self):
         state, _ = catalog_state("circle", 64)
@@ -174,7 +172,7 @@ class TestAdb:
         final = integrate(state, cfg, 0.1)
         spectrum = np.abs(phi_hat(final))
         assert np.max(spectrum[1:]) <= 1e-13
-        assert np.max(np.abs(geometry.curvature(final).values - 1.0)) <= 1e-12
+        assert np.max(np.abs(geometry.curvature(final) - 1.0)) <= 1e-12
 
     def test_step_requires_history(self):
         state = single_mode_state(16, 2)
@@ -190,20 +188,20 @@ class TestCn:
         # exactly constant phi: the linear term vanishes, so the euler and
         # integrating-factor starts agree to machine precision
         state = ThetaLState(
-            phi=GridField(np.full(64, np.pi / 2)), length=2 * np.pi, anchor=(1.0, 0.0)
+            phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=64)
         a = first_step(state, cfg)
         b = first_step(state, SchemeConfig(scheme="adb", dt=1e-3, n=64))
-        assert np.max(np.abs(a.phi.values - b.phi.values)) <= 1e-15
+        assert np.max(np.abs(a.phi - b.phi)) <= 1e-15
 
     def test_init_from_zero_state_is_dt_times_forcing(self, rng):
         n = 32
         g = band_limited_field(n, 5, rng)
-        state = ThetaLState(phi=GridField(np.zeros(n)), length=2 * np.pi)
+        state = ThetaLState(phi=np.zeros(n), length=2 * np.pi)
         cfg = SchemeConfig(scheme="cn", dt=1e-3, n=n)
         new = first_step(state, cfg, nonlinear=lambda *args: g)
-        assert np.max(np.abs(new.phi.values - 1e-3 * g)) <= 1e-16
+        assert np.max(np.abs(new.phi - 1e-3 * g)) <= 1e-16
 
     def test_init_single_mode_multiplier(self):
         state = single_mode_state(32, 1, amplitude=0.1)
@@ -243,7 +241,7 @@ class TestCn:
         # extraction junk (~1e-14 per mode) stays put; curvature amplifies
         # it by m, so the pointwise bound is a few times 1e-12
         assert np.max(np.abs(phi_hat(final)[1:])) <= 1e-12
-        assert np.max(np.abs(geometry.curvature(final).values - 1.0)) <= 1e-11
+        assert np.max(np.abs(geometry.curvature(final) - 1.0)) <= 1e-11
 
     def test_step_requires_history(self):
         state = single_mode_state(16, 2)
@@ -259,26 +257,26 @@ class TestCnadb:
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-3, n=64)
         new = first_step(state, cfg)
-        assert np.mean(new.phi.values) - np.mean(state.phi.values) == pytest.approx(
+        assert np.mean(new.phi) - np.mean(state.phi) == pytest.approx(
             5e-4, rel=1e-10
         )
 
     def test_is_average_of_adb_and_cn_inits(self, rng):
         phi = band_limited_field(64, 10, rng, 0.05)
-        state = ThetaLState(phi=GridField(phi), length=4.8)
+        state = ThetaLState(phi=phi, length=4.8)
         dt = 5e-4
         avg = first_step(state, SchemeConfig(scheme="cnadb", dt=dt, n=64))
         a = first_step(state, SchemeConfig(scheme="adb", dt=dt, n=64))
         c = first_step(state, SchemeConfig(scheme="cn", dt=dt, n=64))
-        mean = 0.5 * (a.phi.values + c.phi.values)
-        assert np.max(np.abs(avg.phi.values - mean)) <= 1e-13
+        mean = 0.5 * (a.phi + c.phi)
+        assert np.max(np.abs(avg.phi - mean)) <= 1e-13
 
     def test_vanishing_dt_is_identity(self):
         # residual is dt * |phi_t|, and |phi_t| ~ 1e2 for this ellipse
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-12, n=64)
         new = first_step(state, cfg)
-        assert np.max(np.abs(new.phi.values - state.phi.values)) <= 1e-9
+        assert np.max(np.abs(new.phi - state.phi)) <= 1e-9
 
     def test_memory_feeds_cn_steps(self):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
@@ -341,7 +339,7 @@ class TestIntegrate:
         # NL = 30 phi grows phi about 35% a step: the spectral bound passes
         # half the limit a few steps before max|phi| passes the limit
         n = 32
-        state = ThetaLState(phi=GridField(band_limited_field(n, 5, rng, 0.1)),
+        state = ThetaLState(phi=band_limited_field(n, 5, rng, 0.1),
                             length=2 * np.pi)
         cfg = SchemeConfig(scheme=scheme, dt=1e-2, n=n)
 
@@ -388,12 +386,12 @@ class TestIntegrate:
         assert sorted(sevenths) == [0, 7, 14, 21, 28, 30]
         for j, level in reference_levels(state, cfg, 30):
             phi = np.fft.irfft(level, cfg.n, norm="forward")
-            assert np.array_equal(every[j].phi.values, phi)
+            assert np.array_equal(every[j].phi, phi)
         for j, seen in sevenths.items():
             assert seen.time == every[j].time
-            assert np.array_equal(seen.phi.values, every[j].phi.values)
+            assert np.array_equal(seen.phi, every[j].phi)
         assert unobserved.time == every[30].time
-        assert np.array_equal(unobserved.phi.values, every[30].phi.values)
+        assert np.array_equal(unobserved.phi, every[30].phi)
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_unobserved_step_takes_two_real_transforms(self, monkeypatch, scheme):
@@ -424,11 +422,11 @@ class TestIntegrate:
 
     def test_linear_hook_exact_at_final_time(self, rng):
         state = ThetaLState(
-            phi=GridField(band_limited_field(64, 6, rng, 0.1)), length=5.1
+            phi=band_limited_field(64, 6, rng, 0.1), length=5.1
         )
         cfg = SchemeConfig(scheme="adb", dt=2e-3, n=64)
         final = integrate(state, cfg, 1.0, nonlinear=zero_nl)
-        assert np.max(np.abs(final.phi.values - exact_linear_phi(state, 1.0))) <= 1e-12
+        assert np.max(np.abs(final.phi - exact_linear_phi(state, 1.0))) <= 1e-12
 
     def test_ellipse_e1_m3_drift_table_row(self):
         # reference conservation run: ellipse with max|k|^2 = 4 at N=512,
@@ -450,7 +448,7 @@ class TestSchemeProperties:
         for scheme in schemes.SCHEMES:
             cfg = SchemeConfig(scheme=scheme, dt=2e-4, n=128)
             final = integrate(state, cfg, 0.05)
-            spec = np.fft.fft(final.phi.values) / 128
+            spec = np.fft.fft(final.phi) / 128
             sym_dev = np.max(np.abs(spec[1:64] - np.conj(spec[:64:-1])))
             assert sym_dev <= 1e-11
 
@@ -468,7 +466,7 @@ class TestSchemeProperties:
         state = single_mode_state(n, 5, amplitude=0.1, length=4.0)
         cfg = SchemeConfig(scheme="adb", dt=1e-4, n=n)
         new = first_step(state, cfg)
-        spec = np.fft.fft(new.phi.values) / n
+        spec = np.fft.fft(new.phi) / n
         assert spec[n - 5] == pytest.approx(np.conj(spec[5]), abs=1e-16)
 
     def test_temporal_order_all_schemes(self):
@@ -481,7 +479,7 @@ class TestSchemeProperties:
         for scheme in schemes.SCHEMES:
             finals = []
             for dt in (4e-4, 2e-4, 1e-4):
-                state = ThetaLState(phi=GridField(phi), length=2 * np.pi)
+                state = ThetaLState(phi=phi, length=2 * np.pi)
                 cfg = SchemeConfig(scheme=scheme, dt=dt, n=64)
                 finals.append(integrate(state, cfg, 0.2))
             d1 = diagnostics.state_difference_norm(finals[0], finals[1])

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from airyflow import spectral
-from airyflow.errors import DomainError, NonFiniteField
+from airyflow.errors import DomainError
 from airyflow.spectral import (
-    GridField,
     dpr_rho1,
     filter_modes,
     grid_nodes,
@@ -34,31 +33,10 @@ def fft_wavenumbers(n):
 
 def filtered_derivative(field, mode):
     """First derivative of the filtered modes, as schemes.nonlinear_term takes it."""
-    n = field.n
-    fhat = filter_modes(half_spectrum(field.values), mode, n)
+    n = field.size
+    fhat = filter_modes(half_spectrum(field), mode, n)
     d_hat = spectral._derivative_symbol(n, 1) * fhat
-    return GridField(np.fft.irfft(d_hat, n, norm="forward"))
-
-
-class TestGridField:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            GridField(np.zeros(24))
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            GridField(np.zeros(4))
-
-    def test_rejects_nan(self):
-        values = np.zeros(16)
-        values[3] = np.nan
-        with pytest.raises(NonFiniteField):
-            GridField(values)
-
-    def test_values_are_immutable(self):
-        f = GridField(np.zeros(16))
-        with pytest.raises(ValueError):
-            f.values[0] = 1.0
+    return np.fft.irfft(d_hat, n, norm="forward")
 
 
 class TestTransforms:
@@ -90,57 +68,57 @@ class TestTransforms:
 class TestDerivatives:
     def test_sine_derivative_exact(self):
         alpha = grid_nodes(32)
-        d = spectral_derivative(GridField(np.sin(alpha)), 1)
-        assert np.max(np.abs(d.values - np.cos(alpha))) <= 1e-13
+        d = spectral_derivative(np.sin(alpha), 1)
+        assert np.max(np.abs(d - np.cos(alpha))) <= 1e-13
 
     def test_constant_derivative_zero(self):
         for order in (1, 2, 3):
-            d = spectral_derivative(GridField(np.full(16, 2.5)), order)
-            assert np.max(np.abs(d.values)) < 1e-13
+            d = spectral_derivative(np.full(16, 2.5), order)
+            assert np.max(np.abs(d)) < 1e-13
 
     def test_third_derivative_of_sin3(self):
         alpha = grid_nodes(64)
-        d = spectral_derivative(GridField(np.sin(3 * alpha)), 3)
+        d = spectral_derivative(np.sin(3 * alpha), 3)
         # (i*3)^3 mode mapping is exact; the pointwise bound is set by the
         # transform noise floor amplified by m^3 (~3e-11 at N=64)
-        assert half_spectrum(d.values)[3] == pytest.approx(-13.5, abs=1e-13)
-        assert np.max(np.abs(d.values - (-27.0) * np.cos(3 * alpha))) <= 4e-11
+        assert half_spectrum(d)[3] == pytest.approx(-13.5, abs=1e-13)
+        assert np.max(np.abs(d - (-27.0) * np.cos(3 * alpha))) <= 4e-11
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            spectral_derivative(GridField(np.zeros(16)), 4)
+            spectral_derivative(np.zeros(16), 4)
 
     def test_product_rule_on_band_limited(self, rng):
         # total band 5 + 7 < N/2: the product is exactly representable
         alpha = grid_nodes(64)
         f = band_limited_field(64, 5, rng)
         g = band_limited_field(64, 7, rng)
-        df = spectral_derivative(GridField(f), 1).values
-        dg = spectral_derivative(GridField(g), 1).values
-        dfg = spectral_derivative(GridField(f * g), 1).values
+        df = spectral_derivative(f, 1)
+        dg = spectral_derivative(g, 1)
+        dfg = spectral_derivative(f * g, 1)
         assert np.max(np.abs(dfg - (df * g + f * dg))) <= 1e-11
 
     def test_antiderivative_of_cosine(self):
         alpha = grid_nodes(32)
-        a = spectral_antiderivative(GridField(np.cos(alpha)))
-        assert np.max(np.abs(a.values - np.sin(alpha))) < 1e-13
+        a = spectral_antiderivative(np.cos(alpha))
+        assert np.max(np.abs(a - np.sin(alpha))) < 1e-13
 
     def test_antiderivative_of_constant_is_zero(self):
-        a = spectral_antiderivative(GridField(np.full(16, 4.0)))
-        assert np.max(np.abs(a.values)) < 1e-14
+        a = spectral_antiderivative(np.full(16, 4.0))
+        assert np.max(np.abs(a)) < 1e-14
 
     def test_derivative_then_antiderivative_identity(self, rng):
         f = band_limited_field(64, 20, rng)
         f -= f.mean()
-        d = spectral_derivative(GridField(f), 1)
+        d = spectral_derivative(f, 1)
         back = spectral_antiderivative(d)
-        assert np.max(np.abs(back.values - f)) <= 1e-12
+        assert np.max(np.abs(back - f)) <= 1e-12
 
     def test_antiderivative_then_derivative_removes_mean(self, rng):
         f = band_limited_field(64, 20, rng) + 1.7
-        a = spectral_antiderivative(GridField(f))
+        a = spectral_antiderivative(f)
         d = spectral_derivative(a, 1)
-        assert np.max(np.abs(d.values - (f - f.mean()))) <= 1e-12
+        assert np.max(np.abs(d - (f - f.mean()))) <= 1e-12
 
 
 class TestDprRho1:
@@ -199,15 +177,15 @@ class TestKrasnyRho2:
 
 class TestFilteredDerivative:
     def test_none_is_bitwise_plain_derivative(self, rng):
-        f = GridField(rng.standard_normal(64))
-        a = filtered_derivative(f, "none").values
-        b = spectral_derivative(f, 1).values
+        f = rng.standard_normal(64)
+        a = filtered_derivative(f, "none")
+        b = spectral_derivative(f, 1)
         assert np.array_equal(a, b)
 
     def test_dpr_passes_low_modes(self):
         alpha = grid_nodes(64)
-        d = filtered_derivative(GridField(np.sin(alpha)), "dpr")
-        assert np.max(np.abs(d.values - np.cos(alpha))) <= 1e-13
+        d = filtered_derivative(np.sin(alpha), "dpr")
+        assert np.max(np.abs(d - np.cos(alpha))) <= 1e-13
 
     def test_dpr_damps_high_mode(self):
         # mode 29 of 64 sits at x = 2*29/64, deep in the damped band where
@@ -215,20 +193,20 @@ class TestFilteredDerivative:
         n, m = 64, 29
         alpha = grid_nodes(n)
         assert dpr_rho1(2.0 * m / n) == 0.0
-        d = filtered_derivative(GridField(np.cos(m * alpha)), "dpr")
-        assert abs(half_spectrum(d.values)[m]) < 1e-25  # mode killed; transform noise only
-        assert np.max(np.abs(d.values)) < 1e-12  # residue of other modes only
+        d = filtered_derivative(np.cos(m * alpha), "dpr")
+        assert abs(half_spectrum(d)[m]) < 1e-25  # mode killed; transform noise only
+        assert np.max(np.abs(d)) < 1e-12  # residue of other modes only
 
     def test_krasny_zeroes_tiny_modes(self):
         alpha = grid_nodes(32)
-        f = GridField(np.sin(alpha) + 1e-14 * np.sin(5 * alpha))
+        f = np.sin(alpha) + 1e-14 * np.sin(5 * alpha)
         d = filtered_derivative(f, "krasny")
-        assert np.max(np.abs(d.values - np.cos(alpha))) < 1e-13
+        assert np.max(np.abs(d - np.cos(alpha))) < 1e-13
 
     def test_both_on_all_tiny_field_returns_zero(self):
-        f = GridField(1e-14 * np.sin(3 * grid_nodes(32)))
+        f = 1e-14 * np.sin(3 * grid_nodes(32))
         d = filtered_derivative(f, "both")
-        assert np.all(d.values == 0.0)
+        assert np.all(d == 0.0)
 
 
 class TestPowerSpectrum:
