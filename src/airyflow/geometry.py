@@ -161,8 +161,11 @@ def resample_equal_arclength(curve: tuple[Callable, Callable],
     """
     fx, fy = curve
     alpha = grid_nodes(n)
-    x_a = spectral_derivative(fx(alpha), 1)
-    y_a = spectral_derivative(fy(alpha), 1)
+    x, y = fx(alpha), fy(alpha)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NotRegular("curve has non-finite samples")
+    x_a = spectral_derivative(x, 1)
+    y_a = spectral_derivative(y, 1)
     s_a = np.hypot(x_a, y_a)
     if not np.min(s_a) > 0.0:  # also fails for a non-finite s_alpha
         raise NotRegular("curve has a vanishing or non-finite tangent (s_alpha not > 0)")

@@ -94,6 +94,11 @@ class RunConfig:
             object.__setattr__(self, "diagnostic_stride", max(1, steps // 500))
         schemes.check_stride(self.snapshot_stride, "snapshot_stride")
         schemes.check_stride(self.diagnostic_stride, "diagnostic_stride")
+        # nan or inf would switch the closure check off, and a tolerance
+        # <= 0 would fail every curve at step 0
+        if not (self.closure_tol > 0.0 and math.isfinite(self.closure_tol)):
+            raise ValidationError(
+                f"closure_tol must be positive and finite, got {self.closure_tol!r}")
         if self.output_dir is not None:
             object.__setattr__(self, "output_dir", Path(self.output_dir))
 

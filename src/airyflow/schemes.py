@@ -63,18 +63,20 @@ class SchemeConfig:
             raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.filter not in FILTERS:
             raise ValidationError(f"filter must be one of {FILTERS}, got {self.filter!r}")
-        if not self.dt > 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         _check_grid_size(self.n)
 
 
 def step_count(span: float, dt: float, name: str = "t_final") -> int:
     """The number of steps of size dt in ``span``, the run time ``name`` sets.
 
-    Raises :class:`NonCommensurateTime`, naming ``name``, for a negative
-    span or one that is not a whole number of steps: a partial final step
-    would break the multistep error structure.
+    Raises :class:`NonCommensurateTime`, naming ``name``, for a non-finite
+    or negative span or one that is not a whole number of steps: a partial
+    final step would break the multistep error structure.
     """
+    if not math.isfinite(span):
+        raise NonCommensurateTime(f"{name} spans {span!r}, not a finite time")
     if span < 0:
         raise NonCommensurateTime(f"{name} precedes the start time by {-span!r}")
     ratio = span / dt
@@ -160,8 +162,10 @@ def _recur(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
             continue
         if level is None:
             raise MissingHistory("the step rule needs the level one step back")
-        term = coef * level
-        out = term if out is None else out + term
+        if out is None:
+            out = coef * level  # a new array: the levels are history, never written
+        else:
+            out += coef * level
     return out
 
 
@@ -181,11 +185,21 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> 
     ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
     the first derivative with the configured mode filter; the solution
     itself is never filtered.
+
+    The derivative symbol zeroes the mean slot, so setting it to 1 makes
+    the one ``irfft`` return theta_alpha = 1 + D phi directly.  The cube is
+    taken by two products, not by ``power``, and the scalar
+    (2*pi/L)^3 / 2 is applied in place: beyond the transform the term
+    costs a few passes over the N nodes.
     """
     n = 2 * (phi_hat.size - 1)
     d_phi = _derivative_symbol(n, 1) * filter_modes(phi_hat, filter, n)
-    theta_a = 1.0 + np.fft.irfft(d_phi, n, norm="forward")
-    return (2.0 * np.pi / length) ** 3 * theta_a**3 / 2.0
+    d_phi[0] = 1.0
+    theta_a = np.fft.irfft(d_phi, n, norm="forward")
+    term = theta_a * theta_a
+    term *= theta_a
+    term *= 0.5 * (2.0 * np.pi / length) ** 3
+    return term
 
 
 def integrate(

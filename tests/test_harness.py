@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -462,6 +463,13 @@ class TestFilterStudy:
             assert len(result.xi_series[label]) == 7  # steps 0, 5, ..., 30
             assert all(cells[:7]) and not any(cells[7:]), label
 
+    def test_deterministic_reruns(self, tmp_path):
+        # identical configs give byte-identical outputs, failed variants included
+        for name in ("a", "b"):
+            run_filter_study(FILTER_128, output_dir=tmp_path / name)
+        for rel in ("filters_spectra.csv", "filters_xi.csv", "filters_manifest.txt"):
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
     def test_cli_exits_1_naming_failed_variants(self, tmp_path, capsys):
         config = tmp_path / "filters.txt"
         config.write_text("shape = ellipse\na = 1\nb = 0.5\nn = 128\ndt = 2e-3\n"
@@ -510,9 +518,10 @@ class TestFormatting:
 _SCHEME = dict(scheme="cnadb", dt=1e-2, n=32)
 _RUN = dict(shape="circle", t_final=0.1, **_SCHEME)
 _BAD = [("scheme", "rk4"), ("filter", "lowpass"), ("dt", 0.0), ("dt", -1e-3), ("n", 24),
-        ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("t0", 0.10025)]
+        ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("t0", 0.10025),
+        ("closure_tol", 0.0), ("closure_tol", -1e-8)]
 _SCHEME_KEYS = {"scheme", "filter", "dt", "n"}
-_RUN_KEYS = _SCHEME_KEYS | {"t_final"}
+_RUN_KEYS = _SCHEME_KEYS | {"t_final", "closure_tol"}
 
 
 def _parse_with(key, value):
@@ -550,3 +559,18 @@ def test_invariant_rejected_naming_key(entry, key, value):
         call(key, value)
     assert isinstance(err.value, ValueError)
     assert re.search(rf"\b{key}\b", str(err.value)), str(err.value)
+
+
+# config text rejects nan and inf where it becomes numbers
+# (test_non_finite_number_is_parse_error); the Python entry points take floats
+_NON_FINITE = [("dt", math.inf), ("dt", math.nan), ("t_final", math.inf),
+               ("t_final", math.nan), ("closure_tol", math.inf), ("closure_tol", math.nan)]
+
+
+@pytest.mark.parametrize("entry, key, value", [
+    (entry, key, value)
+    for entry, (_, _, keys) in _ENTRY_POINTS.items() if entry != "parse_config"
+    for key, value in _NON_FINITE if key in keys
+])
+def test_non_finite_rejected_naming_key(entry, key, value):
+    test_invariant_rejected_naming_key(entry, key, value)
