@@ -1,5 +1,5 @@
-"""Conserved quantities, the small-perturbation oracle, residual checks,
-and empirical convergence orders.
+"""What a run reads off a state (:func:`observe`: invariants, curvature,
+spectrum, curve), its relative M3 drift, and convergence-study orders.
 
 The flow conserves three integrals of the curvature,
 
@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, spectral
-from .errors import DegenerateBaseline, MissingSnapshots, NonPositiveError
+from .errors import NonPositiveError
 from .geometry import ThetaLState
-from .spectral import _derivative_symbol, l2_norm, spectral_derivative
+from .spectral import _derivative_symbol, l2_norm
 
 
 @dataclass(frozen=True)
@@ -106,171 +106,9 @@ def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observat
                        power=spectral.power_spectrum(phi_hat), **curve)
 
 
-def relative_m3_error(series) -> tuple[np.ndarray, np.ndarray]:
-    """Relative M3 drift xi_i = (M3_i - M3_0)/M3_0 along a trajectory.
-
-    Returns the pointwise drift and its running max |xi|.
-    """
-    series = list(series)
-    if not series:
-        return np.array([]), np.array([])
-    baseline = series[0].m3
-    if abs(baseline) < 1e-14:
-        raise DegenerateBaseline(f"|M3(0)| = {abs(baseline):.3e} is too small to normalize")
-    xi = np.array([(t.m3 - baseline) / baseline for t in series])
-    return xi, np.maximum.accumulate(np.abs(xi))
-
-
-@dataclass(frozen=True)
-class LinearOracleState:
-    """Closed-form small-perturbation solution for a nearly circular curve.
-
-    A radius profile r = R + delta_r cos(m alpha) - delta_i sin(m alpha)
-    rotates at rate tau = (m^3 - 1.5 m)/R^3 with R fixed, so
-    (delta_r, delta_i) traces a circle of radius delta0.
-    """
-
-    r: float
-    delta_r: float
-    delta_i: float
-    tau: float
-    m: int
-    delta0: float
-
-    @property
-    def delta_magnitude(self) -> float:
-        return math.hypot(self.delta_r, self.delta_i)
-
-    def radius(self, alpha) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        return self.r + self.delta_r * np.cos(self.m * alpha) - self.delta_i * np.sin(
-            self.m * alpha
-        )
-
-    def curvature(self, alpha) -> np.ndarray:
-        """First-order curvature 1/R + ((m^2-1)/R^2)(delta_r cos - delta_i sin)."""
-        alpha = np.asarray(alpha, dtype=np.float64)
-        wave = self.delta_r * np.cos(self.m * alpha) - self.delta_i * np.sin(self.m * alpha)
-        return 1.0 / self.r + (self.m**2 - 1.0) / self.r**2 * wave
-
-
-def linear_oracle(r0: float, delta0: float, m: int, t: float) -> LinearOracleState:
-    """Linearized perturbed-circle solution at time t.
-
-    Initial data is delta_r(0) = delta0, delta_i(0) = 0; the perturbation
-    rotates with angular rate tau = (m^3 - 1.5 m)/r0^3.
-    """
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
-    if int(m) != m or m < 2:
-        raise ValueError("perturbation wavenumber m must be an integer >= 2")
-    m = int(m)
-    tau = (m**3 - 1.5 * m) / r0**3
-    return LinearOracleState(
-        r=r0,
-        delta_r=delta0 * math.cos(tau * t),
-        delta_i=delta0 * math.sin(tau * t),
-        tau=tau,
-        m=m,
-        delta0=delta0,
-    )
-
-
-@dataclass(frozen=True)
-class LinearComparisonRecord:
-    """Linear-vs-numerical radius and perturbation measures at one snapshot.
-
-    The numerical perturbation is measured about the snapshot centroid:
-    the reconstruction anchors the curve at a fixed point while material
-    points slide tangentially, so the reconstructed curve acquires a
-    rigid-motion offset that recentering removes.
-    """
-
-    time: float
-    radius_linear: float
-    radius_numeric: float
-    delta_linear: float
-    delta_numeric: float
-
-    @property
-    def radius_error(self) -> float:
-        return self.radius_linear - self.radius_numeric
-
-    @property
-    def delta_error(self) -> float:
-        return self.delta_linear - self.delta_numeric
-
-
-def _recentered_radial(points) -> np.ndarray:
-    x = points[:, 0] - np.mean(points[:, 0])
-    y = points[:, 1] - np.mean(points[:, 1])
-    return np.hypot(x, y)
-
-
-def linear_comparison(snapshots, r0: float, delta0: float, m: int):
-    """Compare trajectory snapshots against the linearized solution.
-
-    ``snapshots`` is an iterable of (time, points) pairs from a run that
-    started from perturbed_circle(r0, delta0, m).  The numerical base
-    radius is recovered from the first snapshot, matching how the
-    perturbation measure is normalized.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        return []
-    r0_numeric = geometry.recover_radius(snapshots[0][1])
-    records = []
-    for time, points in snapshots:
-        oracle = linear_oracle(r0, delta0, m, time)
-        records.append(
-            LinearComparisonRecord(
-                time=time,
-                radius_linear=r0,
-                radius_numeric=geometry.recover_radius(points),
-                delta_linear=oracle.delta_magnitude,
-                delta_numeric=float(np.max(_recentered_radial(points) - r0_numeric)),
-            )
-        )
-    return records
-
-
-def mkdv_rhs(k: np.ndarray, length: float) -> np.ndarray:
-    """Curvature rate k_sss + (3/2) k^2 k_s with spectral s-derivatives."""
-    two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(k, 1)
-    k_sss = two_pi_over_l**3 * spectral_derivative(k, 3)
-    return k_sss + 1.5 * k**2 * k_s
-
-
-def curve_motion_rhs(k: np.ndarray, length: float) -> np.ndarray:
-    """Curvature rate -V_ss + k_s T - k^2 V from the velocity decomposition,
-    with normal velocity V = -k_s and tangential velocity T = k^2/2."""
-    two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(k, 1)
-    v = -k_s
-    v_ss = two_pi_over_l**2 * spectral_derivative(v, 2)
-    t = 0.5 * k**2
-    return -v_ss + k_s * t - k**2 * v
-
-
-def mkdv_residual(states) -> float:
-    """Max-norm residual of the curvature evolution over a state triple.
-
-    Takes three consecutive, equally spaced states from one trajectory
-    and compares the centered time difference of k against the spatial
-    right-hand side at the middle state.  The residual is O(dt^2) plus
-    spatial truncation for converged runs.
-    """
-    states = list(states)
-    if len(states) != 3:
-        raise MissingSnapshots(f"need exactly 3 consecutive states, got {len(states)}")
-    t0, t1, t2 = (s.time for s in states)
-    dt1, dt2 = t1 - t0, t2 - t1
-    if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
-        raise ValueError("states must be equally spaced in time")
-    k0, k1, k2 = (geometry.curvature(s) for s in states)
-    k_t = (k2 - k0) / (t2 - t0)
-    return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
+def m3_drift(m3: float, m3_0: float) -> float:
+    """Relative M3 drift xi = (M3 - M3_0)/M3_0 against the step-0 value."""
+    return (m3 - m3_0) / m3_0
 
 
 def restrict_to_grid(values: np.ndarray, n_coarse: int) -> np.ndarray:

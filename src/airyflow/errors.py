@@ -11,7 +11,7 @@ class AiryflowError(Exception):
 
 
 class NonFiniteField(AiryflowError, ValueError):
-    """A state's phi contains NaN or infinite samples."""
+    """A state's phi, length, time or anchor holds a NaN or infinite value."""
 
 
 class DomainError(AiryflowError, ValueError):
@@ -79,14 +79,6 @@ class StudyFailed(AiryflowError):
     def __init__(self, errors: dict):
         self.errors = errors
         super().__init__("; ".join(errors.values()))
-
-
-class MissingSnapshots(AiryflowError):
-    """A residual check needs exactly three consecutive states."""
-
-
-class DegenerateBaseline(AiryflowError):
-    """Relative drift is undefined because the baseline value is ~0."""
 
 
 class NonPositiveError(AiryflowError):

@@ -1,11 +1,12 @@
 """Closed-curve geometry: the shape catalog, equal-arc-length resampling,
-tangent-angle extraction/reconstruction, curvature, and shape statistics.
+and tangent-angle extraction and reconstruction.
 
 A curve is represented either parametrically, by the evaluator pair
 (x(beta), y(beta)) of a catalog shape, or by its tangent angle
 theta(alpha) = alpha + phi(alpha) together with its total length L.
 Under the equal-arc-length parametrization s(alpha) = alpha*L/(2*pi), so
-curvature is k = theta_s = (2*pi/L)(1 + phi_alpha).
+curvature is k = theta_s = (2*pi/L)(1 + phi_alpha), which
+:func:`airyflow.diagnostics.observe` computes with all else a run reads.
 
 All internal curves are counterclockwise; clockwise input is rejected
 rather than silently flipped, since normal/curvature sign conventions
@@ -14,6 +15,7 @@ depend on the direction of traversal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -45,7 +47,8 @@ class ThetaLState:
     nodes, kept as a read-only float64 copy: one-dimensional, N a power
     of two >= 8, and finite.  ``length`` is the (flow-invariant) total arc
     length; ``anchor`` is the curve point at alpha = 0, carried so the
-    curve can be reconstructed.
+    curve can be reconstructed.  ``length``, ``time`` and ``anchor`` are
+    finite too: nan or inf there would make every observer read nan.
     """
 
     phi: np.ndarray
@@ -64,6 +67,8 @@ class ThetaLState:
         object.__setattr__(self, "phi", phi)
         if not self.length > 0.0:
             raise ValueError("curve length must be positive")
+        if not all(map(math.isfinite, (self.length, self.time, *self.anchor))):
+            raise NonFiniteField("length, time and anchor must be finite")
 
     @property
     def n(self) -> int:
@@ -259,49 +264,3 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     z = np.fft.ifft(np.fft.fft(z_a) * _complex_antiderivative_symbol(state.n))
     z = complex(*state.anchor) + (z - z[0])
     return np.column_stack([z.real, z.imag])
-
-
-def curvature(state: ThetaLState) -> np.ndarray:
-    """Curvature k = theta_s = (2*pi/L)(1 + phi_alpha) at the equal-arc-length nodes."""
-    phi_a = spectral_derivative(state.phi, 1)
-    return 2.0 * np.pi / state.length * (1.0 + phi_a)
-
-
-def point_curvature(points) -> np.ndarray:
-    """Curvature from point samples, k = (x_a y_aa - x_aa y_a) / s_a^3."""
-    x, y = _as_points(points)
-    x_a = spectral_derivative(x, 1)
-    y_a = spectral_derivative(y, 1)
-    x_aa = spectral_derivative(x, 2)
-    y_aa = spectral_derivative(y, 2)
-    s_a = np.hypot(x_a, y_a)
-    return (x_a * y_aa - x_aa * y_a) / s_a**3
-
-
-def enclosed_area(points) -> float:
-    """Enclosed area via the spectrally accurate contour integral.
-
-    Area = (1/2) |oint (x y_alpha - y x_alpha) d alpha|; the absolute
-    value makes it independent of the direction of traversal.
-    """
-    x, y = _as_points(points)
-    x_a = spectral_derivative(x, 1)
-    y_a = spectral_derivative(y, 1)
-    return float(abs(np.pi * np.mean(x * y_a - y * x_a)))
-
-
-def recover_radius(points) -> float:
-    """Effective radius sqrt(area / pi) of the enclosed region."""
-    return float(np.sqrt(enclosed_area(points) / np.pi))
-
-
-def recover_perturbation(points, r0: float) -> float:
-    """Largest radial excess max_k(|X_k| - r0) over the sample points.
-
-    Measures about the origin, so the curve is expected to be centered
-    there (catalog shapes are; evolved snapshots may need recentering by
-    the centroid first).
-    """
-    x, y = _as_points(points)
-    return float(np.max(np.hypot(x, y) - r0))
-

@@ -340,7 +340,7 @@ class _DiagnosticsProbe:
                 m1=triple.m1,
                 m2=triple.m2,
                 m3=triple.m3,
-                xi=(triple.m3 - self.m3_baseline) / self.m3_baseline,
+                xi=diagnostics.m3_drift(triple.m3, self.m3_baseline),
                 max_curvature=float(np.max(np.abs(obs.k))),
                 delta_n=float(np.max(radial - self.r0)),
                 radius_n=obs.radius,
@@ -537,24 +537,28 @@ class FilterStudyResult:
 
 
 def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
-    """One variant's (time, xi) series, last power spectrum and error (None if it completed)."""
+    """One variant's (time, xi) series, last power spectrum, largest closure
+    defect (the mean tangent's larger part, as reconstruct_curve tests it)
+    and error (None if it completed)."""
     series = []
-    baseline = power = None
+    baseline, power, closure = None, None, 0.0
 
     def probe(step, state):
-        nonlocal baseline, power
+        nonlocal baseline, power, closure
         obs = diagnostics.observe(state)  # no curve: the study reads M3 and power
         if step == 0:
             baseline = obs.triple.m3
-        series.append((state.time, (obs.triple.m3 - baseline) / baseline))
+        series.append((state.time, diagnostics.m3_drift(obs.triple.m3, baseline)))
         power = obs.power  # the final state's, or the last observed one's after a failure
+        mean = complex(np.mean(geometry.curve_tangent(state)))
+        closure = max(closure, abs(mean.real), abs(mean.imag))
 
     try:
         schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
                           [(cfg.diagnostic_stride, probe)])
     except BlowUp as exc:
-        return series, power, f"BlowUp: {exc}"
-    return series, power, None
+        return series, power, closure, f"BlowUp: {exc}"
+    return series, power, closure, None
 
 
 def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
@@ -562,13 +566,14 @@ def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
 
     Emits one spectrum comparison CSV at the final time and one relative
     M3 drift comparison CSV; a failing variant is recorded and the study
-    continues with the rest.
+    continues with the rest.  The manifest gives each variant's status,
+    largest closure defect over the observed states and error.
     """
     initial = build_initial_state(base)
-    xi_series, spectra, errors = {}, {}, {}
+    xi_series, spectra, closure, errors = {}, {}, {}, {}
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
-        xi_series[label], spectra[label], error = _run_filter_variant(cfg, initial)
+        xi_series[label], spectra[label], closure[label], error = _run_filter_variant(cfg, initial)
         if error is not None:
             errors[label] = error
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
@@ -595,5 +600,6 @@ def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
         status = [(f"variant.{label}", "failed" if label in errors else "ok")
                   for label in labels]
         status += [(f"error.{label}", msg) for label, msg in errors.items()]
+        status += [(f"closure.{label}", format_float(closure[label])) for label in labels]
         _write_keyvalue(out / "filters_manifest.txt", status)
     return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

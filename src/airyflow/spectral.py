@@ -93,15 +93,6 @@ def _rho1_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dpr_rho1(x):
-    """High-mode damping multiplier: 1 below half-Nyquist, smoothly to 0 at x = +-1.
-
-    Accepts a scalar or array with entries in [-1, 1].
-    """
-    arr = _rho1_array(np.atleast_1d(x))
-    return float(arr[0]) if np.isscalar(x) or np.ndim(x) == 0 else arr
-
-
 def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
     """Apply a mode filter to the half spectrum of a real N-point field.
 

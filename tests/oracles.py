@@ -1,0 +1,132 @@
+"""Test references: closed forms and independent formulas the suite compares
+the package against.  Nothing in a run calls them.
+
+* :func:`linear_oracle` -- the small-perturbation solution of a nearly
+  circular curve;
+* :func:`mkdv_rhs`, :func:`curve_motion_rhs` -- the mKdV curvature rate in
+  its direct and velocity-decomposition forms;
+* :func:`mkdv_residual` -- the centered time difference of the run's
+  curvature (``diagnostics.observe(state).k``) against :func:`mkdv_rhs`;
+* :func:`point_curvature` -- curvature from point samples of a curve.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from airyflow import diagnostics
+from airyflow.errors import AiryflowError
+from airyflow.geometry import _as_points
+from airyflow.spectral import spectral_derivative
+
+
+class MissingSnapshots(AiryflowError):
+    """A residual check needs exactly three consecutive states."""
+
+
+@dataclass(frozen=True)
+class LinearOracleState:
+    """Closed-form small-perturbation solution for a nearly circular curve.
+
+    A radius profile r = R + delta_r cos(m alpha) - delta_i sin(m alpha)
+    rotates at rate tau = (m^3 - 1.5 m)/R^3 with R fixed, so
+    (delta_r, delta_i) traces a circle of radius delta0.
+    """
+
+    r: float
+    delta_r: float
+    delta_i: float
+    tau: float
+    m: int
+    delta0: float
+
+    @property
+    def delta_magnitude(self) -> float:
+        return math.hypot(self.delta_r, self.delta_i)
+
+    def radius(self, alpha) -> np.ndarray:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        return self.r + self.delta_r * np.cos(self.m * alpha) - self.delta_i * np.sin(
+            self.m * alpha
+        )
+
+    def curvature(self, alpha) -> np.ndarray:
+        """First-order curvature 1/R + ((m^2-1)/R^2)(delta_r cos - delta_i sin)."""
+        alpha = np.asarray(alpha, dtype=np.float64)
+        wave = self.delta_r * np.cos(self.m * alpha) - self.delta_i * np.sin(self.m * alpha)
+        return 1.0 / self.r + (self.m**2 - 1.0) / self.r**2 * wave
+
+
+def linear_oracle(r0: float, delta0: float, m: int, t: float) -> LinearOracleState:
+    """Linearized perturbed-circle solution at time t.
+
+    Initial data is delta_r(0) = delta0, delta_i(0) = 0; the perturbation
+    rotates with angular rate tau = (m^3 - 1.5 m)/r0^3.
+    """
+    if not r0 > 0:
+        raise ValueError("r0 must be positive")
+    if int(m) != m or m < 2:
+        raise ValueError("perturbation wavenumber m must be an integer >= 2")
+    m = int(m)
+    tau = (m**3 - 1.5 * m) / r0**3
+    return LinearOracleState(
+        r=r0,
+        delta_r=delta0 * math.cos(tau * t),
+        delta_i=delta0 * math.sin(tau * t),
+        tau=tau,
+        m=m,
+        delta0=delta0,
+    )
+
+
+def mkdv_rhs(k: np.ndarray, length: float) -> np.ndarray:
+    """Curvature rate k_sss + (3/2) k^2 k_s with spectral s-derivatives."""
+    two_pi_over_l = 2.0 * np.pi / length
+    k_s = two_pi_over_l * spectral_derivative(k, 1)
+    k_sss = two_pi_over_l**3 * spectral_derivative(k, 3)
+    return k_sss + 1.5 * k**2 * k_s
+
+
+def curve_motion_rhs(k: np.ndarray, length: float) -> np.ndarray:
+    """Curvature rate -V_ss + k_s T - k^2 V from the velocity decomposition,
+    with normal velocity V = -k_s and tangential velocity T = k^2/2."""
+    two_pi_over_l = 2.0 * np.pi / length
+    k_s = two_pi_over_l * spectral_derivative(k, 1)
+    v = -k_s
+    v_ss = two_pi_over_l**2 * spectral_derivative(v, 2)
+    t = 0.5 * k**2
+    return -v_ss + k_s * t - k**2 * v
+
+
+def mkdv_residual(states) -> float:
+    """Max-norm residual of the curvature evolution over a state triple.
+
+    Takes three consecutive, equally spaced states from one trajectory
+    and compares the centered time difference of k against the spatial
+    right-hand side at the middle state.  The residual is O(dt^2) plus
+    spatial truncation for converged runs.
+    """
+    states = list(states)
+    if len(states) != 3:
+        raise MissingSnapshots(f"need exactly 3 consecutive states, got {len(states)}")
+    t0, t1, t2 = (s.time for s in states)
+    dt1, dt2 = t1 - t0, t2 - t1
+    if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
+        raise ValueError("states must be equally spaced in time")
+    k0, k1, k2 = (diagnostics.observe(s).k for s in states)
+    k_t = (k2 - k0) / (t2 - t0)
+    return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
+
+
+def point_curvature(points) -> np.ndarray:
+    """Curvature from point samples, k = (x_a y_aa - x_aa y_a) / s_a^3."""
+    x, y = _as_points(points)
+    x_a = spectral_derivative(x, 1)
+    y_a = spectral_derivative(y, 1)
+    x_aa = spectral_derivative(x, 2)
+    y_aa = spectral_derivative(y, 2)
+    s_a = np.hypot(x_a, y_a)
+    return (x_a * y_aa - x_aa * y_a) / s_a**3

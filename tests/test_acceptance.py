@@ -11,19 +11,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from airyflow import diagnostics, geometry, harness, schemes
-from airyflow.diagnostics import (
-    conserved_quantities,
-    curve_motion_rhs,
-    linear_comparison,
-    mkdv_rhs,
-    relative_m3_error,
-)
+from airyflow import harness, schemes
+from airyflow.diagnostics import conserved_quantities, m3_drift, observe
 from airyflow.geometry import ThetaLState, reconstruct_curve
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
 
-from conftest import band_limited_field, catalog_state
+from conftest import band_limited_field, catalog_state, perturbation_error
+from oracles import curve_motion_rhs, mkdv_rhs
 
 EXTENDED = os.environ.get("AIRYFLOW_EXTENDED", "") not in ("", "0")
 
@@ -132,8 +127,8 @@ def test_criterion_3_conservation():
         state, _ = catalog_state("ellipse", n, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme="cnadb", dt=dt, n=n)
         triples = _m3_series(state, cfg, 2.0, stride=max(1, round(5e-3 / dt)))
-        xi, running = relative_m3_error(triples)
-        peaks[n] = running[-1]
+        xi = np.array([m3_drift(t.m3, triples[0].m3) for t in triples])
+        peaks[n] = np.max(np.abs(xi))
 
         m1_dev = max(abs(t.m1 - 2 * np.pi) for t in triples)
         check(f"criterion 3 (M1, N={n})", m1_dev <= 1e-9,
@@ -202,15 +197,7 @@ def test_criterion_5_linear_exactness():
 
 def test_criterion_6_linear_analysis():
     """Perturbation error scales quadratically in delta0 at t=0.1."""
-    errors = {}
-    for delta0 in (0.05, 0.1):
-        state, points0 = catalog_state("perturbed_circle", 512, r0=1.0, delta0=delta0, m=2)
-        cfg = SchemeConfig(scheme="cnadb", dt=1e-3, n=512)
-        final = integrate(state, cfg, 0.1)
-        records = linear_comparison(
-            [(0.0, points0), (0.1, reconstruct_curve(final))], 1.0, delta0, 2
-        )
-        errors[delta0] = abs(records[-1].delta_error)
+    errors = {delta0: perturbation_error(delta0) for delta0 in (0.05, 0.1)}
     ratio = errors[0.1] / errors[0.05]
     _report(
         "criterion 6",
@@ -226,7 +213,7 @@ def test_criterion_7_shape_invariance():
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3, n=64)
         final = integrate(state, cfg, 1.0)
-        dev = float(np.max(np.abs(geometry.curvature(final) - 1.0)))
+        dev = float(np.max(np.abs(observe(final).k - 1.0)))
         _report(
             f"criterion 7 ({scheme})",
             dev <= 1e-10,

@@ -2,8 +2,9 @@
 
 ``perfbench/probes.py`` times layers by replacing module attributes, and
 counts integrator steps as calls of ``schemes.init_step`` plus
-``schemes.step``.  These tests pin that contract: a renamed function
-would break the benchmark's install step before it measured anything.
+``schemes.step``.  ``perfbench/worker.py`` imports package names at
+module level.  These tests pin that contract: a renamed or deleted
+function would break the benchmark before it measured anything.
 """
 
 import importlib.util
@@ -19,19 +20,26 @@ from airyflow.schemes import SchemeConfig, integrate
 
 from conftest import catalog_state
 
-_PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_probes():
-    spec = importlib.util.spec_from_file_location("perfbench_probes", _PROBES)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_spanned_names_resolve():
-    for module, name in load_probes()._SPANNED:
+    for module, name in load_perfbench("probes")._SPANNED:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+def test_worker_imports_resolve(monkeypatch):
+    # the worker runs from perfbench/ and imports its siblings by name
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    worker = load_perfbench("worker")
+    assert sorted(worker.WORKLOADS) == ["converge-space", "filter-study", "preset-e"]
 
 
 # replaced by Probes.install on every repeat, besides the _SPANNED names

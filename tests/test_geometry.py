@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from airyflow import geometry
+from airyflow.diagnostics import observe
 from airyflow.errors import (
     ClosureViolation,
     InvalidParameter,
@@ -16,18 +17,14 @@ from airyflow.errors import (
 from airyflow.geometry import (
     ThetaLState,
     catalog_curve,
-    curvature,
-    enclosed_area,
     extract_theta_l,
-    point_curvature,
     reconstruct_curve,
-    recover_perturbation,
-    recover_radius,
     resample_equal_arclength,
 )
 from airyflow.spectral import grid_nodes, spectral_derivative
 
 from conftest import catalog_state
+from oracles import point_curvature
 
 # perimeter of ellipse(1, 0.5) by adaptive quadrature of sqrt(sin^2 + 0.25 cos^2);
 # scipy.integrate.quad reports an error estimate of 5.4e-14
@@ -50,7 +47,7 @@ def pc3_curvature(alpha):
 class TestCatalog:
     def test_ellipse_max_squared_curvature(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = curvature(state)
+        k = observe(state).k
         assert np.max(np.abs(k)) ** 2 == pytest.approx(16.0, abs=1e-8)
 
     def test_circle_regularity_and_curvature(self):
@@ -60,7 +57,7 @@ class TestCatalog:
         y_a = spectral_derivative(fy(alpha), 1)
         assert np.allclose(np.hypot(x_a, y_a), 2.0, atol=1e-12)
         state, _ = catalog_state("circle", 64, r=2.0)
-        assert np.allclose(curvature(state), 0.5, atol=1e-12)
+        assert np.allclose(observe(state).k, 0.5, atol=1e-12)
 
     def test_perturbed_circle_matches_radial_formula(self):
         fx, fy = catalog_curve("perturbed_circle", r0=1.0, delta0=0.4, m=3)
@@ -182,6 +179,15 @@ class TestThetaLState:
         with pytest.raises(NonFiniteField):
             ThetaLState(phi=values, length=2 * np.pi)
 
+    @pytest.mark.parametrize("fields", [
+        dict(length=np.inf), dict(time=np.nan), dict(anchor=(np.nan, 0.0)),
+        dict(anchor=(0.0, -np.inf))], ids=["length", "time", "anchor-x", "anchor-y"])
+    def test_rejects_non_finite_geometry(self, fields):
+        # a non-finite length or anchor would make observe return nan
+        # invariants, radius and centroid without raising
+        with pytest.raises(NonFiniteField):
+            ThetaLState(phi=np.zeros(16), **{"length": 2 * np.pi, **fields})
+
     def test_rejects_non_1d_phi(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ThetaLState(phi=np.zeros((2, 16)), length=2 * np.pi)
@@ -215,7 +221,7 @@ class TestExtract:
 
     def test_ellipse_curvature_extremes(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = curvature(state)
+        k = observe(state).k
         # resampling anchors node 0 at (1, 0), the max-curvature point, and
         # symmetry puts node N/4 at (0, b), the min-curvature point
         assert k[0] == pytest.approx(4.0, abs=1e-8)
@@ -281,7 +287,7 @@ class TestCurvature:
     def test_circle_radius_r(self):
         for r in (0.5, 1.0, 3.0):
             state, _ = catalog_state("circle", 64, r=r)
-            assert np.allclose(curvature(state), 1.0 / r, atol=1e-12)
+            assert np.allclose(observe(state).k, 1.0 / r, atol=1e-12)
 
     def test_pc3_matches_closed_form(self):
         # 1024 nodes: the dimpled profile needs ~768 modes to push the
@@ -289,7 +295,7 @@ class TestCurvature:
         state, points = catalog_state("pc3", 1024)
         # the radial graph lets each node recover its polar angle exactly
         beta = np.arctan2(points[:, 1], points[:, 0])
-        k = curvature(state)
+        k = observe(state).k
         assert np.max(np.abs(k - pc3_curvature(beta))) <= 1e-8
 
     def test_consistency_with_point_formula(self):
@@ -300,44 +306,19 @@ class TestCurvature:
         ):
             state, _ = catalog_state(shape, n, **kw)
             points = reconstruct_curve(state)
-            assert np.max(np.abs(point_curvature(points) - curvature(state))) <= 1e-8
+            assert np.max(np.abs(point_curvature(points) - observe(state).k)) <= 1e-8
 
 
 class TestShapeStatistics:
-    def test_circle_area(self):
-        _, points = catalog_state("circle", 64)
-        assert enclosed_area(points) == pytest.approx(np.pi, abs=1e-12)
-
-    def test_ellipse_area(self):
-        _, points = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        assert enclosed_area(points) == pytest.approx(np.pi / 2, abs=1e-10)
-
-    def test_pc3_area(self):
-        # radial graph area = (1/2) int r^2 = pi (1 + 0.4^2/2)
-        _, points = catalog_state("pc3", 256)
-        assert enclosed_area(points) == pytest.approx(np.pi * 1.08, abs=1e-10)
-
     def test_area_rotation_invariance(self):
-        _, points = catalog_state("ellipse", 128, a=1.0, b=0.5)
+        # rotating the curve turns its tangent angle and its anchor
+        state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
         c, s = np.cos(0.7), np.sin(0.7)
-        rotated = points @ np.array([[c, s], [-s, c]])
-        assert abs(enclosed_area(rotated) - enclosed_area(points)) <= 1e-12
-
-    def test_recover_radius(self):
-        _, points = catalog_state("circle", 64, r=3.0)
-        assert recover_radius(points) == pytest.approx(3.0, abs=1e-12)
-        _, points = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        assert recover_radius(points) == pytest.approx(np.sqrt(0.5), abs=1e-10)
-        _, points = catalog_state("pc3", 256)
-        assert recover_radius(points) == pytest.approx(np.sqrt(1.08), abs=1e-10)
-
-    def test_recover_perturbation(self):
-        _, points = catalog_state("circle", 64)
-        assert recover_perturbation(points, 1.0) == pytest.approx(0.0, abs=1e-12)
-        _, points = catalog_state("perturbed_circle", 256, r0=1.0, delta0=0.1, m=2)
-        assert recover_perturbation(points, 1.0) == pytest.approx(0.1, abs=1e-10)
-        _, points = catalog_state("pc3", 512)
-        assert recover_perturbation(points, 1.0) == pytest.approx(0.4, abs=1e-10)
+        x, y = state.anchor
+        rotated = ThetaLState(phi=state.phi + 0.7, length=state.length,
+                              anchor=(c * x - s * y, s * x + c * y))
+        area, area_rotated = (np.pi * observe(st, 1e-8).radius ** 2 for st in (state, rotated))
+        assert abs(area_rotated - area) <= 1e-12
 
     def test_centroid_of_centered_shapes(self):
         # the cardioid is not origin-centered; test the shapes that are

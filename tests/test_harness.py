@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyflow import cli, harness, schemes
+from airyflow import cli, geometry, harness, schemes
 from airyflow.errors import NonCommensurateTime, ParseError, StudyFailed, ValidationError
 from airyflow.harness import (
     ConvergenceStudyConfig,
@@ -454,6 +454,11 @@ class TestFilterStudy:
                         (tmp_path / "filters_manifest.txt").read_text().splitlines())
         assert manifest["variant.ADB"] == "failed" and manifest["variant.CN"] == "ok"
         assert manifest["error.ADB"].startswith("BlowUp: blow-up at step 31 (t=0.062)")
+        # the largest mean tangent over observed states: ADB's curve stops
+        # closing before its guard trips, the completed variants close
+        closure = {label: float(manifest[f"closure.{label}"]) for label in result.labels}
+        assert closure["ADB"] > geometry.DEFAULT_CLOSURE_TOL
+        assert max(closure[label] for label in result.labels if label not in result.errors) < 1e-12
         rows = [line.split(",") for line in
                 (tmp_path / "filters_xi.csv").read_text().splitlines()]
         header, body = rows[0], rows[1:]

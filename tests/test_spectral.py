@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from airyflow import spectral
 from airyflow.errors import DomainError
 from airyflow.spectral import (
-    dpr_rho1,
+    _dpr_profile,
+    _rho1_array,
     filter_modes,
     grid_nodes,
     l2_norm,
@@ -122,34 +123,38 @@ class TestDerivatives:
 
 
 class TestDprRho1:
+    """rho1(m h/pi) as filter_modes applies it: ``_dpr_profile(n)`` over
+    m = 0..N/2, so N = 8 samples x = 0, 1/4, 1/2, 3/4, 1.  Arguments off
+    every grid go to ``_rho1_array``, the formula the profile samples."""
+
     def test_flat_band(self):
-        assert dpr_rho1(0.25) == 1.0
-        assert dpr_rho1(0.0) == 1.0
+        assert _dpr_profile(8)[1] == 1.0
+        assert _dpr_profile(8)[0] == 1.0
 
     def test_endpoints_exactly_zero(self):
-        assert dpr_rho1(1.0) == 0.0
-        assert dpr_rho1(-1.0) == 0.0
+        for n in (8, 64, 512):
+            assert _dpr_profile(n)[-1] == 0.0
+        assert _rho1_array(np.array([-1.0]))[0] == 0.0
 
     def test_third_branch_value(self):
-        assert dpr_rho1(0.75) == pytest.approx(np.exp(-15.0), rel=1e-12)
+        assert _dpr_profile(8)[3] == pytest.approx(np.exp(-15.0), rel=1e-12)
 
     def test_continuous_at_half(self):
-        assert dpr_rho1(0.5) == 1.0
-        assert dpr_rho1(0.5 + 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert _dpr_profile(8)[2] == 1.0
+        assert _rho1_array(np.array([0.5 + 1e-12]))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            dpr_rho1(1.5)
+            _rho1_array(np.array([1.5]))
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_even_and_bounded(self, x):
-        v = dpr_rho1(x)
+        v, mirrored = _rho1_array(np.array([x, -x]))
         assert 0.0 <= v <= 1.0
-        assert v == dpr_rho1(-x)
+        assert v == mirrored
 
     def test_nonincreasing_on_tail(self):
-        xs = np.linspace(0.5, 1.0, 201)
-        vals = dpr_rho1(xs)
+        vals = _dpr_profile(512)[128:]  # x = 0.5 ... 1 in steps of 1/256
         assert np.all(np.diff(vals) <= 1e-16)
 
 
@@ -192,7 +197,7 @@ class TestFilteredDerivative:
         # rho1 underflows to exactly 0
         n, m = 64, 29
         alpha = grid_nodes(n)
-        assert dpr_rho1(2.0 * m / n) == 0.0
+        assert _dpr_profile(n)[m] == 0.0
         d = filtered_derivative(np.cos(m * alpha), "dpr")
         assert abs(half_spectrum(d)[m]) < 1e-25  # mode killed; transform noise only
         assert np.max(np.abs(d)) < 1e-12  # residue of other modes only
