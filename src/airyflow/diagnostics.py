@@ -72,7 +72,6 @@ class Observation:
 
     triple: ConservedTriple
     k: np.ndarray  # curvature at the nodes
-    phi_hat: np.ndarray  # half spectrum of phi, m = 0..N/2
     power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2
     points: Optional[np.ndarray] = None  # the reconstructed curve, (N, 2)
     radius: Optional[float] = None  # effective radius sqrt(area / pi)
@@ -102,7 +101,7 @@ def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observat
         area = abs(np.pi * float(np.mean(x * tangent.imag - y * tangent.real)))
         curve = dict(points=points, radius=float(np.sqrt(area / np.pi)),
                      centroid=(float(np.mean(x)), float(np.mean(y))))
-    return Observation(triple=conserved_quantities(state, k, k_s), k=k, phi_hat=phi_hat,
+    return Observation(triple=conserved_quantities(state, k, k_s), k=k,
                        power=spectral.power_spectrum(phi_hat), **curve)
 
 
@@ -111,37 +110,22 @@ def m3_drift(m3: float, m3_0: float) -> float:
     return (m3 - m3_0) / m3_0
 
 
-def restrict_to_grid(values: np.ndarray, n_coarse: int) -> np.ndarray:
-    """Restrict samples on a nested finer grid to the coarse grid's nodes."""
-    n_fine = values.size
-    if n_fine % n_coarse:
-        raise ValueError(f"grids do not nest: {n_fine} is not a multiple of {n_coarse}")
-    return values[:: n_fine // n_coarse]
-
-
 def state_difference_norm(a: ThetaLState, b: ThetaLState) -> float:
     """l2 norm of the tangent-angle difference on the coarser common grid.
 
-    Finer grids are restricted to the coarser grid's nodes (grids nest),
-    introducing no interpolation error.
+    Grid sizes are powers of two, so grids nest: the finer one is taken
+    at the coarser one's nodes, introducing no interpolation error.
     """
-    va, vb = a.phi, b.phi
-    n = min(va.size, vb.size)
-    return l2_norm(restrict_to_grid(va, n) - restrict_to_grid(vb, n))
+    n = min(a.n, b.n)
+    return l2_norm(a.phi[:: a.n // n] - b.phi[:: b.n // n])
 
 
-def convergence_order(errors) -> float:
-    """log2 of the ratio of successive difference norms.
+def convergence_order(err_coarse: float, err_fine: float) -> float:
+    """log2(err_coarse / err_fine): the order of one refinement by a factor of 2.
 
-    ``errors`` holds the norms from a refinement sequence (factors of 2);
-    with more than two entries the pairwise log2 ratios are averaged.
     Raises :class:`NonPositiveError` when a norm is below the measurable
     floor of 1e-15.
     """
-    errors = [float(e) for e in errors]
-    if len(errors) < 2:
-        raise ValueError("need at least two error values")
-    if any(e <= 1e-15 for e in errors):
+    if min(err_coarse, err_fine) <= 1e-15:
         raise NonPositiveError("difference norm at or below the 1e-15 measurable floor")
-    ratios = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    return float(np.mean(ratios))
+    return math.log2(err_coarse / err_fine)

@@ -14,10 +14,6 @@ class NonFiniteField(AiryflowError, ValueError):
     """A state's phi, length, time or anchor holds a NaN or infinite value."""
 
 
-class DomainError(AiryflowError, ValueError):
-    """A scalar argument lies outside the function's domain."""
-
-
 class UnknownShape(AiryflowError, KeyError):
     """Requested curve id is not in the shape catalog."""
 
@@ -39,20 +35,17 @@ class WindingError(AiryflowError):
 
 
 class ClosureViolation(AiryflowError):
-    """Tangent-angle state does not integrate to a closed curve."""
+    """Tangent-angle state does not integrate to a closed curve at ``time``."""
 
-    def __init__(self, mean_x: float, mean_y: float, tol: float):
+    def __init__(self, mean_x: float, mean_y: float, tol: float, time: float):
         self.mean_x = mean_x
         self.mean_y = mean_y
         self.tol = tol
+        self.time = time
         super().__init__(
             f"curve does not close: |mean integrand| = ({abs(mean_x):.3e}, "
             f"{abs(mean_y):.3e}) exceeds {tol:.3e}"
         )
-
-
-class MissingHistory(AiryflowError):
-    """A multistep update was requested without the required history level."""
 
 
 class ValidationError(AiryflowError, ValueError):

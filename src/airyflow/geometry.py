@@ -46,7 +46,7 @@ class ThetaLState:
     ``phi`` is the periodic deviation theta(alpha) - alpha at the N grid
     nodes, kept as a read-only float64 copy: one-dimensional, N a power
     of two >= 8, and finite.  ``length`` is the (flow-invariant) total arc
-    length; ``anchor`` is the curve point at alpha = 0, carried so the
+    length; ``anchor`` is the (x, y) curve point at alpha = 0, carried so the
     curve can be reconstructed.  ``length``, ``time`` and ``anchor`` are
     finite too: nan or inf there would make every observer read nan.
     """
@@ -67,6 +67,8 @@ class ThetaLState:
         object.__setattr__(self, "phi", phi)
         if not self.length > 0.0:
             raise ValueError("curve length must be positive")
+        if np.shape(self.anchor) != (2,):
+            raise ValueError(f"anchor must be an (x, y) pair, got {self.anchor!r}")
         if not all(map(math.isfinite, (self.length, self.time, *self.anchor))):
             raise NonFiniteField("length, time and anchor must be finite")
 
@@ -202,7 +204,7 @@ def _wrap_to_pi(angles: np.ndarray) -> np.ndarray:
     return (angles + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def extract_theta_l(points, length: float, time: float = 0.0) -> ThetaLState:
+def extract_theta_l(points, length: float) -> ThetaLState:
     """Tangent-angle state from equal-arc-length samples of a closed curve.
 
     theta is computed from spectral derivatives via atan2 and unwrapped so
@@ -225,7 +227,6 @@ def extract_theta_l(points, length: float, time: float = 0.0) -> ThetaLState:
     return ThetaLState(
         phi=theta - grid_nodes(n),
         length=float(length),
-        time=time,
         anchor=(float(x[0]), float(y[0])),
     )
 
@@ -260,7 +261,7 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     z_a = curve_tangent(state) if tangent is None else tangent
     mean = complex(np.mean(z_a))
     if abs(mean.real) > closure_tol or abs(mean.imag) > closure_tol:
-        raise ClosureViolation(mean.real, mean.imag, closure_tol)
+        raise ClosureViolation(mean.real, mean.imag, closure_tol, state.time)
     z = np.fft.ifft(np.fft.fft(z_a) * _complex_antiderivative_symbol(state.n))
     z = complex(*state.anchor) + (z - z[0])
     return np.column_stack([z.real, z.imag])

@@ -69,16 +69,17 @@ def format_float(x: float) -> str:
     return f"{float(x) + 0.0:.17g}"  # + 0.0 normalizes -0.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one trajectory (deterministic, seed-free)."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SchemeConfig):
+    """Fully resolved settings for one trajectory (deterministic, seed-free).
+
+    The scheme, dt and filter are its :class:`SchemeConfig` fields, so a
+    RunConfig is passed to :func:`schemes.integrate` as it is.
+    """
 
     shape: str
     n: int
-    dt: float
     t_final: float
-    scheme: str
-    filter: str = "none"
     shape_params: dict = field(default_factory=dict)
     snapshot_stride: int = 0  # 0: resolved to "start and end only"
     diagnostic_stride: int = 0  # 0: resolved to ~500 rows per run
@@ -86,7 +87,9 @@ class RunConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
-        self.scheme_config()  # checks scheme, filter, dt and n
+        super().__post_init__()  # checks scheme, filter and dt
+        spectral._check_grid_size(self.n)
+        geometry.catalog_curve(self.shape, **self.shape_params)  # checks shape and parameters
         steps = self.steps  # checks t_final
         if self.snapshot_stride == 0:
             object.__setattr__(self, "snapshot_stride", max(1, steps))
@@ -106,14 +109,11 @@ class RunConfig:
     def steps(self) -> int:
         return schemes.step_count(self.t_final, self.dt)
 
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(scheme=self.scheme, dt=self.dt, n=self.n, filter=self.filter)
-
     def echo_pairs(self):
         """The resolved config as grammar-conformant (key, value) pairs."""
         pairs = [("shape", self.shape)]
         for key, value in sorted(self.shape_params.items()):
-            pairs.append((key, value if key == "m" else format_float(value)))
+            pairs.append((key, int(value) if key == "m" else format_float(value)))
         pairs += [
             ("n", self.n),
             ("dt", format_float(self.dt)),
@@ -309,12 +309,6 @@ def build_initial_state(cfg: RunConfig) -> ThetaLState:
     return geometry.extract_theta_l(points, length)
 
 
-def _spectrum_tail_max(phi_hat: np.ndarray) -> float:
-    """The largest |phi_hat_m|^2 over m > N/4 of a half spectrum."""
-    n = 2 * (phi_hat.size - 1)
-    return float(np.max(np.abs(phi_hat[n // 4 + 1:]) ** 2))
-
-
 class _DiagnosticsProbe:
     """Observer that accumulates DiagnosticsRow records.
 
@@ -344,7 +338,7 @@ class _DiagnosticsProbe:
                 max_curvature=float(np.max(np.abs(obs.k))),
                 delta_n=float(np.max(radial - self.r0)),
                 radius_n=obs.radius,
-                tail_max=_spectrum_tail_max(obs.phi_hat),
+                tail_max=float(np.max(obs.power[3 * state.n // 4:])),  # m > N/4
                 centroid_x=cx,
                 centroid_y=cy,
             )
@@ -419,27 +413,17 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     initial = build_initial_state(cfg)
     probe = _DiagnosticsProbe(cfg)
     snapshots = _SnapshotWriter(cfg, out_dir)
-    observed = [0]  # step of the latest observer call, for errors raised inside one
-
-    def tracked(observer):
-        def call(step, state):
-            observed[0] = step
-            observer(step, state)
-
-        return call
-
-    observers = [(cfg.diagnostic_stride, tracked(probe)),
-                 (cfg.snapshot_stride, tracked(snapshots))]
+    observers = [(cfg.diagnostic_stride, probe), (cfg.snapshot_stride, snapshots)]
 
     status, error = "completed", None
     steps_done = cfg.steps
     try:
-        schemes.integrate(initial, cfg.scheme_config(), cfg.t_final, observers)
+        schemes.integrate(initial, cfg, cfg.t_final, observers)
     except BlowUp as exc:
         status, error = "blowup", str(exc)
         steps_done = exc.step - 1
     except ClosureViolation as exc:
-        step = observed[0]
+        step = schemes.step_count(exc.time, cfg.dt)
         status, error = "closure", f"closure at step {step} (t={step * cfg.dt:.6g}): {exc}"
         steps_done = max(step - 1, 0)
     wall = _time.perf_counter() - started
@@ -498,7 +482,7 @@ def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> Con
     for level, cfg in enumerate(study.level_configs()):
         try:
             initial = build_initial_state(cfg)
-            states.append(schemes.integrate(initial, cfg.scheme_config(), cfg.t_final))
+            states.append(schemes.integrate(initial, cfg, cfg.t_final))
         except BlowUp as exc:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
             errors[level] = f"level {level} ({setting}): {exc}"
@@ -510,7 +494,7 @@ def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> Con
         raise StudyFailed(errors)
     err_coarse = diagnostics.state_difference_norm(states[0], states[1])
     err_fine = diagnostics.state_difference_norm(states[1], states[2])
-    order = diagnostics.convergence_order([err_coarse, err_fine])
+    order = diagnostics.convergence_order(err_coarse, err_fine)
     row = ConvergenceRow(
         curve=study.base.shape,
         scheme=study.base.scheme,
@@ -554,8 +538,7 @@ def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
         closure = max(closure, abs(mean.real), abs(mean.imag))
 
     try:
-        schemes.integrate(initial, cfg.scheme_config(), cfg.t_final,
-                          [(cfg.diagnostic_stride, probe)])
+        schemes.integrate(initial, cfg, cfg.t_final, [(cfg.diagnostic_stride, probe)])
     except BlowUp as exc:
         return series, power, closure, f"BlowUp: {exc}"
     return series, power, closure, None

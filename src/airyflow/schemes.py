@@ -35,9 +35,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUp, MissingHistory, NonCommensurateTime, ValidationError
+from .errors import BlowUp, NonCommensurateTime, ValidationError
 from .geometry import ThetaLState
-from .spectral import FILTERS, _check_grid_size, _derivative_symbol, filter_modes
+from .spectral import FILTERS, _derivative_symbol, filter_modes
 
 SCHEMES = ("adb", "cn", "cnadb")
 
@@ -47,15 +47,14 @@ BLOWUP_LIMIT = 1e3
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection, step size, mode filter, and grid size for a run.
+    """Scheme selection, step size and mode filter for a trajectory.
 
-    These checks are the only ones of the four settings: ``RunConfig``
-    builds a SchemeConfig to validate them.
+    These checks are the only ones of the three settings: ``RunConfig``
+    is a SchemeConfig.  The grid size is the state's.
     """
 
     scheme: str
     dt: float
-    n: int
     filter: str = "none"
 
     def __post_init__(self):
@@ -65,7 +64,6 @@ class SchemeConfig:
             raise ValidationError(f"filter must be one of {FILTERS}, got {self.filter!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
-        _check_grid_size(self.n)
 
 
 def step_count(span: float, dt: float, name: str = "t_final") -> int:
@@ -113,8 +111,8 @@ class StepRule:
     d: np.ndarray | float | None = None
 
 
-def step_rules(cfg: SchemeConfig, length: float) -> tuple[StepRule, StepRule]:
-    """The (start, step) rules of ``cfg.scheme`` for a curve of length L:
+def step_rules(cfg: SchemeConfig, n: int, length: float) -> tuple[StepRule, StepRule]:
+    """The (start, step) rules of ``cfg.scheme`` for N nodes on a curve of length L:
 
     ============  ===================  =====  ================  ==============
     rule          a                    b      c                 d
@@ -139,7 +137,7 @@ def step_rules(cfg: SchemeConfig, length: float) -> tuple[StepRule, StepRule]:
     keeps phi real.
     """
     dt = cfg.dt
-    m = np.arange(cfg.n // 2 + 1, dtype=np.float64)
+    m = np.arange(n // 2 + 1, dtype=np.float64)
     m[-1] = 0.0
     gamma = dt * (2.0 * np.pi * m / length) ** 3
     zeta = np.exp(-1j * gamma)
@@ -160,8 +158,6 @@ def _recur(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
                         (rule.d, prev_nl)):
         if coef is None:
             continue
-        if level is None:
-            raise MissingHistory("the step rule needs the level one step back")
         if out is None:
             out = coef * level  # a new array: the levels are history, never written
         else:
@@ -193,7 +189,7 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> 
     costs a few passes over the N nodes.
     """
     n = 2 * (phi_hat.size - 1)
-    d_phi = _derivative_symbol(n, 1) * filter_modes(phi_hat, filter, n)
+    d_phi = _derivative_symbol(n, 1) * filter_modes(phi_hat, filter)
     d_phi[0] = 1.0
     theta_a = np.fft.irfft(d_phi, n, norm="forward")
     term = theta_a * theta_a
@@ -236,14 +232,12 @@ def integrate(
     destabilizes the adb scheme.
     """
     steps = step_count(t_final - initial.time, cfg.dt)
-    if initial.n != cfg.n:
-        raise ValueError(f"state grid size {initial.n} does not match config n={cfg.n}")
     observers = tuple(observers)
     for stride, _ in observers:
         check_stride(stride)
-    start, rule = step_rules(cfg, initial.length)
+    n, t0, dt = initial.n, initial.time, cfg.dt
+    start, rule = step_rules(cfg, n, initial.length)
     term = nonlinear or nonlinear_term
-    n, t0, dt = cfg.n, initial.time, cfg.dt
 
     def state_at(j, phi):
         return initial if j == 0 else replace(initial, phi=phi, time=t0 + j * dt)
@@ -265,7 +259,7 @@ def integrate(
     due = next_due(0)
     for j in range(1, steps + 1):
         nl = term(phi_hat, initial.length, cfg.filter)
-        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter, n)
+        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter)
         if prev is None:
             new_hat = init_step(start, phi_hat, nl_hat)
         else:

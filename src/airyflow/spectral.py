@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 FILTERS = ("none", "dpr", "krasny", "both")
 KRASNY_THRESHOLD = 1e-13
@@ -79,9 +79,8 @@ def _dpr_profile(n: int) -> np.ndarray:
 
 
 def _rho1_array(x: np.ndarray) -> np.ndarray:
+    """rho1 over arguments in [-1, 1]: 1 up to |x| = 1/2, then exp(1 - 1/(16 (1-|x|)^4))."""
     ax = np.abs(np.asarray(x, dtype=np.float64))
-    if np.any(ax > 1.0):
-        raise DomainError("rho1 argument must lie in [-1, 1]")
     out = np.ones_like(ax)
     tail = ax >= 0.5
     t = 1.0 - ax[tail]
@@ -93,7 +92,7 @@ def _rho1_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
+def filter_modes(coeffs: np.ndarray, mode: str) -> np.ndarray:
     """Apply a mode filter to the half spectrum of a real N-point field.
 
     "krasny" zeroes the modes whose amplitude is below 1e-13 (rho2),
@@ -105,7 +104,7 @@ def filter_modes(coeffs: np.ndarray, mode: str, n: int) -> np.ndarray:
     if mode in ("krasny", "both"):
         coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0.0, coeffs)
     if mode in ("dpr", "both"):
-        coeffs = coeffs * _dpr_profile(n)
+        coeffs = coeffs * _dpr_profile(2 * (coeffs.size - 1))
     return coeffs
 
 

@@ -35,8 +35,7 @@ def perturbation_error(delta0):
                             shape_params=dict(r0=1.0, delta0=delta0, m=2),
                             n=512, dt=1e-3, t_final=0.1, scheme="cnadb")
     probe = harness._DiagnosticsProbe(cfg)
-    schemes.integrate(harness.build_initial_state(cfg), cfg.scheme_config(), cfg.t_final,
-                      [(cfg.steps, probe)])
+    schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final, [(cfg.steps, probe)])
     return abs(linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude - probe.rows[-1].delta_n)
 
 

@@ -125,7 +125,7 @@ def test_criterion_3_conservation():
     peaks = {}
     for n, dt in ((256, 2.5e-4), (512, 1.25e-4)):
         state, _ = catalog_state("ellipse", n, a=1.0, b=0.5)
-        cfg = SchemeConfig(scheme="cnadb", dt=dt, n=n)
+        cfg = SchemeConfig(scheme="cnadb", dt=dt)
         triples = _m3_series(state, cfg, 2.0, stride=max(1, round(5e-3 / dt)))
         xi = np.array([m3_drift(t.m3, triples[0].m3) for t in triples])
         peaks[n] = np.max(np.abs(xi))
@@ -185,7 +185,7 @@ def test_criterion_5_linear_exactness():
     rng = np.random.default_rng(11)
     state = ThetaLState(phi=band_limited_field(n, 8, rng, 0.1),
                         length=2 * np.pi)
-    cfg = SchemeConfig(scheme="adb", dt=1e-3, n=n)
+    cfg = SchemeConfig(scheme="adb", dt=1e-3)
     final = integrate(state, cfg, 10.0, nonlinear=lambda *args: np.zeros(n))
     m = np.fft.fftfreq(n, 1.0 / n)
     m[n // 2] = 0.0
@@ -211,7 +211,7 @@ def test_criterion_7_shape_invariance():
     """Circle initial data keeps curvature constant under all schemes."""
     for scheme in schemes.SCHEMES:
         state, _ = catalog_state("circle", 64)
-        cfg = SchemeConfig(scheme=scheme, dt=1e-3, n=64)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         final = integrate(state, cfg, 1.0)
         dev = float(np.max(np.abs(observe(final).k - 1.0)))
         _report(

@@ -67,7 +67,7 @@ def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme):
 
         monkeypatch.setattr(schemes, name, counted)
     state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
-    integrate(state, SchemeConfig(scheme=scheme, dt=1e-4, n=32), 7e-4)
+    integrate(state, SchemeConfig(scheme=scheme, dt=1e-4), 7e-4)
     assert calls == {"init_step": 1, "step": 6, "nonlinear_term": 7}
 
 
@@ -78,7 +78,7 @@ def test_guard_reports_unobserved_step(monkeypatch, scheme):
     monkeypatch.setattr(schemes, "BLOWUP_LIMIT", 0.6)
     n = 16
     state = ThetaLState(phi=np.zeros(n), length=2 * np.pi)
-    cfg = SchemeConfig(scheme=scheme, dt=0.25, n=n)
+    cfg = SchemeConfig(scheme=scheme, dt=0.25)
     seen = []
     with pytest.raises(BlowUp) as err:
         integrate(state, cfg, 2.5, observers=[(100, lambda j, s: seen.append(j))],
@@ -98,6 +98,6 @@ def test_guard_catches_non_finite_on_unobserved_step(monkeypatch):
     monkeypatch.setattr(schemes, "nonlinear_term", poisoned)
     state, _ = catalog_state("circle", 16)
     with pytest.raises(BlowUp) as err:
-        integrate(state, SchemeConfig(scheme="cnadb", dt=1e-3, n=16), 0.01,
+        integrate(state, SchemeConfig(scheme="cnadb", dt=1e-3), 0.01,
                   observers=[(100, lambda j, s: None)])
     assert err.value.step == 3

@@ -188,6 +188,15 @@ class TestThetaLState:
         with pytest.raises(NonFiniteField):
             ThetaLState(phi=np.zeros(16), **{"length": 2 * np.pi, **fields})
 
+    @pytest.mark.parametrize("anchor", [(), (1.0,), (1.0, 0.0, 5.0), (np.nan,),
+                                        ((1.0, 2.0), (3.0, 4.0))],
+                             ids=["empty", "one", "three", "one-nan", "nested"])
+    def test_rejects_anchor_not_a_pair(self, anchor):
+        # checked before finiteness: the curve would be anchored silently
+        # wrong, or observe would fail with a bare TypeError
+        with pytest.raises(ValueError, match=r"anchor must be an \(x, y\) pair"):
+            ThetaLState(phi=np.zeros(16), length=2 * np.pi, anchor=anchor)
+
     def test_rejects_non_1d_phi(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ThetaLState(phi=np.zeros((2, 16)), length=2 * np.pi)

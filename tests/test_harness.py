@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from airyflow import cli, geometry, harness, schemes
-from airyflow.errors import NonCommensurateTime, ParseError, StudyFailed, ValidationError
+from airyflow.errors import (
+    InvalidParameter,
+    NonCommensurateTime,
+    ParseError,
+    StudyFailed,
+    UnknownShape,
+    ValidationError,
+)
 from airyflow.harness import (
     ConvergenceStudyConfig,
     RunConfig,
@@ -122,6 +129,21 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=f"{key} must be an integer >= 1, got {stride}"):
             RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=64, dt=1e-3,
                       t_final=0.05, scheme="cnadb", **{key: stride})
+
+    @pytest.mark.parametrize("shape, params, error", [
+        ("triangle", {}, UnknownShape),
+        ("ellipse", {"m": 3}, InvalidParameter),
+    ], ids=["unknown", "ellipse-m"])
+    def test_bad_shape_rejected_when_built(self, shape, params, error, tmp_path, capsys):
+        with pytest.raises(error):
+            RunConfig(shape=shape, shape_params=params, n=32, dt=1e-2, t_final=0.1,
+                      scheme="cnadb")
+        config = tmp_path / "run.txt"
+        config.write_text(f"shape = {shape}\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+                          + "n = 32\ndt = 1e-2\nt_final = 0.1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err and not out.exists()
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValidationError):
@@ -288,22 +310,26 @@ class TestRunExperiment:
         assert (result.output_dir / "diagnostics.csv").exists()
 
     def test_closure_violation_flagged_with_partial_outputs(self, tmp_path, capsys):
-        # airyflow preset E scheme=adb dt=2e-3: the diagnostics observer's
-        # curve reconstruction fails the closure check a few steps in
-        out = tmp_path / "e"
-        code = cli.main(["preset", "E", "scheme=adb", "dt=2e-3", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().out.startswith("closure: ")
-        manifest = dict(
-            line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
-        )
-        assert manifest["status"] == "closure"
-        assert "curve does not close" in manifest["error"]
-        steps = int(manifest["steps_completed"])
-        assert 0 < steps < int(manifest["steps_requested"]) == 1000
-        assert manifest["error"].startswith(f"closure at step {steps + 1} ")
-        rows = (out / "diagnostics.csv").read_text().splitlines()
-        assert rows[0] == ",".join(harness.DIAGNOSTICS_COLUMNS) and len(rows) > 1
+        # airyflow preset E scheme=adb dt=2e-3: the curve reconstruction fails
+        # the closure check a few steps in, in the diagnostics probe or, with
+        # the probe due only at step 0, in the snapshot writer
+        for observer, strides in (("probe", []),
+                                  ("snapshots", ["diagnostic_stride=1000", "snapshot_stride=3"])):
+            out = tmp_path / observer
+            code = cli.main(["preset", "E", "scheme=adb", "dt=2e-3", *strides, "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().out.startswith("closure: ")
+            manifest = dict(
+                line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
+            )
+            assert manifest["status"] == "closure"
+            assert "curve does not close" in manifest["error"]
+            steps = int(manifest["steps_completed"])
+            assert 0 < steps < int(manifest["steps_requested"]) == 1000
+            assert manifest["error"].startswith(f"closure at step {steps + 1} ")
+            rows = (out / "diagnostics.csv").read_text().splitlines()
+            assert rows[0] == ",".join(harness.DIAGNOSTICS_COLUMNS)
+            assert (len(rows) == 2) if observer == "snapshots" else (len(rows) > 2)
 
     def test_closure_violation_at_step_0(self, tmp_path, capsys):
         # the initial curve closes only to ~1e-15: the run ends at step 0
@@ -325,7 +351,9 @@ class TestRunExperiment:
         preset_config("PC3", t_final=1e-4),  # non-default closure_tol
         RunConfig(shape="perturbed_circle", shape_params={"r0": 1.0, "delta0": 0.05, "m": 3},
                   n=64, dt=1e-3, t_final=0.01, scheme="cn", filter="dpr"),
-    ], ids=["E", "PC3", "perturbed_circle"])
+        RunConfig(shape="perturbed_circle", shape_params={"r0": 1.0, "delta0": 0.05, "m": 2.0},
+                  n=64, dt=1e-3, t_final=0.01, scheme="cnadb"),  # m echoed as 2
+    ], ids=["E", "PC3", "perturbed_circle", "perturbed_circle-float-m"])
     def test_config_echo_round_trips(self, cfg, tmp_path):
         result = run_experiment(replace(cfg, output_dir=tmp_path))
         assert result.status == "completed"
@@ -520,13 +548,13 @@ class TestFormatting:
 # run invariants: each entry point rejects each bad setting it takes with the
 # documented error type, and the message names the offending key
 
-_SCHEME = dict(scheme="cnadb", dt=1e-2, n=32)
-_RUN = dict(shape="circle", t_final=0.1, **_SCHEME)
+_SCHEME = dict(scheme="cnadb", dt=1e-2)
+_RUN = dict(shape="circle", n=32, t_final=0.1, **_SCHEME)
 _BAD = [("scheme", "rk4"), ("filter", "lowpass"), ("dt", 0.0), ("dt", -1e-3), ("n", 24),
         ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("t0", 0.10025),
         ("closure_tol", 0.0), ("closure_tol", -1e-8)]
-_SCHEME_KEYS = {"scheme", "filter", "dt", "n"}
-_RUN_KEYS = _SCHEME_KEYS | {"t_final", "closure_tol"}
+_SCHEME_KEYS = {"scheme", "filter", "dt"}
+_RUN_KEYS = _SCHEME_KEYS | {"n", "t_final", "closure_tol"}
 
 
 def _parse_with(key, value):
