@@ -35,35 +35,48 @@ class ConservedTriple:
     time: float
 
 
-def _integrate_ds(values: np.ndarray, length: float) -> float:
-    # trapezoidal rule on the periodic grid: spectrally accurate
-    return float(np.mean(values) * length)
+def _slope_spectra(phi_hat: np.ndarray) -> np.ndarray:
+    """The half spectra of phi_alpha and phi_alpha_alpha, stacked as 2 rows."""
+    d = _derivative_symbol(2 * (phi_hat.size - 1), 1)
+    slopes = np.empty((2, phi_hat.size), dtype=np.complex128)
+    np.multiply(d, phi_hat, out=slopes[0])
+    np.multiply(d, slopes[0], out=slopes[1])
+    return slopes
 
 
-def _curvature_and_slope(phi_hat: np.ndarray, length: float):
-    """k = (2*pi/L)(1 + D phi) and k_s = (2*pi/L) D k from the half spectrum of phi."""
-    n = 2 * (phi_hat.size - 1)
+def _fill_integrands(rows: np.ndarray, phi_a, phi_aa, length: float) -> np.ndarray:
+    """Write k, k^2 and k_s^2/2 - k^4/8 into rows 0-2 and return k.
+
+    k = (2*pi/L)(1 + phi_alpha) and k_s = (2*pi/L)^2 phi_alpha_alpha at the
+    nodes; L times a row's mean, the trapezoidal rule on the periodic
+    grid and so spectrally accurate, is M1, M2 or M3.  k^4 is k^2 squared,
+    one product per node, where ``k**4`` would call ``pow``.
+    """
     scale = 2.0 * np.pi / length
-    d_phi = _derivative_symbol(n, 1) * phi_hat
-    k = scale * (1.0 + np.fft.irfft(d_phi, n, norm="forward"))
-    k_s = scale**2 * np.fft.irfft(_derivative_symbol(n, 1) * d_phi, n, norm="forward")
-    return k, k_s
+    k, k2, m3 = rows[0], rows[1], rows[2]
+    np.add(phi_a, 1.0, out=k)
+    k *= scale
+    np.multiply(k, k, out=k2)
+    np.multiply(phi_aa, phi_aa, out=m3)
+    m3 *= 0.5 * scale**4
+    m3 -= 0.125 * (k2 * k2)
+    return k
 
 
-def conserved_quantities(state: ThetaLState, k=None, k_s=None) -> ConservedTriple:
+def conserved_quantities(state: ThetaLState, means=None) -> ConservedTriple:
     """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha.
 
-    ``k`` and ``k_s`` are the curvature and its arc-length derivative at
-    the nodes, computed from the state unless the caller already has them.
+    ``means`` are the node means of the three integrands of
+    :func:`_fill_integrands`, taken from the state unless the caller
+    already has them.
     """
-    if k is None:
-        k, k_s = _curvature_and_slope(np.fft.rfft(state.phi, norm="forward"), state.length)
-    return ConservedTriple(
-        m1=_integrate_ds(k, state.length),
-        m2=_integrate_ds(k**2, state.length),
-        m3=_integrate_ds(0.5 * k_s**2 - 0.125 * k**4, state.length),
-        time=state.time,
-    )
+    if means is None:
+        slopes = _slope_spectra(np.fft.rfft(state.phi, norm="forward"))
+        rows = np.empty((3, state.n))
+        _fill_integrands(rows, *np.fft.irfft(slopes, state.n, norm="forward"), state.length)
+        means = rows.sum(axis=1) / state.n
+    m1, m2, m3 = (means * state.length).tolist()
+    return ConservedTriple(m1=m1, m2=m2, m3=m3, time=state.time)
 
 
 @dataclass(frozen=True)
@@ -79,29 +92,49 @@ class Observation:
 
 
 def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observation:
-    """Every observer quantity of a state from one ``rfft`` of phi.
+    """Every observer quantity of a state in one stacked pass.
 
-    k and k_s take one inverse transform each and M1-M3 are means of them.
-    With a ``closure_tol`` the curve is reconstructed too, by one complex
-    antiderivative of its tangent, and raises :class:`ClosureViolation`
-    like :func:`geometry.reconstruct_curve`; its area
-    pi * mean(x y_alpha - y x_alpha) uses that tangent less its mean, the
-    tangent of the closed curve, and no further derivatives.  Without one
-    the curve is skipped and ``points``, ``radius`` and ``centroid`` are
-    None.
+    Without a ``closure_tol``: one ``rfft`` of phi gives the power
+    spectrum and the spectra of phi_alpha and phi_alpha_alpha, and one
+    2-row ``irfft`` takes those back for k and k_s; ``points``,
+    ``radius`` and ``centroid`` are None.  With one, phi and the two
+    tangent rows of :func:`geometry.curve_tangent` share one 3-row
+    ``rfft``, and :func:`geometry.reconstruct_curve` builds the curve, its
+    antiderivative riding the same ``irfft`` as k and k_s, and raises
+    :class:`ClosureViolation` if the curve does not close.  Either way
+    the pass takes two transforms.  M1-M3, the area integrand
+    x y_alpha - y x_alpha and the centroid are the means of one (6, N)
+    stack of rows, (3, N) without the curve.
     """
-    phi_hat = np.fft.rfft(state.phi, norm="forward")
-    k, k_s = _curvature_and_slope(phi_hat, state.length)
+    n = state.n
+    if closure_tol is None:
+        phi_hat = np.fft.rfft(state.phi, norm="forward")
+        phi_a, phi_aa = np.fft.irfft(_slope_spectra(phi_hat), n, norm="forward")
+        rows = np.empty((3, n))
+    else:
+        tangent = geometry.curve_tangent(state)
+        fields = np.empty((3, n))
+        fields[0] = state.phi
+        fields[1:] = tangent
+        spectra = np.fft.rfft(fields, norm="forward")
+        phi_hat, tangent_hat = spectra[0], spectra[1:]
+        points, (phi_a, phi_aa) = geometry.reconstruct_curve(
+            state, closure_tol, tangent_hat, _slope_spectra(phi_hat))
+        rows = np.empty((6, n))
+        rows[4:] = points.T
+        cross = points.T * tangent[::-1]  # x t_y and y t_x
+        np.subtract(cross[0], cross[1], out=rows[3])
+    k = _fill_integrands(rows, phi_a, phi_aa, state.length)
+    means = rows.sum(axis=1) / n  # np.mean's bits, without its Python-level overhead
     curve = {}
     if closure_tol is not None:
-        tangent = geometry.curve_tangent(state)
-        points = geometry.reconstruct_curve(state, closure_tol, tangent)
-        tangent = tangent - np.mean(tangent)
-        x, y = points[:, 0], points[:, 1]
-        area = abs(np.pi * float(np.mean(x * tangent.imag - y * tangent.real)))
+        # the closed curve's tangent is the tangent less its mean (mu_x, mu_y),
+        # which takes mu_y cx - mu_x cy off the integrand's mean
+        mu_x, mu_y = tangent_hat[:, 0].real.tolist()
+        area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
         curve = dict(points=points, radius=float(np.sqrt(area / np.pi)),
-                     centroid=(float(np.mean(x)), float(np.mean(y))))
-    return Observation(triple=conserved_quantities(state, k, k_s), k=k,
+                     centroid=(float(means[4]), float(means[5])))
+    return Observation(triple=conserved_quantities(state, means[:3]), k=k,
                        power=spectral.power_spectrum(phi_hat), **curve)
 
 

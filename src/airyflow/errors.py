@@ -14,7 +14,7 @@ class NonFiniteField(AiryflowError, ValueError):
     """A state's phi, length, time or anchor holds a NaN or infinite value."""
 
 
-class UnknownShape(AiryflowError, KeyError):
+class UnknownShape(AiryflowError, ValueError):
     """Requested curve id is not in the shape catalog."""
 
 

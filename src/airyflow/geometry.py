@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +31,13 @@ from .errors import (
     UnknownShape,
     WindingError,
 )
-from .spectral import _check_grid_size, grid_nodes, spectral_antiderivative, spectral_derivative
+from .spectral import (
+    _antiderivative_symbol,
+    _check_grid_size,
+    grid_nodes,
+    spectral_antiderivative,
+    spectral_derivative,
+)
 
 DEFAULT_CLOSURE_TOL = 1e-8
 DEFAULT_RESAMPLE_TOL = 1e-12
@@ -232,36 +237,45 @@ def extract_theta_l(points, length: float) -> ThetaLState:
 
 
 def curve_tangent(state: ThetaLState) -> np.ndarray:
-    """Tangent z_alpha = (L/2*pi) e^{i theta} of z = x + iy at the nodes."""
-    return state.length / (2.0 * np.pi) * np.exp(1j * state.theta())
-
-
-@lru_cache(maxsize=64)
-def _complex_antiderivative_symbol(n: int) -> np.ndarray:
-    """1/(i*m) in ``np.fft.fft`` order, with the mean and Nyquist slots zeroed."""
-    m = np.fft.fftfreq(n, 1.0 / n)
-    sym = np.zeros(n, dtype=np.complex128)
-    keep = (m != 0) & (np.abs(m) != n // 2)
-    sym[keep] = 1.0 / (1j * m[keep])
-    sym.setflags(write=False)
-    return sym
+    """Tangent (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta) at the nodes, as 2 rows."""
+    theta = state.theta()
+    tangent = np.empty((2, state.n))
+    np.cos(theta, out=tangent[0])
+    np.sin(theta, out=tangent[1])
+    tangent *= state.length / (2.0 * np.pi)
+    return tangent
 
 
 def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_TOL,
-                      tangent: Optional[np.ndarray] = None) -> np.ndarray:
-    """Curve points from a tangent-angle state, anchored at state.anchor.
+                      tangent_hat: Optional[np.ndarray] = None,
+                      fields: Optional[np.ndarray] = None):
+    """Curve points (N, 2) from a tangent-angle state, anchored at state.anchor.
 
-    Integrates the complex tangent z_alpha = (L/2*pi) e^{i theta}
-    (:func:`curve_tangent`, or ``tangent`` when the caller already has
-    it) by one complex FFT antiderivative: z = x + iy is the one complex
-    field of the package.  The tangent must have (near-)zero mean for the
-    curve to close; the mean below tolerance is dropped, which makes the
+    Integrates the tangent rows of :func:`curve_tangent` by one real
+    antiderivative: a 2-row ``rfft`` (or ``tangent_hat``, their half
+    spectra when the caller already has them) and one ``irfft``.  The
+    tangent must have (near-)zero mean for the curve to close; with
+    ``norm="forward"`` the mean slot is the mean, so the closure check
+    reads it there, and the antiderivative drops it, which makes the
     reconstructed polygon exactly periodic.
+
+    ``fields``, a stack of further half spectra, rides the same inverse
+    transform: the call then returns (points, values), their rows at the
+    nodes.
     """
-    z_a = curve_tangent(state) if tangent is None else tangent
-    mean = complex(np.mean(z_a))
-    if abs(mean.real) > closure_tol or abs(mean.imag) > closure_tol:
-        raise ClosureViolation(mean.real, mean.imag, closure_tol, state.time)
-    z = np.fft.ifft(np.fft.fft(z_a) * _complex_antiderivative_symbol(state.n))
-    z = complex(*state.anchor) + (z - z[0])
-    return np.column_stack([z.real, z.imag])
+    if tangent_hat is None:
+        tangent_hat = np.fft.rfft(curve_tangent(state), norm="forward")
+    mean_x, mean_y = tangent_hat[:, 0].real.tolist()
+    if abs(mean_x) > closure_tol or abs(mean_y) > closure_tol:
+        raise ClosureViolation(mean_x, mean_y, closure_tol, state.time)
+    spectra = np.empty((2 if fields is None else 2 + len(fields), tangent_hat.shape[1]),
+                       dtype=np.complex128)
+    np.multiply(tangent_hat, _antiderivative_symbol(state.n), out=spectra[:2])
+    if fields is not None:
+        spectra[2:] = fields
+    rows = np.fft.irfft(spectra, state.n, norm="forward")
+    for row, start in zip(rows, state.anchor):
+        row -= row[0]
+        row += start
+    points = rows[:2].T
+    return points if fields is None else (points, rows[2:])

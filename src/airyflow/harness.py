@@ -327,7 +327,11 @@ class _DiagnosticsProbe:
         if step == 0:
             self.m3_baseline, self.r0 = triple.m3, obs.radius
         cx, cy = obs.centroid
-        radial = np.hypot(obs.points[:, 0] - cx, obs.points[:, 1] - cy)
+        # the farthest node from the centroid: sqrt is monotone, so the max
+        # is taken over the squared distances
+        offset = obs.points - obs.centroid
+        offset *= offset
+        radial = math.sqrt(float((offset[:, 0] + offset[:, 1]).max()))
         self.rows.append(
             DiagnosticsRow(
                 time=state.time,
@@ -335,10 +339,10 @@ class _DiagnosticsProbe:
                 m2=triple.m2,
                 m3=triple.m3,
                 xi=diagnostics.m3_drift(triple.m3, self.m3_baseline),
-                max_curvature=float(np.max(np.abs(obs.k))),
-                delta_n=float(np.max(radial - self.r0)),
+                max_curvature=max(float(obs.k.max()), -float(obs.k.min())),
+                delta_n=radial - self.r0,
                 radius_n=obs.radius,
-                tail_max=float(np.max(obs.power[3 * state.n // 4:])),  # m > N/4
+                tail_max=float(obs.power[3 * state.n // 4:].max()),  # m > N/4
                 centroid_x=cx,
                 centroid_y=cy,
             )
@@ -372,11 +376,26 @@ class _SnapshotWriter:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
+    """A header line, then each row with every cell as :func:`_format_cell` writes it.
+
+    A table of numbers becomes one float array, and one vectorized
+    ``+ 0.0`` normalizes its -0.0; each row is then written with one
+    ``%.17g`` format, which prints an int below 2**53 as ``str`` does.  A
+    table that holds text (a curve name, the empty cells of a truncated
+    series) is written cell by cell.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = list(rows)
+    table = np.array(rows)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+        if table.dtype.kind in "biuf":
+            line = ",".join(["%.17g"] * len(columns)) + "\n"
+            for row in table + 0.0:
+                handle.write(line % tuple(row.tolist()))
+        else:
+            for row in rows:
+                handle.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _format_cell(cell) -> str:
@@ -534,7 +553,8 @@ def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
             baseline = obs.triple.m3
         series.append((state.time, diagnostics.m3_drift(obs.triple.m3, baseline)))
         power = obs.power  # the final state's, or the last observed one's after a failure
-        mean = complex(np.mean(geometry.curve_tangent(state)))
+        tangent = geometry.curve_tangent(state)
+        mean = complex(np.mean(tangent[0] + 1j * tangent[1]))  # the mean of x_alpha + i y_alpha
         closure = max(closure, abs(mean.real), abs(mean.imag))
 
     try:

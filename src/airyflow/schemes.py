@@ -198,6 +198,13 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> 
     return term
 
 
+def _spectral_bound_sq(phi_hat: np.ndarray) -> float:
+    """A bound on max|phi|^2 from the half spectrum in one ``vdot``:
+    max|phi| <= 2 sum|phi_hat_m| <= 2 sqrt((N/2+1) sum|phi_hat_m|^2)
+    by Cauchy-Schwarz.  nan for a non-finite spectrum."""
+    return 4.0 * phi_hat.size * np.vdot(phi_hat, phi_hat).real
+
+
 def integrate(
     initial: ThetaLState,
     cfg: SchemeConfig,
@@ -216,10 +223,10 @@ def integrate(
     the solution goes non-finite or max|phi| exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
-    2 sum|phi_hat_m| exceeds half the limit, and phi is otherwise
-    transformed back only where an observer fires and at the final step,
-    so an unobserved step takes two real transforms: the ``irfft`` inside
-    the nonlinear term and the ``rfft`` of the term.
+    2 sqrt((N/2+1) sum|phi_hat_m|^2) exceeds half the limit, and phi is
+    otherwise transformed back only where an observer fires and at the
+    final step, so an unobserved step takes two real transforms: the
+    ``irfft`` inside the nonlinear term and the ``rfft`` of the term.
 
     ``nonlinear`` replaces :func:`nonlinear_term` for this call: it takes
     the same ``(phi_hat, length, filter)`` and returns the term at the
@@ -252,6 +259,7 @@ def integrate(
         """The first step after j at which an observer fires: the final step at the latest."""
         return min([steps] + [j + stride - j % stride for stride, _ in observers])
 
+    bound_sq = (BLOWUP_LIMIT / 2) ** 2
     phi = initial.phi
     phi_hat = np.fft.rfft(phi, norm="forward")
     prev = None  # (phi_hat, nl_hat) one level back
@@ -265,9 +273,9 @@ def integrate(
         else:
             new_hat = step(rule, phi_hat, nl_hat, *prev)
         prev, phi_hat = (phi_hat, nl_hat), new_hat
-        # max|phi| <= 2 sum|phi_hat_m| over the half spectrum: well inside the
-        # limit the guard cannot trip; otherwise (or non-finite) check exactly
-        bounded = 2.0 * float(np.abs(phi_hat).sum()) <= BLOWUP_LIMIT / 2
+        # well inside the limit the guard cannot trip; otherwise (or
+        # non-finite) check exactly
+        bounded = _spectral_bound_sq(phi_hat) <= bound_sq
         if bounded and j != due:
             continue
         phi = np.fft.irfft(phi_hat, n, norm="forward")

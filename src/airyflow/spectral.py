@@ -33,10 +33,13 @@ def _check_grid_size(n: int) -> None:
         raise ValidationError(f"grid size n must be a power of two >= 8, got {n}")
 
 
+@lru_cache(maxsize=128)
 def grid_nodes(n: int) -> np.ndarray:
-    """Nodes alpha_k = 2*pi*k/N, k = 0..N-1."""
+    """Nodes alpha_k = 2*pi*k/N, k = 0..N-1, cached read-only per N."""
     _check_grid_size(n)
-    return 2.0 * np.pi * np.arange(n) / n
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    nodes.setflags(write=False)
+    return nodes
 
 
 def symmetric_wavenumbers(n: int) -> np.ndarray:

@@ -7,7 +7,11 @@ the package against.  Nothing in a run calls them.
   its direct and velocity-decomposition forms;
 * :func:`mkdv_residual` -- the centered time difference of the run's
   curvature (``diagnostics.observe(state).k``) against :func:`mkdv_rhs`;
-* :func:`point_curvature` -- curvature from point samples of a curve.
+* :func:`point_curvature` -- curvature from point samples of a curve;
+* :func:`complex_fft_curve` -- the curve by one complex FFT antiderivative
+  of its tangent;
+* :func:`reference_observation` -- every quantity
+  ``diagnostics.observe`` reads off a state, in the full complex FFT.
 """
 
 from __future__ import annotations
@@ -130,3 +134,48 @@ def point_curvature(points) -> np.ndarray:
     y_aa = spectral_derivative(y, 2)
     s_a = np.hypot(x_a, y_a)
     return (x_a * y_aa - x_aa * y_a) / s_a**3
+
+
+def _fft_wavenumbers(n, odd):
+    m = np.fft.fftfreq(n, 1.0 / n)
+    if odd:
+        m[n // 2] = 0.0
+    return m
+
+
+def _fft_derivative(values):
+    """First derivative through the full complex FFT, the Nyquist mode zeroed."""
+    return np.fft.ifft(1j * _fft_wavenumbers(values.size, True) * np.fft.fft(values)).real
+
+
+def complex_fft_curve(state) -> np.ndarray:
+    """Curve points (N, 2) anchored at state.anchor: z = x + iy from one
+    complex ``fft``/``ifft`` antiderivative of z_alpha = (L/2*pi) e^{i theta},
+    the mean and Nyquist modes dropped."""
+    n = state.n
+    m = _fft_wavenumbers(n, False)
+    m[0] = 1.0  # placeholder: the mean is dropped with the Nyquist mode
+    z_hat = np.fft.fft(state.length / (2 * np.pi) * np.exp(1j * state.theta())) / (1j * m)
+    z_hat[[0, n // 2]] = 0.0
+    z = np.fft.ifft(z_hat)
+    z = complex(*state.anchor) + (z - z[0])
+    return np.column_stack([z.real, z.imag])
+
+
+def reference_observation(state) -> dict:
+    """The observer quantities computed independently in the full complex
+    FFT: two real derivatives for k and k_s, :func:`complex_fft_curve` for
+    the curve, spectral derivatives of x and y for the area, and fft/N
+    power."""
+    n, length = state.n, state.length
+    k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi))
+    k_s = 2 * np.pi / length * _fft_derivative(k)
+    m3 = length * np.mean(0.5 * k_s**2 - 0.125 * k**4)
+    points = complex_fft_curve(state)
+    x, y = points[:, 0], points[:, 1]
+    area = abs(np.pi * np.mean(x * _fft_derivative(y) - y * _fft_derivative(x)))
+    coeffs = np.fft.fft(state.phi) / n
+    power = np.abs(coeffs[np.arange(-(n // 2) + 1, n // 2 + 1) % n]) ** 2
+    return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
+                points=points, radius=np.sqrt(area / np.pi),
+                centroid=(np.mean(x), np.mean(y)), power=power)

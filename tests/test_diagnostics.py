@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from airyflow import diagnostics, harness
+from airyflow import diagnostics, geometry, harness
 from airyflow.diagnostics import (
     ConservedTriple,
     conserved_quantities,
@@ -10,13 +10,14 @@ from airyflow.diagnostics import (
     m3_drift,
     state_difference_norm,
 )
-from airyflow.errors import NonPositiveError
+from airyflow.errors import ClosureViolation, NonPositiveError
 from airyflow.geometry import ThetaLState
 from airyflow.harness import RunConfig
 from airyflow.schemes import SchemeConfig, integrate
+from airyflow.spectral import grid_nodes
 
 from conftest import catalog_state, perturbation_error
-from oracles import MissingSnapshots, linear_oracle, mkdv_residual
+from oracles import MissingSnapshots, linear_oracle, mkdv_residual, reference_observation
 
 
 def run_keeping(state, cfg, keep_steps):
@@ -54,45 +55,6 @@ class TestConservedQuantities:
             assert conserved_quantities(state).m1 == pytest.approx(2 * np.pi, abs=1e-10)
 
 
-def _fft_wavenumbers(n, odd):
-    m = np.fft.fftfreq(n, 1.0 / n)
-    if odd:
-        m[n // 2] = 0.0
-    return m
-
-
-def _fft_derivative(values):
-    """First derivative through the full complex FFT, the Nyquist mode zeroed."""
-    return np.fft.ifft(1j * _fft_wavenumbers(values.size, True) * np.fft.fft(values)).real
-
-
-def _fft_antiderivative(values):
-    m = _fft_wavenumbers(values.size, False)
-    m[0] = 1.0  # placeholder: the mean is dropped with the Nyquist mode
-    out = np.fft.fft(values) / (1j * m)
-    out[[0, values.size // 2]] = 0.0
-    return np.fft.ifft(out).real
-
-
-def _reference_observation(state):
-    """The observer quantities computed independently in the full complex FFT:
-    two real derivatives for k and k_s, two real antiderivatives for the
-    curve, spectral derivatives of x and y for the area, and fft/N power."""
-    n, length = state.n, state.length
-    k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi))
-    k_s = 2 * np.pi / length * _fft_derivative(k)
-    m3 = length * np.mean(0.5 * k_s**2 - 0.125 * k**4)
-    theta, s_a = state.theta(), length / (2 * np.pi)
-    fx, fy = _fft_antiderivative(s_a * np.cos(theta)), _fft_antiderivative(s_a * np.sin(theta))
-    x, y = state.anchor[0] + fx - fx[0], state.anchor[1] + fy - fy[0]
-    area = abs(np.pi * np.mean(x * _fft_derivative(y) - y * _fft_derivative(x)))
-    coeffs = np.fft.fft(state.phi) / n
-    power = np.abs(coeffs[np.arange(-(n // 2) + 1, n // 2 + 1) % n]) ** 2
-    return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
-                points=np.column_stack([x, y]), radius=np.sqrt(area / np.pi),
-                centroid=(np.mean(x), np.mean(y)), power=power)
-
-
 class TestObservePass:
     # dt and closure_tol of presets E and CARDIOID
     @pytest.mark.parametrize("shape, params, dt, tol", [
@@ -103,7 +65,7 @@ class TestObservePass:
         if steps:
             state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt), steps * dt)
         obs = diagnostics.observe(state, tol)
-        ref = _reference_observation(state)
+        ref = reference_observation(state)
         for got, want in zip((obs.triple.m1, obs.triple.m2, obs.triple.m3), ref["m"]):
             assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(np.max(np.abs(obs.k)) - ref["max_k"]) <= 1e-12 * ref["max_k"]
@@ -113,6 +75,66 @@ class TestObservePass:
         assert np.max(np.abs(obs.points - ref["points"])) <= 1e-12 * size
         assert np.max(np.abs(np.subtract(obs.centroid, ref["centroid"]))) <= 1e-12 * size
         assert np.max(np.abs(obs.power - ref["power"])) <= 1e-15
+
+    @pytest.mark.parametrize("preset", ["E", "CARDIOID"])
+    def test_probe_rows_match_reference(self, preset):
+        dt = harness.PRESETS[preset]["dt"]
+        cfg = harness.preset_config(preset, t_final=40 * dt, diagnostic_stride=20)
+        probe, states = harness._DiagnosticsProbe(cfg), []
+        integrate(harness.build_initial_state(cfg), cfg, cfg.t_final,
+                  [(20, probe), (20, lambda j, s: states.append(s))])
+        refs = [reference_observation(s) for s in states]
+        m3_0, r0 = refs[0]["m"][2], refs[0]["radius"]
+        size = np.max(np.abs(refs[0]["points"]))
+        assert len(probe.rows) == len(refs) == 3
+        for row, ref in zip(probe.rows, refs):
+            for got, want in zip((row.m1, row.m2, row.m3), ref["m"]):
+                assert abs(got - want) <= 1e-12 * abs(want)
+            assert abs(row.xi - (ref["m"][2] - m3_0) / m3_0) <= 1e-12
+            assert abs(row.max_curvature - ref["max_k"]) <= 1e-12 * ref["max_k"]
+            assert abs(row.radius_n - ref["radius"]) <= 1e-12 * ref["radius"]
+            x, y = ref["points"].T
+            cx, cy = ref["centroid"]
+            assert abs(row.delta_n - (np.max(np.hypot(x - cx, y - cy)) - r0)) <= 1e-12 * size
+            assert max(abs(row.centroid_x - cx), abs(row.centroid_y - cy)) <= 1e-12 * size
+            assert abs(row.tail_max - np.max(ref["power"][3 * cfg.n // 4:])) <= 1e-15
+
+    def test_pass_takes_two_transforms(self, monkeypatch):
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
+        counts = dict.fromkeys(("rfft", "irfft", "fft", "ifft"), 0)
+        for name in counts:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def transforms(*closure_tol):
+            before = dict(counts)
+            diagnostics.observe(state, *closure_tol)
+            return {name: counts[name] - before[name] for name in counts}
+
+        # the rfft of phi, stacked with the tangent rows given a tolerance,
+        # and the irfft of the slopes, stacked with the curve's antiderivative
+        assert transforms() == dict(rfft=1, irfft=1, fft=0, ifft=0)
+        assert transforms(1e-8) == dict(rfft=1, irfft=1, fft=0, ifft=0)
+
+    def test_closure_boundary(self):
+        # theta = alpha + a cos(alpha) with L = 2 pi has the mean tangent
+        # (0, J_1(a)), and J_1(a) = a/2 - a^3/16 + ... = 1.1e-8 here
+        a = 2.2e-8
+        state = ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi, time=0.375)
+        mean_y = a / 2 * (1 - a**2 / 8)
+        assert diagnostics.observe(state, mean_y * (1 + 1e-6)).radius > 0
+        for check in (lambda: diagnostics.observe(state, mean_y * (1 - 1e-6)),
+                      lambda: geometry.reconstruct_curve(state)):
+            with pytest.raises(ClosureViolation) as err:
+                check()
+            assert err.value.time == 0.375
+            assert abs(err.value.mean_x) <= 1e-16
+            assert err.value.mean_y == pytest.approx(mean_y, rel=1e-8)
 
     def test_without_tolerance_skips_the_curve(self):
         state, _ = catalog_state("circle", 64)

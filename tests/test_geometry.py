@@ -269,7 +269,8 @@ class TestReconstruct:
 
     def test_given_tangent_is_the_state_tangent(self):
         state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
-        given = reconstruct_curve(state, tangent=geometry.curve_tangent(state))
+        tangent_hat = np.fft.rfft(geometry.curve_tangent(state), norm="forward")
+        given = reconstruct_curve(state, tangent_hat=tangent_hat)
         assert np.array_equal(given, reconstruct_curve(state))
 
     def test_rotated_tangent_rotates_curve(self):

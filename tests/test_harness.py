@@ -145,6 +145,14 @@ class TestParseConfig:
         assert cli.main(["run", str(config), "--out", str(out)]) == 2
         assert "error: " in capsys.readouterr().err and not out.exists()
 
+    def test_unknown_shape_message_unquoted(self, tmp_path, capsys):
+        # UnknownShape is a ValueError: str() is its message, not a KeyError repr
+        config = tmp_path / "run.txt"
+        config.write_text("shape = triangle\nn = 32\ndt = 1e-2\nt_final = 0.1\n")
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown shape 'triangle'; known: [") and '"' not in err
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")
@@ -542,6 +550,21 @@ class TestFormatting:
 
     def test_negative_zero_normalized(self):
         assert format_float(-0.0) == "0"
+
+    @pytest.mark.parametrize("rows", [
+        [(-0.0, np.float64(-0.0), float("nan"), np.nan, 1e-300, 5e-324, -1.5e300),
+         (np.int64(-255), 3, np.int64(0), float("inf"), -float("inf"), 0.1, np.float64(2) / 3)],
+        [(np.int64(-3), 1e-300), (np.int64(4), -0.0)],  # a spectrum: int m and power
+        [(0.5, -0.0, ""), (0.25, 1e-300, float("nan"))],  # a truncated series
+        [("cardioid", "cnadb", 0.01, 4.3e-09, -0.0, 10)],  # a convergence row
+    ], ids=["floats-and-ints", "int-column", "empty-cells", "text"])
+    def test_csv_cells_read_as_format_cell(self, rows, tmp_path):
+        path = tmp_path / "table.csv"
+        columns = [f"c{i}" for i in range(len(rows[0]))]
+        harness._write_csv(path, columns, iter(rows))
+        expected = [",".join(columns)]
+        expected += [",".join(harness._format_cell(cell) for cell in row) for row in rows]
+        assert path.read_text().splitlines() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from airyflow import diagnostics, schemes
 from airyflow.errors import BlowUp, NonCommensurateTime, ValidationError
@@ -64,7 +65,7 @@ def exact_guard_run(state, cfg, steps, nonlinear=None):
 
     Returns the (step, message) of the first :class:`BlowUp`, or None, and
     the number of steps that passed the guard although the spectral bound
-    2 sum|phi_hat_m| exceeded half the limit.
+    2 sqrt((N/2+1) sum|phi_hat_m|^2) exceeded half the limit.
     """
     near = 0
     for j, level in reference_levels(state, cfg, steps, nonlinear):
@@ -73,7 +74,7 @@ def exact_guard_run(state, cfg, steps, nonlinear=None):
         if not (math.isfinite(peak) and peak <= limit):
             detail = f"max|phi| = {peak:.3e} exceeds {limit:.3e}"
             return (j, str(BlowUp(j, state.time + j * cfg.dt, detail))), near
-        near += 2.0 * np.abs(level).sum() > limit / 2
+        near += not schemes._spectral_bound_sq(level) <= (limit / 2) ** 2
     return None, near
 
 
@@ -330,6 +331,19 @@ class TestIntegrate:
         cfg = SchemeConfig(scheme="adb", dt=1e-3)
         with pytest.raises(BlowUp):
             integrate(state, cfg, 0.1)
+
+    @given(st.sampled_from([8, 64, 512, 2048]), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.booleans())
+    def test_spectral_bound_majorizes_max_phi(self, n, seed, scale, aligned):
+        # aligned: equal real coefficients peak at alpha = 0, where max|phi|
+        # = N a against the bound's (N + 2) a
+        rng = np.random.default_rng(seed)
+        if aligned:
+            level = np.full(n // 2 + 1, scale, dtype=np.complex128)
+        else:
+            level = scale * (rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1))
+        peak = np.max(np.abs(np.fft.irfft(level, n, norm="forward")))
+        assert schemes._spectral_bound_sq(level) >= peak**2
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_guard_step_exact_under_growth(self, rng, scheme):
