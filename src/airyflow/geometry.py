@@ -183,19 +183,28 @@ def resample_equal_arclength(curve: tuple[Callable, Callable],
         raise NotRegular("curve has a vanishing or non-finite tangent (s_alpha not > 0)")
     length = 2.0 * np.pi * float(np.mean(s_a))
 
-    # s(beta) = (L/2pi) beta + periodic part, 0 at beta = 0; strictly increasing since s_a > 0
+    # s(beta) = (L/2pi) beta + periodic part, 0 at beta = 0; strictly increasing since s_a > 0.
+    # Newton's second row is s_beta: s_a less the Nyquist mode, which the antiderivative zeroes
     periodic = spectral_antiderivative(s_a - np.mean(s_a))
     periodic = periodic - periodic[0]
+    rows = np.stack([periodic, length / (2.0 * np.pi) + spectral_derivative(periodic)])
     targets = np.arange(n) * length / n
-    # Newton starts from s at the nodes, exact there, inverted by linear interpolation
-    at_nodes = length / (2.0 * np.pi) * alpha + periodic
-    beta = np.interp(targets, np.append(at_nodes, length), np.append(alpha, 2.0 * np.pi))
+    # Newton starts from the cubic Hermite inverse of s: knots s(alpha_k), which
+    # the FFT antiderivative gives exactly, and slopes 1/s_beta there
+    knots = np.append(length / (2.0 * np.pi) * alpha + periodic, length)
+    slopes = 1.0 / np.append(rows[1], rows[1, 0])
+    k = np.searchsorted(knots, targets, side="right") - 1
+    h = knots[k + 1] - knots[k]
+    u = (targets - knots[k]) / h
+    beta = (alpha[k] + u * u * (3.0 - 2.0 * u) * (2.0 * np.pi / n)
+            + h * u * (1.0 - u) * ((1.0 - u) * slopes[k] - u * slopes[k + 1]))
     tol_abs = DEFAULT_RESAMPLE_TOL * length
     for _ in range(_NEWTON_MAX_ITER):
-        resid = length / (2.0 * np.pi) * beta + spectral.trig_interpolate(periodic, beta) - targets
+        value, slope = spectral.trig_interpolate(rows, beta)
+        resid = length / (2.0 * np.pi) * beta + value - targets
         # update before the convergence test: the final step polishes the
         # just-in-tolerance residual down to the interpolation floor
-        beta = beta - resid / spectral.trig_interpolate(s_a, beta)
+        beta = beta - resid / slope
         if np.max(np.abs(resid)) <= tol_abs:
             break
     else:

@@ -430,6 +430,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
     started = _time.perf_counter()
     initial = build_initial_state(cfg)
+    setup = _time.perf_counter() - started
     probe = _DiagnosticsProbe(cfg)
     snapshots = _SnapshotWriter(cfg, out_dir)
     observers = [(cfg.diagnostic_stride, probe), (cfg.snapshot_stride, snapshots)]
@@ -456,6 +457,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         ("steps_completed", steps_done),
         ("steps_requested", cfg.steps),
         ("wall_time_s", format_float(wall)),
+        ("setup_time_s", format_float(setup)),
     ]
     if error:
         manifest.append(("error", error))

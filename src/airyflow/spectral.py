@@ -149,21 +149,30 @@ def l2_norm(values) -> float:
 def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     """Evaluate the trigonometric interpolant of real samples at points beta.
 
-    Uses the symmetric interpolant: the Nyquist coefficient contributes
+    ``values`` is one row of N samples or a stack (R, N) of rows; the
+    result has the same leading shape, with one entry per point.  Uses the
+    symmetric interpolant: the Nyquist coefficient contributes
     cos(N*beta/2) so the result is real for real input; modes 1..N/2-1 are
     doubled.  With m = kB + j and B ~ sqrt(N/2), e^{im beta} = e^{ij beta} e^{ikB beta}:
-    P points take a P x B and a P x K exp table and one matrix product.
+    P points take a P x B and a P x K phase table, built once for all rows,
+    and one matrix product per row.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
+    n = values.shape[-1]
     _check_grid_size(n)
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     half = n // 2
     fhat = np.fft.rfft(values, norm="forward")
-    coeffs = 2.0 * fhat[:half]
-    coeffs[0] = fhat[0]
+    coeffs = 2.0 * fhat[..., :half]
+    coeffs[..., 0] = fhat[..., 0]
     block = 1 << (half.bit_length() // 2)  # B; the K = N/2 / B block starts are kB
-    inner = np.exp(1j * np.outer(beta, np.arange(block)))
-    outer = np.exp(1j * np.outer(beta, np.arange(0, half, block)))
-    out = np.einsum("pk,pk->p", outer, inner @ coeffs.reshape(-1, block).T).real
-    return out + fhat[half].real * np.cos(half * beta)
+    # e^{ij beta} and e^{ikB beta} side by side: phases into .imag, then cos and sin of them
+    table = np.empty((beta.size, block + half // block), dtype=np.complex128)
+    np.outer(beta, np.append(np.arange(block), np.arange(0, half, block)), out=table.imag)
+    np.cos(table.imag, out=table.real)
+    np.sin(table.imag, out=table.imag)
+    inner, outer = table[:, :block], table[:, block:]
+    out = np.array([np.einsum("pk,pk->p", outer, inner @ row.T).real
+                    for row in coeffs.reshape(-1, half // block, block)])
+    out += fhat[..., half].real.reshape(-1, 1) * np.cos(half * beta)
+    return out.reshape(values.shape[:-1] + beta.shape)

@@ -11,7 +11,9 @@ the package against.  Nothing in a run calls them.
 * :func:`complex_fft_curve` -- the curve by one complex FFT antiderivative
   of its tangent;
 * :func:`reference_observation` -- every quantity
-  ``diagnostics.observe`` reads off a state, in the full complex FFT.
+  ``diagnostics.observe`` reads off a state, in the full complex FFT;
+* :func:`linear_start_resample` -- equal-arc-length resampling started by
+  linear interpolation, one interpolant row per call.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from airyflow import diagnostics
-from airyflow.errors import AiryflowError
+from airyflow.errors import AiryflowError, NoConvergence
 from airyflow.geometry import _as_points
-from airyflow.spectral import spectral_derivative
+from airyflow.spectral import (
+    grid_nodes,
+    spectral_antiderivative,
+    spectral_derivative,
+    trig_interpolate,
+)
 
 
 class MissingSnapshots(AiryflowError):
@@ -179,3 +186,28 @@ def reference_observation(state) -> dict:
     return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
                 points=points, radius=np.sqrt(area / np.pi),
                 centroid=(np.mean(x), np.mean(y)), power=power)
+
+
+def linear_start_resample(curve, n: int):
+    """Points (n, 2) and length of ``curve`` resampled uniformly in arc length.
+
+    The cumulative arc length s(alpha) comes from the spectral
+    antiderivative of s_alpha; Newton inverts its interpolant, started from
+    the linear interpolant of s at the nodes and divided by the interpolant
+    of s_alpha itself, each evaluated by its own ``trig_interpolate`` call.
+    """
+    fx, fy = curve
+    alpha = grid_nodes(n)
+    s_a = np.hypot(spectral_derivative(fx(alpha)), spectral_derivative(fy(alpha)))
+    length = 2.0 * np.pi * float(np.mean(s_a))
+    periodic = spectral_antiderivative(s_a - np.mean(s_a))
+    periodic = periodic - periodic[0]
+    targets = np.arange(n) * length / n
+    at_nodes = length / (2.0 * np.pi) * alpha + periodic
+    beta = np.interp(targets, np.append(at_nodes, length), np.append(alpha, 2.0 * np.pi))
+    for _ in range(50):
+        resid = length / (2.0 * np.pi) * beta + trig_interpolate(periodic, beta) - targets
+        beta = beta - resid / trig_interpolate(s_a, beta)
+        if np.max(np.abs(resid)) <= 1e-12 * length:
+            return np.column_stack([fx(beta), fy(beta)]), length
+    raise NoConvergence("arc-length inversion did not converge in 50 iterations")

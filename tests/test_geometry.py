@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from airyflow import geometry
+from airyflow import geometry, spectral
 from airyflow.diagnostics import observe
 from airyflow.errors import (
     ClosureViolation,
@@ -24,7 +24,7 @@ from airyflow.geometry import (
 from airyflow.spectral import grid_nodes, spectral_derivative
 
 from conftest import catalog_state
-from oracles import point_curvature
+from oracles import linear_start_resample, point_curvature
 
 # perimeter of ellipse(1, 0.5) by adaptive quadrature of sqrt(sin^2 + 0.25 cos^2);
 # scipy.integrate.quad reports an error estimate of 5.4e-14
@@ -152,6 +152,53 @@ class TestResample:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @staticmethod
+    def interpolant_calls(monkeypatch, curve, n):
+        calls = 0
+        interpolate = spectral.trig_interpolate
+
+        def counted(values, beta):
+            nonlocal calls
+            calls += 1
+            return interpolate(values, beta)
+
+        monkeypatch.setattr(spectral, "trig_interpolate", counted)
+        resample_equal_arclength(curve, n)
+        return calls
+
+    @pytest.mark.parametrize("n, calls", [(512, 2), (1024, 2), (2048, 1)])
+    def test_cardioid_interpolant_calls(self, monkeypatch, n, calls):
+        # one call per Newton iteration from the cubic Hermite start
+        assert self.interpolant_calls(monkeypatch, catalog_curve("cardioid"), n) == calls
+
+    def test_thin_ellipse_interpolant_calls(self, monkeypatch):
+        curve = catalog_curve("ellipse", a=1.0, b=0.05)
+        assert self.interpolant_calls(monkeypatch, curve, 8) <= 4
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 512, 4096])
+    @pytest.mark.parametrize("shape, params", [
+        ("ellipse", dict(a=1.0, b=0.5)),
+        ("ellipse", dict(a=1.0, b=0.05)),
+        ("cardioid", {}),
+        ("pc3", {}),
+        ("perturbed_circle", dict(r0=1.0, delta0=0.9, m=5)),
+    ])
+    def test_matches_linear_start_reference(self, shape, params, n):
+        curve = catalog_curve(shape, **params)
+        points, length = resample_equal_arclength(curve, n)
+        ref_points, ref_length = linear_start_resample(curve, n)
+        assert length == ref_length
+        assert np.max(np.abs(points - ref_points)) <= 1e-12
+
+    def test_newton_slope_drops_the_nyquist_mode(self, monkeypatch):
+        # s_alpha's Nyquist coefficient here is -1.56, which the residual's
+        # antiderivative zeroes; a slope that kept it never converged
+        curve = catalog_curve("perturbed_circle", r0=1.0, delta0=0.5, m=8)
+        alpha = grid_nodes(32)
+        s_a = np.hypot(spectral_derivative(curve[0](alpha)), spectral_derivative(curve[1](alpha)))
+        assert np.fft.rfft(s_a, norm="forward")[-1].real < -1.5
+        assert self.interpolant_calls(monkeypatch, curve, 32) <= 6
 
     def test_degenerate_curve_rejected(self):
         curve = (lambda t: 0.0 * t, lambda t: 0.0 * t)

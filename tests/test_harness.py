@@ -290,6 +290,16 @@ class TestRunExperiment:
         outputs = [v for k, v in manifest.items() if k.startswith("output.")]
         assert outputs and all((out / rel).exists() for rel in outputs)
 
+    def test_manifest_records_setup_time(self, tmp_path):
+        out = run_experiment(small_run_config(tmp_path)).output_dir
+        lines = (out / "manifest.txt").read_text().splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert keys.index("setup_time_s") == keys.index("wall_time_s") + 1
+        manifest = dict(line.split(" = ", 1) for line in lines)
+        setup, wall = float(manifest["setup_time_s"]), float(manifest["wall_time_s"])
+        assert math.isfinite(setup) and math.isfinite(wall)
+        assert 0.0 <= setup <= wall
+
     def test_circle_diagnostics_flat(self, tmp_path):
         cfg = small_run_config(tmp_path, n=64, dt=1e-3, t_final=1.0,
                                snapshot_stride=1000, diagnostic_stride=100)

@@ -253,6 +253,15 @@ class TestInterpolation:
         dense += fhat[n // 2].real * np.cos(n // 2 * beta)
         assert np.max(np.abs(trig_interpolate(f, beta) - dense)) <= 1e-12 * np.max(np.abs(f))
 
+    @pytest.mark.parametrize("n", [8, 16, 512, 4096])
+    def test_stack_matches_one_call_per_row(self, n, rng):
+        rows = rng.normal(size=(3, n))
+        beta = rng.uniform(0.0, 2 * np.pi, n)
+        stacked = trig_interpolate(rows, beta)
+        assert stacked.shape == (3, n)
+        for row, got in zip(rows, stacked):
+            assert np.array_equal(got, trig_interpolate(row, beta))
+
     @pytest.mark.parametrize("n", [8, 16, 4096])
     def test_band_limited_exact_across_block_splits(self, n, rng):
         # N/2 = 4 splits modes into 2 x 2 blocks, N/2 = 8 and 2048 into unequal ones
