@@ -35,15 +35,6 @@ class ConservedTriple:
     time: float
 
 
-def _slope_spectra(phi_hat: np.ndarray) -> np.ndarray:
-    """The half spectra of phi_alpha and phi_alpha_alpha, stacked as 2 rows."""
-    d = _derivative_symbol(2 * (phi_hat.size - 1), 1)
-    slopes = np.empty((2, phi_hat.size), dtype=np.complex128)
-    np.multiply(d, phi_hat, out=slopes[0])
-    np.multiply(d, slopes[0], out=slopes[1])
-    return slopes
-
-
 def _fill_integrands(rows: np.ndarray, phi_a, phi_aa, length: float) -> np.ndarray:
     """Write k, k^2 and k_s^2/2 - k^4/8 into rows 0-2 and return k.
 
@@ -67,75 +58,66 @@ def conserved_quantities(state: ThetaLState, means=None) -> ConservedTriple:
     """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha.
 
     ``means`` are the node means of the three integrands of
-    :func:`_fill_integrands`, taken from the state unless the caller
-    already has them.
+    :func:`_fill_integrands`, which :func:`observe` passes; without them
+    the triple is ``observe(state).triple``, read off the one pass.
     """
     if means is None:
-        slopes = _slope_spectra(np.fft.rfft(state.phi, norm="forward"))
-        rows = np.empty((3, state.n))
-        _fill_integrands(rows, *np.fft.irfft(slopes, state.n, norm="forward"), state.length)
-        means = rows.sum(axis=1) / state.n
+        return observe(state).triple
     m1, m2, m3 = (means * state.length).tolist()
     return ConservedTriple(m1=m1, m2=m2, m3=m3, time=state.time)
 
 
 @dataclass(frozen=True)
 class Observation:
-    """What the run's observers read off one state (see :func:`observe`)."""
+    """What the run's observers read off one state, every field from the one
+    pass of :func:`observe`, with or without its closure check."""
 
     triple: ConservedTriple
     k: np.ndarray  # curvature at the nodes
     power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2
-    points: Optional[np.ndarray] = None  # the reconstructed curve, (N, 2)
-    radius: Optional[float] = None  # effective radius sqrt(area / pi)
-    centroid: Optional[tuple[float, float]] = None
+    points: np.ndarray  # the reconstructed curve, (N, 2)
+    radius: float  # effective radius sqrt(area / pi)
+    centroid: tuple[float, float]
+    closure: float  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|
 
 
 def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observation:
     """Every observer quantity of a state in one stacked pass.
 
-    Without a ``closure_tol``: one ``rfft`` of phi gives the power
-    spectrum and the spectra of phi_alpha and phi_alpha_alpha, and one
-    2-row ``irfft`` takes those back for k and k_s; ``points``,
-    ``radius`` and ``centroid`` are None.  With one, phi and the two
-    tangent rows of :func:`geometry.curve_tangent` share one 3-row
-    ``rfft``, and :func:`geometry.reconstruct_curve` builds the curve, its
-    antiderivative riding the same ``irfft`` as k and k_s, and raises
-    :class:`ClosureViolation` if the curve does not close.  Either way
-    the pass takes two transforms.  M1-M3, the area integrand
+    phi and the two tangent rows of :func:`geometry.curve_tangent` share
+    one 3-row ``rfft``; its phi row gives the power spectrum and the
+    spectra of phi_alpha and phi_alpha_alpha, and its tangent rows'
+    mean slot the closure defect.  :func:`geometry.reconstruct_curve`
+    builds the curve, its antiderivative riding one 4-row ``irfft`` with
+    phi_alpha and phi_alpha_alpha (for k and k_s), and raises
+    :class:`ClosureViolation` if the defect exceeds ``closure_tol``;
+    ``None`` checks nothing.  M1-M3, the area integrand
     x y_alpha - y x_alpha and the centroid are the means of one (6, N)
-    stack of rows, (3, N) without the curve.
+    stack of rows.
     """
     n = state.n
-    if closure_tol is None:
-        phi_hat = np.fft.rfft(state.phi, norm="forward")
-        phi_a, phi_aa = np.fft.irfft(_slope_spectra(phi_hat), n, norm="forward")
-        rows = np.empty((3, n))
-    else:
-        tangent = geometry.curve_tangent(state)
-        fields = np.empty((3, n))
-        fields[0] = state.phi
-        fields[1:] = tangent
-        spectra = np.fft.rfft(fields, norm="forward")
-        phi_hat, tangent_hat = spectra[0], spectra[1:]
-        points, (phi_a, phi_aa) = geometry.reconstruct_curve(
-            state, closure_tol, tangent_hat, _slope_spectra(phi_hat))
-        rows = np.empty((6, n))
-        rows[4:] = points.T
-        cross = points.T * tangent[::-1]  # x t_y and y t_x
-        np.subtract(cross[0], cross[1], out=rows[3])
+    tangent = geometry.curve_tangent(state)
+    spectra = np.fft.rfft(np.vstack((state.phi, tangent)), norm="forward")
+    phi_hat, tangent_hat = spectra[0], spectra[1:]
+    d = _derivative_symbol(n, 1)
+    phi_a_hat = d * phi_hat
+    points, (phi_a, phi_aa) = geometry.reconstruct_curve(
+        state, closure_tol, tangent_hat, np.stack((phi_a_hat, d * phi_a_hat)))
+    rows = np.empty((6, n))
+    rows[4:] = points.T
+    cross = points.T * tangent[::-1]  # x t_y and y t_x
+    np.subtract(cross[0], cross[1], out=rows[3])
     k = _fill_integrands(rows, phi_a, phi_aa, state.length)
     means = rows.sum(axis=1) / n  # np.mean's bits, without its Python-level overhead
-    curve = {}
-    if closure_tol is not None:
-        # the closed curve's tangent is the tangent less its mean (mu_x, mu_y),
-        # which takes mu_y cx - mu_x cy off the integrand's mean
-        mu_x, mu_y = tangent_hat[:, 0].real.tolist()
-        area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
-        curve = dict(points=points, radius=float(np.sqrt(area / np.pi)),
-                     centroid=(float(means[4]), float(means[5])))
+    # the closed curve's tangent is the tangent less its mean (mu_x, mu_y),
+    # which takes mu_y cx - mu_x cy off the integrand's mean
+    mu_x, mu_y = tangent_hat[:, 0].real.tolist()
+    area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
     return Observation(triple=conserved_quantities(state, means[:3]), k=k,
-                       power=spectral.power_spectrum(phi_hat), **curve)
+                       power=spectral.power_spectrum(phi_hat), points=points,
+                       radius=float(np.sqrt(area / np.pi)),
+                       centroid=(float(means[4]), float(means[5])),
+                       closure=max(abs(mu_x), abs(mu_y)))
 
 
 def m3_drift(m3: float, m3_0: float) -> float:

@@ -255,7 +255,7 @@ def curve_tangent(state: ThetaLState) -> np.ndarray:
     return tangent
 
 
-def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_TOL,
+def reconstruct_curve(state: ThetaLState, closure_tol: Optional[float] = DEFAULT_CLOSURE_TOL,
                       tangent_hat: Optional[np.ndarray] = None,
                       fields: Optional[np.ndarray] = None):
     """Curve points (N, 2) from a tangent-angle state, anchored at state.anchor.
@@ -265,8 +265,9 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     spectra when the caller already has them) and one ``irfft``.  The
     tangent must have (near-)zero mean for the curve to close; with
     ``norm="forward"`` the mean slot is the mean, so the closure check
-    reads it there, and the antiderivative drops it, which makes the
-    reconstructed polygon exactly periodic.
+    reads it there (raising :class:`ClosureViolation` when a part exceeds
+    ``closure_tol``; ``None`` checks nothing), and the antiderivative
+    drops it, which makes the reconstructed polygon exactly periodic.
 
     ``fields``, a stack of further half spectra, rides the same inverse
     transform: the call then returns (points, values), their rows at the
@@ -275,7 +276,7 @@ def reconstruct_curve(state: ThetaLState, closure_tol: float = DEFAULT_CLOSURE_T
     if tangent_hat is None:
         tangent_hat = np.fft.rfft(curve_tangent(state), norm="forward")
     mean_x, mean_y = tangent_hat[:, 0].real.tolist()
-    if abs(mean_x) > closure_tol or abs(mean_y) > closure_tol:
+    if closure_tol is not None and (abs(mean_x) > closure_tol or abs(mean_y) > closure_tol):
         raise ClosureViolation(mean_x, mean_y, closure_tol, state.time)
     spectra = np.empty((2 if fields is None else 2 + len(fields), tangent_hat.shape[1]),
                        dtype=np.complex128)

@@ -356,9 +356,11 @@ class _SnapshotWriter:
         self.cfg = cfg
         self.out_dir = out_dir
         self.written: list[Path] = []
+        # six decimals, or as many as tell steps of dt < 1e-6 apart
+        self.decimals = max(6, math.ceil(-math.log10(cfg.dt)))
 
     def __call__(self, step: int, state: ThetaLState) -> None:
-        tag = f"{state.time:.6f}"
+        tag = f"{state.time:.{self.decimals}f}"
         obs = diagnostics.observe(state, self.cfg.closure_tol)
         curve_path = self.out_dir / "snapshots" / f"curve_t{tag}.csv"
         _write_csv(
@@ -543,21 +545,18 @@ class FilterStudyResult:
 
 def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
     """One variant's (time, xi) series, last power spectrum, largest closure
-    defect (the mean tangent's larger part, as reconstruct_curve tests it)
-    and error (None if it completed)."""
+    defect over the observed states and error (None if it completed)."""
     series = []
     baseline, power, closure = None, None, 0.0
 
     def probe(step, state):
         nonlocal baseline, power, closure
-        obs = diagnostics.observe(state)  # no curve: the study reads M3 and power
+        obs = diagnostics.observe(state)  # no closure check: the study records the defect
         if step == 0:
             baseline = obs.triple.m3
         series.append((state.time, diagnostics.m3_drift(obs.triple.m3, baseline)))
         power = obs.power  # the final state's, or the last observed one's after a failure
-        tangent = geometry.curve_tangent(state)
-        mean = complex(np.mean(tangent[0] + 1j * tangent[1]))  # the mean of x_alpha + i y_alpha
-        closure = max(closure, abs(mean.real), abs(mean.imag))
+        closure = max(closure, obs.closure)
 
     try:
         schemes.integrate(initial, cfg, cfg.t_final, [(cfg.diagnostic_stride, probe)])

@@ -4,7 +4,9 @@
 counts integrator steps as calls of ``schemes.init_step`` plus
 ``schemes.step``.  ``perfbench/worker.py`` imports package names at
 module level.  These tests pin that contract: a renamed or deleted
-function would break the benchmark before it measured anything.
+function would break the benchmark before it measured anything.  They
+also run the worker's own output checks on smoke runs, so a change that
+fails one shows here before the benchmark runs.
 """
 
 import importlib.util
@@ -41,6 +43,15 @@ def test_worker_imports_resolve(monkeypatch):
     worker = load_perfbench("worker")
     assert sorted(worker.WORKLOADS) == ["converge-space", "filter-study", "preset-e"]
 
+
+
+@pytest.mark.parametrize("workload", ["preset-e", "filter-study"])
+def test_worker_output_checks_pass(monkeypatch, tmp_path, workload):
+    # the benchmark's own checks on a smoke run; neither reads the probes
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    run, check = load_perfbench("worker").WORKLOADS[workload]
+    checks, _ = check(run(tmp_path, True), None, tmp_path)
+    assert checks and all(ok for _, ok, _ in checks), checks
 
 # replaced by Probes.install on every repeat, besides the _SPANNED names
 _INSTALLED = (

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -102,24 +104,29 @@ class TestObservePass:
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         counts = dict.fromkeys(("rfft", "irfft", "fft", "ifft"), 0)
+        shapes = []
         for name in counts:
             original = getattr(np.fft, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
+            def counted(a, *args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                return _original(*args, **kwargs)
+                shapes.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
 
         def transforms(*closure_tol):
             before = dict(counts)
+            shapes.clear()
             diagnostics.observe(state, *closure_tol)
             return {name: counts[name] - before[name] for name in counts}
 
-        # the rfft of phi, stacked with the tangent rows given a tolerance,
-        # and the irfft of the slopes, stacked with the curve's antiderivative
-        assert transforms() == dict(rfft=1, irfft=1, fft=0, ifft=0)
-        assert transforms(1e-8) == dict(rfft=1, irfft=1, fft=0, ifft=0)
+        # phi and the two tangent rows share the rfft; the slopes of phi
+        # ride the irfft with the curve's antiderivative, with or without
+        # a tolerance
+        for closure_tol in ((), (1e-8,), (None,)):
+            assert transforms(*closure_tol) == dict(rfft=1, irfft=1, fft=0, ifft=0)
+            assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
 
     def test_closure_boundary(self):
         # theta = alpha + a cos(alpha) with L = 2 pi has the mean tangent
@@ -136,11 +143,20 @@ class TestObservePass:
             assert abs(err.value.mean_x) <= 1e-16
             assert err.value.mean_y == pytest.approx(mean_y, rel=1e-8)
 
-    def test_without_tolerance_skips_the_curve(self):
-        state, _ = catalog_state("circle", 64)
-        obs = diagnostics.observe(state)
-        assert obs.points is None and obs.radius is None and obs.centroid is None
+    def test_tolerance_only_checks_closure(self):
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
+        obs, checked = diagnostics.observe(state), diagnostics.observe(state, 1.0)
+        for field in dataclasses.fields(diagnostics.Observation):
+            got, want = getattr(obs, field.name), getattr(checked, field.name)
+            assert np.array_equal(got, want), field.name
         assert obs.triple == conserved_quantities(state)
+
+    def test_closure_is_the_larger_mean_tangent_part(self):
+        # theta = alpha + a sin(alpha) with L = 2 pi has the mean tangent (-J_1(a), 0)
+        a = 1e-3
+        state = ThetaLState(phi=a * np.sin(grid_nodes(64)), length=2 * np.pi)
+        assert diagnostics.observe(state).closure == pytest.approx(a / 2 * (1 - a**2 / 8),
+                                                                   rel=1e-12)
 
 
 def max_abs_drift(triples):

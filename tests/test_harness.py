@@ -1,13 +1,15 @@
 import math
 import re
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airyflow import cli, geometry, harness, schemes
+from airyflow import cli, diagnostics, geometry, harness, schemes
 from airyflow.errors import (
+    BlowUp,
     InvalidParameter,
     NonCommensurateTime,
     ParseError,
@@ -317,6 +319,17 @@ class TestRunExperiment:
         for rel in ("diagnostics.csv", "snapshots/curve_t0.200000.csv", "spectrum_t0.200000.csv"):
             assert (a.output_dir / rel).read_bytes() == (b.output_dir / rel).read_bytes()
 
+    def test_snapshot_names_tell_steps_below_a_microsecond_apart(self, tmp_path):
+        cfg = small_run_config(tmp_path, n=32, dt=1e-7, t_final=5e-7, snapshot_stride=1)
+        out = run_experiment(cfg).output_dir
+        curves = sorted(path.name for path in (out / "snapshots").iterdir())
+        assert curves == [f"curve_t0.000000{j}.csv" for j in range(6)]
+        listed = [line.split(" = ", 1)[1] for line in
+                  (out / "manifest.txt").read_text().splitlines() if line.startswith("output.")]
+        assert len(listed) == len(set(listed)) == 2 + 2 * 6
+        assert sorted(rel for rel in listed if rel.startswith("snapshots/")) == [
+            f"snapshots/{name}" for name in curves]
+
     def test_blowup_flagged_with_partial_outputs(self, tmp_path, monkeypatch):
         cfg = small_run_config(tmp_path, diagnostic_stride=1)
         monkeypatch.setattr(schemes, "nonlinear_term", lambda *args: np.full(cfg.n, 1e6))
@@ -513,6 +526,19 @@ class TestFilterStudy:
             cells = [row[header.index(f"xi_{label}")] for row in body]
             assert len(result.xi_series[label]) == 7  # steps 0, 5, ..., 30
             assert all(cells[:7]) and not any(cells[7:]), label
+
+    def test_closure_is_the_largest_observed_defect(self, tmp_path):
+        result = run_filter_study(FILTER_128, output_dir=tmp_path)
+        manifest = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "filters_manifest.txt").read_text().splitlines())
+        for label, scheme, filter_mode in harness.FILTER_STUDY_VARIANTS:
+            cfg = replace(FILTER_128, scheme=scheme, filter=filter_mode)
+            defects = []
+            with pytest.raises(BlowUp) if label in result.errors else nullcontext():
+                schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final,
+                                  [(cfg.diagnostic_stride,
+                                    lambda j, s: defects.append(diagnostics.observe(s).closure))])
+            assert float(manifest[f"closure.{label}"]) == max(defects), label
 
     def test_deterministic_reruns(self, tmp_path):
         # identical configs give byte-identical outputs, failed variants included

@@ -188,6 +188,18 @@ class TestAdb:
         assert np.max(spectrum[1:]) <= 1e-13
         assert np.max(np.abs(diagnostics.observe(final).k - 1.0)) <= 1e-12
 
+    def test_filters_delay_blowup_without_preventing_it(self):
+        # criterion 4's config run to t = 1: every adb variant blows up, the
+        # filtered ones at least twice as late.  The steps move with
+        # roundoff (near 1,990 unfiltered, 6,200 krasny, 7,360 dpr)
+        state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
+        steps = {}
+        for filter in ("none", "dpr", "krasny"):
+            with pytest.raises(BlowUp) as err:
+                integrate(state, SchemeConfig(scheme="adb", dt=1e-4, filter=filter), 1.0)
+            steps[filter] = err.value.step
+        assert min(steps["dpr"], steps["krasny"]) >= 2 * steps["none"]
+
 
 class TestCn:
     def test_init_matches_adb_on_circle(self):
