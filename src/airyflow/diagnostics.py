@@ -35,42 +35,25 @@ class ConservedTriple:
     time: float
 
 
-def _fill_integrands(rows: np.ndarray, phi_a, phi_aa, length: float) -> np.ndarray:
-    """Write k, k^2 and k_s^2/2 - k^4/8 into rows 0-2 and return k.
-
-    k = (2*pi/L)(1 + phi_alpha) and k_s = (2*pi/L)^2 phi_alpha_alpha at the
-    nodes; L times a row's mean, the trapezoidal rule on the periodic
-    grid and so spectrally accurate, is M1, M2 or M3.  k^4 is k^2 squared,
-    one product per node, where ``k**4`` would call ``pow``.
-    """
-    scale = 2.0 * np.pi / length
-    k, k2, m3 = rows[0], rows[1], rows[2]
-    np.add(phi_a, 1.0, out=k)
-    k *= scale
-    np.multiply(k, k, out=k2)
-    np.multiply(phi_aa, phi_aa, out=m3)
-    m3 *= 0.5 * scale**4
-    m3 -= 0.125 * (k2 * k2)
-    return k
-
-
-def conserved_quantities(state: ThetaLState, means=None) -> ConservedTriple:
+def conserved_quantities(state, means=None) -> ConservedTriple:
     """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha.
 
-    ``means`` are the node means of the three integrands of
-    :func:`_fill_integrands`, which :func:`observe` passes; without them
-    the triple is ``observe(state).triple``, read off the one pass.
+    With ``means``, the node means (3, S) of the three integrands over a
+    block of S states that :func:`observe` passes with the block, the
+    triple holds (S,) arrays.  Without them it is ``observe(state).triple``.
     """
     if means is None:
         return observe(state).triple
-    m1, m2, m3 = (means * state.length).tolist()
-    return ConservedTriple(m1=m1, m2=m2, m3=m3, time=state.time)
+    m1, m2, m3 = means * np.array([each.length for each in state])
+    return ConservedTriple(m1=m1, m2=m2, m3=m3, time=np.array([each.time for each in state]))
 
 
 @dataclass(frozen=True)
 class Observation:
     """What the run's observers read off one state, every field from the one
-    pass of :func:`observe`, with or without its closure check."""
+    pass of :func:`observe`, with or without its closure check.  A block's
+    fields (the triple's too) carry a leading state axis; ``block[i]`` is
+    state i's."""
 
     triple: ConservedTriple
     k: np.ndarray  # curvature at the nodes
@@ -80,44 +63,66 @@ class Observation:
     centroid: tuple[float, float]
     closure: float  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|
 
+    def __getitem__(self, i: int) -> Observation:
+        t = self.triple
+        return Observation(ConservedTriple(*(float(f[i]) for f in (t.m1, t.m2, t.m3, t.time))),
+                           self.k[i], self.power[i], self.points[i], float(self.radius[i]),
+                           tuple(self.centroid[i].tolist()), float(self.closure[i]))
 
-def observe(state: ThetaLState, closure_tol: Optional[float] = None) -> Observation:
-    """Every observer quantity of a state in one stacked pass.
 
-    phi and the two tangent rows of :func:`geometry.curve_tangent` share
-    one 3-row ``rfft``; its phi row gives the power spectrum and the
-    spectra of phi_alpha and phi_alpha_alpha, and its tangent rows'
-    mean slot the closure defect.  :func:`geometry.reconstruct_curve`
-    builds the curve, its antiderivative riding one 4-row ``irfft`` with
-    phi_alpha and phi_alpha_alpha (for k and k_s), and raises
-    :class:`ClosureViolation` if the defect exceeds ``closure_tol``;
-    ``None`` checks nothing.  M1-M3, the area integrand
-    x y_alpha - y x_alpha and the centroid are the means of one (6, N)
-    stack of rows.
+def observe(states, closure_tol: Optional[float] = None) -> Observation:
+    """Every observer quantity of a state, or of a block of S states, in
+    one stacked pass; one state is a block of one, and a state's fields
+    are bitwise the same in any block.
+
+    phi and the two tangent rows of :func:`geometry.curve_tangent` of
+    every state share one 3S-row ``rfft``; its phi rows give the power
+    spectra and the spectra of phi_alpha and phi_alpha_alpha, and its
+    tangent rows' mean slots the closure defects.
+    :func:`geometry.reconstruct_curve` builds the curves, their
+    antiderivatives riding one 4S-row ``irfft`` with phi_alpha and
+    phi_alpha_alpha (for k and k_s), and raises :class:`ClosureViolation`
+    for the first state whose defect exceeds ``closure_tol``; ``None``
+    checks nothing.  M1-M3, the area integrand x y_alpha - y x_alpha and
+    the centroid are row means over the block.
     """
-    n = state.n
-    tangent = geometry.curve_tangent(state)
-    spectra = np.fft.rfft(np.vstack((state.phi, tangent)), norm="forward")
+    block = [states] if isinstance(states, ThetaLState) else list(states)
+    s, n = len(block), block[0].n
+    stack = np.empty((3, s, n))  # the phi rows, then the tangent's x and y rows
+    stack[0] = [each.phi for each in block]
+    tangent = geometry.curve_tangent(block, out=stack[1:])
+    spectra = np.fft.rfft(stack.reshape(3 * s, n), norm="forward").reshape(3, s, -1)
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     d = _derivative_symbol(n, 1)
-    phi_a_hat = d * phi_hat
-    points, (phi_a, phi_aa) = geometry.reconstruct_curve(
-        state, closure_tol, tangent_hat, np.stack((phi_a_hat, d * phi_a_hat)))
-    rows = np.empty((6, n))
-    rows[4:] = points.T
-    cross = points.T * tangent[::-1]  # x t_y and y t_x
+    slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha
+    np.multiply(d, phi_hat, out=slopes[0])
+    np.multiply(d, slopes[0], out=slopes[1])
+    points, (phi_a, phi_aa) = geometry.reconstruct_curve(block, closure_tol, tangent_hat, slopes)
+    curve = points.transpose(2, 0, 1)  # the x and y rows
+    # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
+    # k^4 = k^2 k^2): L times a row's mean is M1-M3; the scalars are each state's floats
+    rows = np.empty((4, s, n))
+    scale = [2.0 * np.pi / each.length for each in block]
+    k, k2, m3 = rows[:3]
+    np.add(phi_a, 1.0, out=k)
+    k *= np.array(scale)[:, None]
+    np.multiply(k, k, out=k2)
+    np.multiply(phi_aa, phi_aa, out=m3)
+    m3 *= np.array([0.5 * each**4 for each in scale])[:, None]
+    m3 -= 0.125 * (k2 * k2)
+    cross = curve * tangent[::-1]  # x t_y and y t_x
     np.subtract(cross[0], cross[1], out=rows[3])
-    k = _fill_integrands(rows, phi_a, phi_aa, state.length)
-    means = rows.sum(axis=1) / n  # np.mean's bits, without its Python-level overhead
+    # np.mean's bits, without its Python-level overhead
+    means, centroid = rows.sum(axis=2) / n, curve.sum(axis=2) / n
     # the closed curve's tangent is the tangent less its mean (mu_x, mu_y),
     # which takes mu_y cx - mu_x cy off the integrand's mean
-    mu_x, mu_y = tangent_hat[:, 0].real.tolist()
-    area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
-    return Observation(triple=conserved_quantities(state, means[:3]), k=k,
-                       power=spectral.power_spectrum(phi_hat), points=points,
-                       radius=float(np.sqrt(area / np.pi)),
-                       centroid=(float(means[4]), float(means[5])),
-                       closure=max(abs(mu_x), abs(mu_y)))
+    mu_x, mu_y = tangent_hat[:, :, 0].real
+    area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
+    obs = Observation(triple=conserved_quantities(block, means[:3]), k=k,
+                      power=spectral.power_spectrum(phi_hat), points=points,
+                      radius=np.sqrt(area / np.pi), centroid=centroid.T,
+                      closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))
+    return obs[0] if isinstance(states, ThetaLState) else obs
 
 
 def m3_drift(m3: float, m3_0: float) -> float:

@@ -66,7 +66,7 @@ class ThetaLState:
         if phi.ndim != 1:
             raise ValueError("phi must be one-dimensional")
         _check_grid_size(phi.size)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise NonFiniteField("phi must be finite")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -80,10 +80,6 @@ class ThetaLState:
     @property
     def n(self) -> int:
         return self.phi.size
-
-    def theta(self) -> np.ndarray:
-        """Unwrapped tangent angle theta = alpha + phi at the nodes."""
-        return grid_nodes(self.n) + self.phi
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -245,47 +241,53 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     )
 
 
-def curve_tangent(state: ThetaLState) -> np.ndarray:
-    """Tangent (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta) at the nodes, as 2 rows."""
-    theta = state.theta()
-    tangent = np.empty((2, state.n))
+def curve_tangent(block, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Tangent rows (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta) of a
+    block of S states at the nodes, (2, S, N), written into ``out`` if given."""
+    tangent = np.empty((2, len(block), block[0].n)) if out is None else out
+    theta = np.add([each.phi for each in block], grid_nodes(block[0].n), out=tangent[1])
     np.cos(theta, out=tangent[0])
-    np.sin(theta, out=tangent[1])
-    tangent *= state.length / (2.0 * np.pi)
+    np.sin(theta, out=theta)
+    tangent *= np.array([each.length / (2.0 * np.pi) for each in block])[:, None]
     return tangent
 
 
-def reconstruct_curve(state: ThetaLState, closure_tol: Optional[float] = DEFAULT_CLOSURE_TOL,
+def reconstruct_curve(block, closure_tol: Optional[float] = DEFAULT_CLOSURE_TOL,
                       tangent_hat: Optional[np.ndarray] = None,
                       fields: Optional[np.ndarray] = None):
-    """Curve points (N, 2) from a tangent-angle state, anchored at state.anchor.
+    """Curve points (S, N, 2) of a block of S tangent-angle states, each
+    anchored at its state's anchor.
 
     Integrates the tangent rows of :func:`curve_tangent` by one real
-    antiderivative: a 2-row ``rfft`` (or ``tangent_hat``, their half
-    spectra when the caller already has them) and one ``irfft``.  The
-    tangent must have (near-)zero mean for the curve to close; with
+    antiderivative: an ``rfft`` (or ``tangent_hat``, their half spectra
+    when the caller already has them) and one ``irfft``.  The tangent
+    must have (near-)zero mean for the curve to close; with
     ``norm="forward"`` the mean slot is the mean, so the closure check
-    reads it there (raising :class:`ClosureViolation` when a part exceeds
-    ``closure_tol``; ``None`` checks nothing), and the antiderivative
-    drops it, which makes the reconstructed polygon exactly periodic.
+    reads it there (raising :class:`ClosureViolation` for the block's
+    first state with a part beyond ``closure_tol``; ``None`` checks
+    nothing), and the antiderivative drops it, which makes the
+    reconstructed polygon exactly periodic.
 
-    ``fields``, a stack of further half spectra, rides the same inverse
-    transform: the call then returns (points, values), their rows at the
-    nodes.
+    ``fields``, further half spectra (F, S, N/2+1), ride the same inverse
+    transform: the call then returns (points, values), their (F, S, N)
+    rows at the nodes.
     """
+    s, n = len(block), block[0].n
     if tangent_hat is None:
-        tangent_hat = np.fft.rfft(curve_tangent(state), norm="forward")
-    mean_x, mean_y = tangent_hat[:, 0].real.tolist()
-    if closure_tol is not None and (abs(mean_x) > closure_tol or abs(mean_y) > closure_tol):
-        raise ClosureViolation(mean_x, mean_y, closure_tol, state.time)
-    spectra = np.empty((2 if fields is None else 2 + len(fields), tangent_hat.shape[1]),
-                       dtype=np.complex128)
-    np.multiply(tangent_hat, _antiderivative_symbol(state.n), out=spectra[:2])
+        tangent_hat = np.fft.rfft(curve_tangent(block), norm="forward")
+    means = tangent_hat[:, :, 0].real
+    failing = np.abs(means).max(axis=0) > (np.inf if closure_tol is None else closure_tol)
+    if failing.any():
+        first = failing.argmax()
+        raise ClosureViolation(*means[:, first].tolist(), closure_tol, block[first].time)
+    rows = 2 if fields is None else 2 + len(fields)
+    spectra = np.empty((rows, s, tangent_hat.shape[2]), dtype=np.complex128)
+    np.multiply(tangent_hat, _antiderivative_symbol(n), out=spectra[:2])
     if fields is not None:
         spectra[2:] = fields
-    rows = np.fft.irfft(spectra, state.n, norm="forward")
-    for row, start in zip(rows, state.anchor):
-        row -= row[0]
-        row += start
-    points = rows[:2].T
-    return points if fields is None else (points, rows[2:])
+    values = np.fft.irfft(spectra.reshape(rows * s, -1), n, norm="forward").reshape(rows, s, n)
+    curve = values[:2]
+    curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
+    curve += np.array([each.anchor for each in block]).T[:, :, None]
+    points = curve.transpose(1, 2, 0)
+    return points if fields is None else (points, values[2:])

@@ -46,6 +46,10 @@ FILTER_STUDY_VARIANTS = (
     ("CNADB", "cnadb", "none"),
 )
 
+#: observed states per :func:`diagnostics.observe` pass, chosen on preset E: from about 14
+#: up, glibc returns the block's temporaries to the OS after each pass and faults them back
+OBSERVE_BLOCK = 12
+
 #: named initial curves with their reference run settings
 PRESETS = {
     "E": dict(shape="ellipse", a=1.0, b=0.5, n=512, dt=5e-4, t_final=2.0,
@@ -309,72 +313,84 @@ def build_initial_state(cfg: RunConfig) -> ThetaLState:
     return geometry.extract_theta_l(points, length)
 
 
-class _DiagnosticsProbe:
-    """Observer that accumulates DiagnosticsRow records.
+class _BlockObserver:
+    """Diagnostics rows and snapshot files of one trajectory, read off
+    blocks of up to :data:`OBSERVE_BLOCK` observed states by one
+    :func:`diagnostics.observe` pass each.
 
-    The step-0 call sets the baselines of ``xi`` (M3) and ``delta_n``
-    (the effective radius), so a curve that does not close at step 0
-    raises inside the run like at any later step.
+    :meth:`watch` gives the ``integrate`` callback of one output, "rows"
+    or "snapshots"; a state due for both is buffered once, and one that
+    finds the buffer full flushes it first.  The step-0 state sets the
+    baselines of ``xi`` and ``delta_n``.  The filter study reads ``power``
+    (the last observed) and ``closure`` (the largest).
     """
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: RunConfig, closure_tol: Optional[float],
+                 out_dir: Optional[Path] = None):
+        self.cfg, self.closure_tol, self.out_dir = cfg, closure_tol, out_dir
+        self.pending: dict = {}  # step -> (state, the outputs it is due for)
         self.rows: list[DiagnosticsRow] = []
-
-    def __call__(self, step: int, state: ThetaLState) -> None:
-        obs = diagnostics.observe(state, self.cfg.closure_tol)
-        triple = obs.triple
-        if step == 0:
-            self.m3_baseline, self.r0 = triple.m3, obs.radius
-        cx, cy = obs.centroid
-        # the farthest node from the centroid: sqrt is monotone, so the max
-        # is taken over the squared distances
-        offset = obs.points - obs.centroid
-        offset *= offset
-        radial = math.sqrt(float((offset[:, 0] + offset[:, 1]).max()))
-        self.rows.append(
-            DiagnosticsRow(
-                time=state.time,
-                m1=triple.m1,
-                m2=triple.m2,
-                m3=triple.m3,
-                xi=diagnostics.m3_drift(triple.m3, self.m3_baseline),
-                max_curvature=max(float(obs.k.max()), -float(obs.k.min())),
-                delta_n=radial - self.r0,
-                radius_n=obs.radius,
-                tail_max=float(obs.power[3 * state.n // 4:].max()),  # m > N/4
-                centroid_x=cx,
-                centroid_y=cy,
-            )
-        )
-
-
-class _SnapshotWriter:
-    """Observer that dumps curve and spectrum CSVs at snapshot times."""
-
-    def __init__(self, cfg: RunConfig, out_dir: Path):
-        self.cfg = cfg
-        self.out_dir = out_dir
         self.written: list[Path] = []
+        self.power, self.closure = None, 0.0
         # six decimals, or as many as tell steps of dt < 1e-6 apart
         self.decimals = max(6, math.ceil(-math.log10(cfg.dt)))
 
-    def __call__(self, step: int, state: ThetaLState) -> None:
-        tag = f"{state.time:.{self.decimals}f}"
-        obs = diagnostics.observe(state, self.cfg.closure_tol)
-        curve_path = self.out_dir / "snapshots" / f"curve_t{tag}.csv"
-        _write_csv(
-            curve_path,
-            ("alpha", "x", "y", "k"),
-            zip(spectral.grid_nodes(state.n), obs.points[:, 0], obs.points[:, 1], obs.k),
-        )
-        spectrum_path = self.out_dir / f"spectrum_t{tag}.csv"
-        _write_csv(
-            spectrum_path,
-            ("m", "power"),
-            zip(spectral.symmetric_wavenumbers(state.n), obs.power),
-        )
-        self.written += [curve_path, spectrum_path]
+    def watch(self, output: str):
+        def callback(step: int, state: ThetaLState) -> None:
+            if step not in self.pending and len(self.pending) == OBSERVE_BLOCK:
+                self.flush()
+            self.pending.setdefault(step, (state, set()))[1].add(output)
+
+        return callback
+
+    def integrate(self, initial: ThetaLState, observers) -> ThetaLState:
+        """:func:`schemes.integrate` to ``cfg.t_final``, then the last flush, also after a
+        :class:`BlowUp`: a closure failure the flush finds wins over it."""
+        try:
+            return schemes.integrate(initial, self.cfg, self.cfg.t_final, observers)
+        finally:
+            self.flush()
+
+    def flush(self) -> None:
+        block, self.pending = self.pending, {}
+        if not block:
+            return
+        try:
+            obs = diagnostics.observe([state for state, _ in block.values()], self.closure_tol)
+        except ClosureViolation as exc:  # record the states before the failing one
+            self.pending = {step: due for step, due in block.items() if due[0].time < exc.time}
+            self.flush()
+            raise
+        self._record(block, obs)
+
+    def _record(self, block: dict, obs: diagnostics.Observation) -> None:
+        triple, k, n = obs.triple, obs.k, obs.k.shape[1]
+        if 0 in block:
+            self.m3_baseline, self.r0 = triple.m3[0], obs.radius[0]
+        self.power = obs.power[-1]
+        self.closure = max(self.closure, float(obs.closure.max()))
+        # the farthest node from the centroid: sqrt is monotone, so the max
+        # is taken over the squared distances
+        offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
+        offset *= offset
+        radial = np.sqrt((offset[0] + offset[1]).max(axis=1))
+        columns = (triple.time, triple.m1, triple.m2, triple.m3,
+                   diagnostics.m3_drift(triple.m3, self.m3_baseline),
+                   np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
+                   obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4
+        rows = zip(*(column.tolist() for column in columns))
+        for i, ((state, outputs), row) in enumerate(zip(block.values(), rows)):
+            if "rows" in outputs:
+                self.rows.append(DiagnosticsRow(*row))
+            if "snapshots" in outputs:
+                tag = f"{state.time:.{self.decimals}f}"
+                curve, spectrum = (self.out_dir / "snapshots" / f"curve_t{tag}.csv",
+                                   self.out_dir / f"spectrum_t{tag}.csv")
+                _write_csv(curve, ("alpha", "x", "y", "k"),
+                           zip(spectral.grid_nodes(n), *obs.points[i].T, k[i]))
+                _write_csv(spectrum, ("m", "power"),
+                           zip(spectral.symmetric_wavenumbers(n), obs.power[i]))
+                self.written += [curve, spectrum]
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -419,10 +435,12 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """Run one trajectory and write its output bundle.
 
     Writes diagnostics.csv, snapshot CSVs, the resolved config echo, and a
-    manifest recording termination status and every emitted file.  A
-    blow-up, or a state whose curve does not close when an observer
-    reconstructs it, terminates the run but keeps partial outputs, flagged
-    in the manifest as status "blowup" or "closure".
+    manifest recording termination status, the largest |xi| (and its time)
+    and tail_max over the rows, and every emitted file.  Observed states
+    are read :data:`OBSERVE_BLOCK` at a time, so the run may step past a
+    state whose curve does not close before it is read; that state still
+    ends the run as status "closure", also over a later blow-up ("blowup").
+    Both keep the outputs of the states before the failure.
     """
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
@@ -433,14 +451,14 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     started = _time.perf_counter()
     initial = build_initial_state(cfg)
     setup = _time.perf_counter() - started
-    probe = _DiagnosticsProbe(cfg)
-    snapshots = _SnapshotWriter(cfg, out_dir)
-    observers = [(cfg.diagnostic_stride, probe), (cfg.snapshot_stride, snapshots)]
+    observer = _BlockObserver(cfg, cfg.closure_tol, out_dir)
+    observers = [(cfg.diagnostic_stride, observer.watch("rows")),
+                 (cfg.snapshot_stride, observer.watch("snapshots"))]
 
     status, error = "completed", None
     steps_done = cfg.steps
     try:
-        schemes.integrate(initial, cfg, cfg.t_final, observers)
+        observer.integrate(initial, observers)
     except BlowUp as exc:
         status, error = "blowup", str(exc)
         steps_done = exc.step - 1
@@ -450,10 +468,11 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         steps_done = max(step - 1, 0)
     wall = _time.perf_counter() - started
 
+    rows = observer.rows
     diag_path = out_dir / "diagnostics.csv"
-    _write_csv(diag_path, DIAGNOSTICS_COLUMNS, probe.rows)
+    _write_csv(diag_path, DIAGNOSTICS_COLUMNS, rows)
 
-    outputs = [out_dir / "config.txt", diag_path, *snapshots.written]
+    outputs = [out_dir / "config.txt", diag_path, *observer.written]
     manifest = [
         ("status", status),
         ("steps_completed", steps_done),
@@ -461,6 +480,11 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         ("wall_time_s", format_float(wall)),
         ("setup_time_s", format_float(setup)),
     ]
+    if rows:  # the run's extremes, read off its rows
+        peak = max(rows, key=lambda row: abs(row.xi))
+        manifest += [("max_abs_xi", format_float(abs(peak.xi))),
+                     ("max_abs_xi_time", format_float(peak.time)),
+                     ("max_tail", format_float(max(row.tail_max for row in rows)))]
     if error:
         manifest.append(("error", error))
     manifest += [(f"output.{i}", path.relative_to(out_dir)) for i, path in enumerate(outputs)]
@@ -469,7 +493,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     return RunResult(
         status=status,
         steps_completed=steps_done,
-        rows=probe.rows,
+        rows=rows,
         output_dir=out_dir,
         error=error,
     )
@@ -543,43 +567,27 @@ class FilterStudyResult:
     errors: dict  # label -> error string for failed runs
 
 
-def _run_filter_variant(cfg: RunConfig, initial: ThetaLState):
-    """One variant's (time, xi) series, last power spectrum, largest closure
-    defect over the observed states and error (None if it completed)."""
-    series = []
-    baseline, power, closure = None, None, 0.0
-
-    def probe(step, state):
-        nonlocal baseline, power, closure
-        obs = diagnostics.observe(state)  # no closure check: the study records the defect
-        if step == 0:
-            baseline = obs.triple.m3
-        series.append((state.time, diagnostics.m3_drift(obs.triple.m3, baseline)))
-        power = obs.power  # the final state's, or the last observed one's after a failure
-        closure = max(closure, obs.closure)
-
-    try:
-        schemes.integrate(initial, cfg, cfg.t_final, [(cfg.diagnostic_stride, probe)])
-    except BlowUp as exc:
-        return series, power, closure, f"BlowUp: {exc}"
-    return series, power, closure, None
-
-
 def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
     """Run every scheme/filter variant from shared initial data.
 
     Emits one spectrum comparison CSV at the final time and one relative
     M3 drift comparison CSV; a failing variant is recorded and the study
     continues with the rest.  The manifest gives each variant's status,
-    largest closure defect over the observed states and error.
+    largest closure defect over the observed states and error.  The last
+    power spectrum is the final state's, or the last observed one's after
+    a failure.
     """
     initial = build_initial_state(base)
     xi_series, spectra, closure, errors = {}, {}, {}, {}
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
-        xi_series[label], spectra[label], closure[label], error = _run_filter_variant(cfg, initial)
-        if error is not None:
-            errors[label] = error
+        observer = _BlockObserver(cfg, None)  # no closure check: the study records the defect
+        try:
+            observer.integrate(initial, [(cfg.diagnostic_stride, observer.watch("rows"))])
+        except BlowUp as exc:
+            errors[label] = f"BlowUp: {exc}"
+        xi_series[label] = [(row.time, row.xi) for row in observer.rows]
+        spectra[label], closure[label] = observer.power, observer.closure
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
 
     if output_dir is not None:

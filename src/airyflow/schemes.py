@@ -30,7 +30,7 @@ of the same arguments passed to :func:`integrate`.  A run ends with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -217,10 +217,13 @@ def integrate(
     ``t_final - initial.time`` must be a whole number of steps
     (:func:`step_count`).
     ``observers`` is an iterable of (stride, callback) pairs; each
-    callback(step_index, state) fires at step 0, every ``stride`` steps,
-    and at the final step; a stride that is not an integer >= 1 raises
-    :class:`ValidationError` before step 0.  Raises :class:`BlowUp` if
-    the solution goes non-finite or max|phi| exceeds :data:`BLOWUP_LIMIT`.
+    callback(step_index, state), two positional arguments (the int step
+    and the ThetaLState), fires at step 0, every ``stride`` steps, and at
+    the final step; a stride that is not an integer >= 1 raises
+    :class:`ValidationError` before step 0.  A callback may keep states:
+    the run harness observes them in blocks of ``harness.OBSERVE_BLOCK``,
+    and a closure failure in a block wins over a later :class:`BlowUp`.
+    Raises :class:`BlowUp` if max|phi| is non-finite or exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
     2 sqrt((N/2+1) sum|phi_hat_m|^2) exceeds half the limit, and phi is
@@ -247,7 +250,7 @@ def integrate(
     term = nonlinear or nonlinear_term
 
     def state_at(j, phi):
-        return initial if j == 0 else replace(initial, phi=phi, time=t0 + j * dt)
+        return initial if j == 0 else ThetaLState(phi, initial.length, t0 + j * dt, initial.anchor)
 
     def notify(j, phi):
         state = state_at(j, phi)

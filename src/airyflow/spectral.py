@@ -135,9 +135,10 @@ def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
 
 
 def power_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """|f_hat_m|^2 of a half spectrum, mirrored to ascending m = -N/2+1 ... N/2."""
+    """|f_hat_m|^2 of a half spectrum, mirrored to ascending m = -N/2+1 ... N/2;
+    row by row for a stack of half spectra."""
     power = np.abs(coeffs) ** 2
-    return np.concatenate([power[-2:0:-1], power])
+    return np.concatenate([power[..., -2:0:-1], power], axis=-1)
 
 
 def l2_norm(values) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airyflow import geometry, harness, schemes
+from airyflow import geometry, harness
 from airyflow.spectral import grid_nodes
 
 from oracles import linear_oracle
@@ -27,16 +27,17 @@ def catalog_state(shape, n, **params):
 def perturbation_error(delta0):
     """|delta_L - delta_N| at t = 0.1 from perturbed_circle(1, delta0, 2).
 
-    cnadb at N = 512, dt = 1e-3; delta_N is the diagnostics probe's
+    cnadb at N = 512, dt = 1e-3; delta_N is the diagnostics rows'
     ``delta_n``, the radial excess about the centroid over the step-0
     effective radius, and delta_L the linear oracle's perturbation.
     """
     cfg = harness.RunConfig(shape="perturbed_circle",
                             shape_params=dict(r0=1.0, delta0=delta0, m=2),
                             n=512, dt=1e-3, t_final=0.1, scheme="cnadb")
-    probe = harness._DiagnosticsProbe(cfg)
-    schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final, [(cfg.steps, probe)])
-    return abs(linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude - probe.rows[-1].delta_n)
+    observer = harness._BlockObserver(cfg, cfg.closure_tol)
+    observer.integrate(harness.build_initial_state(cfg), [(cfg.steps, observer.watch("rows"))])
+    delta_l = linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude
+    return abs(delta_l - observer.rows[-1].delta_n)
 
 
 @pytest.fixture

@@ -13,7 +13,11 @@ the package against.  Nothing in a run calls them.
 * :func:`reference_observation` -- every quantity
   ``diagnostics.observe`` reads off a state, in the full complex FFT;
 * :func:`linear_start_resample` -- equal-arc-length resampling started by
-  linear interpolation, one interpolant row per call.
+  linear interpolation, one interpolant row per call;
+* :func:`per_state_observe`, :func:`per_state_rows` -- ``diagnostics.observe``
+  and the diagnostics rows one state at a time, the references the block
+  pass and the run's rows must equal bit for bit;
+* :func:`mirror` -- the state of the curve reflected in the x axis.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from airyflow import diagnostics
-from airyflow.errors import AiryflowError, NoConvergence
-from airyflow.geometry import _as_points
+from airyflow.errors import AiryflowError, ClosureViolation, NoConvergence
+from airyflow.geometry import ThetaLState, _as_points
 from airyflow.spectral import (
+    _antiderivative_symbol,
+    _derivative_symbol,
     grid_nodes,
     spectral_antiderivative,
     spectral_derivative,
@@ -162,7 +168,8 @@ def complex_fft_curve(state) -> np.ndarray:
     n = state.n
     m = _fft_wavenumbers(n, False)
     m[0] = 1.0  # placeholder: the mean is dropped with the Nyquist mode
-    z_hat = np.fft.fft(state.length / (2 * np.pi) * np.exp(1j * state.theta())) / (1j * m)
+    theta = grid_nodes(n) + state.phi
+    z_hat = np.fft.fft(state.length / (2 * np.pi) * np.exp(1j * theta)) / (1j * m)
     z_hat[[0, n // 2]] = 0.0
     z = np.fft.ifft(z_hat)
     z = complex(*state.anchor) + (z - z[0])
@@ -211,3 +218,91 @@ def linear_start_resample(curve, n: int):
         if np.max(np.abs(resid)) <= 1e-12 * length:
             return np.column_stack([fx(beta), fy(beta)]), length
     raise NoConvergence("arc-length inversion did not converge in 50 iterations")
+
+
+def per_state_observe(state, closure_tol=None) -> diagnostics.Observation:
+    """Every observer quantity of one state by its own transform pair.
+
+    phi and the tangent rows (L/2*pi)(cos theta, sin theta) share one
+    3-row ``rfft``; the curve (the tangent's antiderivative, anchored at
+    state.anchor) and phi_alpha, phi_alpha_alpha come back in one 4-row
+    ``irfft``.  M1-M3, the area integrand x t_y - y t_x and the centroid
+    are the means of one (6, N) stack of rows; the area takes the mean
+    tangent (mu_x, mu_y) as mu_y cx - mu_x cy off the integrand's mean.
+    A defect beyond ``closure_tol`` raises :class:`ClosureViolation`.
+    """
+    n, length = state.n, state.length
+    theta = grid_nodes(n) + state.phi
+    tangent = np.empty((2, n))
+    np.cos(theta, out=tangent[0])
+    np.sin(theta, out=tangent[1])
+    tangent *= length / (2.0 * np.pi)
+    spectra = np.fft.rfft(np.vstack((state.phi, tangent)), norm="forward")
+    phi_hat, tangent_hat = spectra[0], spectra[1:]
+    mu_x, mu_y = tangent_hat[:, 0].real.tolist()
+    if closure_tol is not None and (abs(mu_x) > closure_tol or abs(mu_y) > closure_tol):
+        raise ClosureViolation(mu_x, mu_y, closure_tol, state.time)
+    d = _derivative_symbol(n, 1)
+    back = np.empty((4, n // 2 + 1), dtype=np.complex128)
+    np.multiply(tangent_hat, _antiderivative_symbol(n), out=back[:2])
+    back[2] = d * phi_hat
+    back[3] = d * back[2]
+    values = np.fft.irfft(back, n, norm="forward")
+    for row, start in zip(values, state.anchor):
+        row -= row[0]
+        row += start
+    points, phi_a, phi_aa = values[:2].T, values[2], values[3]
+    rows = np.empty((6, n))
+    rows[4:] = points.T
+    cross = points.T * tangent[::-1]
+    np.subtract(cross[0], cross[1], out=rows[3])
+    scale = 2.0 * np.pi / length
+    k = rows[0]
+    np.add(phi_a, 1.0, out=k)
+    k *= scale
+    np.multiply(k, k, out=rows[1])
+    np.multiply(phi_aa, phi_aa, out=rows[2])
+    rows[2] *= 0.5 * scale**4
+    rows[2] -= 0.125 * (rows[1] * rows[1])
+    means = rows.sum(axis=1) / n
+    m1, m2, m3 = (means[:3] * length).tolist()
+    area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
+    power = np.abs(phi_hat) ** 2
+    return diagnostics.Observation(
+        triple=diagnostics.ConservedTriple(m1=m1, m2=m2, m3=m3, time=state.time), k=k,
+        power=np.concatenate([power[-2:0:-1], power]), points=points,
+        radius=float(np.sqrt(area / np.pi)), centroid=(float(means[4]), float(means[5])),
+        closure=max(abs(mu_x), abs(mu_y)))
+
+
+def per_state_rows(states, closure_tol=None) -> list[tuple]:
+    """Diagnostics rows of observed states, each from its own
+    :func:`per_state_observe`: time, M1-M3, xi against the first state,
+    max |k|, the farthest node from the centroid less the first state's
+    effective radius, the effective radius, the largest power beyond
+    m = N/4 and the centroid."""
+    rows = []
+    for state in states:
+        obs = per_state_observe(state, closure_tol)
+        if not rows:
+            m3_0, r0 = obs.triple.m3, obs.radius
+        offset = obs.points - obs.centroid
+        offset *= offset
+        radial = math.sqrt(float((offset[:, 0] + offset[:, 1]).max()))
+        rows.append((state.time, obs.triple.m1, obs.triple.m2, obs.triple.m3,
+                     diagnostics.m3_drift(obs.triple.m3, m3_0),
+                     max(float(obs.k.max()), -float(obs.k.min())), radial - r0, obs.radius,
+                     float(obs.power[3 * state.n // 4:].max()), *obs.centroid))
+    return rows
+
+
+def mirror(state) -> ThetaLState:
+    """The state of the curve reflected in the x axis, traversed counterclockwise.
+
+    (x, y)(alpha) -> (x, -y)(-alpha) has theta'(alpha) = pi - theta(-alpha),
+    so phi'_k = pi - phi_{-k mod N}, and the anchor (x0, y0) goes to
+    (x0, -y0).  Curvature is k'(alpha) = k(-alpha): M1-M3 are unchanged.
+    """
+    x0, y0 = state.anchor
+    return ThetaLState(phi=np.pi - np.roll(state.phi[::-1], 1), length=state.length,
+                       time=state.time, anchor=(x0, -y0))

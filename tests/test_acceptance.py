@@ -274,7 +274,7 @@ def test_criterion_9_oracle_equivalence():
         ("cardioid", {}, 512),
     ):
         state, points = catalog_state(shape, n, **kw)
-        worst = max(worst, float(np.max(np.abs(reconstruct_curve(state) - points))))
+        worst = max(worst, float(np.max(np.abs(reconstruct_curve([state])[0] - points))))
     _report("criterion 9 (round trip)", worst <= 1e-10,
             f"max reconstruct-extract deviation {worst:.2e} <= 1e-10")
 

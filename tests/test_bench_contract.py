@@ -9,18 +9,20 @@ also run the worker's own output checks on smoke runs, so a change that
 fails one shows here before the benchmark runs.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airyflow import geometry, harness, schemes
+from airyflow import diagnostics, geometry, harness, schemes
 from airyflow.errors import BlowUp
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import SchemeConfig, integrate
 
 from conftest import catalog_state
+from oracles import per_state_observe
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,14 +46,43 @@ def test_worker_imports_resolve(monkeypatch):
     assert sorted(worker.WORKLOADS) == ["converge-space", "filter-study", "preset-e"]
 
 
-
-@pytest.mark.parametrize("workload", ["preset-e", "filter-study"])
+@pytest.mark.parametrize("workload", ["preset-e", "filter-study", "converge-space"])
 def test_worker_output_checks_pass(monkeypatch, tmp_path, workload):
-    # the benchmark's own checks on a smoke run; neither reads the probes
+    # the benchmark's own checks on a smoke run, under the untraced probes a
+    # repeat installs: converge-space's check reads the trajectories they
+    # record and takes M3 of single states
     monkeypatch.syspath_prepend(str(_PERFBENCH))
-    run, check = load_perfbench("worker").WORKLOADS[workload]
-    checks, _ = check(run(tmp_path, True), None, tmp_path)
+    worker = load_perfbench("worker")
+    for module, name in ((harness, "build_initial_state"), (schemes, "integrate")):
+        monkeypatch.setattr(module, name, getattr(module, name))  # restored after the test
+    probes = worker.Probes(trace=False)
+    probes.install()
+    run, check = worker.WORKLOADS[workload]
+    checks, _ = check(run(tmp_path, True), probes, tmp_path)
     assert checks and all(ok for _, ok, _ in checks), checks
+    assert probes.trajectories
+
+
+def test_integrate_calls_observers_with_step_and_state():
+    # the probes wrap each observer as callback(step, state)
+    calls = []
+    state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
+    integrate(state, SchemeConfig(scheme="cnadb", dt=1e-4), 5e-4,
+              observers=[(2, lambda *args, **kwargs: calls.append((args, kwargs)))])
+    assert [args[0] for args, _ in calls] == [0, 2, 4, 5]
+    for args, kwargs in calls:
+        assert kwargs == {} and len(args) == 2
+        assert type(args[0]) is int and isinstance(args[1], ThetaLState)
+
+
+def test_conserved_quantities_of_one_state():
+    # the worker's converge-space check calls it on single states
+    state, _ = catalog_state("cardioid", 128)
+    state = integrate(state, SchemeConfig(scheme="cnadb", dt=1e-5), 3e-5)
+    triple = diagnostics.conserved_quantities(state)
+    assert isinstance(triple, diagnostics.ConservedTriple)
+    assert triple == per_state_observe(state).triple
+    assert all(type(value) is float for value in dataclasses.astuple(triple))
 
 # replaced by Probes.install on every repeat, besides the _SPANNED names
 _INSTALLED = (

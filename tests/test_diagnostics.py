@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from airyflow import diagnostics, geometry, harness
 from airyflow.diagnostics import (
@@ -18,8 +18,15 @@ from airyflow.harness import RunConfig
 from airyflow.schemes import SchemeConfig, integrate
 from airyflow.spectral import grid_nodes
 
-from conftest import catalog_state, perturbation_error
-from oracles import MissingSnapshots, linear_oracle, mkdv_residual, reference_observation
+from conftest import band_limited_field, catalog_state, perturbation_error
+from oracles import (
+    MissingSnapshots,
+    linear_oracle,
+    mirror,
+    mkdv_residual,
+    per_state_observe,
+    reference_observation,
+)
 
 
 def run_keeping(state, cfg, keep_steps):
@@ -33,6 +40,15 @@ def run_keeping(state, cfg, keep_steps):
     last = max(keep_steps)
     integrate(state, cfg, state.time + last * cfg.dt, [(1, keep)])
     return [out[j] for j in sorted(keep_steps)]
+
+
+def assert_observations_equal(got, want):
+    """Every Observation field bitwise equal, scalars as Python floats."""
+    for field in dataclasses.fields(diagnostics.Observation):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert got.triple == want.triple
+    assert all(type(value) is float for value in (*dataclasses.astuple(got.triple), got.radius,
+                                                  *got.centroid, got.closure))
 
 
 class TestConservedQuantities:
@@ -82,9 +98,9 @@ class TestObservePass:
     def test_probe_rows_match_reference(self, preset):
         dt = harness.PRESETS[preset]["dt"]
         cfg = harness.preset_config(preset, t_final=40 * dt, diagnostic_stride=20)
-        probe, states = harness._DiagnosticsProbe(cfg), []
-        integrate(harness.build_initial_state(cfg), cfg, cfg.t_final,
-                  [(20, probe), (20, lambda j, s: states.append(s))])
+        probe, states = harness._BlockObserver(cfg, cfg.closure_tol), []
+        probe.integrate(harness.build_initial_state(cfg),
+                        [(20, probe.watch("rows")), (20, lambda j, s: states.append(s))])
         refs = [reference_observation(s) for s in states]
         m3_0, r0 = refs[0]["m"][2], refs[0]["radius"]
         size = np.max(np.abs(refs[0]["points"]))
@@ -100,6 +116,38 @@ class TestObservePass:
             assert abs(row.delta_n - (np.max(np.hypot(x - cx, y - cy)) - r0)) <= 1e-12 * size
             assert max(abs(row.centroid_x - cx), abs(row.centroid_y - cy)) <= 1e-12 * size
             assert abs(row.tail_max - np.max(ref["power"][3 * cfg.n // 4:])) <= 1e-15
+
+    # observed states of presets E and CARDIOID, every fifth step
+    @pytest.fixture(scope="class", params=["E", "CARDIOID"])
+    def preset_states(self, request):
+        cfg = harness.preset_config(request.param)
+        count = harness.OBSERVE_BLOCK + 1
+        states = []
+        integrate(harness.build_initial_state(cfg), cfg, 5 * (count - 1) * cfg.dt,
+                  [(5, lambda j, s: states.append(s))])
+        return cfg.closure_tol, states
+
+    @pytest.mark.parametrize("size", [1, harness.OBSERVE_BLOCK - 1, harness.OBSERVE_BLOCK,
+                                      harness.OBSERVE_BLOCK + 1])
+    def test_block_pass_bitwise_equal_to_per_state_pass(self, preset_states, size):
+        closure_tol, states = preset_states
+        block = diagnostics.observe(states[:size], closure_tol)
+        assert block.k.shape == (size, states[0].n)
+        for i, state in enumerate(states[:size]):
+            want = per_state_observe(state, closure_tol)
+            assert_observations_equal(block[i], want)
+            assert_observations_equal(diagnostics.observe(state, closure_tol), want)
+
+    def test_block_raises_for_its_first_open_state(self):
+        # theta = alpha + a cos(alpha) has the mean tangent (0, J_1(a)) at L = 2 pi
+        closed = ThetaLState(phi=np.zeros(64), length=2 * np.pi, time=0.25)
+        block = [closed] + [ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi,
+                                        time=0.5 + a) for a in (1e-3, 2e-3)]
+        with pytest.raises(ClosureViolation) as err:
+            diagnostics.observe(block, 1e-6)
+        assert err.value.time == 0.501
+        assert diagnostics.observe(block).closure.tolist() == [
+            per_state_observe(state).closure for state in block]
 
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
@@ -136,7 +184,7 @@ class TestObservePass:
         mean_y = a / 2 * (1 - a**2 / 8)
         assert diagnostics.observe(state, mean_y * (1 + 1e-6)).radius > 0
         for check in (lambda: diagnostics.observe(state, mean_y * (1 - 1e-6)),
-                      lambda: geometry.reconstruct_curve(state)):
+                      lambda: geometry.reconstruct_curve([state])[0]):
             with pytest.raises(ClosureViolation) as err:
                 check()
             assert err.value.time == 0.375
@@ -215,11 +263,30 @@ class TestLinearOracle:
         assert np.allclose(oracle.curvature(alpha), 0.5 + 3.0 / 4.0 * wave)
 
 
+class TestMirror:
+    # random smooth states: a band-limited phi, any length and anchor
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.05),
+           length=st.floats(0.5, 20.0), x0=st.floats(-5.0, 5.0), y0=st.floats(-5.0, 5.0))
+    def test_involution_preserving_invariants(self, seed, scale, length, x0, y0):
+        phi = band_limited_field(64, 8, np.random.default_rng(seed), scale)
+        state = ThetaLState(phi=phi, length=length, time=0.5, anchor=(x0, y0))
+        twice = mirror(mirror(state))
+        assert np.max(np.abs(twice.phi - state.phi)) <= 4 * np.spacing(np.pi)
+        assert (twice.length, twice.time, twice.anchor) == (state.length, state.time,
+                                                           state.anchor)
+        assert mirror(state).anchor == (x0, -y0)
+        triple = diagnostics.observe([state, mirror(state)]).triple
+        for m in (triple.m1, triple.m2, triple.m3):
+            assert abs(m[1] - m[0]) <= 1e-12 * max(1.0, abs(m[0]))
+
+
 class TestLinearComparison:
     def test_unperturbed_circle_is_exact(self):
         cfg = RunConfig(shape="circle", n=256, dt=1e-3, t_final=0.0, scheme="cnadb")
-        probe = harness._DiagnosticsProbe(cfg)
-        probe(0, harness.build_initial_state(cfg))
+        probe = harness._BlockObserver(cfg, cfg.closure_tol)
+        probe.watch("rows")(0, harness.build_initial_state(cfg))
+        probe.flush()
         row = probe.rows[0]
         assert abs(row.delta_n) <= 1e-10
         assert abs(1.0 - row.radius_n) <= 1e-10

@@ -297,7 +297,7 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = reconstruct_curve(state)
+        points = reconstruct_curve([state])[0]
         alpha = grid_nodes(64)
         assert np.max(np.abs(points[:, 0] - np.cos(alpha))) <= 1e-12
         assert np.max(np.abs(points[:, 1] - np.sin(alpha))) <= 1e-12
@@ -311,20 +311,20 @@ class TestReconstruct:
             ("cardioid", {}, 512),
         ):
             state, points = catalog_state(shape, n, **kw)
-            again = reconstruct_curve(state)
+            again = reconstruct_curve([state])[0]
             assert np.max(np.abs(again - points)) <= 1e-10
 
     def test_given_tangent_is_the_state_tangent(self):
         state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
-        tangent_hat = np.fft.rfft(geometry.curve_tangent(state), norm="forward")
-        given = reconstruct_curve(state, tangent_hat=tangent_hat)
-        assert np.array_equal(given, reconstruct_curve(state))
+        tangent_hat = np.fft.rfft(geometry.curve_tangent([state]), norm="forward")
+        given = reconstruct_curve([state], tangent_hat=tangent_hat)[0]
+        assert np.array_equal(given, reconstruct_curve([state])[0])
 
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
             phi=np.full(64, np.pi / 2 + 0.5), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = reconstruct_curve(state)
+        points = reconstruct_curve([state])[0]
         # still a closed unit circle, rotated about the anchor construction
         radii = np.hypot(points[:, 0] - np.mean(points[:, 0]),
                          points[:, 1] - np.mean(points[:, 1]))
@@ -337,7 +337,7 @@ class TestReconstruct:
             phi=np.pi / 2 + 0.3 * np.cos(alpha), length=2 * np.pi
         )
         with pytest.raises(ClosureViolation):
-            reconstruct_curve(state)
+            reconstruct_curve([state])[0]
 
 
 class TestCurvature:
@@ -362,7 +362,7 @@ class TestCurvature:
             ("cardioid", {}, 1024),
         ):
             state, _ = catalog_state(shape, n, **kw)
-            points = reconstruct_curve(state)
+            points = reconstruct_curve([state])[0]
             assert np.max(np.abs(point_curvature(points) - observe(state).k)) <= 1e-8
 
 

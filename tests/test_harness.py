@@ -10,6 +10,7 @@ import pytest
 from airyflow import cli, diagnostics, geometry, harness, schemes
 from airyflow.errors import (
     BlowUp,
+    ClosureViolation,
     InvalidParameter,
     NonCommensurateTime,
     ParseError,
@@ -28,6 +29,8 @@ from airyflow.harness import (
     run_filter_study,
 )
 from airyflow.schemes import SchemeConfig
+
+from oracles import per_state_rows
 
 MINIMAL = """
 # reference evolution
@@ -403,6 +406,114 @@ class TestRunExperiment:
         cfg = small_run_config(tmp_path, output_dir=None)
         with pytest.raises(ValidationError):
             run_experiment(cfg)
+
+
+def read_manifest(out):
+    return dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+
+
+def kick_at(monkeypatch, step):
+    """Make the nonlinear term huge at ``step``: the guard then ends the run there."""
+    calls, original = [0], schemes.nonlinear_term
+
+    def kicked(phi_hat, length, filter):
+        calls[0] += 1
+        term = original(phi_hat, length, filter)
+        return term + 1e9 if calls[0] == step else term
+
+    monkeypatch.setattr(schemes, "nonlinear_term", kicked)
+
+
+class TestBlockObservation:
+    # preset E with adb at dt = 2e-3: the curve first fails the closure
+    # check at step 13, observed every step
+    K = harness.OBSERVE_BLOCK
+    CLOSING = dict(scheme="adb", dt=2e-3, t_final=0.1, diagnostic_stride=1)
+    FIRST_OPEN = 13
+
+    def observed_states(self, cfg, steps):
+        states = []
+        schemes.integrate(harness.build_initial_state(cfg), cfg, steps * cfg.dt,
+                          [(1, lambda j, s: states.append(s))])
+        return states
+
+    def test_rows_bitwise_equal_to_per_state_rows(self, tmp_path):
+        # two full blocks and a partial one, with snapshots due inside them
+        cfg = preset_config("E", t_final=(2 * self.K + 3) * 5e-4, diagnostic_stride=1,
+                            snapshot_stride=5, output_dir=tmp_path)
+        result = run_experiment(cfg)
+        assert result.rows == per_state_rows(self.observed_states(cfg, cfg.steps))
+        curves = sorted(path.name for path in (tmp_path / "snapshots").iterdir())
+        assert len(curves) == len(range(0, cfg.steps + 1, 5)) + (cfg.steps % 5 != 0)
+
+    def test_first_failing_state_inside_a_block_ends_the_run(self, tmp_path):
+        cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path)
+        assert 0 < self.FIRST_OPEN % self.K < self.K - 1  # inside a block, not its last
+        open_at = self.FIRST_OPEN
+        with pytest.raises(ClosureViolation):
+            per_state_rows(self.observed_states(cfg, open_at), cfg.closure_tol)
+        clean = self.observed_states(cfg, open_at - 1)
+        result = run_experiment(cfg)
+        assert result.status == "closure"
+        assert result.error.startswith(f"closure at step {open_at} ")
+        assert result.steps_completed == open_at - 1
+        assert result.rows == per_state_rows(clean, cfg.closure_tol)
+        assert read_manifest(tmp_path)["steps_completed"] == str(open_at - 1)
+
+    def test_closure_in_a_block_wins_over_a_later_blowup(self, tmp_path, monkeypatch):
+        # the guard trips one step after the failing state, before its block
+        # is full, so the block is flushed while the BlowUp propagates
+        kick_at(monkeypatch, self.FIRST_OPEN + 1)
+        loose = run_experiment(preset_config("E", **self.CLOSING, closure_tol=1.0,
+                                             output_dir=tmp_path / "loose"))
+        assert loose.status == "blowup" and loose.steps_completed == self.FIRST_OPEN
+        kick_at(monkeypatch, self.FIRST_OPEN + 1)
+        result = run_experiment(preset_config("E", **self.CLOSING, output_dir=tmp_path / "e"))
+        assert result.status == "closure"
+        assert result.steps_completed == self.FIRST_OPEN - 1
+        assert len(result.rows) == self.FIRST_OPEN  # steps 0 .. 12
+        assert read_manifest(tmp_path / "e")["status"] == "closure"
+
+    def test_blowup_keeps_every_buffered_row(self, tmp_path, monkeypatch):
+        blowup = self.K + 5  # mid-block: steps K .. K+4 are buffered
+        cfg = preset_config("E", t_final=0.05, diagnostic_stride=1, output_dir=tmp_path / "a")
+        whole = run_experiment(cfg).rows
+        kick_at(monkeypatch, blowup)
+        result = run_experiment(replace(cfg, output_dir=tmp_path / "b"))
+        assert result.status == "blowup" and result.steps_completed == blowup - 1
+        assert result.rows == whole[:blowup]
+        rows = (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 1 + blowup
+
+    def test_each_due_state_observed_once(self, monkeypatch, tmp_path):
+        # steps 0 and final are due for rows and snapshots; one pass per block
+        blocks = []
+        original = diagnostics.observe
+
+        def observe(states, closure_tol=None):
+            blocks.append(len(states))
+            return original(states, closure_tol)
+
+        monkeypatch.setattr(diagnostics, "observe", observe)
+        cfg = preset_config("E", t_final=0.05, output_dir=tmp_path)  # 100 steps, stride 1
+        run_experiment(cfg)
+        assert sum(blocks) == cfg.steps + 1
+        assert blocks == [self.K] * (sum(blocks) // self.K) + [sum(blocks) % self.K] * bool(
+            sum(blocks) % self.K)
+
+    def test_manifest_extremes_read_off_diagnostics(self, tmp_path):
+        # cnadb at dt = 6.25e-3 completes with no BlowUp while xi reaches 26
+        cfg = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=64, dt=6.25e-3,
+                        t_final=0.2, scheme="cnadb", output_dir=tmp_path)
+        assert run_experiment(cfg).status == "completed"
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        peak = max(table, key=lambda row: abs(row["xi"]))
+        manifest = read_manifest(tmp_path)
+        assert float(manifest["max_abs_xi"]) == abs(peak["xi"]) > 10
+        assert float(manifest["max_abs_xi_time"]) == peak["time"]
+        assert float(manifest["max_tail"]) == max(row["tail_max"] for row in table)
 
 
 class TestConvergenceStudy:
