@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,9 +50,8 @@ def conserved_quantities(state, means=None) -> ConservedTriple:
 @dataclass(frozen=True)
 class Observation:
     """What the run's observers read off one state, every field from the one
-    pass of :func:`observe`, with or without its closure check.  A block's
-    fields (the triple's too) carry a leading state axis; ``block[i]`` is
-    state i's."""
+    pass of :func:`observe`.  A block's fields (the triple's too) carry a
+    leading state axis; ``block[i]`` is state i's."""
 
     triple: ConservedTriple
     k: np.ndarray  # curvature at the nodes
@@ -70,10 +68,11 @@ class Observation:
                            tuple(self.centroid[i].tolist()), float(self.closure[i]))
 
 
-def observe(states, closure_tol: Optional[float] = None) -> Observation:
+def observe(states) -> Observation:
     """Every observer quantity of a state, or of a block of S states, in
     one stacked pass; one state is a block of one, and a state's fields
-    are bitwise the same in any block.
+    are bitwise the same in any block.  It measures and never raises:
+    whether a ``closure`` defect ends a run is the run's decision.
 
     phi and the two tangent rows of :func:`geometry.curve_tangent` of
     every state share one 3S-row ``rfft``; its phi rows give the power
@@ -81,10 +80,8 @@ def observe(states, closure_tol: Optional[float] = None) -> Observation:
     tangent rows' mean slots the closure defects.
     :func:`geometry.reconstruct_curve` builds the curves, their
     antiderivatives riding one 4S-row ``irfft`` with phi_alpha and
-    phi_alpha_alpha (for k and k_s), and raises :class:`ClosureViolation`
-    for the first state whose defect exceeds ``closure_tol``; ``None``
-    checks nothing.  M1-M3, the area integrand x y_alpha - y x_alpha and
-    the centroid are row means over the block.
+    phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
+    x y_alpha - y x_alpha and the centroid are row means over the block.
     """
     block = [states] if isinstance(states, ThetaLState) else list(states)
     s, n = len(block), block[0].n
@@ -97,7 +94,7 @@ def observe(states, closure_tol: Optional[float] = None) -> Observation:
     slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha
     np.multiply(d, phi_hat, out=slopes[0])
     np.multiply(d, slopes[0], out=slopes[1])
-    points, (phi_a, phi_aa) = geometry.reconstruct_curve(block, closure_tol, tangent_hat, slopes)
+    points, (phi_a, phi_aa) = geometry.reconstruct_curve(block, tangent_hat, slopes)
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
     # k^4 = k^2 k^2): L times a row's mean is M1-M3; the scalars are each state's floats

@@ -35,17 +35,16 @@ class WindingError(AiryflowError):
 
 
 class ClosureViolation(AiryflowError):
-    """Tangent-angle state does not integrate to a closed curve at ``time``."""
+    """The curve of the state at ``step`` does not close: its closure defect
+    (the larger part of its mean tangent) exceeds the run's ``tol``."""
 
-    def __init__(self, mean_x: float, mean_y: float, tol: float, time: float):
-        self.mean_x = mean_x
-        self.mean_y = mean_y
-        self.tol = tol
+    def __init__(self, step: int, time: float, defect: float, tol: float):
+        self.step = step
         self.time = time
-        super().__init__(
-            f"curve does not close: |mean integrand| = ({abs(mean_x):.3e}, "
-            f"{abs(mean_y):.3e}) exceeds {tol:.3e}"
-        )
+        self.defect = defect
+        self.tol = tol
+        super().__init__(f"closure at step {step} (t={time:.6g}): curve does not close: "
+                         f"defect {defect:.3e} exceeds {tol:.3e}")
 
 
 class ValidationError(AiryflowError, ValueError):

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import spectral
 from .errors import (
-    ClosureViolation,
     InvalidParameter,
     NoConvergence,
     NonFiniteField,
@@ -39,7 +38,6 @@ from .spectral import (
     spectral_derivative,
 )
 
-DEFAULT_CLOSURE_TOL = 1e-8
 DEFAULT_RESAMPLE_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
@@ -241,53 +239,38 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     )
 
 
-def curve_tangent(block, out: Optional[np.ndarray] = None) -> np.ndarray:
+def curve_tangent(block, out: np.ndarray) -> np.ndarray:
     """Tangent rows (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta) of a
-    block of S states at the nodes, (2, S, N), written into ``out`` if given."""
-    tangent = np.empty((2, len(block), block[0].n)) if out is None else out
-    theta = np.add([each.phi for each in block], grid_nodes(block[0].n), out=tangent[1])
-    np.cos(theta, out=tangent[0])
+    block of S states at the nodes, written into ``out`` (2, S, N) and returned."""
+    theta = np.add([each.phi for each in block], grid_nodes(block[0].n), out=out[1])
+    np.cos(theta, out=out[0])
     np.sin(theta, out=theta)
-    tangent *= np.array([each.length / (2.0 * np.pi) for each in block])[:, None]
-    return tangent
+    out *= np.array([each.length / (2.0 * np.pi) for each in block])[:, None]
+    return out
 
 
-def reconstruct_curve(block, closure_tol: Optional[float] = DEFAULT_CLOSURE_TOL,
-                      tangent_hat: Optional[np.ndarray] = None,
-                      fields: Optional[np.ndarray] = None):
+def reconstruct_curve(block, tangent_hat: np.ndarray,
+                      fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Curve points (S, N, 2) of a block of S tangent-angle states, each
-    anchored at its state's anchor.
+    anchored at its state's anchor, and the (F, S, N) node values of
+    ``fields``.
 
-    Integrates the tangent rows of :func:`curve_tangent` by one real
-    antiderivative: an ``rfft`` (or ``tangent_hat``, their half spectra
-    when the caller already has them) and one ``irfft``.  The tangent
-    must have (near-)zero mean for the curve to close; with
-    ``norm="forward"`` the mean slot is the mean, so the closure check
-    reads it there (raising :class:`ClosureViolation` for the block's
-    first state with a part beyond ``closure_tol``; ``None`` checks
-    nothing), and the antiderivative drops it, which makes the
-    reconstructed polygon exactly periodic.
-
-    ``fields``, further half spectra (F, S, N/2+1), ride the same inverse
-    transform: the call then returns (points, values), their (F, S, N)
-    rows at the nodes.
+    ``tangent_hat`` holds the half spectra (2, S, N/2+1) of the tangent
+    rows of :func:`curve_tangent`, by ``rfft`` with ``norm="forward"``;
+    ``fields``, further half spectra (F, S, N/2+1), ride the one
+    ``irfft`` of the tangent's antiderivative.  The antiderivative drops
+    the tangent's mean, so each reconstructed polygon is exactly periodic
+    whether or not the state's curve closes: the closure defect (that
+    mean) is measured by :func:`airyflow.diagnostics.observe`, and the
+    run decides whether it is too large.
     """
     s, n = len(block), block[0].n
-    if tangent_hat is None:
-        tangent_hat = np.fft.rfft(curve_tangent(block), norm="forward")
-    means = tangent_hat[:, :, 0].real
-    failing = np.abs(means).max(axis=0) > (np.inf if closure_tol is None else closure_tol)
-    if failing.any():
-        first = failing.argmax()
-        raise ClosureViolation(*means[:, first].tolist(), closure_tol, block[first].time)
-    rows = 2 if fields is None else 2 + len(fields)
+    rows = 2 + len(fields)
     spectra = np.empty((rows, s, tangent_hat.shape[2]), dtype=np.complex128)
     np.multiply(tangent_hat, _antiderivative_symbol(n), out=spectra[:2])
-    if fields is not None:
-        spectra[2:] = fields
+    spectra[2:] = fields
     values = np.fft.irfft(spectra.reshape(rows * s, -1), n, norm="forward").reshape(rows, s, n)
     curve = values[:2]
     curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
     curve += np.array([each.anchor for each in block]).T[:, :, None]
-    points = curve.transpose(1, 2, 0)
-    return points if fields is None else (points, values[2:])
+    return curve.transpose(1, 2, 0), values[2:]

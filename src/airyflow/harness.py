@@ -87,7 +87,7 @@ class RunConfig(SchemeConfig):
     shape_params: dict = field(default_factory=dict)
     snapshot_stride: int = 0  # 0: resolved to "start and end only"
     diagnostic_stride: int = 0  # 0: resolved to ~500 rows per run
-    closure_tol: float = geometry.DEFAULT_CLOSURE_TOL
+    closure_tol: float = 1e-8  # the largest closure defect an observed state may have
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
@@ -316,17 +316,19 @@ def build_initial_state(cfg: RunConfig) -> ThetaLState:
 class _BlockObserver:
     """Diagnostics rows and snapshot files of one trajectory, read off
     blocks of up to :data:`OBSERVE_BLOCK` observed states by one
-    :func:`diagnostics.observe` pass each.
+    :func:`diagnostics.observe` pass each, and the run's closure check.
 
     :meth:`watch` gives the ``integrate`` callback of one output, "rows"
     or "snapshots"; a state due for both is buffered once, and one that
-    finds the buffer full flushes it first.  The step-0 state sets the
-    baselines of ``xi`` and ``delta_n``.  The filter study reads ``power``
-    (the last observed) and ``closure`` (the largest).
+    finds the buffer full flushes it first.  A flush compares each
+    state's closure defect with ``closure_tol`` (``math.inf`` checks
+    nothing) and raises :class:`ClosureViolation` for the first state
+    beyond it, after recording the states before it.  The step-0 state
+    sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
+    ``power`` (the last recorded) and ``closure`` (the largest).
     """
 
-    def __init__(self, cfg: RunConfig, closure_tol: Optional[float],
-                 out_dir: Optional[Path] = None):
+    def __init__(self, cfg: RunConfig, closure_tol: float, out_dir: Optional[Path] = None):
         self.cfg, self.closure_tol, self.out_dir = cfg, closure_tol, out_dir
         self.pending: dict = {}  # step -> (state, the outputs it is due for)
         self.rows: list[DiagnosticsRow] = []
@@ -355,20 +357,23 @@ class _BlockObserver:
         block, self.pending = self.pending, {}
         if not block:
             return
-        try:
-            obs = diagnostics.observe([state for state, _ in block.values()], self.closure_tol)
-        except ClosureViolation as exc:  # record the states before the failing one
-            self.pending = {step: due for step, due in block.items() if due[0].time < exc.time}
-            self.flush()
-            raise
-        self._record(block, obs)
+        obs = diagnostics.observe([state for state, _ in block.values()])
+        beyond = obs.closure > self.closure_tol
+        count = int(beyond.argmax()) if beyond.any() else len(block)
+        self._record(block, obs, count)
+        if count < len(block):
+            step, (state, _) = list(block.items())[count]
+            raise ClosureViolation(step, state.time, float(obs.closure[count]), self.closure_tol)
 
-    def _record(self, block: dict, obs: diagnostics.Observation) -> None:
+    def _record(self, block: dict, obs: diagnostics.Observation, count: int) -> None:
+        """Rows and snapshots of the first ``count`` states of the block."""
+        if not count:
+            return
         triple, k, n = obs.triple, obs.k, obs.k.shape[1]
         if 0 in block:
             self.m3_baseline, self.r0 = triple.m3[0], obs.radius[0]
-        self.power = obs.power[-1]
-        self.closure = max(self.closure, float(obs.closure.max()))
+        self.power = obs.power[count - 1]
+        self.closure = max(self.closure, float(obs.closure[:count].max()))
         # the farthest node from the centroid: sqrt is monotone, so the max
         # is taken over the squared distances
         offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
@@ -379,7 +384,7 @@ class _BlockObserver:
                    np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
                    obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4
         rows = zip(*(column.tolist() for column in columns))
-        for i, ((state, outputs), row) in enumerate(zip(block.values(), rows)):
+        for i, ((state, outputs), row) in enumerate(zip(list(block.values())[:count], rows)):
             if "rows" in outputs:
                 self.rows.append(DiagnosticsRow(*row))
             if "snapshots" in outputs:
@@ -440,7 +445,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     are read :data:`OBSERVE_BLOCK` at a time, so the run may step past a
     state whose curve does not close before it is read; that state still
     ends the run as status "closure", also over a later blow-up ("blowup").
-    Both keep the outputs of the states before the failure.
+    Both keep the outputs of the states before the failure, and the
+    manifest's ``error`` is the exception's message, which names its step.
     """
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
@@ -459,13 +465,9 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     steps_done = cfg.steps
     try:
         observer.integrate(initial, observers)
-    except BlowUp as exc:
-        status, error = "blowup", str(exc)
-        steps_done = exc.step - 1
-    except ClosureViolation as exc:
-        step = schemes.step_count(exc.time, cfg.dt)
-        status, error = "closure", f"closure at step {step} (t={step * cfg.dt:.6g}): {exc}"
-        steps_done = max(step - 1, 0)
+    except (BlowUp, ClosureViolation) as exc:
+        status = "blowup" if isinstance(exc, BlowUp) else "closure"
+        error, steps_done = str(exc), max(exc.step - 1, 0)
     wall = _time.perf_counter() - started
 
     rows = observer.rows
@@ -581,7 +583,7 @@ def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
     xi_series, spectra, closure, errors = {}, {}, {}, {}
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
-        observer = _BlockObserver(cfg, None)  # no closure check: the study records the defect
+        observer = _BlockObserver(cfg, math.inf)  # no closure check: the study records the defect
         try:
             observer.integrate(initial, [(cfg.diagnostic_stride, observer.watch("rows"))])
         except BlowUp as exc:

@@ -220,9 +220,8 @@ def integrate(
     callback(step_index, state), two positional arguments (the int step
     and the ThetaLState), fires at step 0, every ``stride`` steps, and at
     the final step; a stride that is not an integer >= 1 raises
-    :class:`ValidationError` before step 0.  A callback may keep states:
-    the run harness observes them in blocks of ``harness.OBSERVE_BLOCK``,
-    and a closure failure in a block wins over a later :class:`BlowUp`.
+    :class:`ValidationError` before step 0.  A callback may keep states
+    (states are immutable).
     Raises :class:`BlowUp` if max|phi| is non-finite or exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound

@@ -24,6 +24,16 @@ def catalog_state(shape, n, **params):
     return geometry.extract_theta_l(points, length), points
 
 
+def fed_observer(states, closure_tol):
+    """A run's block observer holding ``states`` as the rows due at steps 0, 1, ...;
+    its ``flush`` observes them and checks their closure against ``closure_tol``."""
+    cfg = harness.RunConfig(shape="circle", n=states[0].n, dt=0.125, t_final=1.0, scheme="cn")
+    observer = harness._BlockObserver(cfg, closure_tol)
+    for step, state in enumerate(states):
+        observer.watch("rows")(step, state)
+    return observer
+
+
 def perturbation_error(delta0):
     """|delta_L - delta_N| at t = 0.1 from perturbed_circle(1, delta0, 2).
 

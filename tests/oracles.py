@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from airyflow import diagnostics
-from airyflow.errors import AiryflowError, ClosureViolation, NoConvergence
+from airyflow.errors import AiryflowError, NoConvergence
 from airyflow.geometry import ThetaLState, _as_points
 from airyflow.spectral import (
     _antiderivative_symbol,
@@ -220,7 +220,7 @@ def linear_start_resample(curve, n: int):
     raise NoConvergence("arc-length inversion did not converge in 50 iterations")
 
 
-def per_state_observe(state, closure_tol=None) -> diagnostics.Observation:
+def per_state_observe(state) -> diagnostics.Observation:
     """Every observer quantity of one state by its own transform pair.
 
     phi and the tangent rows (L/2*pi)(cos theta, sin theta) share one
@@ -229,7 +229,6 @@ def per_state_observe(state, closure_tol=None) -> diagnostics.Observation:
     ``irfft``.  M1-M3, the area integrand x t_y - y t_x and the centroid
     are the means of one (6, N) stack of rows; the area takes the mean
     tangent (mu_x, mu_y) as mu_y cx - mu_x cy off the integrand's mean.
-    A defect beyond ``closure_tol`` raises :class:`ClosureViolation`.
     """
     n, length = state.n, state.length
     theta = grid_nodes(n) + state.phi
@@ -240,8 +239,6 @@ def per_state_observe(state, closure_tol=None) -> diagnostics.Observation:
     spectra = np.fft.rfft(np.vstack((state.phi, tangent)), norm="forward")
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     mu_x, mu_y = tangent_hat[:, 0].real.tolist()
-    if closure_tol is not None and (abs(mu_x) > closure_tol or abs(mu_y) > closure_tol):
-        raise ClosureViolation(mu_x, mu_y, closure_tol, state.time)
     d = _derivative_symbol(n, 1)
     back = np.empty((4, n // 2 + 1), dtype=np.complex128)
     np.multiply(tangent_hat, _antiderivative_symbol(n), out=back[:2])
@@ -275,7 +272,7 @@ def per_state_observe(state, closure_tol=None) -> diagnostics.Observation:
         closure=max(abs(mu_x), abs(mu_y)))
 
 
-def per_state_rows(states, closure_tol=None) -> list[tuple]:
+def per_state_rows(states) -> list[tuple]:
     """Diagnostics rows of observed states, each from its own
     :func:`per_state_observe`: time, M1-M3, xi against the first state,
     max |k|, the farthest node from the centroid less the first state's
@@ -283,7 +280,7 @@ def per_state_rows(states, closure_tol=None) -> list[tuple]:
     m = N/4 and the centroid."""
     rows = []
     for state in states:
-        obs = per_state_observe(state, closure_tol)
+        obs = per_state_observe(state)
         if not rows:
             m3_0, r0 = obs.triple.m3, obs.radius
         offset = obs.points - obs.centroid

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from airyflow import harness, schemes
 from airyflow.diagnostics import conserved_quantities, m3_drift, observe
-from airyflow.geometry import ThetaLState, reconstruct_curve
+from airyflow.geometry import ThetaLState
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
 
@@ -274,7 +274,7 @@ def test_criterion_9_oracle_equivalence():
         ("cardioid", {}, 512),
     ):
         state, points = catalog_state(shape, n, **kw)
-        worst = max(worst, float(np.max(np.abs(reconstruct_curve([state])[0] - points))))
+        worst = max(worst, float(np.max(np.abs(observe(state).points - points))))
     _report("criterion 9 (round trip)", worst <= 1e-10,
             f"max reconstruct-extract deviation {worst:.2e} <= 1e-10")
 
@@ -296,3 +296,38 @@ def test_criterion_9_oracle_equivalence():
     dev = float(np.max(np.abs(mkdv_rhs(k, 5.3) - curve_motion_rhs(k, 5.3))))
     _report("criterion 9 (curvature-rate forms)", dev <= 1e-10,
             f"max |direct - velocity form| = {dev:.2e} <= 1e-10")
+
+
+def test_criterion_10_non_stiff_time_step():
+    """The accuracy-limited dt of cnadb does not shrink with N.
+
+    Ellipse (1, 0.5) to T=0.2 at N in {64, 128, 256, 512}, dt = T/k on a
+    sqrt(2) ladder k = 250, 354, 500, 707, 1000.  The limit at each N is
+    the largest dt on the ladder with |xi(T)| < 0.05, searched from the
+    coarsest rung.  An explicit treatment of the dispersive term would
+    need dt to fall with (2 pi/N)^3, 512x over these N; the limit is
+    measured at T/707 for every N, with T/500 just over the bound
+    (|xi(T)| = 0.0755 at N=64 and 0.0774 from N=128 up).
+    """
+    t_final, ladder, grids = 0.2, (250, 354, 500, 707, 1000), (64, 128, 256, 512)
+    limits, drifts = {}, {}
+    for n in grids:
+        state, _ = catalog_state("ellipse", n, a=1.0, b=0.5)
+        m3_0 = conserved_quantities(state).m3
+        for k in ladder:
+            final = integrate(state, SchemeConfig(scheme="cnadb", dt=t_final / k), t_final)
+            drifts[n, k] = m3_drift(conserved_quantities(final).m3, m3_0)
+            if abs(drifts[n, k]) < 0.05:
+                limits[n] = k
+                break
+    for n in grids:
+        print(f"[INFO] criterion 10 (N={n}): |xi(T)| = "
+              + ", ".join(f"{abs(xi):.4f} at T/{k}" for (m, k), xi in drifts.items() if m == n))
+    rung = limits.get(grids[0])
+    _report(
+        "criterion 10 (non-stiff dt)",
+        rung is not None and all(limits.get(n) == rung for n in grids),
+        f"largest dt with |xi(T)| < 0.05: T/{rung} at N={grids[0]}, "
+        + ", ".join(f"T/{limits.get(n)} at N={n}" for n in grids[1:])
+        + f", while (2 pi/N)^3 falls {(grids[-1] // grids[0]) ** 3}x",
+    )

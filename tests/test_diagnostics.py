@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airyflow import diagnostics, geometry, harness
+from airyflow import diagnostics, harness
 from airyflow.diagnostics import (
     ConservedTriple,
     conserved_quantities,
@@ -18,13 +18,14 @@ from airyflow.harness import RunConfig
 from airyflow.schemes import SchemeConfig, integrate
 from airyflow.spectral import grid_nodes
 
-from conftest import band_limited_field, catalog_state, perturbation_error
+from conftest import band_limited_field, catalog_state, fed_observer, perturbation_error
 from oracles import (
     MissingSnapshots,
     linear_oracle,
     mirror,
     mkdv_residual,
     per_state_observe,
+    per_state_rows,
     reference_observation,
 )
 
@@ -82,7 +83,9 @@ class TestObservePass:
         state, _ = catalog_state(shape, 512, **params)
         if steps:
             state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt), steps * dt)
-        obs = diagnostics.observe(state, tol)
+        obs = diagnostics.observe(state)
+        assert obs.triple == conserved_quantities(state)
+        assert obs.closure <= tol  # the preset's states close
         ref = reference_observation(state)
         for got, want in zip((obs.triple.m1, obs.triple.m2, obs.triple.m3), ref["m"]):
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -125,29 +128,18 @@ class TestObservePass:
         states = []
         integrate(harness.build_initial_state(cfg), cfg, 5 * (count - 1) * cfg.dt,
                   [(5, lambda j, s: states.append(s))])
-        return cfg.closure_tol, states
+        return states
 
     @pytest.mark.parametrize("size", [1, harness.OBSERVE_BLOCK - 1, harness.OBSERVE_BLOCK,
                                       harness.OBSERVE_BLOCK + 1])
     def test_block_pass_bitwise_equal_to_per_state_pass(self, preset_states, size):
-        closure_tol, states = preset_states
-        block = diagnostics.observe(states[:size], closure_tol)
+        states = preset_states
+        block = diagnostics.observe(states[:size])
         assert block.k.shape == (size, states[0].n)
         for i, state in enumerate(states[:size]):
-            want = per_state_observe(state, closure_tol)
+            want = per_state_observe(state)
             assert_observations_equal(block[i], want)
-            assert_observations_equal(diagnostics.observe(state, closure_tol), want)
-
-    def test_block_raises_for_its_first_open_state(self):
-        # theta = alpha + a cos(alpha) has the mean tangent (0, J_1(a)) at L = 2 pi
-        closed = ThetaLState(phi=np.zeros(64), length=2 * np.pi, time=0.25)
-        block = [closed] + [ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi,
-                                        time=0.5 + a) for a in (1e-3, 2e-3)]
-        with pytest.raises(ClosureViolation) as err:
-            diagnostics.observe(block, 1e-6)
-        assert err.value.time == 0.501
-        assert diagnostics.observe(block).closure.tolist() == [
-            per_state_observe(state).closure for state in block]
+            assert_observations_equal(diagnostics.observe(state), want)
 
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
@@ -163,18 +155,11 @@ class TestObservePass:
 
             monkeypatch.setattr(np.fft, name, counted)
 
-        def transforms(*closure_tol):
-            before = dict(counts)
-            shapes.clear()
-            diagnostics.observe(state, *closure_tol)
-            return {name: counts[name] - before[name] for name in counts}
-
         # phi and the two tangent rows share the rfft; the slopes of phi
-        # ride the irfft with the curve's antiderivative, with or without
-        # a tolerance
-        for closure_tol in ((), (1e-8,), (None,)):
-            assert transforms(*closure_tol) == dict(rfft=1, irfft=1, fft=0, ifft=0)
-            assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
+        # ride the irfft with the curve's antiderivative
+        diagnostics.observe(state)
+        assert counts == dict(rfft=1, irfft=1, fft=0, ifft=0)
+        assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
 
     def test_closure_boundary(self):
         # theta = alpha + a cos(alpha) with L = 2 pi has the mean tangent
@@ -182,22 +167,38 @@ class TestObservePass:
         a = 2.2e-8
         state = ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi, time=0.375)
         mean_y = a / 2 * (1 - a**2 / 8)
-        assert diagnostics.observe(state, mean_y * (1 + 1e-6)).radius > 0
-        for check in (lambda: diagnostics.observe(state, mean_y * (1 - 1e-6)),
-                      lambda: geometry.reconstruct_curve([state])[0]):
-            with pytest.raises(ClosureViolation) as err:
-                check()
-            assert err.value.time == 0.375
-            assert abs(err.value.mean_x) <= 1e-16
-            assert err.value.mean_y == pytest.approx(mean_y, rel=1e-8)
+        defect = diagnostics.observe(state).closure
+        assert defect == pytest.approx(mean_y, rel=1e-8)
+        # the check is strict: a defect at the tolerance passes
+        for tol in (mean_y * (1 + 1e-6), defect):
+            observer = fed_observer([state], tol)
+            observer.flush()
+            assert len(observer.rows) == 1
+        observer = fed_observer([state], mean_y * (1 - 1e-6))
+        with pytest.raises(ClosureViolation) as err:
+            observer.flush()
+        assert (err.value.step, err.value.time) == (0, 0.375)
+        assert err.value.defect == defect and err.value.tol == mean_y * (1 - 1e-6)
+        assert str(err.value) == (f"closure at step 0 (t=0.375): curve does not close: "
+                                  f"defect {defect:.3e} exceeds {mean_y * (1 - 1e-6):.3e}")
+        assert observer.rows == []
 
-    def test_tolerance_only_checks_closure(self):
-        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
-        obs, checked = diagnostics.observe(state), diagnostics.observe(state, 1.0)
-        for field in dataclasses.fields(diagnostics.Observation):
-            got, want = getattr(obs, field.name), getattr(checked, field.name)
-            assert np.array_equal(got, want), field.name
-        assert obs.triple == conserved_quantities(state)
+    def test_block_raises_for_its_first_open_state(self):
+        # theta = alpha + a cos(alpha) has the mean tangent (0, J_1(a)) at L = 2 pi
+        closed = [ThetaLState(phi=np.full(64, c), length=2 * np.pi, time=0.25 + c)
+                  for c in (0.0, 0.125)]
+        block = closed + [ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi,
+                                      time=0.5 + a) for a in (1e-3, 2e-3)]
+        observer = fed_observer(block, 1e-6)
+        with pytest.raises(ClosureViolation) as err:
+            observer.flush()
+        assert (err.value.step, err.value.time) == (2, 0.501)
+        assert err.value.defect == per_state_observe(block[2]).closure
+        # the closed states before it keep their rows, bit for bit
+        assert observer.rows == per_state_rows(closed)
+        assert observer.pending == {}
+        assert diagnostics.observe(block).closure.tolist() == [
+            per_state_observe(state).closure for state in block]
 
     def test_closure_is_the_larger_mean_tangent_part(self):
         # theta = alpha + a sin(alpha) with L = 2 pi has the mean tangent (-J_1(a), 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from airyflow import geometry, spectral
+from airyflow import harness, spectral
 from airyflow.diagnostics import observe
 from airyflow.errors import (
     ClosureViolation,
@@ -18,12 +18,11 @@ from airyflow.geometry import (
     ThetaLState,
     catalog_curve,
     extract_theta_l,
-    reconstruct_curve,
     resample_equal_arclength,
 )
 from airyflow.spectral import grid_nodes, spectral_derivative
 
-from conftest import catalog_state
+from conftest import catalog_state, fed_observer
 from oracles import linear_start_resample, point_curvature
 
 # perimeter of ellipse(1, 0.5) by adaptive quadrature of sqrt(sin^2 + 0.25 cos^2);
@@ -297,7 +296,7 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = reconstruct_curve([state])[0]
+        points = observe(state).points
         alpha = grid_nodes(64)
         assert np.max(np.abs(points[:, 0] - np.cos(alpha))) <= 1e-12
         assert np.max(np.abs(points[:, 1] - np.sin(alpha))) <= 1e-12
@@ -311,33 +310,32 @@ class TestReconstruct:
             ("cardioid", {}, 512),
         ):
             state, points = catalog_state(shape, n, **kw)
-            again = reconstruct_curve([state])[0]
+            again = observe(state).points
             assert np.max(np.abs(again - points)) <= 1e-10
-
-    def test_given_tangent_is_the_state_tangent(self):
-        state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
-        tangent_hat = np.fft.rfft(geometry.curve_tangent([state]), norm="forward")
-        given = reconstruct_curve([state], tangent_hat=tangent_hat)[0]
-        assert np.array_equal(given, reconstruct_curve([state])[0])
 
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
             phi=np.full(64, np.pi / 2 + 0.5), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = reconstruct_curve([state])[0]
+        points = observe(state).points
         # still a closed unit circle, rotated about the anchor construction
         radii = np.hypot(points[:, 0] - np.mean(points[:, 0]),
                          points[:, 1] - np.mean(points[:, 1]))
         assert np.max(np.abs(radii - 1.0)) <= 1e-12
 
     def test_closure_violation(self):
-        # phi = alpha/2 - ish cannot close; build open-tangent data directly
+        # theta = alpha + pi/2 + 0.3 cos(alpha) has the mean tangent
+        # (-J_1(0.3), 0): the curve is measured, still periodic, and a run refuses it
         alpha = grid_nodes(64)
         state = ThetaLState(
             phi=np.pi / 2 + 0.3 * np.cos(alpha), length=2 * np.pi
         )
-        with pytest.raises(ClosureViolation):
-            reconstruct_curve([state])[0]
+        obs = observe(state)
+        assert obs.closure == pytest.approx(0.1483, abs=1e-4)
+        assert obs.points.shape == (64, 2)
+        with pytest.raises(ClosureViolation) as err:
+            fed_observer([state], harness.RunConfig.closure_tol).flush()
+        assert err.value.defect == obs.closure
 
 
 class TestCurvature:
@@ -362,7 +360,7 @@ class TestCurvature:
             ("cardioid", {}, 1024),
         ):
             state, _ = catalog_state(shape, n, **kw)
-            points = reconstruct_curve([state])[0]
+            points = observe(state).points
             assert np.max(np.abs(point_curvature(points) - observe(state).k)) <= 1e-8
 
 
@@ -374,7 +372,7 @@ class TestShapeStatistics:
         x, y = state.anchor
         rotated = ThetaLState(phi=state.phi + 0.7, length=state.length,
                               anchor=(c * x - s * y, s * x + c * y))
-        area, area_rotated = (np.pi * observe(st, 1e-8).radius ** 2 for st in (state, rotated))
+        area, area_rotated = (np.pi * observe(st).radius ** 2 for st in (state, rotated))
         assert abs(area_rotated - area) <= 1e-12
 
     def test_centroid_of_centered_shapes(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyflow import cli, diagnostics, geometry, harness, schemes
+from airyflow import cli, diagnostics, harness, schemes
 from airyflow.errors import (
     BlowUp,
     ClosureViolation,
@@ -30,7 +30,7 @@ from airyflow.harness import (
 )
 from airyflow.schemes import SchemeConfig
 
-from oracles import per_state_rows
+from oracles import per_state_observe, per_state_rows
 
 MINIMAL = """
 # reference evolution
@@ -450,14 +450,14 @@ class TestBlockObservation:
         cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path)
         assert 0 < self.FIRST_OPEN % self.K < self.K - 1  # inside a block, not its last
         open_at = self.FIRST_OPEN
-        with pytest.raises(ClosureViolation):
-            per_state_rows(self.observed_states(cfg, open_at), cfg.closure_tol)
-        clean = self.observed_states(cfg, open_at - 1)
+        states = self.observed_states(cfg, open_at)
+        defects = [per_state_observe(state).closure for state in states]
+        assert max(defects[:open_at]) <= cfg.closure_tol < defects[open_at]
         result = run_experiment(cfg)
         assert result.status == "closure"
         assert result.error.startswith(f"closure at step {open_at} ")
         assert result.steps_completed == open_at - 1
-        assert result.rows == per_state_rows(clean, cfg.closure_tol)
+        assert result.rows == per_state_rows(states[:open_at])
         assert read_manifest(tmp_path)["steps_completed"] == str(open_at - 1)
 
     def test_closure_in_a_block_wins_over_a_later_blowup(self, tmp_path, monkeypatch):
@@ -490,9 +490,9 @@ class TestBlockObservation:
         blocks = []
         original = diagnostics.observe
 
-        def observe(states, closure_tol=None):
+        def observe(states):
             blocks.append(len(states))
-            return original(states, closure_tol)
+            return original(states)
 
         monkeypatch.setattr(diagnostics, "observe", observe)
         cfg = preset_config("E", t_final=0.05, output_dir=tmp_path)  # 100 steps, stride 1
@@ -500,6 +500,31 @@ class TestBlockObservation:
         assert sum(blocks) == cfg.steps + 1
         assert blocks == [self.K] * (sum(blocks) // self.K) + [sum(blocks) % self.K] * bool(
             sum(blocks) % self.K)
+
+    def test_each_due_state_observed_once_when_closure_fails(self, monkeypatch, tmp_path):
+        # the run blows up at step 16 with steps 12 .. 15 buffered; the final
+        # flush finds step 13 open and records step 12 from the same pass
+        observed, raised = [], []
+        original, flush = diagnostics.observe, harness._BlockObserver.flush
+
+        def observe(states):
+            observed.extend(states)
+            return original(states)
+
+        def recording_flush(observer):
+            try:
+                flush(observer)
+            except ClosureViolation as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(diagnostics, "observe", observe)
+        monkeypatch.setattr(harness._BlockObserver, "flush", recording_flush)
+        result = run_experiment(preset_config("E", **self.CLOSING, output_dir=tmp_path))
+        assert len(observed) == len({id(state) for state in observed}) == 16
+        assert [exc.step for exc in raised] == [self.FIRST_OPEN]
+        assert result.error == read_manifest(tmp_path)["error"] == str(raised[0])
+        assert len(result.rows) == self.FIRST_OPEN
 
     def test_manifest_extremes_read_off_diagnostics(self, tmp_path):
         # cnadb at dt = 6.25e-3 completes with no BlowUp while xi reaches 26
@@ -627,7 +652,7 @@ class TestFilterStudy:
         # the largest mean tangent over observed states: ADB's curve stops
         # closing before its guard trips, the completed variants close
         closure = {label: float(manifest[f"closure.{label}"]) for label in result.labels}
-        assert closure["ADB"] > geometry.DEFAULT_CLOSURE_TOL
+        assert closure["ADB"] > RunConfig.closure_tol
         assert max(closure[label] for label in result.labels if label not in result.errors) < 1e-12
         rows = [line.split(",") for line in
                 (tmp_path / "filters_xi.csv").read_text().splitlines()]
