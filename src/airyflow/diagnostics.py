@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, spectral
 from .errors import NonPositiveError
 from .geometry import ThetaLState
-from .spectral import _derivative_symbol, l2_norm
+from .spectral import _derivative_symbol, grid_nodes, l2_norm
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,10 @@ class ConservedTriple:
     time: float
 
 
-def conserved_quantities(state, means=None) -> ConservedTriple:
-    """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha.
-
-    With ``means``, the node means (3, S) of the three integrands over a
-    block of S states that :func:`observe` passes with the block, the
-    triple holds (S,) arrays.  Without them it is ``observe(state).triple``.
-    """
-    if means is None:
-        return observe(state).triple
-    m1, m2, m3 = means * np.array([each.length for each in state])
-    return ConservedTriple(m1=m1, m2=m2, m3=m3, time=np.array([each.time for each in state]))
+def conserved_quantities(state: ThetaLState) -> ConservedTriple:
+    """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha:
+    ``observe(state).triple``."""
+    return observe(state).triple
 
 
 @dataclass(frozen=True)
@@ -74,12 +67,14 @@ def observe(states) -> Observation:
     are bitwise the same in any block.  It measures and never raises:
     whether a ``closure`` defect ends a run is the run's decision.
 
-    phi and the two tangent rows of :func:`geometry.curve_tangent` of
-    every state share one 3S-row ``rfft``; its phi rows give the power
+    It reads each state's ``phi``, ``length``, ``anchor`` and ``time``
+    once; everything after works on arrays.  phi and the tangent rows
+    (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta), theta = alpha + phi,
+    of every state share one 3S-row ``rfft``; its phi rows give the power
     spectra and the spectra of phi_alpha and phi_alpha_alpha, and its
     tangent rows' mean slots the closure defects.
-    :func:`geometry.reconstruct_curve` builds the curves, their
-    antiderivatives riding one 4S-row ``irfft`` with phi_alpha and
+    :func:`geometry.reconstruct_curve` builds the curves from the anchors,
+    their antiderivatives riding one 4S-row ``irfft`` with phi_alpha and
     phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
     x y_alpha - y x_alpha and the centroid are row means over the block.
     """
@@ -87,19 +82,27 @@ def observe(states) -> Observation:
     s, n = len(block), block[0].n
     stack = np.empty((3, s, n))  # the phi rows, then the tangent's x and y rows
     stack[0] = [each.phi for each in block]
-    tangent = geometry.curve_tangent(block, out=stack[1:])
+    lengths = [each.length for each in block]
+    anchor = np.array([each.anchor for each in block])
+    time = np.array([each.time for each in block])
+    tangent = stack[1:]
+    theta = np.add(stack[0], grid_nodes(n), out=tangent[1])
+    np.cos(theta, out=tangent[0])
+    np.sin(theta, out=theta)
+    tangent *= np.array([length / (2.0 * np.pi) for length in lengths])[:, None]
     spectra = np.fft.rfft(stack.reshape(3 * s, n), norm="forward").reshape(3, s, -1)
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     d = _derivative_symbol(n, 1)
     slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha
     np.multiply(d, phi_hat, out=slopes[0])
     np.multiply(d, slopes[0], out=slopes[1])
-    points, (phi_a, phi_aa) = geometry.reconstruct_curve(block, tangent_hat, slopes)
+    points, (phi_a, phi_aa) = geometry.reconstruct_curve(anchor, tangent_hat, slopes)
+    del slopes  # the row pass below is where the pass peaks
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
     # k^4 = k^2 k^2): L times a row's mean is M1-M3; the scalars are each state's floats
     rows = np.empty((4, s, n))
-    scale = [2.0 * np.pi / each.length for each in block]
+    scale = [2.0 * np.pi / length for length in lengths]
     k, k2, m3 = rows[:3]
     np.add(phi_a, 1.0, out=k)
     k *= np.array(scale)[:, None]
@@ -115,7 +118,7 @@ def observe(states) -> Observation:
     # which takes mu_y cx - mu_x cy off the integrand's mean
     mu_x, mu_y = tangent_hat[:, :, 0].real
     area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
-    obs = Observation(triple=conserved_quantities(block, means[:3]), k=k,
+    obs = Observation(triple=ConservedTriple(*(means[:3] * np.array(lengths)), time), k=k,
                       power=spectral.power_spectrum(phi_hat), points=points,
                       radius=np.sqrt(area / np.pi), centroid=centroid.T,
                       closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))

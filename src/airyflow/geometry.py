@@ -239,38 +239,28 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     )
 
 
-def curve_tangent(block, out: np.ndarray) -> np.ndarray:
-    """Tangent rows (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta) of a
-    block of S states at the nodes, written into ``out`` (2, S, N) and returned."""
-    theta = np.add([each.phi for each in block], grid_nodes(block[0].n), out=out[1])
-    np.cos(theta, out=out[0])
-    np.sin(theta, out=theta)
-    out *= np.array([each.length / (2.0 * np.pi) for each in block])[:, None]
-    return out
-
-
-def reconstruct_curve(block, tangent_hat: np.ndarray,
+def reconstruct_curve(anchor: np.ndarray, tangent_hat: np.ndarray,
                       fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curve points (S, N, 2) of a block of S tangent-angle states, each
-    anchored at its state's anchor, and the (F, S, N) node values of
+    """Curve points (S, N, 2) of a block of S curves, curve i starting at
+    ``anchor[i]`` of the (S, 2) anchors, and the (F, S, N) node values of
     ``fields``.
 
     ``tangent_hat`` holds the half spectra (2, S, N/2+1) of the tangent
-    rows of :func:`curve_tangent`, by ``rfft`` with ``norm="forward"``;
+    rows (x_alpha, y_alpha), by ``rfft`` with ``norm="forward"``;
     ``fields``, further half spectra (F, S, N/2+1), ride the one
     ``irfft`` of the tangent's antiderivative.  The antiderivative drops
     the tangent's mean, so each reconstructed polygon is exactly periodic
-    whether or not the state's curve closes: the closure defect (that
-    mean) is measured by :func:`airyflow.diagnostics.observe`, and the
-    run decides whether it is too large.
+    whether or not the curve closes: the closure defect (that mean) is
+    measured by :func:`airyflow.diagnostics.observe`, and the run decides
+    whether it is too large.
     """
-    s, n = len(block), block[0].n
-    rows = 2 + len(fields)
-    spectra = np.empty((rows, s, tangent_hat.shape[2]), dtype=np.complex128)
+    s, half = tangent_hat.shape[1:]
+    n, rows = 2 * (half - 1), 2 + len(fields)
+    spectra = np.empty((rows, s, half), dtype=np.complex128)
     np.multiply(tangent_hat, _antiderivative_symbol(n), out=spectra[:2])
     spectra[2:] = fields
     values = np.fft.irfft(spectra.reshape(rows * s, -1), n, norm="forward").reshape(rows, s, n)
     curve = values[:2]
     curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
-    curve += np.array([each.anchor for each in block]).T[:, :, None]
+    curve += anchor.T[:, :, None]
     return curve.transpose(1, 2, 0), values[2:]

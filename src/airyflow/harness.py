@@ -46,8 +46,8 @@ FILTER_STUDY_VARIANTS = (
     ("CNADB", "cnadb", "none"),
 )
 
-#: observed states per :func:`diagnostics.observe` pass, chosen on preset E: from about 14
-#: up, glibc returns the block's temporaries to the OS after each pass and faults them back
+#: observed states per :func:`diagnostics.observe` pass, chosen on preset E; larger blocks risk
+#: glibc trimming a pass's temporaries and faulting them back, as the heap layout decides
 OBSERVE_BLOCK = 12
 
 #: named initial curves with their reference run settings
@@ -244,11 +244,18 @@ def parse_config(text: str):
     return ConvergenceStudyConfig(base=run, axis=axis, comparison_time=t0)
 
 
+def _check_override(key: str) -> None:
+    if key not in _OVERRIDE_KEYS:
+        raise ValidationError(f"preset override for unknown field {key!r}")
+
+
 def preset_config(name: str, **overrides) -> RunConfig:
-    """RunConfig for a named preset, with optional field overrides."""
+    """RunConfig for a named preset; overrides may set its run settings and ``output_dir``."""
     key = name.upper()
     if key not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    for field_name in sorted(overrides.keys() - {"output_dir"}):
+        _check_override(field_name)
     preset = dict(PRESETS[key])
     preset.pop("extended")
     shape = preset.pop("shape")
@@ -264,8 +271,7 @@ def parse_overrides(pairs) -> dict:
         key, sep, value = (part.strip() for part in pair.partition("="))
         if not sep:
             raise ValidationError(f"override {pair!r} is not key=value")
-        if key not in _OVERRIDE_KEYS:
-            raise ValidationError(f"preset override for unknown field {key!r}")
+        _check_override(key)
         overrides[key] = _convert(key, value)
     return overrides
 

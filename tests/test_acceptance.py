@@ -18,7 +18,7 @@ from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
 
 from conftest import band_limited_field, catalog_state, perturbation_error
-from oracles import curve_motion_rhs, mkdv_rhs
+from oracles import curve_motion_rhs, mirror, mkdv_rhs
 
 EXTENDED = os.environ.get("AIRYFLOW_EXTENDED", "") not in ("", "0")
 
@@ -331,3 +331,37 @@ def test_criterion_10_non_stiff_time_step():
         + ", ".join(f"T/{limits.get(n)} at N={n}" for n in grids[1:])
         + f", while (2 pi/N)^3 falls {(grids[-1] // grids[0]) ** 3}x",
     )
+
+
+def test_criterion_11_reflection_round_trip():
+    """Evolve by T, reflect in the x axis, evolve by T, reflect: phi returns.
+
+    Reflection reverses the flow, so the round trip's max |delta phi| is the
+    whole state's phase error, with no reference run.  The orders of two
+    halvings of dt, measured: ellipse (1, 0.5), N=256, T=0.1, dt = 4e-4 to
+    1e-4: cn 3.08, 2.94; cnadb 2.05, 3.05; adb+dpr 2.20, 2.17.  PC3, N=512,
+    T=0.01, dt = 2e-5 to 5e-6: cn 2.75, 2.67; cnadb 2.31, 2.80; adb+dpr
+    1.52, 1.71.  The curve is not compared: the anchor is carried
+    unchanged, and PC3's round-trip curve misses the 1e-8 closure tolerance.
+    """
+    for shape, params, n, t_final, dts in (
+        ("ellipse", dict(a=1.0, b=0.5), 256, 0.1, (4e-4, 2e-4, 1e-4)),
+        ("pc3", {}, 512, 0.01, (2e-5, 1e-5, 5e-6)),
+    ):
+        state, _ = catalog_state(shape, n, **params)
+        for scheme, filter_name in (("cn", "none"), ("cnadb", "none"), ("adb", "dpr")):
+            errors = []
+            for dt in dts:
+                cfg = SchemeConfig(scheme=scheme, dt=dt, filter=filter_name)
+                there = mirror(integrate(state, cfg, t_final))
+                back = mirror(integrate(there, cfg, 2 * t_final))
+                errors.append(float(np.max(np.abs(back.phi - state.phi))))
+            orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+            _report(
+                f"criterion 11 ({shape}, {scheme}+{filter_name})",
+                all(1.4 <= order <= 3.4 for order in orders),
+                "round-trip max |delta phi| "
+                + ", ".join(f"{e:.3g} at dt={dt:g}" for e, dt in zip(errors, dts))
+                + "; orders " + ", ".join(f"{order:.2f}" for order in orders)
+                + " in [1.4, 3.4]",
+            )

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,19 @@ class TestObservePass:
             want = per_state_observe(state)
             assert_observations_equal(block[i], want)
             assert_observations_equal(diagnostics.observe(state), want)
+
+    def test_block_peak_memory(self, preset_states):
+        # the slope spectra are dropped once the curve is built, before the
+        # row pass, where the pass peaks
+        block = preset_states[:harness.OBSERVE_BLOCK]
+        diagnostics.observe(block)  # builds the cached nodes and symbols
+        tracemalloc.start()
+        try:
+            diagnostics.observe(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 900 * 2**10
 
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)

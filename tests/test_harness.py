@@ -211,9 +211,26 @@ class TestPresets:
         assert harness.is_extended_preset("pc3")
         assert harness.is_extended_preset("CARDIOID")
 
-    def test_overrides(self):
-        cfg = preset_config("E", dt=1e-3, t_final=0.5)
-        assert cfg.dt == 1e-3 and cfg.t_final == 0.5
+    def test_overrides(self, tmp_path):
+        cfg = preset_config("E", dt=1e-3, t_final=0.5, output_dir=tmp_path)
+        assert cfg.dt == 1e-3 and cfg.t_final == 0.5 and cfg.output_dir == tmp_path
+
+    @pytest.mark.parametrize("key, value", [("shape", "circle"), ("a", 2.0), ("t0", 0.1),
+                                            ("kind", "converge"), ("colour", "blue")])
+    def test_python_override_rejected_as_on_cli(self, key, value):
+        with pytest.raises(ValidationError, match=f"preset override for unknown field '{key}'"):
+            preset_config("E", **{key: value})
+
+    def test_readme_presets_table(self):
+        # one row of README's presets table per preset, with its n, dt and T
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Presets", 1)[1].split("\n#", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")][2:]
+        assert sorted(row[0] for row in rows) == sorted(harness.PRESETS)
+        for name, _, n, dt, t_final, _ in rows:
+            cfg = preset_config(name)
+            assert (int(n), float(dt), float(t_final)) == (cfg.n, cfg.dt, cfg.t_final), name
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
