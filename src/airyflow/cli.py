@@ -7,7 +7,7 @@ Subcommands:
 * ``filters <config>``   -- scheme/filter comparison from shared initial data
 * ``preset <name> [key=value ...]`` -- run a named preset with overrides
 
-``--out`` chooses (or overrides) the output directory.
+Each writes to ``--out`` if given, else to the config's ``out``.
 """
 
 from __future__ import annotations
@@ -21,23 +21,26 @@ from . import harness
 from .errors import AiryflowError, StudyFailed
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 
+LONG_RUN_STEPS = 10**5  #: a preset this long prints a note: ~5 s at preset E's ~55 us/step
+
 
 def _read_config(path: str):
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _require_out(cfg_out, flag_out):
-    out = Path(flag_out) if flag_out else cfg_out
+def _require_out(cfg: RunConfig, flag_out) -> RunConfig:
+    """``cfg`` writing to ``--out`` if given, else to its own ``output_dir``."""
+    out = flag_out or cfg.output_dir
     if out is None:
         raise AiryflowError("no output directory: set 'out' in the config or pass --out")
-    return Path(out)
+    return replace(cfg, output_dir=out)
 
 
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config)
     if not isinstance(cfg, RunConfig):
         raise AiryflowError("'run' expects a config with kind = run")
-    cfg = replace(cfg, output_dir=_require_out(cfg.output_dir, args.out))
+    cfg = _require_out(cfg, args.out)
     result = harness.run_experiment(cfg)
     print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {result.output_dir}")
     if result.rows:
@@ -50,9 +53,10 @@ def _cmd_converge(args) -> int:
     cfg = _read_config(args.config)
     if not isinstance(cfg, ConvergenceStudyConfig):
         raise AiryflowError("'converge' expects a config with kind = converge")
-    out = _require_out(cfg.base.output_dir, args.out)
+    cfg = replace(cfg, base=_require_out(cfg.base, args.out))
+    out = cfg.base.output_dir
     try:
-        row = harness.run_convergence_study(cfg, output_dir=out)
+        row = harness.run_convergence_study(cfg)
     except StudyFailed as exc:
         for message in exc.errors.values():
             print(f"FAILED {message}")
@@ -70,8 +74,9 @@ def _cmd_filters(args) -> int:
     cfg = _read_config(args.config)
     if not isinstance(cfg, RunConfig):
         raise AiryflowError("'filters' expects a config with kind = run")
-    out = _require_out(cfg.output_dir, args.out)
-    result = harness.run_filter_study(cfg, output_dir=out)
+    cfg = _require_out(cfg, args.out)
+    out = cfg.output_dir
+    result = harness.run_filter_study(cfg)
     for label in result.labels:
         series = result.xi_series[label]
         peak = max((abs(v) for _, v in series), default=float("nan"))
@@ -83,10 +88,10 @@ def _cmd_filters(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    cfg = preset_config(args.name, **harness.parse_overrides(args.overrides))
-    cfg = replace(cfg, output_dir=_require_out(None, args.out))
-    if harness.is_extended_preset(args.name):
-        print(f"note: {args.name.upper()} is an extended preset ({cfg.steps} steps)")
+    cfg = _require_out(preset_config(args.name, **harness.parse_overrides(args.overrides)),
+                       args.out)
+    if cfg.steps >= LONG_RUN_STEPS:
+        print(f"note: {args.name.upper()} runs {cfg.steps} steps")
     result = harness.run_experiment(cfg)
     print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {result.output_dir}")
     return 0 if result.status == "completed" else 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -50,21 +51,16 @@ FILTER_STUDY_VARIANTS = (
 #: glibc trimming a pass's temporaries and faulting them back, as the heap layout decides
 OBSERVE_BLOCK = 12
 
-#: named initial curves with their reference run settings
+#: named initial curves with their reference run settings, as config keys
 PRESETS = {
-    "E": dict(shape="ellipse", a=1.0, b=0.5, n=512, dt=5e-4, t_final=2.0,
-              scheme="cnadb", extended=False),
-    "E1": dict(shape="ellipse", a=1.0, b=np.sqrt(2.0) / 2.0, n=256, dt=1e-3,
-               t_final=2.0, scheme="cnadb", extended=False),
-    "E2": dict(shape="ellipse", a=1.0, b=2.0 ** 0.25 / 2.0, n=256, dt=5e-4,
-               t_final=2.0, scheme="cnadb", extended=False),
-    # extended presets loosen closure_tol: the closure integral drifts at the
+    "E": dict(shape="ellipse", a=1.0, b=0.5, n=512, dt=5e-4, t_final=2.0),
+    "E1": dict(shape="ellipse", a=1.0, b=np.sqrt(2.0) / 2.0, n=256, dt=1e-3, t_final=2.0),
+    "E2": dict(shape="ellipse", a=1.0, b=2.0 ** 0.25 / 2.0, n=256, dt=5e-4, t_final=2.0),
+    # the long presets loosen closure_tol: the closure integral drifts at the
     # trajectory's accumulated-error level (PC3 reaches ~7e-3 near T=4.5,
     # the cardioid ~3e-6), which is accuracy-limited, not a solver defect
-    "PC3": dict(shape="pc3", n=512, dt=5e-6, t_final=4.5, scheme="cnadb",
-                closure_tol=2e-2, extended=True),
-    "CARDIOID": dict(shape="cardioid", n=512, dt=1e-5, t_final=5.0,
-                     scheme="cnadb", closure_tol=1e-4, extended=True),
+    "PC3": dict(shape="pc3", n=512, dt=5e-6, t_final=4.5, closure_tol=2e-2),
+    "CARDIOID": dict(shape="cardioid", n=512, dt=1e-5, t_final=5.0, closure_tol=1e-4),
 }
 
 
@@ -115,20 +111,18 @@ class RunConfig(SchemeConfig):
 
     def echo_pairs(self):
         """The resolved config as grammar-conformant (key, value) pairs."""
-        pairs = [("shape", self.shape)]
-        for key, value in sorted(self.shape_params.items()):
-            pairs.append((key, int(value) if key == "m" else format_float(value)))
-        pairs += [
+        return [
+            ("shape", self.shape),
+            *sorted(self.shape_params.items()),
             ("n", self.n),
-            ("dt", format_float(self.dt)),
-            ("t_final", format_float(self.t_final)),
+            ("dt", self.dt),
+            ("t_final", self.t_final),
             ("scheme", self.scheme),
             ("filter", self.filter),
             ("snapshot_stride", self.snapshot_stride),
             ("diagnostic_stride", self.diagnostic_stride),
-            ("closure_tol", format_float(self.closure_tol)),
+            ("closure_tol", self.closure_tol),
         ]
-        return pairs
 
 
 @dataclass(frozen=True)
@@ -198,6 +192,13 @@ def _convert(key: str, value: str):
     return value
 
 
+def _run_config(values: dict, **fields) -> RunConfig:
+    """RunConfig of config settings ``values`` and ``fields``; scheme is cnadb unless set."""
+    shape_params = {k: v for k, v in values.items() if k in _SHAPE_PARAM_KEYS}
+    settings = {k: v for k, v in values.items() if k not in _SHAPE_PARAM_KEYS}
+    return RunConfig(shape_params=shape_params, **{"scheme": "cnadb", **settings, **fields})
+
+
 def parse_config(text: str):
     """Parse config text into a RunConfig or ConvergenceStudyConfig.
 
@@ -224,7 +225,6 @@ def parse_config(text: str):
     t0 = values.pop("t0", None)
     out = values.pop("out", None)
 
-    shape_params = {k: values.pop(k) for k in _SHAPE_PARAM_KEYS if k in values}
     if kind == "converge":
         if axis is None or t0 is None:
             raise ValidationError("kind = converge requires 'axis' and 't0'")
@@ -235,8 +235,7 @@ def parse_config(text: str):
     missing = [k for k in ("n", "dt", "t_final") if k not in values]
     if missing:
         raise ValidationError(f"config must set {missing}")
-    values.setdefault("scheme", "cnadb")
-    run = RunConfig(shape_params=shape_params, output_dir=out, **values)
+    run = _run_config(values, output_dir=out)
     if kind == "run":
         if axis is not None or t0 is not None:
             raise ValidationError("'axis'/'t0' are only valid with kind = converge")
@@ -256,12 +255,7 @@ def preset_config(name: str, **overrides) -> RunConfig:
         raise ValidationError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     for field_name in sorted(overrides.keys() - {"output_dir"}):
         _check_override(field_name)
-    preset = dict(PRESETS[key])
-    preset.pop("extended")
-    shape = preset.pop("shape")
-    shape_params = {k: preset.pop(k) for k in _SHAPE_PARAM_KEYS if k in preset}
-    preset.update(overrides)
-    return RunConfig(shape=shape, shape_params=shape_params, **preset)
+    return _run_config(PRESETS[key], **overrides)
 
 
 def parse_overrides(pairs) -> dict:
@@ -274,10 +268,6 @@ def parse_overrides(pairs) -> dict:
         _check_override(key)
         overrides[key] = _convert(key, value)
     return overrides
-
-
-def is_extended_preset(name: str) -> bool:
-    return PRESETS[name.upper()]["extended"]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +426,11 @@ def _format_cell(cell) -> str:
 
 
 def _write_keyvalue(path: Path, pairs) -> None:
+    """One ``key = value`` line per pair, each value as :func:`_format_cell` writes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         for key, value in pairs:
-            handle.write(f"{key} = {value}\n")
+            handle.write(f"{key} = {_format_cell(value)}\n")
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:
@@ -485,14 +476,14 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         ("status", status),
         ("steps_completed", steps_done),
         ("steps_requested", cfg.steps),
-        ("wall_time_s", format_float(wall)),
-        ("setup_time_s", format_float(setup)),
+        ("wall_time_s", wall),
+        ("setup_time_s", setup),
     ]
     if rows:  # the run's extremes, read off its rows
         peak = max(rows, key=lambda row: abs(row.xi))
-        manifest += [("max_abs_xi", format_float(abs(peak.xi))),
-                     ("max_abs_xi_time", format_float(peak.time)),
-                     ("max_tail", format_float(max(row.tail_max for row in rows)))]
+        manifest += [("max_abs_xi", abs(peak.xi)),
+                     ("max_abs_xi_time", peak.time),
+                     ("max_tail", max(row.tail_max for row in rows))]
     if error:
         manifest.append(("error", error))
     manifest += [(f"output.{i}", path.relative_to(out_dir)) for i, path in enumerate(outputs)]
@@ -523,16 +514,18 @@ class ConvergenceRow:
     order: float
 
 
-def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> ConvergenceRow:
+def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     """Run the three refinement levels and report the observed order.
 
     Levels differ by factors of 2 in dt (axis "time") or n (axis
     "space"); states are compared at t0 on the coarser grid of each pair.
     A level that blows up is recorded and the study goes on with the
-    rest.  With ``output_dir``, ``convergence_manifest.txt`` gives each
-    level's status, and ``convergence.csv`` is written only when all three
-    levels complete.  Raises :class:`StudyFailed` after any level failed.
+    rest.  With the base config's ``output_dir``, ``convergence_manifest.txt``
+    there gives each level's status, and ``convergence.csv`` is written only
+    when all three levels complete.  Raises :class:`StudyFailed` after any
+    level failed.
     """
+    output_dir = study.base.output_dir
     states, errors = [], {}
     for level, cfg in enumerate(study.level_configs()):
         try:
@@ -544,7 +537,7 @@ def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> Con
     if output_dir is not None:
         status = [(f"level.{level}", "failed" if level in errors else "ok") for level in range(3)]
         status += [(f"error.{level}", msg) for level, msg in errors.items()]
-        _write_keyvalue(Path(output_dir) / "convergence_manifest.txt", status)
+        _write_keyvalue(output_dir / "convergence_manifest.txt", status)
     if errors:
         raise StudyFailed(errors)
     err_coarse = diagnostics.state_difference_norm(states[0], states[1])
@@ -560,7 +553,7 @@ def run_convergence_study(study: ConvergenceStudyConfig, output_dir=None) -> Con
     )
     if output_dir is not None:
         _write_csv(
-            Path(output_dir) / "convergence.csv",
+            output_dir / "convergence.csv",
             ("curve", "scheme", "t0", "err_coarse", "err_fine", "order"),
             [(row.curve, row.scheme, row.t0, row.err_coarse, row.err_fine, row.order)],
         )
@@ -575,15 +568,15 @@ class FilterStudyResult:
     errors: dict  # label -> error string for failed runs
 
 
-def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
+def run_filter_study(base: RunConfig) -> FilterStudyResult:
     """Run every scheme/filter variant from shared initial data.
 
-    Emits one spectrum comparison CSV at the final time and one relative
-    M3 drift comparison CSV; a failing variant is recorded and the study
-    continues with the rest.  The manifest gives each variant's status,
-    largest closure defect over the observed states and error.  The last
-    power spectrum is the final state's, or the last observed one's after
-    a failure.
+    A failing variant is recorded and the study continues with the rest.
+    With ``base.output_dir``, writes there one spectrum comparison CSV at
+    the final time, one relative M3 drift comparison CSV and a manifest
+    of each variant's status, largest closure defect over the observed
+    states and error.  The last power spectrum is the final state's, or
+    the last observed one's after a failure.
     """
     initial = build_initial_state(base)
     xi_series, spectra, closure, errors = {}, {}, {}, {}
@@ -598,28 +591,27 @@ def run_filter_study(base: RunConfig, output_dir=None) -> FilterStudyResult:
         spectra[label], closure[label] = observer.power, observer.closure
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
 
-    if output_dir is not None:
-        out = Path(output_dir)
+    out = base.output_dir
+    if out is not None:
         m = spectral.symmetric_wavenumbers(base.n)
         _write_csv(
             out / "filters_spectra.csv",
             ("m", *(f"power_{label}" for label in labels)),
             zip(m, *(spectra[label] for label in labels)),
         )
-        # blown-up variants have truncated series; leave their late cells empty
-        times = sorted({t for series in xi_series.values() for t, _ in series})
-        by_label = [dict(xi_series[label]) for label in labels]
+        # every variant is observed at the same steps, so each series is a
+        # prefix of the longest; a blown-up variant's late cells stay empty
+        longest = max(xi_series.values(), key=len)
         _write_csv(
             out / "filters_xi.csv",
             ("time", *(f"xi_{label}" for label in labels)),
-            (
-                (t, *((mapping[t] if t in mapping else "") for mapping in by_label))
-                for t in times
-            ),
+            zip_longest([t for t, _ in longest],
+                        *([xi for _, xi in xi_series[label]] for label in labels),
+                        fillvalue=""),
         )
         status = [(f"variant.{label}", "failed" if label in errors else "ok")
                   for label in labels]
         status += [(f"error.{label}", msg) for label, msg in errors.items()]
-        status += [(f"closure.{label}", format_float(closure[label])) for label in labels]
+        status += [(f"closure.{label}", closure[label]) for label in labels]
         _write_keyvalue(out / "filters_manifest.txt", status)
     return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

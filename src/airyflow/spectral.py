@@ -29,7 +29,7 @@ KRASNY_THRESHOLD = 1e-13
 
 
 def _check_grid_size(n: int) -> None:
-    if n < 8 or (n & (n - 1)) != 0:
+    if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
         raise ValidationError(f"grid size n must be a power of two >= 8, got {n}")
 
 

@@ -206,10 +206,21 @@ class TestPresets:
         pc3 = preset_config("PC3")
         assert pc3.shape == "pc3" and pc3.dt == 5e-6 and pc3.t_final == 4.5
 
-    def test_extended_flags(self):
-        assert not harness.is_extended_preset("E")
-        assert harness.is_extended_preset("pc3")
-        assert harness.is_extended_preset("CARDIOID")
+    @pytest.mark.parametrize("name", sorted(harness.PRESETS))
+    def test_entry_is_config_text(self, name):
+        entry = harness.PRESETS[name]
+        assert entry.keys() <= harness._KNOWN_KEYS
+        text = "".join(f"{key} = {value if isinstance(value, str) else format_float(value)}\n"
+                       for key, value in entry.items())
+        assert parse_config(text) == preset_config(name)
+
+    @pytest.mark.parametrize("name, note", [("PC3", "note: PC3 runs 900000 steps\n"),
+                                            ("e", "")])
+    def test_long_preset_noted(self, name, note, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda cfg: harness.RunResult("completed", cfg.steps, [], tmp_path))
+        assert cli.main(["preset", name, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(note + "completed: ")
 
     def test_overrides(self, tmp_path):
         cfg = preset_config("E", dt=1e-3, t_final=0.5, output_dir=tmp_path)
@@ -572,9 +583,9 @@ class TestConvergenceStudy:
 
     def test_time_axis_bundle(self, tmp_path):
         base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
-                         n=64, dt=4e-4, t_final=0.2, scheme="cn")
+                         n=64, dt=4e-4, t_final=0.2, scheme="cn", output_dir=tmp_path)
         study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.2)
-        row = run_convergence_study(study, output_dir=tmp_path)
+        row = run_convergence_study(study)
         text = (tmp_path / "convergence.csv").read_text().splitlines()
         assert text[0] == "curve,scheme,t0,err_coarse,err_fine,order"
         fields = text[1].split(",")
@@ -587,10 +598,10 @@ class TestConvergenceStudy:
         # adb at n=128 blows up at t=0.062 with dt=2e-3 and at t=0.089 with
         # dt=1e-3; the dt=5e-4 level reaches t0 = 0.1
         base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
-                         n=128, dt=2e-3, t_final=0.1, scheme="adb")
+                         n=128, dt=2e-3, t_final=0.1, scheme="adb", output_dir=tmp_path)
         study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.1)
         with pytest.raises(StudyFailed) as err:
-            run_convergence_study(study, output_dir=tmp_path)
+            run_convergence_study(study)
         assert sorted(err.value.errors) == [0, 1]
         manifest = dict(line.split(" = ", 1) for line in
                         (tmp_path / "convergence_manifest.txt").read_text().splitlines())
@@ -648,8 +659,8 @@ class TestFilterStudy:
     def test_variant_set_and_schemas(self, tmp_path):
         base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
                          n=64, dt=5e-4, t_final=0.05, scheme="adb",
-                         diagnostic_stride=20)
-        result = run_filter_study(base, output_dir=tmp_path)
+                         diagnostic_stride=20, output_dir=tmp_path)
+        result = run_filter_study(base)
         assert result.labels == ["ADB", "ADBDPR", "ADBK", "CN", "CNDPR", "CNK", "CNADB"]
         spectra = (tmp_path / "filters_spectra.csv").read_text().splitlines()
         assert spectra[0] == "m," + ",".join(f"power_{x}" for x in result.labels)
@@ -660,7 +671,7 @@ class TestFilterStudy:
     def test_failed_variants_recorded(self, tmp_path):
         # adb and adbk blow up at step 31 on this config, after their
         # last observed step 30
-        result = run_filter_study(FILTER_128, output_dir=tmp_path)
+        result = run_filter_study(replace(FILTER_128, output_dir=tmp_path))
         assert sorted(result.errors) == ["ADB", "ADBK"]
         manifest = dict(line.split(" = ", 1) for line in
                         (tmp_path / "filters_manifest.txt").read_text().splitlines())
@@ -681,7 +692,7 @@ class TestFilterStudy:
             assert all(cells[:7]) and not any(cells[7:]), label
 
     def test_closure_is_the_largest_observed_defect(self, tmp_path):
-        result = run_filter_study(FILTER_128, output_dir=tmp_path)
+        result = run_filter_study(replace(FILTER_128, output_dir=tmp_path))
         manifest = dict(line.split(" = ", 1) for line in
                         (tmp_path / "filters_manifest.txt").read_text().splitlines())
         for label, scheme, filter_mode in harness.FILTER_STUDY_VARIANTS:
@@ -696,7 +707,7 @@ class TestFilterStudy:
     def test_deterministic_reruns(self, tmp_path):
         # identical configs give byte-identical outputs, failed variants included
         for name in ("a", "b"):
-            run_filter_study(FILTER_128, output_dir=tmp_path / name)
+            run_filter_study(replace(FILTER_128, output_dir=tmp_path / name))
         for rel in ("filters_spectra.csv", "filters_xi.csv", "filters_manifest.txt"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
@@ -730,6 +741,23 @@ class TestFilterStudy:
         assert np.max(rel) <= 1e-7
         dead = ~alive
         assert np.all(adbk[dead] <= 1e-26)
+
+
+@pytest.mark.parametrize("entry, kind, written", [
+    (run_experiment, "run", "manifest.txt"),
+    (run_filter_study, "run", "filters_manifest.txt"),
+    (run_convergence_study, "converge", "convergence_manifest.txt"),
+])
+def test_entry_point_writes_where_config_says(entry, kind, written, tmp_path, monkeypatch):
+    text = "shape = ellipse\na = 1\nb = 0.5\nn = 64\ndt = 1e-3\nt_final = 0.02\nscheme = cn\n"
+    if kind == "converge":
+        text += "kind = converge\naxis = time\nt0 = 0.02\n"
+    monkeypatch.chdir(tmp_path)  # where a study writing without a directory would land
+    if entry is not run_experiment:  # which requires an output directory
+        entry(parse_config(text))
+        assert not any(tmp_path.iterdir())
+    entry(parse_config(text + f"out = {tmp_path / 'out'}\n"))
+    assert (tmp_path / "out" / written).is_file()
 
 
 class TestFormatting:
@@ -819,3 +847,10 @@ _NON_FINITE = [("dt", math.inf), ("dt", math.nan), ("t_final", math.inf),
 ])
 def test_non_finite_rejected_naming_key(entry, key, value):
     test_invariant_rejected_naming_key(entry, key, value)
+
+
+@pytest.mark.parametrize("entry", ["RunConfig", "preset_config"])
+def test_non_integer_grid_size_rejected_naming_key(entry):
+    # config text types n as an integer; the Python entry points take any number
+    test_invariant_rejected_naming_key(entry, "n", 256.0)
+    assert _ENTRY_POINTS[entry][0]("n", np.int64(32)).n == 32
