@@ -15,7 +15,7 @@ Every step of every scheme is one two-level recurrence per mode,
 phi^{j+1} = A phi^j + B phi^{j-1} + C NL^j + D NL^{j-1}, so a scheme is
 data: a start rule and a step rule of coefficients (:func:`step_rules`).
 :func:`integrate` is one loop over the half spectrum of phi that applies
-them.
+them, writing every step into one workspace of arrays per trajectory.
 
 All updates act on the modes of phi = theta - alpha: the alpha-linear
 part of theta is not periodic, has the same linear symbol for every mode
@@ -152,50 +152,62 @@ def step_rules(cfg: SchemeConfig, n: int, length: float) -> tuple[StepRule, Step
     return StepRule(a=0.5 * (zeta + 1.0 - 1j * gamma), c=0.5 * dt * (1.0 + zeta)), leapfrog
 
 
-def _recur(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
-    out = None
+def _recur(rule: StepRule, out, scratch, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
+    """a phi_hat + b prev_hat + c nl_hat + d prev_nl written into ``out``, each
+    product but the first taken in ``scratch``; a None buffer is allocated."""
+    first = True
     for coef, level in ((rule.a, phi_hat), (rule.b, prev_hat), (rule.c, nl_hat),
                         (rule.d, prev_nl)):
         if coef is None:
             continue
-        if out is None:
-            out = coef * level  # a new array: the levels are history, never written
+        if first:
+            out = np.multiply(coef, level, out=out)
+            first = False
         else:
-            out += coef * level
+            out += np.multiply(coef, level, out=scratch)
     return out
 
 
-def init_step(rule: StepRule, phi_hat: np.ndarray, nl_hat: np.ndarray) -> np.ndarray:
-    """First step: phi^1 from level 0 alone by a start rule."""
-    return _recur(rule, phi_hat, nl_hat, None, None)
+def init_step(rule: StepRule, phi_hat, nl_hat, out=None, scratch=None) -> np.ndarray:
+    """First step: phi^1 from level 0 alone by a start rule, written into ``out``.
+
+    ``scratch`` is a half spectrum the products pass through; neither
+    buffer may be a level, and a buffer left at None is allocated."""
+    return _recur(rule, out, scratch, phi_hat, nl_hat, None, None)
 
 
-def step(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
-    """Later step: phi^{j+1} from the spectra of phi and NL at levels j and j-1."""
-    return _recur(rule, phi_hat, nl_hat, prev_hat, prev_nl)
+def step(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl, out=None, scratch=None) -> np.ndarray:
+    """Later step: phi^{j+1} from the spectra of phi and NL at levels j and j-1,
+    written into ``out`` as :func:`init_step` writes it."""
+    return _recur(rule, out, scratch, phi_hat, nl_hat, prev_hat, prev_nl)
 
 
-def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none") -> np.ndarray:
+def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none",
+                   d_phi=None, theta_a=None, cube=None) -> np.ndarray:
     """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2 at the nodes.
 
     ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
     the first derivative with the configured mode filter; the solution
     itself is never filtered.
 
-    The derivative symbol zeroes the mean slot, so setting it to 1 makes
-    the one ``irfft`` return theta_alpha = 1 + D phi directly.  The cube is
-    taken by two products, not by ``power``, and the scalar
-    (2*pi/L)^3 / 2 is applied in place: beyond the transform the term
-    costs a few passes over the N nodes.
+    D phi is written into the half spectrum ``d_phi`` (the filter, if
+    any, is applied there first).  The derivative symbol zeroes the mean
+    slot, so setting it to 1 makes the one ``irfft`` write
+    theta_alpha = 1 + D phi into the node row ``theta_a``.  The cube is
+    taken into the node row ``cube`` by two products, not by ``power``,
+    and the scalar (2*pi/L)^3 / 2 is applied in place: beyond the
+    transform the term costs a few passes over the N nodes.  Returns
+    ``cube``; a buffer left at None is allocated, and ``phi_hat`` is only
+    read.
     """
     n = 2 * (phi_hat.size - 1)
-    d_phi = _derivative_symbol(n, 1) * filter_modes(phi_hat, filter)
+    d_phi = np.multiply(_derivative_symbol(n, 1), filter_modes(phi_hat, filter, d_phi), out=d_phi)
     d_phi[0] = 1.0
-    theta_a = np.fft.irfft(d_phi, n, norm="forward")
-    term = theta_a * theta_a
-    term *= theta_a
-    term *= 0.5 * (2.0 * np.pi / length) ** 3
-    return term
+    theta_a = np.fft.irfft(d_phi, n, norm="forward", out=theta_a)
+    cube = np.multiply(theta_a, theta_a, out=cube)
+    cube *= theta_a
+    cube *= 0.5 * (2.0 * np.pi / length) ** 3
+    return cube
 
 
 def _spectral_bound_sq(phi_hat: np.ndarray) -> float:
@@ -210,7 +222,7 @@ def integrate(
     cfg: SchemeConfig,
     t_final: float,
     observers=(),
-    nonlinear: Optional[Callable[[np.ndarray, float, str], np.ndarray]] = None,
+    nonlinear: Optional[Callable[..., np.ndarray]] = None,
 ) -> ThetaLState:
     """Advance the state from its current time to t_final.
 
@@ -221,7 +233,7 @@ def integrate(
     and the ThetaLState), fires at step 0, every ``stride`` steps, and at
     the final step; a stride that is not an integer >= 1 raises
     :class:`ValidationError` before step 0.  A callback may keep states
-    (states are immutable).
+    (states are immutable and own their phi).
     Raises :class:`BlowUp` if max|phi| is non-finite or exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
@@ -230,9 +242,20 @@ def integrate(
     final step, so an unobserved step takes two real transforms: the
     ``irfft`` inside the nonlinear term and the ``rfft`` of the term.
 
-    ``nonlinear`` replaces :func:`nonlinear_term` for this call: it takes
-    the same ``(phi_hat, length, filter)`` and returns the term at the
-    nodes.  A non-finite term trips the guard at the same step.
+    Each trajectory gets one workspace of plain arrays, built before
+    step 0, and every step writes into it: three half-spectrum levels
+    that rotate (j, j-1, and j+1 being written), the NL spectra of levels
+    j and j-1, a half spectrum for D phi that the recurrence then uses for
+    its products, and two node rows for theta_alpha and its cube.  Phi is
+    transformed into the theta_alpha row where it is needed, and an
+    observed state takes its own copy.
+
+    ``nonlinear`` replaces :func:`nonlinear_term` for this call and is
+    called as it is: ``(phi_hat, length, filter, d_phi, theta_a, cube)``.
+    It must not write ``phi_hat``, the level; it may overwrite the three
+    workspace arrays after it (a half spectrum and two node rows) and
+    returns the term at the N nodes, in ``cube`` or in an array of its
+    own.  A non-finite term trips the guard at the same step.
 
     The spectrum of the nonlinear term is filtered as configured, on top
     of the filtered derivative inside the term: the cubic regenerates
@@ -244,12 +267,12 @@ def integrate(
     observers = tuple(observers)
     for stride, _ in observers:
         check_stride(stride)
-    n, t0, dt = initial.n, initial.time, cfg.dt
-    start, rule = step_rules(cfg, n, initial.length)
+    n, length, filter, t0, dt = initial.n, initial.length, cfg.filter, initial.time, cfg.dt
+    start, rule = step_rules(cfg, n, length)
     term = nonlinear or nonlinear_term
 
     def state_at(j, phi):
-        return initial if j == 0 else ThetaLState(phi, initial.length, t0 + j * dt, initial.anchor)
+        return initial if j == 0 else ThetaLState(phi, length, t0 + j * dt, initial.anchor)
 
     def notify(j, phi):
         state = state_at(j, phi)
@@ -261,28 +284,32 @@ def integrate(
         """The first step after j at which an observer fires: the final step at the latest."""
         return min([steps] + [j + stride - j % stride for stride, _ in observers])
 
+    # the workspace: levels j, j-1, j+1; NL spectra j, j-1; D phi; theta_alpha, cube
+    phi_hat, prev_hat, new_hat, nl_hat, prev_nl, d_phi = (
+        np.empty(n // 2 + 1, dtype=np.complex128) for _ in range(6))
+    theta_a, cube = np.empty(n), np.empty(n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
     phi = initial.phi
-    phi_hat = np.fft.rfft(phi, norm="forward")
-    prev = None  # (phi_hat, nl_hat) one level back
+    np.fft.rfft(phi, norm="forward", out=phi_hat)
     notify(0, phi)
     due = next_due(0)
     for j in range(1, steps + 1):
-        nl = term(phi_hat, initial.length, cfg.filter)
-        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter)
-        if prev is None:
-            new_hat = init_step(start, phi_hat, nl_hat)
+        nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
+        filter_modes(np.fft.rfft(nl, norm="forward", out=nl_hat), filter, nl_hat)
+        if j == 1:
+            init_step(start, phi_hat, nl_hat, new_hat, d_phi)
         else:
-            new_hat = step(rule, phi_hat, nl_hat, *prev)
-        prev, phi_hat = (phi_hat, nl_hat), new_hat
+            step(rule, phi_hat, nl_hat, prev_hat, prev_nl, new_hat, d_phi)
+        phi_hat, prev_hat, new_hat = new_hat, phi_hat, prev_hat
+        nl_hat, prev_nl = prev_nl, nl_hat
         # well inside the limit the guard cannot trip; otherwise (or
         # non-finite) check exactly
         bounded = _spectral_bound_sq(phi_hat) <= bound_sq
         if bounded and j != due:
             continue
-        phi = np.fft.irfft(phi_hat, n, norm="forward")
+        phi = np.fft.irfft(phi_hat, n, norm="forward", out=theta_a)
         if not bounded:
-            peak = float(np.abs(phi).max())
+            peak = float(np.abs(phi, out=cube).max())
             if not (math.isfinite(peak) and peak <= BLOWUP_LIMIT):
                 raise BlowUp(j, t0 + j * dt, f"max|phi| = {peak:.3e} exceeds {BLOWUP_LIMIT:.3e}")
         if j == due:

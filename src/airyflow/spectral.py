@@ -74,9 +74,13 @@ def _antiderivative_symbol(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _dpr_profile(n: int) -> np.ndarray:
-    """Smooth damping profile rho1(m*h/pi) over m = 0..N/2."""
-    profile = _rho1_array(np.arange(n // 2 + 1) * 2.0 / n)
+def _dpr_profile(n: int, dtype=np.float64) -> np.ndarray:
+    """Smooth damping profile rho1(m*h/pi) over m = 0..N/2, in ``dtype``.
+
+    A complex spectrum takes the profile as complex: the product is the one
+    numpy forms by casting the real profile, less the cast buffer per call.
+    """
+    profile = _rho1_array(np.arange(n // 2 + 1) * 2.0 / n).astype(dtype)
     profile.setflags(write=False)
     return profile
 
@@ -95,19 +99,29 @@ def _rho1_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def filter_modes(coeffs: np.ndarray, mode: str) -> np.ndarray:
+def filter_modes(coeffs: np.ndarray, mode: str, out=None) -> np.ndarray:
     """Apply a mode filter to the half spectrum of a real N-point field.
 
     "krasny" zeroes the modes whose amplitude is below 1e-13 (rho2),
     "dpr" multiplies mode m by rho1(m*h/pi), "both" does the first and
-    then the second, and "none" returns the input unchanged.
+    then the second, and "none" returns ``coeffs`` itself.  The other
+    filters write their result into ``out`` (a new array for None), which
+    may be ``coeffs``; ``coeffs`` is otherwise only read.  A non-finite
+    coefficient stays non-finite.
     """
     if mode not in FILTERS:
         raise ValueError(f"filter mode must be one of {FILTERS}, got {mode!r}")
     if mode in ("krasny", "both"):
-        coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0.0, coeffs)
+        small = np.abs(coeffs) < KRASNY_THRESHOLD  # |z| and its mask: the filter's temporaries
+        if out is None:
+            out = coeffs.copy()
+        elif out is not coeffs:
+            np.copyto(out, coeffs)
+        np.copyto(out, 0.0, where=small)
+        coeffs = out
     if mode in ("dpr", "both"):
-        coeffs = coeffs * _dpr_profile(2 * (coeffs.size - 1))
+        profile = _dpr_profile(2 * (coeffs.size - 1), np.result_type(coeffs.dtype, np.float64))
+        coeffs = np.multiply(coeffs, profile, out=out)
     return coeffs
 
 

@@ -17,7 +17,10 @@ the package against.  Nothing in a run calls them.
 * :func:`per_state_observe`, :func:`per_state_rows` -- ``diagnostics.observe``
   and the diagnostics rows one state at a time, the references the block
   pass and the run's rows must equal bit for bit;
-* :func:`mirror` -- the state of the curve reflected in the x axis.
+* :func:`mirror` -- the state of the curve reflected in the x axis;
+* :func:`reference_levels` -- ``schemes.integrate``'s loop in plain
+  allocating steps, the reference its workspace levels must equal bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from airyflow import diagnostics
+from airyflow import diagnostics, schemes
 from airyflow.errors import AiryflowError, NoConvergence
 from airyflow.geometry import ThetaLState, _as_points
 from airyflow.spectral import (
     _antiderivative_symbol,
     _derivative_symbol,
+    filter_modes,
     grid_nodes,
     spectral_antiderivative,
     spectral_derivative,
@@ -303,3 +307,27 @@ def mirror(state) -> ThetaLState:
     x0, y0 = state.anchor
     return ThetaLState(phi=np.pi - np.roll(state.phi[::-1], 1), length=state.length,
                        time=state.time, anchor=(x0, -y0))
+
+
+def reference_levels(state, cfg, steps, nonlinear=None):
+    """``schemes.integrate``'s loop in plain steps: yields (j, phi_hat) after step j.
+
+    Every step makes new arrays: the term (``nonlinear``, by default
+    ``schemes.nonlinear_term`` given no workspace), its filtered spectrum,
+    and the new level, summed term by term in the recurrence's order
+    a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1}.
+    """
+    term = nonlinear or schemes.nonlinear_term
+    start, rule = schemes.step_rules(cfg, state.n, state.length)
+    level = np.fft.rfft(state.phi, norm="forward")
+    prev = prev_nl = None
+    for j in range(1, steps + 1):
+        nl = term(level, state.length, cfg.filter)
+        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter)
+        used = start if j == 1 else rule
+        new = None
+        for coef, x in ((used.a, level), (used.b, prev), (used.c, nl_hat), (used.d, prev_nl)):
+            if coef is not None:
+                new = coef * x if new is None else new + coef * x
+        prev, prev_nl, level = level, nl_hat, new
+        yield j, level

@@ -28,4 +28,4 @@ def test_imports_only_numpy_and_the_standard_library(path):
 def test_numpy_is_the_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["dependencies"] == ["numpy>=2.0"]

@@ -444,9 +444,9 @@ def kick_at(monkeypatch, step):
     """Make the nonlinear term huge at ``step``: the guard then ends the run there."""
     calls, original = [0], schemes.nonlinear_term
 
-    def kicked(phi_hat, length, filter):
+    def kicked(phi_hat, length, filter, *work):
         calls[0] += 1
-        term = original(phi_hat, length, filter)
+        term = original(phi_hat, length, filter, *work)
         return term + 1e9 if calls[0] == step else term
 
     monkeypatch.setattr(schemes, "nonlinear_term", kicked)
@@ -473,6 +473,32 @@ class TestBlockObservation:
         assert result.rows == per_state_rows(self.observed_states(cfg, cfg.steps))
         curves = sorted(path.name for path in (tmp_path / "snapshots").iterdir())
         assert len(curves) == len(range(0, cfg.steps + 1, 5)) + (cfg.steps % 5 != 0)
+
+    def test_buffered_states_keep_their_phi_until_observed(self, tmp_path, monkeypatch):
+        # the stepper keeps writing its workspace while states wait in a block
+        buffered, checked = {}, []
+        watch, observe = harness._BlockObserver.watch, diagnostics.observe
+
+        def recording_watch(observer, output):
+            callback = watch(observer, output)
+
+            def recorded(step, state):
+                buffered[step] = (state, state.phi.copy())
+                callback(step, state)
+
+            return recorded
+
+        def checked_observe(states):
+            checked.extend(np.array_equal(state.phi, phi) for state, phi in buffered.values()
+                           if any(state is s for s in states))
+            return observe(states)
+
+        monkeypatch.setattr(harness._BlockObserver, "watch", recording_watch)
+        monkeypatch.setattr(diagnostics, "observe", checked_observe)
+        cfg = preset_config("E", t_final=(2 * self.K + 3) * 5e-4, diagnostic_stride=1,
+                            snapshot_stride=5, output_dir=tmp_path)
+        assert run_experiment(cfg).status == "completed"
+        assert len(checked) == cfg.steps + 1 and all(checked)
 
     def test_first_failing_state_inside_a_block_ends_the_run(self, tmp_path):
         cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path)
@@ -577,7 +603,7 @@ class TestConvergenceStudy:
                          n=64, dt=2e-3, t_final=0.4, scheme="adb")
         study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.4)
         monkeypatch.setattr(schemes, "nonlinear_term",
-                            lambda phi_hat, length, filter: np.zeros(2 * (phi_hat.size - 1)))
+                            lambda phi_hat, length, filter, *work: np.zeros(2 * (phi_hat.size - 1)))
         row = run_convergence_study(study)
         assert row.err_coarse <= 1e-13 and row.err_fine <= 1e-13
 

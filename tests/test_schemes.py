@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from airyflow.schemes import (
 from airyflow.spectral import FILTERS, _derivative_symbol, filter_modes, grid_nodes
 
 from conftest import band_limited_field, catalog_state
+from oracles import reference_levels
 
 
-def zero_nl(phi_hat, length, filter):
+def zero_nl(phi_hat, length, filter, *work):
     """A substitute for schemes.nonlinear_term that zeroes the term."""
     return np.zeros(2 * (phi_hat.size - 1))
 
@@ -42,22 +44,6 @@ def trajectory(state, cfg, steps, nonlinear=None):
     integrate(state, cfg, state.time + steps * cfg.dt,
               observers=[(1, lambda j, s: states.append(s))], nonlinear=nonlinear)
     return states
-
-
-def reference_levels(state, cfg, steps, nonlinear=None):
-    """The integrate loop in plain steps: yields (j, phi_hat) after step j."""
-    term = nonlinear or nonlinear_term
-    start, rule = step_rules(cfg, state.n, state.length)
-    level, prev = half(state), None
-    for j in range(1, steps + 1):
-        nl = term(level, state.length, cfg.filter)
-        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter)
-        if prev is None:
-            new = schemes.init_step(start, level, nl_hat)
-        else:
-            new = schemes.step(rule, level, nl_hat, *prev)
-        prev, level = (level, nl_hat), new
-        yield j, level
 
 
 def exact_guard_run(state, cfg, steps, nonlinear=None):
@@ -366,7 +352,7 @@ class TestIntegrate:
                             length=2 * np.pi)
         cfg = SchemeConfig(scheme=scheme, dt=1e-2)
 
-        def grow(phi_hat, length, filter):
+        def grow(phi_hat, length, filter, *work):
             return 30.0 * np.fft.irfft(phi_hat, n, norm="forward")
 
         expected, near = exact_guard_run(state, cfg, 200, grow)
@@ -374,8 +360,8 @@ class TestIntegrate:
         assert guarded_run(state, cfg, 200, grow) == expected
 
     def test_guard_step_exact_on_nan(self):
+        # every filter, in place on the NL spectrum, passes the nan on to the guard
         state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
-        cfg = SchemeConfig(scheme="cnadb", dt=1e-4)
 
         def poisoned_at_5(calls):
             def term(*args):
@@ -384,9 +370,11 @@ class TestIntegrate:
                 return nl * np.nan if len(calls) == 5 else nl
             return term
 
-        expected, _ = exact_guard_run(state, cfg, 20, poisoned_at_5([]))
-        assert expected[0] == 5 and "max|phi| = nan" in expected[1]
-        assert guarded_run(state, cfg, 20, poisoned_at_5([])) == expected
+        for filter in FILTERS:
+            cfg = SchemeConfig(scheme="cnadb", dt=1e-4, filter=filter)
+            expected, _ = exact_guard_run(state, cfg, 20, poisoned_at_5([]))
+            assert expected[0] == 5 and "max|phi| = nan" in expected[1]
+            assert guarded_run(state, cfg, 20, poisoned_at_5([])) == expected
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_guard_step_exact_with_small_limit(self, monkeypatch, scheme):
@@ -465,6 +453,91 @@ class TestIntegrate:
         assert max(abs(diagnostics.m3_drift(t.m3, m3_0)) for t in triples) <= 0.01
 
 
+def recorded_levels(monkeypatch):
+    """Copies of the level each ``schemes.init_step`` and ``schemes.step`` call returns."""
+    levels = []
+    for name in ("init_step", "step"):
+        original = getattr(schemes, name)
+
+        def recorded(*args, _original=original):
+            level = _original(*args)
+            levels.append(level.copy())
+            return level
+
+        monkeypatch.setattr(schemes, name, recorded)
+    return levels
+
+
+class TestWorkspace:
+    """integrate writes every step into one workspace per trajectory; the
+    plain allocating loop (``oracles.reference_levels``) is its reference."""
+
+    @pytest.mark.parametrize("stride", [None, 3])
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("filter", FILTERS)
+    @pytest.mark.parametrize("scheme", schemes.SCHEMES)
+    def test_levels_bitwise_equal_to_plain_loop(self, monkeypatch, scheme, filter, n, stride):
+        state, _ = catalog_state("ellipse", n, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter=filter)
+        levels = recorded_levels(monkeypatch)
+        observers = [] if stride is None else [(stride, lambda j, s: None)]
+        final = integrate(state, cfg, 40 * cfg.dt, observers)
+        reference = [level for _, level in reference_levels(state, cfg, 40)]
+        assert len(levels) == len(reference) == 40
+        for j, (level, expected) in enumerate(zip(levels, reference), 1):
+            assert np.array_equal(level, expected), f"step {j}"
+        assert np.array_equal(final.phi, np.fft.irfft(reference[-1], n, norm="forward"))
+
+    def test_criterion_4_adb_blowup_unchanged(self):
+        # ADB's blow-up step moves with roundoff: the workspace must not move it
+        state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
+        with pytest.raises(BlowUp) as err:
+            integrate(state, SchemeConfig(scheme="adb", dt=1e-4), 0.5)
+        assert err.value.step == 1987
+        assert str(err.value) == (
+            "blow-up at step 1987 (t=0.1987): max|phi| = 1.626e+08 exceeds 1.000e+03")
+
+    @pytest.mark.parametrize("scheme", schemes.SCHEMES)
+    def test_states_keep_their_phi_after_later_steps(self, scheme):
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter="both")
+        seen = []
+        final = integrate(state, cfg, 30 * cfg.dt,
+                          observers=[(1, lambda j, s: seen.append((s, s.phi.copy())))])
+        kept = final.phi.copy()
+        integrate(final, cfg, final.time + 10 * cfg.dt)
+        assert len(seen) == 31 and np.array_equal(final.phi, kept)
+        for observed, phi in seen:
+            assert np.array_equal(observed.phi, phi)
+
+    @pytest.mark.parametrize("scheme, filter", [("cnadb", "none"), ("adb", "krasny")])
+    def test_unobserved_steps_allocate_no_array(self, scheme, filter):
+        # tracing starts in the term of step 1, after the workspace is built,
+        # and the peak is read in the term of step 201.  Measured at N=512:
+        # 1.4 KiB (cnadb/none) and 2.6 KiB (adb/krasny, whose filter takes
+        # |z| and its mask per call); 28.9 KiB with fresh arrays per step.
+        # One more half spectrum or node row per step is 4 KiB
+        state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter=filter)
+        integrate(state, cfg, 5 * cfg.dt)  # builds the cached symbols and profiles
+        calls, peaks = [0], []
+
+        def traced(*args):
+            calls[0] += 1
+            if calls[0] == 1:
+                tracemalloc.start()
+            elif calls[0] == 201:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return nonlinear_term(*args)
+
+        try:
+            integrate(state, cfg, 201 * cfg.dt, nonlinear=traced)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] <= 4 * 2**10
+
+
 class TestSchemeProperties:
     def test_reality_preserved(self, rng):
         state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
@@ -484,8 +557,8 @@ class TestSchemeProperties:
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_read_only_levels_accepted_and_unchanged(self, scheme):
-        # the step arithmetic runs in place: it must write only arrays it made,
-        # never a level the stepper keeps as history
+        # the step arithmetic runs in place: it must write only its workspace
+        # arrays or arrays it made, never a level the stepper keeps as history
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         start, rule = step_rules(SchemeConfig(scheme=scheme, dt=1e-3), state.n, state.length)
         level = half(state)
@@ -494,10 +567,15 @@ class TestSchemeProperties:
         kept = [x.copy() for x in levels]
         for x in levels:
             x.setflags(write=False)
+        spectra = [np.empty_like(level) for _ in range(3)]
+        rows = [np.empty(state.n) for _ in range(2)]
         for filter in FILTERS:
             nonlinear_term(level, state.length, filter)
+            nonlinear_term(level, state.length, filter, spectra[0], *rows)
         schemes.init_step(start, level, nl_hat)
         schemes.step(rule, *levels)
+        schemes.init_step(start, level, nl_hat, *spectra[1:])
+        schemes.step(rule, *levels, *spectra[1:])
         for x, copy in zip(levels, kept):
             assert np.array_equal(x, copy)
 

@@ -175,6 +175,53 @@ class TestKrasnyRho2:
         assert np.array_equal(out[~below], coeffs[~below])
 
 
+class TestFilterInPlace:
+    """filter_modes into ``out``: the input left alone, or overwritten with
+    exactly the out-of-place result."""
+
+    @staticmethod
+    def coeffs():
+        # one coefficient exactly at the threshold (kept), one just below
+        # (zeroed), a nan and an inf (kept: the guard must see them), and
+        # signed zeros
+        rng = np.random.default_rng(5)
+        c = 1e-3 * (rng.normal(size=33) + 1j * rng.normal(size=33))
+        c[[3, 4, 5, 6, 7]] = [spectral.KRASNY_THRESHOLD, np.nextafter(spectral.KRASNY_THRESHOLD, 0),
+                              complex(np.nan, 0.0), complex(-np.inf, 1.0), complex(-0.0, -0.0)]
+        c[8:12] *= 1e-12
+        return c
+
+    @pytest.mark.parametrize("mode", spectral.FILTERS)
+    def test_input_unchanged(self, mode):
+        c = self.coeffs()
+        kept = c.copy()
+        with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
+            out = filter_modes(c, mode)
+        assert np.array_equal(c, kept, equal_nan=True)
+        assert (out is c) == (mode == "none")
+
+    @pytest.mark.parametrize("mode", spectral.FILTERS)
+    def test_in_place_and_into_out_bitwise_equal(self, mode):
+        c, other = self.coeffs(), np.full(33, 7.0 + 0j)
+        with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
+            expected = filter_modes(self.coeffs(), mode)
+            assert filter_modes(c, mode, c) is c
+            into = filter_modes(self.coeffs(), mode, other)
+        assert (into is other) == (mode != "none")  # "none" passes its input through
+        for got in (c, into):
+            # the same bits, signed zeros and nans included
+            assert got.tobytes() == expected.tobytes()
+        assert np.isnan(c[5]) and c[3] == spectral.KRASNY_THRESHOLD
+        if mode in ("krasny", "both"):
+            assert c[4] == 0.0 and np.all(c[8:12] == 0.0)
+
+    def test_krasny_matches_where(self):
+        # the zeroing rule as np.where states it
+        c = self.coeffs()
+        expected = np.where(np.abs(c) < spectral.KRASNY_THRESHOLD, 0.0, c)
+        assert filter_modes(c, "krasny").tobytes() == expected.tobytes()
+
+
 class TestFilteredDerivative:
     def test_none_is_bitwise_plain_derivative(self, rng):
         f = rng.standard_normal(64)
