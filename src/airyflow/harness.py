@@ -295,11 +295,16 @@ DIAGNOSTICS_COLUMNS = DiagnosticsRow._fields
 
 @dataclass
 class RunResult:
+    """How one trajectory ended (:meth:`_BlockObserver.run`): ``error`` names the step S
+    it failed at and ``steps_completed`` is S - 1 (0 at step 0); ``final`` is the state
+    at ``t_final``, or None after a failure."""
+
     status: str  # "completed" | "blowup" | "closure"
     steps_completed: int
     rows: list
     output_dir: Optional[Path]
     error: Optional[str] = None
+    final: Optional[ThetaLState] = None
 
 
 def build_initial_state(cfg: RunConfig) -> ThetaLState:
@@ -314,14 +319,15 @@ class _BlockObserver:
     blocks of up to :data:`OBSERVE_BLOCK` observed states by one
     :func:`diagnostics.observe` pass each, and the run's closure check.
 
-    :meth:`watch` gives the ``integrate`` callback of one output, "rows"
-    or "snapshots"; a state due for both is buffered once, and one that
-    finds the buffer full flushes it first.  A flush compares each
-    state's closure defect with ``closure_tol`` (``math.inf`` checks
-    nothing) and raises :class:`ClosureViolation` for the first state
-    beyond it, after recording the states before it.  The step-0 state
-    sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
-    ``power`` (the last recorded) and ``closure`` (the largest).
+    :meth:`run` is the one runner of every trajectory; :meth:`watch`
+    gives its callback of one output, "rows" or "snapshots".  A state due
+    for both is buffered once, and one that finds the buffer full flushes
+    it first.  A flush compares each state's closure defect with
+    ``closure_tol`` (``math.inf`` checks nothing) and raises
+    :class:`ClosureViolation` for the first state beyond it, after
+    recording the states before it.  The step-0 state sets the baselines
+    of ``xi`` and ``delta_n``.  The filter study reads ``power`` (the last
+    recorded) and ``closure`` (the largest).
     """
 
     def __init__(self, cfg: RunConfig, closure_tol: float, out_dir: Optional[Path] = None):
@@ -341,13 +347,18 @@ class _BlockObserver:
 
         return callback
 
-    def integrate(self, initial: ThetaLState, observers) -> ThetaLState:
+    def run(self, initial: ThetaLState, observers) -> RunResult:
         """:func:`schemes.integrate` to ``cfg.t_final``, then the last flush, also after a
-        :class:`BlowUp`: a closure failure the flush finds wins over it."""
+        :class:`BlowUp`, and how the run ended: a closure failure the flush finds wins."""
         try:
-            return schemes.integrate(initial, self.cfg, self.cfg.t_final, observers)
-        finally:
-            self.flush()
+            try:
+                final = schemes.integrate(initial, self.cfg, self.cfg.t_final, observers)
+            finally:
+                self.flush()
+        except (BlowUp, ClosureViolation) as exc:
+            return RunResult("blowup" if isinstance(exc, BlowUp) else "closure",
+                             max(exc.step - 1, 0), self.rows, self.out_dir, str(exc))
+        return RunResult("completed", self.cfg.steps, self.rows, self.out_dir, final=final)
 
     def flush(self) -> None:
         block, self.pending = self.pending, {}
@@ -434,7 +445,7 @@ def _write_keyvalue(path: Path, pairs) -> None:
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:
-    """Run one trajectory and write its output bundle.
+    """Run one trajectory through :meth:`_BlockObserver.run` and write its output bundle.
 
     Writes diagnostics.csv, snapshot CSVs, the resolved config echo, and a
     manifest recording termination status, the largest |xi| (and its time)
@@ -444,6 +455,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     ends the run as status "closure", also over a later blow-up ("blowup").
     Both keep the outputs of the states before the failure, and the
     manifest's ``error`` is the exception's message, which names its step.
+    Returns the run's :class:`RunResult`.
     """
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
@@ -455,26 +467,18 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     initial = build_initial_state(cfg)
     setup = _time.perf_counter() - started
     observer = _BlockObserver(cfg, cfg.closure_tol, out_dir)
-    observers = [(cfg.diagnostic_stride, observer.watch("rows")),
-                 (cfg.snapshot_stride, observer.watch("snapshots"))]
-
-    status, error = "completed", None
-    steps_done = cfg.steps
-    try:
-        observer.integrate(initial, observers)
-    except (BlowUp, ClosureViolation) as exc:
-        status = "blowup" if isinstance(exc, BlowUp) else "closure"
-        error, steps_done = str(exc), max(exc.step - 1, 0)
+    result = observer.run(initial, [(cfg.diagnostic_stride, observer.watch("rows")),
+                                    (cfg.snapshot_stride, observer.watch("snapshots"))])
     wall = _time.perf_counter() - started
 
-    rows = observer.rows
+    rows = result.rows
     diag_path = out_dir / "diagnostics.csv"
     _write_csv(diag_path, DIAGNOSTICS_COLUMNS, rows)
 
     outputs = [out_dir / "config.txt", diag_path, *observer.written]
     manifest = [
-        ("status", status),
-        ("steps_completed", steps_done),
+        ("status", result.status),
+        ("steps_completed", result.steps_completed),
         ("steps_requested", cfg.steps),
         ("wall_time_s", wall),
         ("setup_time_s", setup),
@@ -484,22 +488,23 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         manifest += [("max_abs_xi", abs(peak.xi)),
                      ("max_abs_xi_time", peak.time),
                      ("max_tail", max(row.tail_max for row in rows))]
-    if error:
-        manifest.append(("error", error))
+    if result.error:
+        manifest.append(("error", result.error))
     manifest += [(f"output.{i}", path.relative_to(out_dir)) for i, path in enumerate(outputs)]
     _write_keyvalue(out_dir / "manifest.txt", manifest)
-
-    return RunResult(
-        status=status,
-        steps_completed=steps_done,
-        rows=rows,
-        output_dir=out_dir,
-        error=error,
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
 # studies
+
+
+def _study_status(key: str, results: dict, errors: dict) -> list:
+    """Manifest lines of a study's trajectories by label: ``key.LABEL`` (ok |
+    failed), then ``steps_completed.LABEL``, then ``error.LABEL`` of each failed one."""
+    return [*((f"{key}.{label}", "failed" if label in errors else "ok") for label in results),
+            *((f"steps_completed.{label}", r.steps_completed) for label, r in results.items()),
+            *((f"error.{label}", message) for label, message in errors.items())]
 
 
 @dataclass(frozen=True)
@@ -519,27 +524,25 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
 
     Levels differ by factors of 2 in dt (axis "time") or n (axis
     "space"); states are compared at t0 on the coarser grid of each pair.
-    A level that blows up is recorded and the study goes on with the
-    rest.  With the base config's ``output_dir``, ``convergence_manifest.txt``
-    there gives each level's status, and ``convergence.csv`` is written only
-    when all three levels complete.  Raises :class:`StudyFailed` after any
-    level failed.
+    A level that fails is recorded and the study goes on with the rest.
+    With the base config's ``output_dir``, ``convergence_manifest.txt`` there
+    gives each level's status and steps completed, and ``convergence.csv``
+    is written only when all three levels complete.  Raises
+    :class:`StudyFailed` after any level failed.
     """
     output_dir = study.base.output_dir
-    states, errors = [], {}
+    results, errors = {}, {}
     for level, cfg in enumerate(study.level_configs()):
-        try:
-            initial = build_initial_state(cfg)
-            states.append(schemes.integrate(initial, cfg, cfg.t_final))
-        except BlowUp as exc:
+        results[level] = _BlockObserver(cfg, math.inf).run(build_initial_state(cfg), ())
+        if results[level].error:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
-            errors[level] = f"level {level} ({setting}): {exc}"
+            errors[level] = f"level {level} ({setting}): {results[level].error}"
     if output_dir is not None:
-        status = [(f"level.{level}", "failed" if level in errors else "ok") for level in range(3)]
-        status += [(f"error.{level}", msg) for level, msg in errors.items()]
-        _write_keyvalue(output_dir / "convergence_manifest.txt", status)
+        _write_keyvalue(output_dir / "convergence_manifest.txt",
+                        _study_status("level", results, errors))
     if errors:
         raise StudyFailed(errors)
+    states = [result.final for result in results.values()]
     err_coarse = diagnostics.state_difference_norm(states[0], states[1])
     err_fine = diagnostics.state_difference_norm(states[1], states[2])
     order = diagnostics.convergence_order(err_coarse, err_fine)
@@ -579,17 +582,15 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     the last observed one's after a failure.
     """
     initial = build_initial_state(base)
-    xi_series, spectra, closure, errors = {}, {}, {}, {}
+    results, xi_series, spectra, closure = {}, {}, {}, {}
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
         observer = _BlockObserver(cfg, math.inf)  # no closure check: the study records the defect
-        try:
-            observer.integrate(initial, [(cfg.diagnostic_stride, observer.watch("rows"))])
-        except BlowUp as exc:
-            errors[label] = f"BlowUp: {exc}"
+        results[label] = observer.run(initial, [(cfg.diagnostic_stride, observer.watch("rows"))])
         xi_series[label] = [(row.time, row.xi) for row in observer.rows]
         spectra[label], closure[label] = observer.power, observer.closure
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
+    errors = {label: f"BlowUp: {r.error}" for label, r in results.items() if r.error}
 
     out = base.output_dir
     if out is not None:
@@ -609,9 +610,7 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
                         *([xi for _, xi in xi_series[label]] for label in labels),
                         fillvalue=""),
         )
-        status = [(f"variant.{label}", "failed" if label in errors else "ok")
-                  for label in labels]
-        status += [(f"error.{label}", msg) for label, msg in errors.items()]
-        status += [(f"closure.{label}", closure[label]) for label in labels]
-        _write_keyvalue(out / "filters_manifest.txt", status)
+        _write_keyvalue(out / "filters_manifest.txt", [
+            *_study_status("variant", results, errors),
+            *((f"closure.{label}", closure[label]) for label in labels)])
     return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

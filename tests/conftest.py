@@ -45,9 +45,10 @@ def perturbation_error(delta0):
                             shape_params=dict(r0=1.0, delta0=delta0, m=2),
                             n=512, dt=1e-3, t_final=0.1, scheme="cnadb")
     observer = harness._BlockObserver(cfg, cfg.closure_tol)
-    observer.integrate(harness.build_initial_state(cfg), [(cfg.steps, observer.watch("rows"))])
+    result = observer.run(harness.build_initial_state(cfg), [(cfg.steps, observer.watch("rows"))])
+    assert result.status == "completed", result.error
     delta_l = linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude
-    return abs(delta_l - observer.rows[-1].delta_n)
+    return abs(delta_l - result.rows[-1].delta_n)
 
 
 @pytest.fixture

@@ -103,13 +103,14 @@ class TestObservePass:
         dt = harness.PRESETS[preset]["dt"]
         cfg = harness.preset_config(preset, t_final=40 * dt, diagnostic_stride=20)
         probe, states = harness._BlockObserver(cfg, cfg.closure_tol), []
-        probe.integrate(harness.build_initial_state(cfg),
-                        [(20, probe.watch("rows")), (20, lambda j, s: states.append(s))])
+        result = probe.run(harness.build_initial_state(cfg),
+                           [(20, probe.watch("rows")), (20, lambda j, s: states.append(s))])
+        assert result.status == "completed", result.error
         refs = [reference_observation(s) for s in states]
         m3_0, r0 = refs[0]["m"][2], refs[0]["radius"]
         size = np.max(np.abs(refs[0]["points"]))
-        assert len(probe.rows) == len(refs) == 3
-        for row, ref in zip(probe.rows, refs):
+        assert len(result.rows) == len(refs) == 3
+        for row, ref in zip(result.rows, refs):
             for got, want in zip((row.m1, row.m2, row.m3), ref["m"]):
                 assert abs(got - want) <= 1e-12 * abs(want)
             assert abs(row.xi - (ref["m"][2] - m3_0) / m3_0) <= 1e-12

@@ -435,6 +435,19 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(cfg)
 
+    def test_final_state_only_after_completion(self, tmp_path, monkeypatch):
+        cfg = preset_config("E", t_final=0.01, output_dir=tmp_path / "e")
+        final = run_experiment(cfg).final
+        want = schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final)
+        assert np.array_equal(final.phi, want.phi)
+        assert (final.length, final.time) == (want.length, want.time)
+        closing = preset_config("E", **TestBlockObservation.CLOSING, output_dir=tmp_path / "c")
+        failed = run_experiment(closing)
+        assert failed.status == "closure" and failed.final is None
+        kick_at(monkeypatch, 5)
+        blown = run_experiment(replace(cfg, output_dir=tmp_path / "b"))
+        assert blown.status == "blowup" and blown.final is None
+
 
 def read_manifest(out):
     return dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
@@ -618,7 +631,9 @@ class TestConvergenceStudy:
         assert fields[0] == "ellipse" and fields[1] == "cn"
         assert float(fields[5]) == pytest.approx(row.order, rel=1e-15)
         manifest = (tmp_path / "convergence_manifest.txt").read_text().splitlines()
-        assert manifest == ["level.0 = ok", "level.1 = ok", "level.2 = ok"]
+        assert manifest == ["level.0 = ok", "level.1 = ok", "level.2 = ok",
+                            "steps_completed.0 = 500", "steps_completed.1 = 1000",
+                            "steps_completed.2 = 2000"]
 
     def test_failed_levels_recorded(self, tmp_path):
         # adb at n=128 blows up at t=0.062 with dt=2e-3 and at t=0.089 with
@@ -636,6 +651,29 @@ class TestConvergenceStudy:
         assert manifest["error.1"].startswith("level 1 (dt = 0.001): blow-up at step")
         assert "error.2" not in manifest
         assert not (tmp_path / "convergence.csv").exists()
+
+    def test_steps_completed_per_level(self, tmp_path):
+        # the failing study above: levels 0 and 1 blow up at steps 31 and 89
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=128, dt=2e-3, t_final=0.1, scheme="adb", output_dir=tmp_path)
+        with pytest.raises(StudyFailed):
+            run_convergence_study(ConvergenceStudyConfig(base=base, axis="time",
+                                                         comparison_time=0.1))
+        lines = (tmp_path / "convergence_manifest.txt").read_text().splitlines()
+        assert lines[3:6] == ["steps_completed.0 = 30", "steps_completed.1 = 88",
+                              "steps_completed.2 = 200"]
+        assert [line.split(" = ")[0] for line in lines[6:]] == ["error.0", "error.1"]
+
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    def test_row_norms_of_the_level_states(self, axis):
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=64, dt=1e-3, t_final=0.05, scheme="cnadb")
+        study = ConvergenceStudyConfig(base=base, axis=axis, comparison_time=0.05)
+        row = run_convergence_study(study)
+        states = [schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final)
+                  for cfg in study.level_configs()]
+        assert row.err_coarse == diagnostics.state_difference_norm(states[0], states[1])
+        assert row.err_fine == diagnostics.state_difference_norm(states[1], states[2])
 
     def test_cli_blowup_exits_1_with_manifest(self, tmp_path, capsys):
         config = tmp_path / "study.txt"
@@ -717,6 +755,19 @@ class TestFilterStudy:
             assert len(result.xi_series[label]) == 7  # steps 0, 5, ..., 30
             assert all(cells[:7]) and not any(cells[7:]), label
 
+    @pytest.mark.parametrize("base, failed", [
+        (FILTER_128, {"ADB": 30, "ADBK": 30}),
+        (RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=512, dt=1e-4,
+                   t_final=0.5, scheme="adb", diagnostic_stride=100), {"ADB": 1986}),
+    ], ids=["filter-128", "criterion-4"])
+    def test_steps_completed_per_variant(self, base, failed, tmp_path):
+        result = run_filter_study(replace(base, output_dir=tmp_path))
+        lines = (tmp_path / "filters_manifest.txt").read_text().splitlines()
+        labels = result.labels
+        assert lines[len(labels):2 * len(labels)] == [
+            f"steps_completed.{label} = {failed.get(label, base.steps)}" for label in labels]
+        assert lines[2 * len(labels)].startswith("error.")
+
     def test_closure_is_the_largest_observed_defect(self, tmp_path):
         result = run_filter_study(replace(FILTER_128, output_dir=tmp_path))
         manifest = dict(line.split(" = ", 1) for line in
@@ -784,6 +835,35 @@ def test_entry_point_writes_where_config_says(entry, kind, written, tmp_path, mo
         assert not any(tmp_path.iterdir())
     entry(parse_config(text + f"out = {tmp_path / 'out'}\n"))
     assert (tmp_path / "out" / written).is_file()
+
+
+@pytest.mark.parametrize("entry, calls", [
+    (run_experiment, (1, 1, 1)),
+    (run_filter_study, (7, 7, 1)),
+    (run_convergence_study, (3, 3, 3)),
+])
+def test_every_trajectory_runs_through_the_block_observer(entry, calls, tmp_path, monkeypatch):
+    # (_BlockObserver.run, schemes.integrate, build_initial_state) calls per
+    # entry point; the filter study builds its shared initial state once
+    counts = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    names = ("run", "integrate", "build_initial_state")
+    for module, name in zip((harness._BlockObserver, schemes, harness), names):
+        counting(module, name)
+    cfg = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=32, dt=1e-3,
+                    t_final=0.01, scheme="cn", output_dir=tmp_path)
+    entry(ConvergenceStudyConfig(base=cfg, axis="time", comparison_time=0.01)
+          if entry is run_convergence_study else cfg)
+    assert tuple(map(counts.count, names)) == calls
 
 
 class TestFormatting:
