@@ -30,14 +30,14 @@ of the same arguments passed to :func:`integrate`.  A run ends with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowUp, NonCommensurateTime, ValidationError
 from .geometry import ThetaLState
-from .spectral import FILTERS, _derivative_symbol, filter_modes
+from .spectral import FILTERS, _derivative_symbol, mode_filter
 
 SCHEMES = ("adb", "cn", "cnadb")
 
@@ -102,13 +102,26 @@ class StepRule:
 
     Every level is a half spectrum and every coefficient an array over its
     modes or a scalar; a coefficient left at None drops its term.  A rule
-    with ``b`` or ``d`` set needs the level one step back.
+    with ``b`` or ``d`` set needs the level one step back.  The present
+    terms are resolved once, in the order a, b, c, d, as ``head`` and
+    ``tail``: (coefficient, slot) pairs, the slot indexing the levels
+    (phi^j, NL^j, phi^{j-1}, NL^{j-1}).
     """
 
     a: np.ndarray | float | None = None
     b: np.ndarray | float | None = None
     c: np.ndarray | float | None = None
     d: np.ndarray | float | None = None
+    head: tuple = field(init=False, repr=False, compare=False)
+    tail: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = [(coef, slot) for coef, slot in ((self.a, 0), (self.b, 2), (self.c, 1), (self.d, 3))
+                 if coef is not None]
+        if not terms:
+            raise ValidationError("a step rule needs at least one coefficient")
+        object.__setattr__(self, "head", terms[0])
+        object.__setattr__(self, "tail", tuple(terms[1:]))
 
 
 def step_rules(cfg: SchemeConfig, n: int, length: float) -> tuple[StepRule, StepRule]:
@@ -152,19 +165,14 @@ def step_rules(cfg: SchemeConfig, n: int, length: float) -> tuple[StepRule, Step
     return StepRule(a=0.5 * (zeta + 1.0 - 1j * gamma), c=0.5 * dt * (1.0 + zeta)), leapfrog
 
 
-def _recur(rule: StepRule, out, scratch, phi_hat, nl_hat, prev_hat, prev_nl) -> np.ndarray:
-    """a phi_hat + b prev_hat + c nl_hat + d prev_nl written into ``out``, each
-    product but the first taken in ``scratch``; a None buffer is allocated."""
-    first = True
-    for coef, level in ((rule.a, phi_hat), (rule.b, prev_hat), (rule.c, nl_hat),
-                        (rule.d, prev_nl)):
-        if coef is None:
-            continue
-        if first:
-            out = np.multiply(coef, level, out=out)
-            first = False
-        else:
-            out += np.multiply(coef, level, out=scratch)
+def _recur(rule: StepRule, out, scratch, levels) -> np.ndarray:
+    """a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1} over the rule's slots of
+    ``levels``, written into ``out``, each product but the first taken in
+    ``scratch``; a None buffer is allocated."""
+    coef, slot = rule.head
+    out = np.multiply(coef, levels[slot], out=out)
+    for coef, slot in rule.tail:
+        out += np.multiply(coef, levels[slot], out=scratch)
     return out
 
 
@@ -173,22 +181,24 @@ def init_step(rule: StepRule, phi_hat, nl_hat, out=None, scratch=None) -> np.nda
 
     ``scratch`` is a half spectrum the products pass through; neither
     buffer may be a level, and a buffer left at None is allocated."""
-    return _recur(rule, out, scratch, phi_hat, nl_hat, None, None)
+    return _recur(rule, out, scratch, (phi_hat, nl_hat))
 
 
 def step(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl, out=None, scratch=None) -> np.ndarray:
     """Later step: phi^{j+1} from the spectra of phi and NL at levels j and j-1,
     written into ``out`` as :func:`init_step` writes it."""
-    return _recur(rule, out, scratch, phi_hat, nl_hat, prev_hat, prev_nl)
+    return _recur(rule, out, scratch, (phi_hat, nl_hat, prev_hat, prev_nl))
 
 
-def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none",
+def nonlinear_term(phi_hat: np.ndarray, length: float, filter="none",
                    d_phi=None, theta_a=None, cube=None) -> np.ndarray:
     """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2 at the nodes.
 
     ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
     the first derivative with the configured mode filter; the solution
-    itself is never filtered.
+    itself is never filtered.  ``filter`` is a mode name or the filter
+    :func:`spectral.mode_filter` resolved for this N (None for "none"), as
+    :func:`integrate` passes it.
 
     D phi is written into the half spectrum ``d_phi`` (the filter, if
     any, is applied there first).  The derivative symbol zeroes the mean
@@ -201,7 +211,10 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter: str = "none",
     read.
     """
     n = 2 * (phi_hat.size - 1)
-    d_phi = np.multiply(_derivative_symbol(n, 1), filter_modes(phi_hat, filter, d_phi), out=d_phi)
+    if isinstance(filter, str):
+        filter = mode_filter(filter, n, phi_hat.dtype)
+    filtered = phi_hat if filter is None else filter(phi_hat, d_phi)
+    d_phi = np.multiply(_derivative_symbol(n, 1), filtered, out=d_phi)
     d_phi[0] = 1.0
     theta_a = np.fft.irfft(d_phi, n, norm="forward", out=theta_a)
     cube = np.multiply(theta_a, theta_a, out=cube)
@@ -248,14 +261,18 @@ def integrate(
     j and j-1, a half spectrum for D phi that the recurrence then uses for
     its products, and two node rows for theta_alpha and its cube.  Phi is
     transformed into the theta_alpha row where it is needed, and an
-    observed state takes its own copy.
+    observed state takes its own copy.  The mode filter is resolved into
+    the workspace too (:func:`spectral.mode_filter`: the DPR profile, the
+    Krasny |z| and mask buffers), and an unfiltered step calls no filter.
 
     ``nonlinear`` replaces :func:`nonlinear_term` for this call and is
-    called as it is: ``(phi_hat, length, filter, d_phi, theta_a, cube)``.
-    It must not write ``phi_hat``, the level; it may overwrite the three
-    workspace arrays after it (a half spectrum and two node rows) and
-    returns the term at the N nodes, in ``cube`` or in an array of its
-    own.  A non-finite term trips the guard at the same step.
+    called as it is: ``(phi_hat, length, filter, d_phi, theta_a, cube)``,
+    ``filter`` being the resolved filter (None for "none"), which
+    :func:`nonlinear_term` also takes.  It must not write ``phi_hat``, the
+    level; it may overwrite the three workspace arrays after it (a half
+    spectrum and two node rows) and returns the term at the N nodes, in
+    ``cube`` or in an array of its own.  A non-finite term trips the guard
+    at the same step.
 
     The spectrum of the nonlinear term is filtered as configured, on top
     of the filtered derivative inside the term: the cubic regenerates
@@ -267,7 +284,7 @@ def integrate(
     observers = tuple(observers)
     for stride, _ in observers:
         check_stride(stride)
-    n, length, filter, t0, dt = initial.n, initial.length, cfg.filter, initial.time, cfg.dt
+    n, length, t0, dt = initial.n, initial.length, initial.time, cfg.dt
     start, rule = step_rules(cfg, n, length)
     term = nonlinear or nonlinear_term
 
@@ -284,10 +301,12 @@ def integrate(
         """The first step after j at which an observer fires: the final step at the latest."""
         return min([steps] + [j + stride - j % stride for stride, _ in observers])
 
-    # the workspace: levels j, j-1, j+1; NL spectra j, j-1; D phi; theta_alpha, cube
+    # the workspace: levels j, j-1, j+1; NL spectra j, j-1; D phi; theta_alpha,
+    # cube; the filter's own buffers
     phi_hat, prev_hat, new_hat, nl_hat, prev_nl, d_phi = (
         np.empty(n // 2 + 1, dtype=np.complex128) for _ in range(6))
     theta_a, cube = np.empty(n), np.empty(n)
+    filter = mode_filter(cfg.filter, n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
     phi = initial.phi
     np.fft.rfft(phi, norm="forward", out=phi_hat)
@@ -295,7 +314,9 @@ def integrate(
     due = next_due(0)
     for j in range(1, steps + 1):
         nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
-        filter_modes(np.fft.rfft(nl, norm="forward", out=nl_hat), filter, nl_hat)
+        np.fft.rfft(nl, norm="forward", out=nl_hat)
+        if filter is not None:
+            filter(nl_hat, nl_hat)
         if j == 1:
             init_step(start, phi_hat, nl_hat, new_hat, d_phi)
         else:

@@ -99,6 +99,42 @@ def _rho1_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def mode_filter(mode: str, n: int, dtype=np.complex128):
+    """The mode filter of N-point half spectra of ``dtype``, resolved once.
+
+    None for "none"; otherwise ``apply(coeffs, out=None)``, which filters
+    ``coeffs`` as :func:`filter_modes` does.  "dpr" holds the rho1 profile
+    in the spectrum's dtype, "krasny" its |z| and mask buffers, and "both"
+    all three, so an ``apply`` into ``out`` allocates nothing.  The buffers
+    make one resolved filter serve one caller at a time.
+    """
+    if mode not in FILTERS:
+        raise ValueError(f"filter mode must be one of {FILTERS}, got {mode!r}")
+    if mode == "none":
+        return None
+    profile = None if mode == "krasny" else _dpr_profile(n, np.result_type(dtype, np.float64))
+    if mode == "dpr":
+        def apply(coeffs, out=None):
+            return np.multiply(coeffs, profile, out=out)
+
+        return apply
+    magnitude = np.abs(np.zeros(n // 2 + 1, dtype=dtype))  # |z| in the dtype np.abs gives
+    small = np.empty(n // 2 + 1, dtype=bool)
+
+    def apply(coeffs, out=None):
+        np.less(np.abs(coeffs, out=magnitude), KRASNY_THRESHOLD, out=small)
+        if out is None:
+            out = coeffs.copy()
+        elif out is not coeffs:
+            np.copyto(out, coeffs)
+        np.copyto(out, 0.0, where=small)
+        if profile is not None:
+            out *= profile
+        return out
+
+    return apply
+
+
 def filter_modes(coeffs: np.ndarray, mode: str, out=None) -> np.ndarray:
     """Apply a mode filter to the half spectrum of a real N-point field.
 
@@ -107,22 +143,11 @@ def filter_modes(coeffs: np.ndarray, mode: str, out=None) -> np.ndarray:
     then the second, and "none" returns ``coeffs`` itself.  The other
     filters write their result into ``out`` (a new array for None), which
     may be ``coeffs``; ``coeffs`` is otherwise only read.  A non-finite
-    coefficient stays non-finite.
+    coefficient stays non-finite.  The filter is :func:`mode_filter`'s,
+    resolved for this one call.
     """
-    if mode not in FILTERS:
-        raise ValueError(f"filter mode must be one of {FILTERS}, got {mode!r}")
-    if mode in ("krasny", "both"):
-        small = np.abs(coeffs) < KRASNY_THRESHOLD  # |z| and its mask: the filter's temporaries
-        if out is None:
-            out = coeffs.copy()
-        elif out is not coeffs:
-            np.copyto(out, coeffs)
-        np.copyto(out, 0.0, where=small)
-        coeffs = out
-    if mode in ("dpr", "both"):
-        profile = _dpr_profile(2 * (coeffs.size - 1), np.result_type(coeffs.dtype, np.float64))
-        coeffs = np.multiply(coeffs, profile, out=out)
-    return coeffs
+    apply = mode_filter(mode, 2 * (coeffs.size - 1), coeffs.dtype)
+    return coeffs if apply is None else apply(coeffs, out)
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:

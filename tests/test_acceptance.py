@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from airyflow import harness, schemes
 from airyflow.diagnostics import conserved_quantities, m3_drift, observe
+from airyflow.errors import BlowUp
 from airyflow.geometry import ThetaLState
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
@@ -177,6 +178,21 @@ def test_criterion_4_filter_study():
         tail_adb > tail_dpr,
         f"ADB high-mode tail {tail_adb:.2e} > ADBDPR {tail_dpr:.2e}{note}",
     )
+
+
+def test_criterion_4_adb_blowup_past_window():
+    """The ADB filters delay the blow-up past criterion 4's t = 0.5; they do
+    not prevent it.  Each ADB variant of the filter study, run on the
+    criterion-4 config to t = 1, ends in BlowUp.  The step moves with any
+    roundoff change, so it is printed, not bounded."""
+    state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
+    for label, scheme, filter_mode in harness.FILTER_STUDY_VARIANTS:
+        if scheme != "adb":
+            continue
+        with pytest.raises(BlowUp) as err:
+            integrate(state, SchemeConfig(scheme=scheme, dt=1e-4, filter=filter_mode), 1.0)
+        print(f"[INFO] criterion 4 ({label} to t=1): blow-up at step {err.value.step} "
+              f"(t={err.value.time:.4f})")
 
 
 def test_criterion_5_linear_exactness():

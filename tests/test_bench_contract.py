@@ -20,6 +20,7 @@ from airyflow import diagnostics, geometry, harness, schemes
 from airyflow.errors import BlowUp
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import SchemeConfig, integrate
+from airyflow.spectral import FILTERS
 
 from conftest import catalog_state
 from oracles import per_state_observe
@@ -97,8 +98,10 @@ def test_installed_names_resolve(module, name):
     assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
+@pytest.mark.parametrize("filter", FILTERS)
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
-def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme):
+def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme, filter):
+    # a resolved filter leaves every step going through the module's names
     calls = dict.fromkeys(("init_step", "step", "nonlinear_term"), 0)
     for name in calls:
         original = getattr(schemes, name)
@@ -109,7 +112,7 @@ def test_step_and_nonlinear_calls_per_trajectory(monkeypatch, scheme):
 
         monkeypatch.setattr(schemes, name, counted)
     state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
-    integrate(state, SchemeConfig(scheme=scheme, dt=1e-4), 7e-4)
+    integrate(state, SchemeConfig(scheme=scheme, dt=1e-4, filter=filter), 7e-4)
     assert calls == {"init_step": 1, "step": 6, "nonlinear_term": 7}
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from airyflow import diagnostics, schemes
+from airyflow import diagnostics, schemes, spectral
 from airyflow.errors import BlowUp, NonCommensurateTime, ValidationError
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import (
@@ -14,7 +14,7 @@ from airyflow.schemes import (
     nonlinear_term,
     step_rules,
 )
-from airyflow.spectral import FILTERS, _derivative_symbol, filter_modes, grid_nodes
+from airyflow.spectral import FILTERS, _derivative_symbol, filter_modes, grid_nodes, mode_filter
 
 from conftest import band_limited_field, catalog_state
 from oracles import reference_levels
@@ -510,13 +510,13 @@ class TestWorkspace:
         for observed, phi in seen:
             assert np.array_equal(observed.phi, phi)
 
-    @pytest.mark.parametrize("scheme, filter", [("cnadb", "none"), ("adb", "krasny")])
-    def test_unobserved_steps_allocate_no_array(self, scheme, filter):
-        # tracing starts in the term of step 1, after the workspace is built,
-        # and the peak is read in the term of step 201.  Measured at N=512:
-        # 1.4 KiB (cnadb/none) and 2.6 KiB (adb/krasny, whose filter takes
-        # |z| and its mask per call); 28.9 KiB with fresh arrays per step.
-        # One more half spectrum or node row per step is 4 KiB
+    def test_rule_without_terms_rejected(self):
+        with pytest.raises(ValidationError):
+            schemes.StepRule()
+
+    @staticmethod
+    def step_peak(scheme, filter):
+        """tracemalloc's peak over steps 1 to 201 of an ellipse at N=512."""
         state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter=filter)
         integrate(state, cfg, 5 * cfg.dt)  # builds the cached symbols and profiles
@@ -535,7 +535,45 @@ class TestWorkspace:
             integrate(state, cfg, 201 * cfg.dt, nonlinear=traced)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 1 and peaks[0] <= 4 * 2**10
+        assert len(peaks) == 1
+        return peaks[0]
+
+    @pytest.mark.parametrize("scheme, filter",
+                             [("cnadb", "none"), ("adb", "krasny"), ("cn", "both")])
+    def test_unobserved_steps_allocate_no_array(self, scheme, filter):
+        # tracing starts in the term of step 1, after the workspace is built,
+        # and the peak is read in the term of step 201.  Measured at N=512:
+        # 1.4 KiB for every scheme and filter (the filter's profile, |z| and
+        # mask are resolved with the workspace); 28.9 KiB with fresh arrays
+        # per step.  One more half spectrum or node row per step is 4 KiB
+        peak = self.step_peak(scheme, filter)
+        assert peak <= 4 * 2**10
+        if filter != "none":
+            assert peak <= self.step_peak(scheme, "none")
+
+    @pytest.mark.parametrize("filter", FILTERS)
+    def test_filter_resolved_once_and_unfiltered_steps_call_none(self, monkeypatch, filter):
+        # one resolution per trajectory (filter_modes resolves too, so it is
+        # not called); the filter is applied twice a step, in the term and on
+        # the NL spectrum, and "none" resolves to no call
+        resolved, applied = [], [0]
+
+        def resolve(mode, n, *rest):
+            apply = mode_filter(mode, n, *rest)
+            resolved.append(mode)
+
+            def counted(*args):
+                applied[0] += 1
+                return apply(*args)
+
+            return None if apply is None else counted
+
+        monkeypatch.setattr(schemes, "mode_filter", resolve)
+        monkeypatch.setattr(spectral, "mode_filter", resolve)
+        state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
+        integrate(state, SchemeConfig(scheme="cnadb", dt=1e-4, filter=filter), 10e-4)
+        assert resolved == [filter]
+        assert applied[0] == (0 if filter == "none" else 2 * 10)
 
 
 class TestSchemeProperties:

@@ -9,6 +9,7 @@ from airyflow.spectral import (
     filter_modes,
     grid_nodes,
     l2_norm,
+    mode_filter,
     power_spectrum,
     spectral_antiderivative,
     spectral_derivative,
@@ -214,6 +215,23 @@ class TestFilterInPlace:
         assert np.isnan(c[5]) and c[3] == spectral.KRASNY_THRESHOLD
         if mode in ("krasny", "both"):
             assert c[4] == 0.0 and np.all(c[8:12] == 0.0)
+
+    @pytest.mark.parametrize("mode", spectral.FILTERS)
+    def test_resolved_filter_bitwise_equal(self, mode):
+        # mode_filter's apply, its buffers reused call after call, in place,
+        # into out and into a new array
+        apply = mode_filter(mode, 64)
+        if mode == "none":
+            assert apply is None
+            return
+        with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
+            expected = filter_modes(self.coeffs(), mode)
+            for _ in range(2):
+                c, other = self.coeffs(), np.full(33, 7.0 + 0j)
+                assert apply(c, c) is c and apply(self.coeffs(), other) is other
+                fresh = apply(self.coeffs())
+                for got in (c, other, fresh):
+                    assert got.tobytes() == expected.tobytes()
 
     def test_krasny_matches_where(self):
         # the zeroing rule as np.where states it
