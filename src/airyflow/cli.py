@@ -42,7 +42,7 @@ def _cmd_run(args) -> int:
         raise AiryflowError("'run' expects a config with kind = run")
     cfg = _require_out(cfg, args.out)
     result = harness.run_experiment(cfg)
-    print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {result.output_dir}")
+    print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {cfg.output_dir}")
     if result.rows:
         last = result.rows[-1]
         print(f"final diagnostics: t={last.time:g} xi={last.xi:.3e} max|k|={last.max_curvature:.4g}")
@@ -93,7 +93,7 @@ def _cmd_preset(args) -> int:
     if cfg.steps >= LONG_RUN_STEPS:
         print(f"note: {args.name.upper()} runs {cfg.steps} steps")
     result = harness.run_experiment(cfg)
-    print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {result.output_dir}")
+    print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {cfg.output_dir}")
     return 0 if result.status == "completed" else 1
 
 

@@ -302,7 +302,6 @@ class RunResult:
     status: str  # "completed" | "blowup" | "closure"
     steps_completed: int
     rows: list
-    output_dir: Optional[Path]
     error: Optional[str] = None
     final: Optional[ThetaLState] = None
 
@@ -330,8 +329,8 @@ class _BlockObserver:
     recorded) and ``closure`` (the largest).
     """
 
-    def __init__(self, cfg: RunConfig, closure_tol: float, out_dir: Optional[Path] = None):
-        self.cfg, self.closure_tol, self.out_dir = cfg, closure_tol, out_dir
+    def __init__(self, cfg: RunConfig, closure_tol: float):
+        self.cfg, self.closure_tol = cfg, closure_tol
         self.pending: dict = {}  # step -> (state, the outputs it is due for)
         self.rows: list[DiagnosticsRow] = []
         self.written: list[Path] = []
@@ -357,8 +356,8 @@ class _BlockObserver:
                 self.flush()
         except (BlowUp, ClosureViolation) as exc:
             return RunResult("blowup" if isinstance(exc, BlowUp) else "closure",
-                             max(exc.step - 1, 0), self.rows, self.out_dir, str(exc))
-        return RunResult("completed", self.cfg.steps, self.rows, self.out_dir, final=final)
+                             max(exc.step - 1, 0), self.rows, str(exc))
+        return RunResult("completed", self.cfg.steps, self.rows, final=final)
 
     def flush(self) -> None:
         block, self.pending = self.pending, {}
@@ -396,8 +395,8 @@ class _BlockObserver:
                 self.rows.append(DiagnosticsRow(*row))
             if "snapshots" in outputs:
                 tag = f"{state.time:.{self.decimals}f}"
-                curve, spectrum = (self.out_dir / "snapshots" / f"curve_t{tag}.csv",
-                                   self.out_dir / f"spectrum_t{tag}.csv")
+                curve, spectrum = (self.cfg.output_dir / "snapshots" / f"curve_t{tag}.csv",
+                                   self.cfg.output_dir / f"spectrum_t{tag}.csv")
                 _write_csv(curve, ("alpha", "x", "y", "k"),
                            zip(spectral.grid_nodes(n), *obs.points[i].T, k[i]))
                 _write_csv(spectrum, ("m", "power"),
@@ -466,7 +465,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     started = _time.perf_counter()
     initial = build_initial_state(cfg)
     setup = _time.perf_counter() - started
-    observer = _BlockObserver(cfg, cfg.closure_tol, out_dir)
+    observer = _BlockObserver(cfg, cfg.closure_tol)
     result = observer.run(initial, [(cfg.diagnostic_stride, observer.watch("rows")),
                                     (cfg.snapshot_stride, observer.watch("snapshots"))])
     wall = _time.perf_counter() - started

@@ -190,15 +190,14 @@ def step(rule: StepRule, phi_hat, nl_hat, prev_hat, prev_nl, out=None, scratch=N
     return _recur(rule, out, scratch, (phi_hat, nl_hat, prev_hat, prev_nl))
 
 
-def nonlinear_term(phi_hat: np.ndarray, length: float, filter="none",
+def nonlinear_term(phi_hat: np.ndarray, length: float, filter=None,
                    d_phi=None, theta_a=None, cube=None) -> np.ndarray:
     """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2 at the nodes.
 
     ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
     the first derivative with the configured mode filter; the solution
-    itself is never filtered.  ``filter`` is a mode name or the filter
-    :func:`spectral.mode_filter` resolved for this N (None for "none"), as
-    :func:`integrate` passes it.
+    itself is never filtered.  ``filter`` is the filter
+    :func:`spectral.mode_filter` resolved for this N, None for unfiltered.
 
     D phi is written into the half spectrum ``d_phi`` (the filter, if
     any, is applied there first).  The derivative symbol zeroes the mean
@@ -211,8 +210,6 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter="none",
     read.
     """
     n = 2 * (phi_hat.size - 1)
-    if isinstance(filter, str):
-        filter = mode_filter(filter, n, phi_hat.dtype)
     filtered = phi_hat if filter is None else filter(phi_hat, d_phi)
     d_phi = np.multiply(_derivative_symbol(n, 1), filtered, out=d_phi)
     d_phi[0] = 1.0
@@ -267,12 +264,11 @@ def integrate(
 
     ``nonlinear`` replaces :func:`nonlinear_term` for this call and is
     called as it is: ``(phi_hat, length, filter, d_phi, theta_a, cube)``,
-    ``filter`` being the resolved filter (None for "none"), which
-    :func:`nonlinear_term` also takes.  It must not write ``phi_hat``, the
-    level; it may overwrite the three workspace arrays after it (a half
-    spectrum and two node rows) and returns the term at the N nodes, in
-    ``cube`` or in an array of its own.  A non-finite term trips the guard
-    at the same step.
+    ``filter`` being the resolved filter (None for "none").  It must not
+    write ``phi_hat``, the level; it may overwrite the three workspace
+    arrays after it (a half spectrum and two node rows) and returns the
+    term at the N nodes, in ``cube`` or in an array of its own.  A
+    non-finite term trips the guard at the same step.
 
     The spectrum of the nonlinear term is filtered as configured, on top
     of the filtered derivative inside the term: the cubic regenerates

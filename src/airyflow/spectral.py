@@ -74,51 +74,45 @@ def _antiderivative_symbol(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _dpr_profile(n: int, dtype=np.float64) -> np.ndarray:
-    """Smooth damping profile rho1(m*h/pi) over m = 0..N/2, in ``dtype``.
+def _dpr_profile(n: int) -> np.ndarray:
+    """Smooth damping profile rho1(x) at x = m*h/pi = 2m/N over m = 0..N/2:
+    1 up to x = 1/2, then exp(1 - 1/(16 (1-x)^4)).
 
-    A complex spectrum takes the profile as complex: the product is the one
-    numpy forms by casting the real profile, less the cast buffer per call.
+    Complex, as the half spectra it multiplies are: the product is the one
+    numpy forms by casting a real profile, less the cast buffer per call.
     """
-    profile = _rho1_array(np.arange(n // 2 + 1) * 2.0 / n).astype(dtype)
+    x = np.arange(n // 2 + 1) * 2.0 / n
+    tail = x >= 0.5
+    t = 1.0 - x[tail]
+    with np.errstate(divide="ignore", over="ignore"):
+        arg = 1.0 - 1.0 / (16.0 * t**4)
+    profile = np.ones(n // 2 + 1, dtype=np.complex128)
+    # exp underflows for arguments below ~-745; clamp so rho1(1) is exactly 0
+    profile[tail] = np.where(arg > -745.0, np.exp(np.maximum(arg, -745.0)), 0.0)
     profile.setflags(write=False)
     return profile
 
 
-def _rho1_array(x: np.ndarray) -> np.ndarray:
-    """rho1 over arguments in [-1, 1]: 1 up to |x| = 1/2, then exp(1 - 1/(16 (1-|x|)^4))."""
-    ax = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.ones_like(ax)
-    tail = ax >= 0.5
-    t = 1.0 - ax[tail]
-    with np.errstate(divide="ignore", over="ignore"):
-        arg = 1.0 - 1.0 / (16.0 * t**4)
-    # exp underflows for arguments below ~-745; clamp so rho1(+-1) is exactly 0
-    vals = np.where(arg > -745.0, np.exp(np.maximum(arg, -745.0)), 0.0)
-    out[tail] = vals
-    return out
+def mode_filter(mode: str, n: int):
+    """The mode filter of N-point complex half spectra, resolved once.
 
-
-def mode_filter(mode: str, n: int, dtype=np.complex128):
-    """The mode filter of N-point half spectra of ``dtype``, resolved once.
-
-    None for "none"; otherwise ``apply(coeffs, out=None)``, which filters
-    ``coeffs`` as :func:`filter_modes` does.  "dpr" holds the rho1 profile
-    in the spectrum's dtype, "krasny" its |z| and mask buffers, and "both"
-    all three, so an ``apply`` into ``out`` allocates nothing.  The buffers
-    make one resolved filter serve one caller at a time.
+    None for "none"; otherwise ``apply(coeffs, out=None)``.  "krasny"
+    zeroes the modes whose amplitude is below 1e-13 (rho2), "dpr"
+    multiplies mode m by rho1(m*h/pi), and "both" does the first and then
+    the second.  ``apply`` writes its result into ``out`` (a new array for
+    None), which may be ``coeffs``; ``coeffs`` is otherwise only read.  A
+    non-finite coefficient stays non-finite.  The filter holds the rho1
+    profile and the Krasny |z| and mask buffers, so an ``apply`` into
+    ``out`` allocates nothing, and one resolved filter serves one caller
+    at a time.  ``mode`` is one of :data:`FILTERS`, as ``SchemeConfig``
+    checks; any other name raises KeyError.
     """
-    if mode not in FILTERS:
-        raise ValueError(f"filter mode must be one of {FILTERS}, got {mode!r}")
     if mode == "none":
         return None
-    profile = None if mode == "krasny" else _dpr_profile(n, np.result_type(dtype, np.float64))
+    profile = {"dpr": _dpr_profile(n), "krasny": None, "both": _dpr_profile(n)}[mode]
     if mode == "dpr":
-        def apply(coeffs, out=None):
-            return np.multiply(coeffs, profile, out=out)
-
-        return apply
-    magnitude = np.abs(np.zeros(n // 2 + 1, dtype=dtype))  # |z| in the dtype np.abs gives
+        return lambda coeffs, out=None: np.multiply(coeffs, profile, out=out)
+    magnitude = np.empty(n // 2 + 1)
     small = np.empty(n // 2 + 1, dtype=bool)
 
     def apply(coeffs, out=None):
@@ -133,21 +127,6 @@ def mode_filter(mode: str, n: int, dtype=np.complex128):
         return out
 
     return apply
-
-
-def filter_modes(coeffs: np.ndarray, mode: str, out=None) -> np.ndarray:
-    """Apply a mode filter to the half spectrum of a real N-point field.
-
-    "krasny" zeroes the modes whose amplitude is below 1e-13 (rho2),
-    "dpr" multiplies mode m by rho1(m*h/pi), "both" does the first and
-    then the second, and "none" returns ``coeffs`` itself.  The other
-    filters write their result into ``out`` (a new array for None), which
-    may be ``coeffs``; ``coeffs`` is otherwise only read.  A non-finite
-    coefficient stays non-finite.  The filter is :func:`mode_filter`'s,
-    resolved for this one call.
-    """
-    apply = mode_filter(mode, 2 * (coeffs.size - 1), coeffs.dtype)
-    return coeffs if apply is None else apply(coeffs, out)
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ def perturbation_error(delta0):
     assert result.status == "completed", result.error
     delta_l = linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude
     return abs(delta_l - result.rows[-1].delta_n)
+
+
+#: criterion 4's filter study: ADB, ADBDPR and ADBK to t = 0.5 on the E ellipse
+CRITERION_4 = harness.RunConfig(shape="ellipse", shape_params=dict(a=1.0, b=0.5), n=512,
+                                dt=1e-4, t_final=0.5, scheme="adb", diagnostic_stride=100)
+
+
+@pytest.fixture(scope="session")
+def criterion_4_study(tmp_path_factory):
+    """(config, result) of the criterion-4 filter study, run once a session,
+    its CSVs and manifest written to the config's ``output_dir``."""
+    cfg = replace(CRITERION_4, output_dir=tmp_path_factory.mktemp("criterion-4"))
+    return cfg, harness.run_filter_study(cfg)
 
 
 @pytest.fixture

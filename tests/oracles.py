@@ -18,6 +18,7 @@ the package against.  Nothing in a run calls them.
   and the diagnostics rows one state at a time, the references the block
   pass and the run's rows must equal bit for bit;
 * :func:`mirror` -- the state of the curve reflected in the x axis;
+* :func:`reference_filter` -- a mode filter as its formula states it;
 * :func:`reference_levels` -- ``schemes.integrate``'s loop in plain
   allocating steps, the reference its workspace levels must equal bit
   for bit.
@@ -34,9 +35,10 @@ from airyflow import diagnostics, schemes
 from airyflow.errors import AiryflowError, NoConvergence
 from airyflow.geometry import ThetaLState, _as_points
 from airyflow.spectral import (
+    KRASNY_THRESHOLD,
     _antiderivative_symbol,
     _derivative_symbol,
-    filter_modes,
+    _dpr_profile,
     grid_nodes,
     spectral_antiderivative,
     spectral_derivative,
@@ -309,21 +311,34 @@ def mirror(state) -> ThetaLState:
                        time=state.time, anchor=(x0, -y0))
 
 
+def reference_filter(coeffs, mode):
+    """The mode filter ``mode`` of a half spectrum as a new array: rho2, the
+    modes below the Krasny threshold zeroed, for "krasny" and "both", then
+    rho1, the DPR profile, for "dpr" and "both"; ``coeffs`` itself for "none"."""
+    if mode in ("krasny", "both"):
+        coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0, coeffs)
+    if mode in ("dpr", "both"):
+        coeffs = coeffs * _dpr_profile(2 * (coeffs.size - 1))
+    return coeffs
+
+
 def reference_levels(state, cfg, steps, nonlinear=None):
     """``schemes.integrate``'s loop in plain steps: yields (j, phi_hat) after step j.
 
     Every step makes new arrays: the term (``nonlinear``, by default
     ``schemes.nonlinear_term`` given no workspace), its filtered spectrum,
     and the new level, summed term by term in the recurrence's order
-    a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1}.
+    a phi^j + b phi^{j-1} + c NL^j + d NL^{j-1}.  Both filters are
+    :func:`reference_filter`'s.
     """
     term = nonlinear or schemes.nonlinear_term
     start, rule = schemes.step_rules(cfg, state.n, state.length)
+    filter = None if cfg.filter == "none" else lambda c, out: reference_filter(c, cfg.filter)
     level = np.fft.rfft(state.phi, norm="forward")
     prev = prev_nl = None
     for j in range(1, steps + 1):
-        nl = term(level, state.length, cfg.filter)
-        nl_hat = filter_modes(np.fft.rfft(nl, norm="forward"), cfg.filter)
+        nl = term(level, state.length, filter)
+        nl_hat = reference_filter(np.fft.rfft(nl, norm="forward"), cfg.filter)
         used = start if j == 1 else rule
         new = None
         for coef, x in ((used.a, level), (used.b, prev), (used.c, nl_hat), (used.d, prev_nl)):

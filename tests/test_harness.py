@@ -218,7 +218,7 @@ class TestPresets:
                                             ("e", "")])
     def test_long_preset_noted(self, name, note, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "run_experiment",
-                            lambda cfg: harness.RunResult("completed", cfg.steps, [], tmp_path))
+                            lambda cfg: harness.RunResult("completed", cfg.steps, []))
         assert cli.main(["preset", name, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith(note + "completed: ")
 
@@ -297,7 +297,7 @@ class TestRunExperiment:
         cfg = small_run_config(tmp_path)
         result = run_experiment(cfg)
         assert result.status == "completed"
-        out = result.output_dir
+        out = cfg.output_dir
         assert (out / "config.txt").exists()
         assert (out / "diagnostics.csv").exists()
         assert (out / "manifest.txt").exists()
@@ -312,8 +312,9 @@ class TestRunExperiment:
         assert spec_header == "m,power"
 
     def test_manifest_references_existing_files(self, tmp_path):
-        result = run_experiment(small_run_config(tmp_path))
-        out = result.output_dir
+        cfg = small_run_config(tmp_path)
+        run_experiment(cfg)
+        out = cfg.output_dir
         manifest = dict(
             line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
         )
@@ -324,8 +325,9 @@ class TestRunExperiment:
         assert outputs and all((out / rel).exists() for rel in outputs)
 
     def test_manifest_records_setup_time(self, tmp_path):
-        out = run_experiment(small_run_config(tmp_path)).output_dir
-        lines = (out / "manifest.txt").read_text().splitlines()
+        cfg = small_run_config(tmp_path)
+        run_experiment(cfg)
+        lines = (cfg.output_dir / "manifest.txt").read_text().splitlines()
         keys = [line.split(" = ", 1)[0] for line in lines]
         assert keys.index("setup_time_s") == keys.index("wall_time_s") + 1
         manifest = dict(line.split(" = ", 1) for line in lines)
@@ -345,14 +347,16 @@ class TestRunExperiment:
             assert max(series) - min(series) <= 1e-10
 
     def test_deterministic_reruns(self, tmp_path):
-        a = run_experiment(small_run_config(tmp_path / "a"))
-        b = run_experiment(small_run_config(tmp_path / "b"))
+        a, b = small_run_config(tmp_path / "a"), small_run_config(tmp_path / "b")
+        run_experiment(a)
+        run_experiment(b)
         for rel in ("diagnostics.csv", "snapshots/curve_t0.200000.csv", "spectrum_t0.200000.csv"):
             assert (a.output_dir / rel).read_bytes() == (b.output_dir / rel).read_bytes()
 
     def test_snapshot_names_tell_steps_below_a_microsecond_apart(self, tmp_path):
         cfg = small_run_config(tmp_path, n=32, dt=1e-7, t_final=5e-7, snapshot_stride=1)
-        out = run_experiment(cfg).output_dir
+        run_experiment(cfg)
+        out = cfg.output_dir
         curves = sorted(path.name for path in (out / "snapshots").iterdir())
         assert curves == [f"curve_t0.000000{j}.csv" for j in range(6)]
         listed = [line.split(" = ", 1)[1] for line in
@@ -367,9 +371,9 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.status == "blowup"
         assert result.error and "blow-up" in result.error
-        manifest = (result.output_dir / "manifest.txt").read_text()
+        manifest = (cfg.output_dir / "manifest.txt").read_text()
         assert "status = blowup" in manifest
-        assert (result.output_dir / "diagnostics.csv").exists()
+        assert (cfg.output_dir / "diagnostics.csv").exists()
 
     def test_closure_violation_flagged_with_partial_outputs(self, tmp_path, capsys):
         # airyflow preset E scheme=adb dt=2e-3: the curve reconstruction fails
@@ -755,14 +759,17 @@ class TestFilterStudy:
             assert len(result.xi_series[label]) == 7  # steps 0, 5, ..., 30
             assert all(cells[:7]) and not any(cells[7:]), label
 
-    @pytest.mark.parametrize("base, failed", [
-        (FILTER_128, {"ADB": 30, "ADBK": 30}),
-        (RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5}, n=512, dt=1e-4,
-                   t_final=0.5, scheme="adb", diagnostic_stride=100), {"ADB": 1986}),
+    @pytest.mark.parametrize("study, failed", [
+        ("filter-128", {"ADB": 30, "ADBK": 30}),
+        ("criterion-4", {"ADB": 1986}),
     ], ids=["filter-128", "criterion-4"])
-    def test_steps_completed_per_variant(self, base, failed, tmp_path):
-        result = run_filter_study(replace(base, output_dir=tmp_path))
-        lines = (tmp_path / "filters_manifest.txt").read_text().splitlines()
+    def test_steps_completed_per_variant(self, study, failed, tmp_path, request):
+        if study == "criterion-4":
+            base, result = request.getfixturevalue("criterion_4_study")
+        else:
+            base = replace(FILTER_128, output_dir=tmp_path)
+            result = run_filter_study(base)
+        lines = (base.output_dir / "filters_manifest.txt").read_text().splitlines()
         labels = result.labels
         assert lines[len(labels):2 * len(labels)] == [
             f"steps_completed.{label} = {failed.get(label, base.steps)}" for label in labels]

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 from airyflow import spectral
 from airyflow.spectral import (
     _dpr_profile,
-    _rho1_array,
-    filter_modes,
     grid_nodes,
     l2_norm,
     mode_filter,
@@ -18,6 +16,7 @@ from airyflow.spectral import (
 )
 
 from conftest import band_limited_field
+from oracles import reference_filter
 
 
 def half_spectrum(values):
@@ -35,7 +34,7 @@ def fft_wavenumbers(n):
 def filtered_derivative(field, mode):
     """First derivative of the filtered modes, as schemes.nonlinear_term takes it."""
     n = field.size
-    fhat = filter_modes(half_spectrum(field), mode)
+    fhat = reference_filter(half_spectrum(field), mode)
     d_hat = spectral._derivative_symbol(n, 1) * fhat
     return np.fft.irfft(d_hat, n, norm="forward")
 
@@ -123,9 +122,8 @@ class TestDerivatives:
 
 
 class TestDprRho1:
-    """rho1(m h/pi) as filter_modes applies it: ``_dpr_profile(n)`` over
-    m = 0..N/2, so N = 8 samples x = 0, 1/4, 1/2, 3/4, 1.  Arguments off
-    every grid go to ``_rho1_array``, the formula the profile samples."""
+    """rho1(m h/pi) as the "dpr" filter applies it: ``_dpr_profile(n)`` over
+    m = 0..N/2, so N = 8 samples x = 0, 1/4, 1/2, 3/4, 1."""
 
     def test_flat_band(self):
         assert _dpr_profile(8)[1] == 1.0
@@ -134,20 +132,22 @@ class TestDprRho1:
     def test_endpoints_exactly_zero(self):
         for n in (8, 64, 512):
             assert _dpr_profile(n)[-1] == 0.0
-        assert _rho1_array(np.array([-1.0]))[0] == 0.0
 
     def test_third_branch_value(self):
         assert _dpr_profile(8)[3] == pytest.approx(np.exp(-15.0), rel=1e-12)
 
     def test_continuous_at_half(self):
+        # the first sample past x = 1/2, at 1/2 + 2/N, is 1 - 16/N to first
+        # order: it tends to 1 as N grows
         assert _dpr_profile(8)[2] == 1.0
-        assert _rho1_array(np.array([0.5 + 1e-12]))[0] == pytest.approx(1.0, abs=1e-9)
+        for n in (512, 4096, 65536):
+            assert 1.0 - 17.0 / n <= _dpr_profile(n)[n // 4 + 1].real < 1.0
 
-    @given(st.floats(min_value=-1.0, max_value=1.0))
-    def test_even_and_bounded(self, x):
-        v, mirrored = _rho1_array(np.array([x, -x]))
-        assert 0.0 <= v <= 1.0
-        assert v == mirrored
+    @given(st.integers(min_value=3, max_value=14))
+    def test_real_and_bounded(self, log2n):
+        profile = _dpr_profile(2**log2n)
+        assert profile.dtype == np.complex128 and np.all(profile.imag == 0.0)
+        assert np.all((0.0 <= profile.real) & (profile.real <= 1.0))
 
     def test_nonincreasing_on_tail(self):
         vals = _dpr_profile(512)[128:]  # x = 0.5 ... 1 in steps of 1/256
@@ -155,10 +155,10 @@ class TestDprRho1:
 
 
 class TestKrasnyRho2:
-    """rho2 as filter_modes applies it to a half spectrum (N = 8, 5 modes)."""
+    """rho2 as the "krasny" filter applies it to a half spectrum (N = 8, 5 modes)."""
 
     def test_threshold(self):
-        out = filter_modes(np.array([1e-14, 1e-12, 0.0, 0.5, 1.0]), "krasny")
+        out = mode_filter("krasny", 8)(np.array([1e-14, 1e-12, 0.0, 0.5, 1.0], dtype=complex))
         assert out[0] == 0.0
         assert out[1] == 1e-12
         assert out[2] == 0.0
@@ -170,15 +170,16 @@ class TestKrasnyRho2:
     def test_binary(self, amplitudes, phase):
         # each mode is zeroed (amplitude below 1e-13) or passed bitwise
         coeffs = np.array(amplitudes) * np.exp(1j * phase)
-        out = filter_modes(coeffs, "krasny")
+        out = mode_filter("krasny", 8)(coeffs)
         below = np.abs(coeffs) < 1e-13
         assert np.all(out[below] == 0.0)
         assert np.array_equal(out[~below], coeffs[~below])
+        assert out.tobytes() == reference_filter(coeffs, "krasny").tobytes()
 
 
 class TestFilterInPlace:
-    """filter_modes into ``out``: the input left alone, or overwritten with
-    exactly the out-of-place result."""
+    """A resolved filter into ``out``: the input left alone, or overwritten
+    with exactly the bits of the filter's formula (``reference_filter``)."""
 
     @staticmethod
     def coeffs():
@@ -194,21 +195,29 @@ class TestFilterInPlace:
 
     @pytest.mark.parametrize("mode", spectral.FILTERS)
     def test_input_unchanged(self, mode):
+        apply = mode_filter(mode, 64)
+        if mode == "none":
+            assert apply is None
+            return
         c = self.coeffs()
         kept = c.copy()
         with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
-            out = filter_modes(c, mode)
+            out = apply(c)
         assert np.array_equal(c, kept, equal_nan=True)
-        assert (out is c) == (mode == "none")
+        assert out is not c
 
     @pytest.mark.parametrize("mode", spectral.FILTERS)
     def test_in_place_and_into_out_bitwise_equal(self, mode):
+        apply = mode_filter(mode, 64)
+        if mode == "none":
+            assert apply is None
+            return
         c, other = self.coeffs(), np.full(33, 7.0 + 0j)
         with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
-            expected = filter_modes(self.coeffs(), mode)
-            assert filter_modes(c, mode, c) is c
-            into = filter_modes(self.coeffs(), mode, other)
-        assert (into is other) == (mode != "none")  # "none" passes its input through
+            expected = reference_filter(self.coeffs(), mode)
+            assert apply(c, c) is c
+            into = apply(self.coeffs(), other)
+        assert into is other
         for got in (c, into):
             # the same bits, signed zeros and nans included
             assert got.tobytes() == expected.tobytes()
@@ -218,14 +227,14 @@ class TestFilterInPlace:
 
     @pytest.mark.parametrize("mode", spectral.FILTERS)
     def test_resolved_filter_bitwise_equal(self, mode):
-        # mode_filter's apply, its buffers reused call after call, in place,
+        # one resolved filter, its buffers reused call after call, in place,
         # into out and into a new array
         apply = mode_filter(mode, 64)
         if mode == "none":
             assert apply is None
             return
         with np.errstate(invalid="ignore"):  # dpr: inf times the zero Nyquist weight
-            expected = filter_modes(self.coeffs(), mode)
+            expected = reference_filter(self.coeffs(), mode)
             for _ in range(2):
                 c, other = self.coeffs(), np.full(33, 7.0 + 0j)
                 assert apply(c, c) is c and apply(self.coeffs(), other) is other
@@ -237,7 +246,7 @@ class TestFilterInPlace:
         # the zeroing rule as np.where states it
         c = self.coeffs()
         expected = np.where(np.abs(c) < spectral.KRASNY_THRESHOLD, 0.0, c)
-        assert filter_modes(c, "krasny").tobytes() == expected.tobytes()
+        assert mode_filter("krasny", 64)(c).tobytes() == expected.tobytes()
 
 
 class TestFilteredDerivative:
