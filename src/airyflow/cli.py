@@ -24,10 +24,6 @@ from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_con
 LONG_RUN_STEPS = 10**5  #: a preset this long prints a note: ~6 s at preset E's ~58 us/step
 
 
-def _read_config(path: str):
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
 def _require_out(cfg: RunConfig, flag_out) -> RunConfig:
     """``cfg`` writing to ``--out`` if given, else to its own ``output_dir``."""
     out = flag_out or cfg.output_dir
@@ -36,11 +32,19 @@ def _require_out(cfg: RunConfig, flag_out) -> RunConfig:
     return replace(cfg, output_dir=out)
 
 
+def _load(args, kind: str):
+    """The config file of ``args`` if it is of ``kind``, writing where
+    :func:`_require_out` says."""
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    if kind != ("converge" if isinstance(cfg, ConvergenceStudyConfig) else "run"):
+        raise AiryflowError(f"'{args.command}' expects a config with kind = {kind}")
+    if kind == "converge":
+        return replace(cfg, base=_require_out(cfg.base, args.out))
+    return _require_out(cfg, args.out)
+
+
 def _cmd_run(args) -> int:
-    cfg = _read_config(args.config)
-    if not isinstance(cfg, RunConfig):
-        raise AiryflowError("'run' expects a config with kind = run")
-    cfg = _require_out(cfg, args.out)
+    cfg = _load(args, "run")
     result = harness.run_experiment(cfg)
     print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {cfg.output_dir}")
     if result.rows:
@@ -50,10 +54,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _read_config(args.config)
-    if not isinstance(cfg, ConvergenceStudyConfig):
-        raise AiryflowError("'converge' expects a config with kind = converge")
-    cfg = replace(cfg, base=_require_out(cfg.base, args.out))
+    cfg = _load(args, "converge")
     out = cfg.base.output_dir
     try:
         row = harness.run_convergence_study(cfg)
@@ -71,10 +72,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_filters(args) -> int:
-    cfg = _read_config(args.config)
-    if not isinstance(cfg, RunConfig):
-        raise AiryflowError("'filters' expects a config with kind = run")
-    cfg = _require_out(cfg, args.out)
+    cfg = _load(args, "run")
     out = cfg.output_dir
     result = harness.run_filter_study(cfg)
     for label in result.labels:
@@ -101,20 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="airyflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="evolve one configured trajectory")
-    run.add_argument("config")
-    run.add_argument("--out", default=None)
-    run.set_defaults(func=_cmd_run)
-
-    converge = sub.add_parser("converge", help="three-level refinement study")
-    converge.add_argument("config")
-    converge.add_argument("--out", default=None)
-    converge.set_defaults(func=_cmd_converge)
-
-    filters = sub.add_parser("filters", help="scheme/filter comparison study")
-    filters.add_argument("config")
-    filters.add_argument("--out", default=None)
-    filters.set_defaults(func=_cmd_filters)
+    for name, func, summary in (("run", _cmd_run, "evolve one configured trajectory"),
+                                ("converge", _cmd_converge, "three-level refinement study"),
+                                ("filters", _cmd_filters, "scheme/filter comparison study")):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("config")
+        command.add_argument("--out", default=None)
+        command.set_defaults(func=func)
 
     preset = sub.add_parser("preset", help="run a named preset (E, E1, E2, PC3, CARDIOID)")
     preset.add_argument("name")

@@ -92,7 +92,7 @@ def observe(states) -> Observation:
     tangent *= np.array([length / (2.0 * np.pi) for length in lengths])[:, None]
     spectra = np.fft.rfft(stack.reshape(3 * s, n), norm="forward").reshape(3, s, -1)
     phi_hat, tangent_hat = spectra[0], spectra[1:]
-    d = _derivative_symbol(n, 1)
+    d = _derivative_symbol(n)
     slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha
     np.multiply(d, phi_hat, out=slopes[0])
     np.multiply(d, slopes[0], out=slopes[1])

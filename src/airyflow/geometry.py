@@ -167,12 +167,10 @@ def resample_equal_arclength(curve: tuple[Callable, Callable],
     """
     fx, fy = curve
     alpha = grid_nodes(n)
-    x, y = fx(alpha), fy(alpha)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    xy = np.stack((fx(alpha), fy(alpha)))
+    if not np.isfinite(xy).all():
         raise NotRegular("curve has non-finite samples")
-    x_a = spectral_derivative(x, 1)
-    y_a = spectral_derivative(y, 1)
-    s_a = np.hypot(x_a, y_a)
+    s_a = np.hypot(*spectral_derivative(xy))
     if not np.min(s_a) > 0.0:  # also fails for a non-finite s_alpha
         raise NotRegular("curve has a vanishing or non-finite tangent (s_alpha not > 0)")
     length = 2.0 * np.pi * float(np.mean(s_a))
@@ -221,8 +219,7 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     """
     x, y = _as_points(points)
     n = x.size
-    x_a = spectral_derivative(x, 1)
-    y_a = spectral_derivative(y, 1)
+    x_a, y_a = spectral_derivative(np.stack((x, y)))
     theta_raw = np.arctan2(y_a, x_a)
     steps = _wrap_to_pi(np.diff(theta_raw, append=theta_raw[:1]))
     turning = float(np.sum(steps))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -428,11 +428,7 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return format_float(cell)
-    return str(cell)
+    return format_float(cell) if isinstance(cell, (float, np.floating)) else str(cell)
 
 
 def _write_keyvalue(path: Path, pairs) -> None:
@@ -554,11 +550,8 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
         order=order,
     )
     if output_dir is not None:
-        _write_csv(
-            output_dir / "convergence.csv",
-            ("curve", "scheme", "t0", "err_coarse", "err_fine", "order"),
-            [(row.curve, row.scheme, row.t0, row.err_coarse, row.err_fine, row.order)],
-        )
+        _write_csv(output_dir / "convergence.csv",
+                   [column.name for column in fields(ConvergenceRow)], [astuple(row)])
     return row
 
 

@@ -211,7 +211,7 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter=None,
     """
     n = 2 * (phi_hat.size - 1)
     filtered = phi_hat if filter is None else filter(phi_hat, d_phi)
-    d_phi = np.multiply(_derivative_symbol(n, 1), filtered, out=d_phi)
+    d_phi = np.multiply(_derivative_symbol(n), filtered, out=d_phi)
     d_phi[0] = 1.0
     theta_a = np.fft.irfft(d_phi, n, norm="forward", out=theta_a)
     cube = np.multiply(theta_a, theta_a, out=cube)
@@ -284,14 +284,13 @@ def integrate(
     start, rule = step_rules(cfg, n, length)
     term = nonlinear or nonlinear_term
 
-    def state_at(j, phi):
-        return initial if j == 0 else ThetaLState(phi, length, t0 + j * dt, initial.anchor)
-
     def notify(j, phi):
-        state = state_at(j, phi)
+        """The state at step j, given to each observer due there."""
+        state = initial if j == 0 else ThetaLState(phi, length, t0 + j * dt, initial.anchor)
         for stride, callback in observers:
-            if j == 0 or j == steps or j % stride == 0:
+            if j == steps or j % stride == 0:
                 callback(j, state)
+        return state
 
     def next_due(j):
         """The first step after j at which an observer fires: the final step at the latest."""
@@ -304,9 +303,8 @@ def integrate(
     theta_a, cube = np.empty(n), np.empty(n)
     filter = mode_filter(cfg.filter, n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
-    phi = initial.phi
-    np.fft.rfft(phi, norm="forward", out=phi_hat)
-    notify(0, phi)
+    np.fft.rfft(initial.phi, norm="forward", out=phi_hat)
+    state = notify(0, initial.phi)
     due = next_due(0)
     for j in range(1, steps + 1):
         nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
@@ -330,6 +328,6 @@ def integrate(
             if not (math.isfinite(peak) and peak <= BLOWUP_LIMIT):
                 raise BlowUp(j, t0 + j * dt, f"max|phi| = {peak:.3e} exceeds {BLOWUP_LIMIT:.3e}")
         if j == due:
-            notify(j, phi)
+            state = notify(j, phi)
             due = next_due(j)
-    return state_at(steps, phi)
+    return state

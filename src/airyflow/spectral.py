@@ -11,9 +11,9 @@ the 1/N factor in the forward transform, so cos(m*alpha) has coefficient
 never stored; power spectra are the one output that lists them, with
 |f_hat_m|^2 mirrored to ascending m = -N/2+1 ... N/2.
 
-Odd-order spectral operations (derivative orders 1 and 3, and the
-antiderivative) zero the Nyquist mode: on a real grid that mode carries no
-odd-derivative information, and zeroing keeps all outputs real.
+The derivative and the antiderivative zero the Nyquist mode: on a real
+grid that mode carries no first-derivative information, and zeroing keeps
+all outputs real.
 """
 
 from __future__ import annotations
@@ -49,17 +49,11 @@ def symmetric_wavenumbers(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _derivative_symbol(n: int, order: int) -> np.ndarray:
-    """(i*m)**order over m = 0..N/2, the Nyquist slot zeroed for odd orders.
-
-    Built from integer powers of m (exact in floats) rather than complex
-    exponentiation, which loses ~1e-12 through the exp/log path.
-    """
+def _derivative_symbol(n: int) -> np.ndarray:
+    """i*m over m = 0..N/2, the Nyquist slot zeroed."""
     m = np.arange(n // 2 + 1, dtype=np.float64)
-    if order % 2:
-        m[-1] = 0.0
-    i_power = {0: 1.0, 1: 1j, 2: -1.0, 3: -1j}[order % 4]
-    sym = i_power * m**order
+    m[-1] = 0.0
+    sym = 1j * m
     sym.setflags(write=False)
     return sym
 
@@ -129,20 +123,19 @@ def mode_filter(mode: str, n: int):
     return apply
 
 
-def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of the given order (1, 2, or 3) of real grid samples."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2, or 3, got {order}")
-    n = np.size(values)
+def spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """First spectral derivative of real grid samples along the last axis;
+    row by row for a stack of rows."""
+    n = np.shape(values)[-1]
     _check_grid_size(n)
     fhat = np.fft.rfft(values, norm="forward")
-    return np.fft.irfft(_derivative_symbol(n, order) * fhat, n, norm="forward")
+    return np.fft.irfft(_derivative_symbol(n) * fhat, n, norm="forward")
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """Zero-mean antiderivative: divides mode m by i*m and drops the mean.
 
-    The Nyquist mode is zeroed like in the odd-order derivatives, so the
+    The Nyquist mode is zeroed as in the derivative, so the
     derivative of the result recovers the input minus its mean (and minus
     any Nyquist content) to roundoff.
     """

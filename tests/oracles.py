@@ -108,8 +108,8 @@ def linear_oracle(r0: float, delta0: float, m: int, t: float) -> LinearOracleSta
 def mkdv_rhs(k: np.ndarray, length: float) -> np.ndarray:
     """Curvature rate k_sss + (3/2) k^2 k_s with spectral s-derivatives."""
     two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(k, 1)
-    k_sss = two_pi_over_l**3 * spectral_derivative(k, 3)
+    k_s = two_pi_over_l * spectral_derivative(k)
+    k_sss = two_pi_over_l**3 * spectral_derivative(spectral_derivative(spectral_derivative(k)))
     return k_sss + 1.5 * k**2 * k_s
 
 
@@ -117,9 +117,9 @@ def curve_motion_rhs(k: np.ndarray, length: float) -> np.ndarray:
     """Curvature rate -V_ss + k_s T - k^2 V from the velocity decomposition,
     with normal velocity V = -k_s and tangential velocity T = k^2/2."""
     two_pi_over_l = 2.0 * np.pi / length
-    k_s = two_pi_over_l * spectral_derivative(k, 1)
+    k_s = two_pi_over_l * spectral_derivative(k)
     v = -k_s
-    v_ss = two_pi_over_l**2 * spectral_derivative(v, 2)
+    v_ss = two_pi_over_l**2 * spectral_derivative(spectral_derivative(v))
     t = 0.5 * k**2
     return -v_ss + k_s * t - k**2 * v
 
@@ -147,10 +147,8 @@ def mkdv_residual(states) -> float:
 def point_curvature(points) -> np.ndarray:
     """Curvature from point samples, k = (x_a y_aa - x_aa y_a) / s_a^3."""
     x, y = _as_points(points)
-    x_a = spectral_derivative(x, 1)
-    y_a = spectral_derivative(y, 1)
-    x_aa = spectral_derivative(x, 2)
-    y_aa = spectral_derivative(y, 2)
+    x_a, y_a = spectral_derivative(np.stack((x, y)))
+    x_aa, y_aa = spectral_derivative(np.stack((x_a, y_a)))
     s_a = np.hypot(x_a, y_a)
     return (x_a * y_aa - x_aa * y_a) / s_a**3
 
@@ -245,7 +243,7 @@ def per_state_observe(state) -> diagnostics.Observation:
     spectra = np.fft.rfft(np.vstack((state.phi, tangent)), norm="forward")
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     mu_x, mu_y = tangent_hat[:, 0].real.tolist()
-    d = _derivative_symbol(n, 1)
+    d = _derivative_symbol(n)
     back = np.empty((4, n // 2 + 1), dtype=np.complex128)
     np.multiply(tangent_hat, _antiderivative_symbol(n), out=back[:2])
     back[2] = d * phi_hat

@@ -52,8 +52,8 @@ class TestCatalog:
     def test_circle_regularity_and_curvature(self):
         fx, fy = catalog_curve("circle", r=2.0)
         alpha = grid_nodes(64)
-        x_a = spectral_derivative(fx(alpha), 1)
-        y_a = spectral_derivative(fy(alpha), 1)
+        x_a = spectral_derivative(fx(alpha))
+        y_a = spectral_derivative(fy(alpha))
         assert np.allclose(np.hypot(x_a, y_a), 2.0, atol=1e-12)
         state, _ = catalog_state("circle", 64, r=2.0)
         assert np.allclose(observe(state).k, 0.5, atol=1e-12)
@@ -287,7 +287,7 @@ class TestExtract:
     def test_turning_number_mean_derivative(self):
         for shape, kw in (("ellipse", dict(a=1.0, b=0.5)), ("cardioid", {})):
             state, _ = catalog_state(shape, 256, **kw)
-            phi_a = spectral_derivative(state.phi, 1)
+            phi_a = spectral_derivative(state.phi)
             assert abs(np.mean(phi_a)) < 1e-13
 
 

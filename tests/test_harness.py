@@ -162,6 +162,20 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")
 
+    @pytest.mark.parametrize("command, kind, text", [
+        ("run", "run", "kind = converge\naxis = time\nt0 = 0.1\n"),
+        ("converge", "converge", "t_final = 0.1\n"),
+        ("filters", "run", "kind = converge\naxis = time\nt0 = 0.1\n"),
+    ])
+    def test_cli_rejects_config_of_other_kind(self, command, kind, text, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(text + "shape = circle\nn = 32\ndt = 1e-2\n")
+        out = tmp_path / "out"
+        assert cli.main([command, str(config), "--out", str(out)]) == 2
+        message = f"error: '{command}' expects a config with kind = {kind}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
     def test_readme_grammar_block(self):
         # README's config-grammar block parses, names every key of the
         # grammar, and the lines it marks "(default)" set the defaults

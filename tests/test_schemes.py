@@ -130,7 +130,7 @@ class TestNonlinearTerm:
         # measured: at most 2.5 ulps of max|term| off, for every filter
         state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
         level = half(state)
-        d_phi = _derivative_symbol(512, 1) * reference_filter(level, filter)
+        d_phi = _derivative_symbol(512) * reference_filter(level, filter)
         theta_a = 1.0 + np.fft.irfft(d_phi, 512, norm="forward")
         reference = (2.0 * np.pi / state.length) ** 3 * theta_a**3 / 2.0
         term = nonlinear_term(level, state.length, mode_filter(filter, 512))
@@ -300,6 +300,13 @@ class TestIntegrate:
         integrate(state, cfg, 0.01, observers=[(3, lambda j, s: seen.append(j)),
                                                (np.int64(3), lambda j, s: seen_np.append(j))])
         assert seen == seen_np == [0, 3, 6, 9, 10]
+
+    def test_returns_the_state_observed_at_the_final_step(self):
+        state, _ = catalog_state("circle", 32)
+        seen = {}
+        final = integrate(state, SchemeConfig(scheme="cn", dt=1e-3), 0.01,
+                          observers=[(3, lambda j, s: seen.setdefault(j, s))])
+        assert final is seen[10]
 
     @pytest.mark.parametrize("stride", [0, -1, 2.5])
     def test_bad_observer_stride_rejected_before_step_0(self, stride):

@@ -35,7 +35,7 @@ def filtered_derivative(field, mode):
     """First derivative of the filtered modes, as schemes.nonlinear_term takes it."""
     n = field.size
     fhat = reference_filter(half_spectrum(field), mode)
-    d_hat = spectral._derivative_symbol(n, 1) * fhat
+    d_hat = spectral._derivative_symbol(n) * fhat
     return np.fft.irfft(d_hat, n, norm="forward")
 
 
@@ -68,34 +68,27 @@ class TestTransforms:
 class TestDerivatives:
     def test_sine_derivative_exact(self):
         alpha = grid_nodes(32)
-        d = spectral_derivative(np.sin(alpha), 1)
+        d = spectral_derivative(np.sin(alpha))
         assert np.max(np.abs(d - np.cos(alpha))) <= 1e-13
 
     def test_constant_derivative_zero(self):
-        for order in (1, 2, 3):
-            d = spectral_derivative(np.full(16, 2.5), order)
-            assert np.max(np.abs(d)) < 1e-13
+        d = spectral_derivative(np.full(16, 2.5))
+        assert np.max(np.abs(d)) < 1e-13
 
-    def test_third_derivative_of_sin3(self):
-        alpha = grid_nodes(64)
-        d = spectral_derivative(np.sin(3 * alpha), 3)
-        # (i*3)^3 mode mapping is exact; the pointwise bound is set by the
-        # transform noise floor amplified by m^3 (~3e-11 at N=64)
-        assert half_spectrum(d)[3] == pytest.approx(-13.5, abs=1e-13)
-        assert np.max(np.abs(d - (-27.0) * np.cos(3 * alpha))) <= 4e-11
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            spectral_derivative(np.zeros(16), 4)
+    def test_rows_differentiated_each_as_alone(self, rng):
+        rows = rng.standard_normal((3, 64))
+        d = spectral_derivative(rows)
+        for row, d_row in zip(rows, d):
+            assert np.array_equal(d_row, spectral_derivative(row))
 
     def test_product_rule_on_band_limited(self, rng):
         # total band 5 + 7 < N/2: the product is exactly representable
         alpha = grid_nodes(64)
         f = band_limited_field(64, 5, rng)
         g = band_limited_field(64, 7, rng)
-        df = spectral_derivative(f, 1)
-        dg = spectral_derivative(g, 1)
-        dfg = spectral_derivative(f * g, 1)
+        df = spectral_derivative(f)
+        dg = spectral_derivative(g)
+        dfg = spectral_derivative(f * g)
         assert np.max(np.abs(dfg - (df * g + f * dg))) <= 1e-11
 
     def test_antiderivative_of_cosine(self):
@@ -110,14 +103,14 @@ class TestDerivatives:
     def test_derivative_then_antiderivative_identity(self, rng):
         f = band_limited_field(64, 20, rng)
         f -= f.mean()
-        d = spectral_derivative(f, 1)
+        d = spectral_derivative(f)
         back = spectral_antiderivative(d)
         assert np.max(np.abs(back - f)) <= 1e-12
 
     def test_antiderivative_then_derivative_removes_mean(self, rng):
         f = band_limited_field(64, 20, rng) + 1.7
         a = spectral_antiderivative(f)
-        d = spectral_derivative(a, 1)
+        d = spectral_derivative(a)
         assert np.max(np.abs(d - (f - f.mean()))) <= 1e-12
 
 
@@ -253,7 +246,7 @@ class TestFilteredDerivative:
     def test_none_is_bitwise_plain_derivative(self, rng):
         f = rng.standard_normal(64)
         a = filtered_derivative(f, "none")
-        b = spectral_derivative(f, 1)
+        b = spectral_derivative(f)
         assert np.array_equal(a, b)
 
     def test_dpr_passes_low_modes(self):
