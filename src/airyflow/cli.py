@@ -21,7 +21,7 @@ from . import harness
 from .errors import AiryflowError, StudyFailed
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 
-LONG_RUN_STEPS = 10**5  #: a preset this long prints a note: ~6 s at preset E's ~58 us/step
+LONG_RUN_STEPS = 10**5  #: prints a note: ~5 s of preset E at perfbench preset-e's 48 us/step
 
 
 def _require_out(cfg: RunConfig, flag_out) -> RunConfig:

@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, spectral
 from .errors import NonPositiveError
 from .geometry import ThetaLState
-from .spectral import _derivative_symbol, grid_nodes, l2_norm
+from .spectral import _derivative_symbol, grid_nodes, l2_norm, rfft
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,12 @@ def observe(states) -> Observation:
     It reads each state's ``phi``, ``length``, ``anchor`` and ``time``
     once; everything after works on arrays.  phi and the tangent rows
     (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta), theta = alpha + phi,
-    of every state share one 3S-row ``rfft``; its phi rows give the power
-    spectra and the spectra of phi_alpha and phi_alpha_alpha, and its
-    tangent rows' mean slots the closure defects.
+    of every state share one 3S-row :func:`spectral.rfft`; its phi rows
+    give the power spectra and the spectra of phi_alpha and
+    phi_alpha_alpha, and its tangent rows' mean slots the closure defects.
     :func:`geometry.reconstruct_curve` builds the curves from the anchors,
-    their antiderivatives riding one 4S-row ``irfft`` with phi_alpha and
-    phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
+    their antiderivatives riding one 4S-row :func:`spectral.irfft` with
+    phi_alpha and phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
     x y_alpha - y x_alpha and the centroid are row means over the block.
     """
     block = [states] if isinstance(states, ThetaLState) else list(states)
@@ -90,7 +90,7 @@ def observe(states) -> Observation:
     np.cos(theta, out=tangent[0])
     np.sin(theta, out=theta)
     tangent *= np.array([length / (2.0 * np.pi) for length in lengths])[:, None]
-    spectra = np.fft.rfft(stack.reshape(3 * s, n), norm="forward").reshape(3, s, -1)
+    spectra = rfft(stack.reshape(3 * s, n)).reshape(3, s, -1)
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     d = _derivative_symbol(n)
     slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha

@@ -34,6 +34,7 @@ from .spectral import (
     _antiderivative_symbol,
     _check_grid_size,
     grid_nodes,
+    irfft,
     spectral_antiderivative,
     spectral_derivative,
 )
@@ -243,20 +244,20 @@ def reconstruct_curve(anchor: np.ndarray, tangent_hat: np.ndarray,
     ``fields``.
 
     ``tangent_hat`` holds the half spectra (2, S, N/2+1) of the tangent
-    rows (x_alpha, y_alpha), by ``rfft`` with ``norm="forward"``;
-    ``fields``, further half spectra (F, S, N/2+1), ride the one
-    ``irfft`` of the tangent's antiderivative.  The antiderivative drops
-    the tangent's mean, so each reconstructed polygon is exactly periodic
-    whether or not the curve closes: the closure defect (that mean) is
-    measured by :func:`airyflow.diagnostics.observe`, and the run decides
-    whether it is too large.
+    rows (x_alpha, y_alpha), by :func:`spectral.rfft`; ``fields``, further
+    half spectra (F, S, N/2+1), ride the one :func:`spectral.irfft` of the
+    tangent's antiderivative.  The antiderivative drops the tangent's
+    mean, so each reconstructed polygon is exactly periodic whether or not
+    the curve closes: the closure defect (that mean) is measured by
+    :func:`airyflow.diagnostics.observe`, and the run decides whether it
+    is too large.
     """
     s, half = tangent_hat.shape[1:]
     n, rows = 2 * (half - 1), 2 + len(fields)
     spectra = np.empty((rows, s, half), dtype=np.complex128)
     np.multiply(tangent_hat, _antiderivative_symbol(n), out=spectra[:2])
     spectra[2:] = fields
-    values = np.fft.irfft(spectra.reshape(rows * s, -1), n, norm="forward").reshape(rows, s, n)
+    values = irfft(spectra.reshape(rows * s, -1)).reshape(rows, s, n)
     curve = values[:2]
     curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
     curve += anchor.T[:, :, None]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BlowUp, NonCommensurateTime, ValidationError
 from .geometry import ThetaLState
-from .spectral import FILTERS, _derivative_symbol, mode_filter
+from .spectral import FILTERS, _derivative_symbol, irfft, mode_filter, rfft
 
 SCHEMES = ("adb", "cn", "cnadb")
 
@@ -194,14 +194,14 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter=None,
                    d_phi=None, theta_a=None, cube=None) -> np.ndarray:
     """Physical-space nonlinear term (2*pi/L)^3 (1 + D phi)^3 / 2 at the nodes.
 
-    ``phi_hat`` is the half spectrum ``rfft(phi, norm="forward")``.  D is
+    ``phi_hat`` is the half spectrum :func:`spectral.rfft` of phi.  D is
     the first derivative with the configured mode filter; the solution
     itself is never filtered.  ``filter`` is the filter
     :func:`spectral.mode_filter` resolved for this N, None for unfiltered.
 
     D phi is written into the half spectrum ``d_phi`` (the filter, if
     any, is applied there first).  The derivative symbol zeroes the mean
-    slot, so setting it to 1 makes the one ``irfft`` write
+    slot, so setting it to 1 makes the one :func:`spectral.irfft` write
     theta_alpha = 1 + D phi into the node row ``theta_a``.  The cube is
     taken into the node row ``cube`` by two products, not by ``power``,
     and the scalar (2*pi/L)^3 / 2 is applied in place: beyond the
@@ -213,7 +213,7 @@ def nonlinear_term(phi_hat: np.ndarray, length: float, filter=None,
     filtered = phi_hat if filter is None else filter(phi_hat, d_phi)
     d_phi = np.multiply(_derivative_symbol(n), filtered, out=d_phi)
     d_phi[0] = 1.0
-    theta_a = np.fft.irfft(d_phi, n, norm="forward", out=theta_a)
+    theta_a = irfft(d_phi, theta_a)
     cube = np.multiply(theta_a, theta_a, out=cube)
     cube *= theta_a
     cube *= 0.5 * (2.0 * np.pi / length) ** 3
@@ -303,12 +303,12 @@ def integrate(
     theta_a, cube = np.empty(n), np.empty(n)
     filter = mode_filter(cfg.filter, n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
-    np.fft.rfft(initial.phi, norm="forward", out=phi_hat)
+    rfft(initial.phi, phi_hat)
     state = notify(0, initial.phi)
     due = next_due(0)
     for j in range(1, steps + 1):
         nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
-        np.fft.rfft(nl, norm="forward", out=nl_hat)
+        rfft(nl, nl_hat)
         if filter is not None:
             filter(nl_hat, nl_hat)
         if j == 1:
@@ -322,7 +322,7 @@ def integrate(
         bounded = _spectral_bound_sq(phi_hat) <= bound_sq
         if bounded and j != due:
             continue
-        phi = np.fft.irfft(phi_hat, n, norm="forward", out=theta_a)
+        phi = irfft(phi_hat, theta_a)
         if not bounded:
             peak = float(np.abs(phi, out=cube).max())
             if not (math.isfinite(peak) and peak <= BLOWUP_LIMIT):

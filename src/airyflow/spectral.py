@@ -4,12 +4,13 @@
 Conventions
 -----------
 Grids have N nodes alpha_k = 2*pi*k/N with N a power of two.  Every field
-is real, and its one spectral form is the half spectrum
-``rfft(f, norm="forward")``: the N/2+1 coefficients of m = 0..N/2, with
-the 1/N factor in the forward transform, so cos(m*alpha) has coefficient
-0.5 at m.  The coefficients of negative m are the conjugates and are
-never stored; power spectra are the one output that lists them, with
-|f_hat_m|^2 mirrored to ascending m = -N/2+1 ... N/2.
+is real, and its one spectral form is the half spectrum :func:`rfft`:
+the N/2+1 coefficients of m = 0..N/2, with the 1/N factor in the forward
+transform, so cos(m*alpha) has coefficient 0.5 at m.  The coefficients
+of negative m are the conjugates and are never stored; power spectra are
+the one output that lists them, with |f_hat_m|^2 mirrored to ascending
+m = -N/2+1 ... N/2.  :func:`rfft` and :func:`irfft` are the package's
+only transforms.
 
 The derivative and the antiderivative zero the Nyquist mode: on a real
 grid that mode carries no first-derivative information, and zeroing keeps
@@ -21,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import ValidationError
 
@@ -46,6 +48,25 @@ def symmetric_wavenumbers(n: int) -> np.ndarray:
     """Wavenumbers m = -N/2+1 ... N/2 in ascending order."""
     _check_grid_size(n)
     return np.arange(-(n // 2) + 1, n // 2 + 1)
+
+
+def rfft(values: np.ndarray, out=None) -> np.ndarray:
+    """Half spectra of real rows of even length N along the last axis, into
+    ``out`` (a new array for None): bitwise ``numpy.fft.rfft(values,
+    norm="forward")``, by the gufunc it wraps less its per-call work."""
+    n = values.shape[-1]
+    if out is None:
+        out = np.empty((*values.shape[:-1], n // 2 + 1), dtype=np.complex128)
+    return _pocketfft_umath.rfft_n_even(values, 1.0 / n, out=out)
+
+
+def irfft(coeffs: np.ndarray, out=None) -> np.ndarray:
+    """Real rows of N = 2(M-1) samples of M-coefficient half spectra, into
+    ``out`` (a new array for None): bitwise ``numpy.fft.irfft(coeffs,
+    N, norm="forward")``, as :func:`rfft`."""
+    if out is None:
+        out = np.empty((*coeffs.shape[:-1], 2 * (coeffs.shape[-1] - 1)))
+    return _pocketfft_umath.irfft(coeffs, 1.0, out=out)
 
 
 @lru_cache(maxsize=128)
@@ -128,8 +149,7 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     row by row for a stack of rows."""
     n = np.shape(values)[-1]
     _check_grid_size(n)
-    fhat = np.fft.rfft(values, norm="forward")
-    return np.fft.irfft(_derivative_symbol(n) * fhat, n, norm="forward")
+    return irfft(_derivative_symbol(n) * rfft(values))
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
@@ -141,8 +161,7 @@ def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """
     n = np.size(values)
     _check_grid_size(n)
-    fhat = np.fft.rfft(values, norm="forward")
-    return np.fft.irfft(_antiderivative_symbol(n) * fhat, n, norm="forward")
+    return irfft(_antiderivative_symbol(n) * rfft(values))
 
 
 def power_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -174,7 +193,7 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     _check_grid_size(n)
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     half = n // 2
-    fhat = np.fft.rfft(values, norm="forward")
+    fhat = rfft(values)
     coeffs = 2.0 * fhat[..., :half]
     coeffs[..., 0] = fhat[..., 0]
     block = 1 << (half.bit_length() // 2)  # B; the K = N/2 / B block starts are kB

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from airyflow import geometry, harness
+from airyflow import diagnostics, geometry, harness, schemes, spectral
 from airyflow.spectral import grid_nodes
 
 from oracles import linear_oracle
@@ -24,6 +24,32 @@ def catalog_state(shape, n, **params):
     curve = geometry.catalog_curve(shape, **params)
     points, length = geometry.resample_equal_arclength(curve, n)
     return geometry.extract_theta_l(points, length), points
+
+
+#: numpy's own transforms, none of which the package calls
+NUMPY_TRANSFORMS = ("np.fft.rfft", "np.fft.irfft", "np.fft.fft", "np.fft.ifft")
+
+
+def count_transforms(monkeypatch):
+    """Count the calls of spectral.rfft and spectral.irfft, patched in every
+    package module that looks them up, and of numpy's own transforms.
+
+    Returns the counts, keyed "rfft", "irfft" and :data:`NUMPY_TRANSFORMS`,
+    and the list of (key, input shape) of the calls, in call order."""
+    counts, shapes = dict.fromkeys(("rfft", "irfft", *NUMPY_TRANSFORMS), 0), []
+    targets = [(np.fft, key.removeprefix("np.fft."), key) for key in NUMPY_TRANSFORMS]
+    targets += [(module, name, name) for module in (diagnostics, geometry, schemes, spectral)
+                for name in ("rfft", "irfft") if hasattr(module, name)]
+    for module, name, key in targets:
+        original = getattr(module, name)
+
+        def counted(a, *args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            shapes.append((_key, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts, shapes
 
 
 def fed_observer(states, closure_tol):

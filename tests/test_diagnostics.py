@@ -19,7 +19,14 @@ from airyflow.harness import RunConfig
 from airyflow.schemes import SchemeConfig, integrate
 from airyflow.spectral import grid_nodes, spectral_derivative
 
-from conftest import band_limited_field, catalog_state, fed_observer, perturbation_error
+from conftest import (
+    NUMPY_TRANSFORMS,
+    band_limited_field,
+    catalog_state,
+    count_transforms,
+    fed_observer,
+    perturbation_error,
+)
 from oracles import (
     MissingSnapshots,
     linear_oracle,
@@ -158,22 +165,11 @@ class TestObservePass:
 
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
-        counts = dict.fromkeys(("rfft", "irfft", "fft", "ifft"), 0)
-        shapes = []
-        for name in counts:
-            original = getattr(np.fft, name)
-
-            def counted(a, *args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                shapes.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-
+        counts, shapes = count_transforms(monkeypatch)
         # phi and the two tangent rows share the rfft; the slopes of phi
-        # ride the irfft with the curve's antiderivative
+        # ride the irfft with the curve's antiderivative; never numpy's own
         diagnostics.observe(state)
-        assert counts == dict(rfft=1, irfft=1, fft=0, ifft=0)
+        assert counts == dict(rfft=1, irfft=1, **dict.fromkeys(NUMPY_TRANSFORMS, 0))
         assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
 
     def test_closure_boundary(self):

@@ -64,6 +64,25 @@ class TestTransforms:
         values = np.fft.irfft(coeffs, 32, norm="forward")
         assert np.max(np.abs(values - np.cos(grid_nodes(32)))) < 1e-14  # +-1 both carry 0.5
 
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["row", "stack"])
+    @pytest.mark.parametrize("log2n", range(3, 13))
+    def test_pair_is_bitwise_numpys_forward_pair(self, rng, log2n, rows):
+        # the pair calls numpy's private pocketfft gufuncs: a numpy release
+        # that changes them fails here
+        n = 1 << log2n
+        values = rng.normal(size=(*rows, n))
+        # any complex half spectrum, the mean and Nyquist slots' imaginary parts too
+        coeffs = rng.normal(size=(*rows, n // 2 + 1)) + 1j * rng.normal(size=(*rows, n // 2 + 1))
+        pairs = ((spectral.rfft, values, np.fft.rfft(values, norm="forward")),
+                 (spectral.irfft, coeffs, np.fft.irfft(coeffs, n, norm="forward")))
+        for transform, given, want in pairs:
+            got = transform(given)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            out = np.empty_like(want)
+            assert transform(given, out) is out
+            assert out.tobytes() == want.tobytes()
+
 
 class TestDerivatives:
     def test_sine_derivative_exact(self):
