@@ -21,7 +21,9 @@ from . import harness
 from .errors import AiryflowError, StudyFailed
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 
-LONG_RUN_STEPS = 10**5  #: prints a note: ~5 s of preset E at perfbench preset-e's 48 us/step
+#: prints a note: ~4 s of preset E at the 23,000 steps/s (reference CPU speed) that
+#: ``python3 perfbench/run.py --workload preset-e --trace 0`` reads
+LONG_RUN_STEPS = 10**5
 
 
 def _require_out(cfg: RunConfig, flag_out) -> RunConfig:

@@ -26,46 +26,42 @@ from .spectral import _derivative_symbol, grid_nodes, l2_norm, rfft
 
 @dataclass(frozen=True)
 class ConservedTriple:
-    """The three invariants evaluated at one instant."""
+    """The three invariants and the time: one state's floats, or (S,) rows
+    of a block in an :class:`Observation`."""
 
-    m1: float
-    m2: float
-    m3: float
-    time: float
+    m1: float | np.ndarray
+    m2: float | np.ndarray
+    m3: float | np.ndarray
+    time: float | np.ndarray
 
 
 def conserved_quantities(state: ThetaLState) -> ConservedTriple:
-    """M1, M2, M3 of the state's curvature, ds = (L/2*pi) d alpha:
-    ``observe(state).triple``."""
-    return observe(state).triple
+    """M1, M2, M3 of one state's curvature, ds = (L/2*pi) d alpha: the
+    triple of ``observe([state])`` as floats."""
+    t = observe([state]).triple
+    return ConservedTriple(*(float(f[0]) for f in (t.m1, t.m2, t.m3, t.time)))
 
 
 @dataclass(frozen=True)
 class Observation:
-    """What the run's observers read off one state, every field from the one
-    pass of :func:`observe`.  A block's fields (the triple's too) carry a
-    leading state axis; ``block[i]`` is state i's."""
+    """What the run's observers read off a block of S states of N nodes,
+    every field from the one pass of :func:`observe`; row i of each field
+    (and of the triple's) is state i's."""
 
     triple: ConservedTriple
-    k: np.ndarray  # curvature at the nodes
-    power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2
-    points: np.ndarray  # the reconstructed curve, (N, 2)
-    radius: float  # effective radius sqrt(area / pi)
-    centroid: tuple[float, float]
-    closure: float  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|
-
-    def __getitem__(self, i: int) -> Observation:
-        t = self.triple
-        return Observation(ConservedTriple(*(float(f[i]) for f in (t.m1, t.m2, t.m3, t.time))),
-                           self.k[i], self.power[i], self.points[i], float(self.radius[i]),
-                           tuple(self.centroid[i].tolist()), float(self.closure[i]))
+    k: np.ndarray  # curvature at the nodes, (S, N)
+    power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2, (S, N)
+    points: np.ndarray  # the reconstructed curves, (S, N, 2)
+    radius: np.ndarray  # effective radius sqrt(area / pi), (S,)
+    centroid: np.ndarray  # (S, 2)
+    closure: np.ndarray  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|, (S,)
 
 
 def observe(states) -> Observation:
-    """Every observer quantity of a state, or of a block of S states, in
-    one stacked pass; one state is a block of one, and a state's fields
-    are bitwise the same in any block.  It measures and never raises:
-    whether a ``closure`` defect ends a run is the run's decision.
+    """Every observer quantity of a block of S states in one stacked pass;
+    a state's rows are bitwise the same in any block.  It measures and
+    never raises: whether a ``closure`` defect ends a run is the run's
+    decision.
 
     It reads each state's ``phi``, ``length``, ``anchor`` and ``time``
     once; everything after works on arrays.  phi and the tangent rows
@@ -78,7 +74,7 @@ def observe(states) -> Observation:
     phi_alpha and phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
     x y_alpha - y x_alpha and the centroid are row means over the block.
     """
-    block = [states] if isinstance(states, ThetaLState) else list(states)
+    block = list(states)
     s, n = len(block), block[0].n
     stack = np.empty((3, s, n))  # the phi rows, then the tangent's x and y rows
     stack[0] = [each.phi for each in block]
@@ -118,11 +114,10 @@ def observe(states) -> Observation:
     # which takes mu_y cx - mu_x cy off the integrand's mean
     mu_x, mu_y = tangent_hat[:, :, 0].real
     area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
-    obs = Observation(triple=ConservedTriple(*(means[:3] * np.array(lengths)), time), k=k,
-                      power=spectral.power_spectrum(phi_hat), points=points,
-                      radius=np.sqrt(area / np.pi), centroid=centroid.T,
-                      closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))
-    return obs[0] if isinstance(states, ThetaLState) else obs
+    return Observation(triple=ConservedTriple(*(means[:3] * np.array(lengths)), time), k=k,
+                       power=spectral.power_spectrum(phi_hat), points=points,
+                       radius=np.sqrt(area / np.pi), centroid=centroid.T,
+                       closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))
 
 
 def m3_drift(m3: float, m3_0: float) -> float:

@@ -26,7 +26,7 @@ from numpy.fft import _pocketfft_umath
 
 from .errors import ValidationError
 
-FILTERS = ("none", "dpr", "krasny", "both")
+FILTERS = ("none", "dpr", "krasny")
 KRASNY_THRESHOLD = 1e-13
 
 
@@ -112,19 +112,18 @@ def mode_filter(mode: str, n: int):
     """The mode filter of N-point complex half spectra, resolved once.
 
     None for "none"; otherwise ``apply(coeffs, out=None)``.  "krasny"
-    zeroes the modes whose amplitude is below 1e-13 (rho2), "dpr"
-    multiplies mode m by rho1(m*h/pi), and "both" does the first and then
-    the second.  ``apply`` writes its result into ``out`` (a new array for
-    None), which may be ``coeffs``; ``coeffs`` is otherwise only read.  A
-    non-finite coefficient stays non-finite.  The filter holds the rho1
-    profile and the Krasny |z| and mask buffers, so an ``apply`` into
-    ``out`` allocates nothing, and one resolved filter serves one caller
-    at a time.  ``mode`` is one of :data:`FILTERS`, as ``SchemeConfig``
-    checks; any other name raises KeyError.
+    zeroes the modes whose amplitude is below 1e-13 (rho2), and "dpr"
+    multiplies mode m by rho1(m*h/pi).  ``apply`` writes its result into
+    ``out`` (a new array for None), which may be ``coeffs``; ``coeffs`` is
+    otherwise only read.  A non-finite coefficient stays non-finite.  The
+    filter holds the rho1 profile or the Krasny |z| and mask buffers, so an
+    ``apply`` into ``out`` allocates nothing, and one resolved filter serves
+    one caller at a time.  ``mode`` is one of :data:`FILTERS`, as
+    ``SchemeConfig`` checks; any other name raises KeyError.
     """
     if mode == "none":
         return None
-    profile = {"dpr": _dpr_profile(n), "krasny": None, "both": _dpr_profile(n)}[mode]
+    profile = {"dpr": _dpr_profile(n), "krasny": None}[mode]
     if mode == "dpr":
         return lambda coeffs, out=None: np.multiply(coeffs, profile, out=out)
     magnitude = np.empty(n // 2 + 1)
@@ -137,8 +136,6 @@ def mode_filter(mode: str, n: int):
         elif out is not coeffs:
             np.copyto(out, coeffs)
         np.copyto(out, 0.0, where=small)
-        if profile is not None:
-            out *= profile
         return out
 
     return apply
@@ -153,13 +150,14 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
-    """Zero-mean antiderivative: divides mode m by i*m and drops the mean.
+    """Zero-mean antiderivative of real grid samples along the last axis, row
+    by row for a stack of rows: divides mode m by i*m and drops the mean.
 
     The Nyquist mode is zeroed as in the derivative, so the
     derivative of the result recovers the input minus its mean (and minus
     any Nyquist content) to roundoff.
     """
-    n = np.size(values)
+    n = np.shape(values)[-1]
     _check_grid_size(n)
     return irfft(_antiderivative_symbol(n) * rfft(values))
 

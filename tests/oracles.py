@@ -6,7 +6,7 @@ the package against.  Nothing in a run calls them.
 * :func:`mkdv_rhs`, :func:`curve_motion_rhs` -- the mKdV curvature rate in
   its direct and velocity-decomposition forms;
 * :func:`mkdv_residual` -- the centered time difference of the run's
-  curvature (``diagnostics.observe(state).k``) against :func:`mkdv_rhs`;
+  curvature (``diagnostics.observe([state]).k[0]``) against :func:`mkdv_rhs`;
 * :func:`point_curvature` -- curvature from point samples of a curve;
 * :func:`complex_fft_curve` -- the curve by one complex FFT antiderivative
   of its tangent;
@@ -139,7 +139,7 @@ def mkdv_residual(states) -> float:
     dt1, dt2 = t1 - t0, t2 - t1
     if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
         raise ValueError("states must be equally spaced in time")
-    k0, k1, k2 = (diagnostics.observe(s).k for s in states)
+    k0, k1, k2 = (diagnostics.observe([s]).k[0] for s in states)
     k_t = (k2 - k0) / (t2 - t0)
     return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
 
@@ -311,12 +311,12 @@ def mirror(state) -> ThetaLState:
 
 def reference_filter(coeffs, mode):
     """The mode filter ``mode`` of a half spectrum as a new array: rho2, the
-    modes below the Krasny threshold zeroed, for "krasny" and "both", then
-    rho1, the DPR profile, for "dpr" and "both"; ``coeffs`` itself for "none"."""
-    if mode in ("krasny", "both"):
-        coeffs = np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0, coeffs)
-    if mode in ("dpr", "both"):
-        coeffs = coeffs * _dpr_profile(2 * (coeffs.size - 1))
+    modes below the Krasny threshold zeroed, for "krasny"; rho1, the DPR
+    profile, for "dpr"; ``coeffs`` itself for "none"."""
+    if mode == "krasny":
+        return np.where(np.abs(coeffs) < KRASNY_THRESHOLD, 0, coeffs)
+    if mode == "dpr":
+        return coeffs * _dpr_profile(2 * (coeffs.size - 1))
     return coeffs
 
 

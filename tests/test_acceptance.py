@@ -230,7 +230,7 @@ def test_criterion_7_shape_invariance():
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         final = integrate(state, cfg, 1.0)
-        dev = float(np.max(np.abs(observe(final).k - 1.0)))
+        dev = float(np.max(np.abs(observe([final]).k[0] - 1.0)))
         _report(
             f"criterion 7 ({scheme})",
             dev <= 1e-10,
@@ -291,7 +291,7 @@ def test_criterion_9_oracle_equivalence():
         ("cardioid", {}, 512),
     ):
         state, points = catalog_state(shape, n, **kw)
-        worst = max(worst, float(np.max(np.abs(observe(state).points - points))))
+        worst = max(worst, float(np.max(np.abs(observe([state]).points[0] - points))))
     _report("criterion 9 (round trip)", worst <= 1e-10,
             f"max reconstruct-extract deviation {worst:.2e} <= 1e-10")
 

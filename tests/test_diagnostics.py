@@ -51,13 +51,14 @@ def run_keeping(state, cfg, keep_steps):
     return [out[j] for j in sorted(keep_steps)]
 
 
-def assert_observations_equal(got, want):
-    """Every Observation field bitwise equal, scalars as Python floats."""
+def assert_row_equal(block, i, want):
+    """Row i of every field of a block's Observation bitwise equal to one state's."""
     for field in dataclasses.fields(diagnostics.Observation):
-        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
-    assert got.triple == want.triple
-    assert all(type(value) is float for value in (*dataclasses.astuple(got.triple), got.radius,
-                                                  *got.centroid, got.closure))
+        got, expected = getattr(block, field.name), getattr(want, field.name)
+        if field.name == "triple":
+            assert [f[i] for f in dataclasses.astuple(got)] == list(dataclasses.astuple(expected))
+        else:
+            assert np.array_equal(got[i], expected), field.name
 
 
 class TestConservedQuantities:
@@ -91,19 +92,20 @@ class TestObservePass:
         state, _ = catalog_state(shape, 512, **params)
         if steps:
             state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt), steps * dt)
-        obs = diagnostics.observe(state)
-        assert obs.triple == conserved_quantities(state)
-        assert obs.closure <= tol  # the preset's states close
+        obs = diagnostics.observe([state])
+        triple = conserved_quantities(state)
+        assert [f[0] for f in dataclasses.astuple(obs.triple)] == list(dataclasses.astuple(triple))
+        assert obs.closure[0] <= tol  # the preset's states close
         ref = reference_observation(state)
-        for got, want in zip((obs.triple.m1, obs.triple.m2, obs.triple.m3), ref["m"]):
+        for got, want in zip((triple.m1, triple.m2, triple.m3), ref["m"]):
             assert abs(got - want) <= 1e-12 * abs(want)
-        assert abs(np.max(np.abs(obs.k)) - ref["max_k"]) <= 1e-12 * ref["max_k"]
-        assert abs(obs.radius - ref["radius"]) <= 1e-12 * ref["radius"]
+        assert abs(np.max(np.abs(obs.k[0])) - ref["max_k"]) <= 1e-12 * ref["max_k"]
+        assert abs(obs.radius[0] - ref["radius"]) <= 1e-12 * ref["radius"]
         # points and centroid relative to the size of the curve
         size = np.max(np.abs(ref["points"]))
-        assert np.max(np.abs(obs.points - ref["points"])) <= 1e-12 * size
-        assert np.max(np.abs(np.subtract(obs.centroid, ref["centroid"]))) <= 1e-12 * size
-        assert np.max(np.abs(obs.power - ref["power"])) <= 1e-15
+        assert np.max(np.abs(obs.points[0] - ref["points"])) <= 1e-12 * size
+        assert np.max(np.abs(np.subtract(obs.centroid[0], ref["centroid"]))) <= 1e-12 * size
+        assert np.max(np.abs(obs.power[0] - ref["power"])) <= 1e-15
 
     @pytest.mark.parametrize("preset", ["E", "CARDIOID"])
     def test_probe_rows_match_reference(self, preset):
@@ -147,8 +149,8 @@ class TestObservePass:
         assert block.k.shape == (size, states[0].n)
         for i, state in enumerate(states[:size]):
             want = per_state_observe(state)
-            assert_observations_equal(block[i], want)
-            assert_observations_equal(diagnostics.observe(state), want)
+            assert_row_equal(block, i, want)
+            assert_row_equal(diagnostics.observe([state]), 0, want)
 
     def test_block_peak_memory(self, preset_states):
         # the slope spectra are dropped once the curve is built, before the
@@ -168,7 +170,7 @@ class TestObservePass:
         counts, shapes = count_transforms(monkeypatch)
         # phi and the two tangent rows share the rfft; the slopes of phi
         # ride the irfft with the curve's antiderivative; never numpy's own
-        diagnostics.observe(state)
+        diagnostics.observe([state])
         assert counts == dict(rfft=1, irfft=1, **dict.fromkeys(NUMPY_TRANSFORMS, 0))
         assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
 
@@ -178,7 +180,7 @@ class TestObservePass:
         a = 2.2e-8
         state = ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi, time=0.375)
         mean_y = a / 2 * (1 - a**2 / 8)
-        defect = diagnostics.observe(state).closure
+        defect = diagnostics.observe([state]).closure[0]
         assert defect == pytest.approx(mean_y, rel=1e-8)
         # the check is strict: a defect at the tolerance passes
         for tol in (mean_y * (1 + 1e-6), defect):
@@ -215,8 +217,8 @@ class TestObservePass:
         # theta = alpha + a sin(alpha) with L = 2 pi has the mean tangent (-J_1(a), 0)
         a = 1e-3
         state = ThetaLState(phi=a * np.sin(grid_nodes(64)), length=2 * np.pi)
-        assert diagnostics.observe(state).closure == pytest.approx(a / 2 * (1 - a**2 / 8),
-                                                                   rel=1e-12)
+        assert diagnostics.observe([state]).closure[0] == pytest.approx(a / 2 * (1 - a**2 / 8),
+                                                                      rel=1e-12)
 
 
 def max_abs_drift(triples):

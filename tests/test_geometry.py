@@ -46,7 +46,7 @@ def pc3_curvature(alpha):
 class TestCatalog:
     def test_ellipse_max_squared_curvature(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = observe(state).k
+        k = observe([state]).k[0]
         assert np.max(np.abs(k)) ** 2 == pytest.approx(16.0, abs=1e-8)
 
     def test_circle_regularity_and_curvature(self):
@@ -56,7 +56,7 @@ class TestCatalog:
         y_a = spectral_derivative(fy(alpha))
         assert np.allclose(np.hypot(x_a, y_a), 2.0, atol=1e-12)
         state, _ = catalog_state("circle", 64, r=2.0)
-        assert np.allclose(observe(state).k, 0.5, atol=1e-12)
+        assert np.allclose(observe([state]).k[0], 0.5, atol=1e-12)
 
     def test_perturbed_circle_matches_radial_formula(self):
         fx, fy = catalog_curve("perturbed_circle", r0=1.0, delta0=0.4, m=3)
@@ -276,7 +276,7 @@ class TestExtract:
 
     def test_ellipse_curvature_extremes(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = observe(state).k
+        k = observe([state]).k[0]
         # resampling anchors node 0 at (1, 0), the max-curvature point, and
         # symmetry puts node N/4 at (0, b), the min-curvature point
         assert k[0] == pytest.approx(4.0, abs=1e-8)
@@ -296,7 +296,7 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = observe(state).points
+        points = observe([state]).points[0]
         alpha = grid_nodes(64)
         assert np.max(np.abs(points[:, 0] - np.cos(alpha))) <= 1e-12
         assert np.max(np.abs(points[:, 1] - np.sin(alpha))) <= 1e-12
@@ -310,14 +310,14 @@ class TestReconstruct:
             ("cardioid", {}, 512),
         ):
             state, points = catalog_state(shape, n, **kw)
-            again = observe(state).points
+            again = observe([state]).points[0]
             assert np.max(np.abs(again - points)) <= 1e-10
 
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
             phi=np.full(64, np.pi / 2 + 0.5), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = observe(state).points
+        points = observe([state]).points[0]
         # still a closed unit circle, rotated about the anchor construction
         radii = np.hypot(points[:, 0] - np.mean(points[:, 0]),
                          points[:, 1] - np.mean(points[:, 1]))
@@ -330,19 +330,19 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.pi / 2 + 0.3 * np.cos(alpha), length=2 * np.pi
         )
-        obs = observe(state)
-        assert obs.closure == pytest.approx(0.1483, abs=1e-4)
-        assert obs.points.shape == (64, 2)
+        obs = observe([state])
+        assert obs.closure[0] == pytest.approx(0.1483, abs=1e-4)
+        assert obs.points.shape == (1, 64, 2)
         with pytest.raises(ClosureViolation) as err:
             fed_observer([state], harness.RunConfig.closure_tol).flush()
-        assert err.value.defect == obs.closure
+        assert err.value.defect == obs.closure[0]
 
 
 class TestCurvature:
     def test_circle_radius_r(self):
         for r in (0.5, 1.0, 3.0):
             state, _ = catalog_state("circle", 64, r=r)
-            assert np.allclose(observe(state).k, 1.0 / r, atol=1e-12)
+            assert np.allclose(observe([state]).k[0], 1.0 / r, atol=1e-12)
 
     def test_pc3_matches_closed_form(self):
         # 1024 nodes: the dimpled profile needs ~768 modes to push the
@@ -350,7 +350,7 @@ class TestCurvature:
         state, points = catalog_state("pc3", 1024)
         # the radial graph lets each node recover its polar angle exactly
         beta = np.arctan2(points[:, 1], points[:, 0])
-        k = observe(state).k
+        k = observe([state]).k[0]
         assert np.max(np.abs(k - pc3_curvature(beta))) <= 1e-8
 
     def test_consistency_with_point_formula(self):
@@ -360,8 +360,8 @@ class TestCurvature:
             ("cardioid", {}, 1024),
         ):
             state, _ = catalog_state(shape, n, **kw)
-            points = observe(state).points
-            assert np.max(np.abs(point_curvature(points) - observe(state).k)) <= 1e-8
+            obs = observe([state])
+            assert np.max(np.abs(point_curvature(obs.points[0]) - obs.k[0])) <= 1e-8
 
 
 class TestShapeStatistics:
@@ -372,7 +372,7 @@ class TestShapeStatistics:
         x, y = state.anchor
         rotated = ThetaLState(phi=state.phi + 0.7, length=state.length,
                               anchor=(c * x - s * y, s * x + c * y))
-        area, area_rotated = (np.pi * observe(st).radius ** 2 for st in (state, rotated))
+        area, area_rotated = (np.pi * observe([st]).radius[0] ** 2 for st in (state, rotated))
         assert abs(area_rotated - area) <= 1e-12
 
     def test_centroid_of_centered_shapes(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyflow import cli, diagnostics, harness, schemes
+from airyflow import cli, diagnostics, harness, schemes, spectral
 from airyflow.errors import (
     BlowUp,
     ClosureViolation,
@@ -176,12 +176,17 @@ class TestParseConfig:
         assert capsys.readouterr() == ("", message)
         assert not out.exists()
 
+    @staticmethod
+    def readme_grammar():
+        """README's config-grammar section and its ini block."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
+        return section, section.split("```ini\n", 1)[1].split("```", 1)[0]
+
     def test_readme_grammar_block(self):
         # README's config-grammar block parses, names every key of the
         # grammar, and the lines it marks "(default)" set the defaults
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
-        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        section, block = self.readme_grammar()
         cfg = parse_config(block)
         assert isinstance(cfg, RunConfig) and cfg.shape == "ellipse" and cfg.steps == 4000
         for key in harness._KNOWN_KEYS:
@@ -191,6 +196,14 @@ class TestParseConfig:
             "kind", "scheme", "filter", "closure_tol"}
         unset = "\n".join(line for line in block.splitlines() if line not in marked)
         assert parse_config(unset) == cfg
+
+    def test_readme_grammar_lists_the_accepted_names(self):
+        # the scheme and filter comments list exactly the names SchemeConfig
+        # accepts, so the grammar advertises no name the code rejects
+        block = self.readme_grammar()[1]
+        for key, names in (("scheme", schemes.SCHEMES), ("filter", spectral.FILTERS)):
+            listed = re.search(rf"^{key} = .*#(.*)$", block, re.M).group(1).split("|")
+            assert tuple(name.replace("(default)", "").strip() for name in listed) == names
 
     def test_readme_cli_block(self):
         # every command line of README's CLI block parses, optional
@@ -798,8 +811,8 @@ class TestFilterStudy:
             defects = []
             with pytest.raises(BlowUp) if label in result.errors else nullcontext():
                 schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final,
-                                  [(cfg.diagnostic_stride,
-                                    lambda j, s: defects.append(diagnostics.observe(s).closure))])
+                                  [(cfg.diagnostic_stride, lambda j, s: defects.append(
+                                      diagnostics.observe([s]).closure[0]))])
             assert float(manifest[f"closure.{label}"]) == max(defects), label
 
     def test_deterministic_reruns(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from airyflow import diagnostics, schemes
+from airyflow import diagnostics, harness, schemes
 from airyflow.errors import BlowUp, NonCommensurateTime, ValidationError
 from airyflow.geometry import ThetaLState
 from airyflow.schemes import (
@@ -121,8 +121,9 @@ class TestNonlinearTerm:
         phi = band_limited_field(64, 6, rng, scale=0.05)
         state = ThetaLState(phi=phi, length=5.0)
         a = nonlinear_term(half(state), state.length)
-        b = nonlinear_term(half(state), state.length, mode_filter("both", 64))
-        assert np.max(np.abs(a - b)) <= 1e-13
+        for mode in ("dpr", "krasny"):
+            b = nonlinear_term(half(state), state.length, mode_filter(mode, 64))
+            assert np.max(np.abs(a - b)) <= 1e-13
 
     @pytest.mark.parametrize("filter", FILTERS)
     def test_matches_reference_formula(self, filter):
@@ -173,7 +174,7 @@ class TestAdb:
         final = integrate(state, cfg, 0.1)
         spectrum = np.abs(phi_hat(final))
         assert np.max(spectrum[1:]) <= 1e-13
-        assert np.max(np.abs(diagnostics.observe(final).k - 1.0)) <= 1e-12
+        assert np.max(np.abs(diagnostics.observe([final]).k[0] - 1.0)) <= 1e-12
 
 
 class TestCn:
@@ -234,7 +235,7 @@ class TestCn:
         # extraction junk (~1e-14 per mode) stays put; curvature amplifies
         # it by m, so the pointwise bound is a few times 1e-12
         assert np.max(np.abs(phi_hat(final)[1:])) <= 1e-12
-        assert np.max(np.abs(diagnostics.observe(final).k - 1.0)) <= 1e-11
+        assert np.max(np.abs(diagnostics.observe([final]).k[0] - 1.0)) <= 1e-11
 
 
 class TestCnadb:
@@ -489,7 +490,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_states_keep_their_phi_after_later_steps(self, scheme):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
-        cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter="both")
+        cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter="krasny")
         seen = []
         final = integrate(state, cfg, 30 * cfg.dt,
                           observers=[(1, lambda j, s: seen.append((s, s.phi.copy())))])
@@ -528,7 +529,7 @@ class TestWorkspace:
         return peaks[0]
 
     @pytest.mark.parametrize("scheme, filter",
-                             [("cnadb", "none"), ("adb", "krasny"), ("cn", "both")])
+                             [("cnadb", "none"), ("adb", "krasny"), ("cn", "dpr")])
     def test_unobserved_steps_allocate_no_array(self, scheme, filter):
         # tracing starts in the term of step 1, after the workspace is built,
         # and the peak is read in the term of step 201.  Measured at N=512:
@@ -563,12 +564,17 @@ class TestWorkspace:
         assert applied[0] == (0 if filter == "none" else 2 * 10)
 
     def test_unknown_filter_name_never_resolves(self):
-        # the name is checked in SchemeConfig alone; any other name is no key
-        # of mode_filter's table, so it raises rather than resolving a filter
-        with pytest.raises(ValidationError, match=re.escape(str(FILTERS))):
-            SchemeConfig(scheme="cnadb", dt=1e-4, filter="bogus")
-        with pytest.raises(KeyError):
-            mode_filter("bogus", 64)
+        # the name is checked in SchemeConfig alone, a config's too; any other
+        # name is no key of mode_filter's table, so it raises rather than
+        # resolving a filter
+        for name in ("bogus", "both"):
+            with pytest.raises(ValidationError, match=re.escape(str(FILTERS))):
+                SchemeConfig(scheme="cnadb", dt=1e-4, filter=name)
+            with pytest.raises(ValidationError, match=re.escape(str(FILTERS))):
+                harness.parse_config(f"shape = circle\nn = 32\ndt = 1e-2\nt_final = 0.1\n"
+                                     f"filter = {name}\n")
+            with pytest.raises(KeyError):
+                mode_filter(name, 64)
 
 
 class TestSchemeProperties:
