@@ -69,12 +69,12 @@ class ThetaLState:
             raise NonFiniteField("phi must be finite")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-        if not self.length > 0.0:
-            raise ValueError("curve length must be positive")
         if np.shape(self.anchor) != (2,):
             raise ValueError(f"anchor must be an (x, y) pair, got {self.anchor!r}")
         if not all(map(math.isfinite, (self.length, self.time, *self.anchor))):
             raise NonFiniteField("length, time and anchor must be finite")
+        if not self.length > 0.0:
+            raise ValueError("curve length must be positive")
 
     @property
     def n(self) -> int:

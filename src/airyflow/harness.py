@@ -266,6 +266,8 @@ def parse_overrides(pairs) -> dict:
         if not sep:
             raise ValidationError(f"override {pair!r} is not key=value")
         _check_override(key)
+        if key in overrides:
+            raise ValidationError(f"repeated override {key!r}")
         overrides[key] = _convert(key, value)
     return overrides
 

@@ -28,6 +28,7 @@ from .errors import ValidationError
 
 FILTERS = ("none", "dpr", "krasny")
 KRASNY_THRESHOLD = 1e-13
+PHASE_TABLE_ENTRIES = 1 << 14  # trig_interpolate's phase table per block of points: 256 KiB
 
 
 def _check_grid_size(n: int) -> None:
@@ -123,9 +124,11 @@ def mode_filter(mode: str, n: int):
     """
     if mode == "none":
         return None
-    profile = {"dpr": _dpr_profile(n), "krasny": None}[mode]
     if mode == "dpr":
+        profile = _dpr_profile(n)
         return lambda coeffs, out=None: np.multiply(coeffs, profile, out=out)
+    if mode != "krasny":
+        raise KeyError(mode)
     magnitude = np.empty(n // 2 + 1)
     small = np.empty(n // 2 + 1, dtype=bool)
 
@@ -183,8 +186,11 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     symmetric interpolant: the Nyquist coefficient contributes
     cos(N*beta/2) so the result is real for real input; modes 1..N/2-1 are
     doubled.  With m = kB + j and B ~ sqrt(N/2), e^{im beta} = e^{ij beta} e^{ikB beta}:
-    P points take a P x B and a P x K phase table, built once for all rows,
-    and one matrix product per row.
+    the points go in blocks whose P x B and P x K phase tables hold at most
+    :data:`PHASE_TABLE_ENTRIES` entries together (N <= 512 points fit one
+    block), so the tables do not grow with the number of points.  Each
+    block's tables are built once for all rows, with one matrix product
+    per row.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
@@ -195,13 +201,21 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     coeffs = 2.0 * fhat[..., :half]
     coeffs[..., 0] = fhat[..., 0]
     block = 1 << (half.bit_length() // 2)  # B; the K = N/2 / B block starts are kB
-    # e^{ij beta} and e^{ikB beta} side by side: phases into .imag, then cos and sin of them
-    table = np.empty((beta.size, block + half // block), dtype=np.complex128)
-    np.outer(beta, np.append(np.arange(block), np.arange(0, half, block)), out=table.imag)
-    np.cos(table.imag, out=table.real)
-    np.sin(table.imag, out=table.imag)
-    inner, outer = table[:, :block], table[:, block:]
-    out = np.array([np.einsum("pk,pk->p", outer, inner @ row.T).real
-                    for row in coeffs.reshape(-1, half // block, block)])
+    rows = coeffs.reshape(-1, half // block, block)
+    starts = np.append(np.arange(block), np.arange(0, half, block))
+    # blocks of near-equal size: a lone point would take numpy's matrix-vector
+    # product, whose sums round otherwise than the matrix product's
+    count = max(1, -(-beta.size // (PHASE_TABLE_ENTRIES // starts.size)))
+    bounds = [beta.size * i // count for i in range(count + 1)]
+    out = np.empty((rows.shape[0], beta.size))
+    for lo, hi in zip(bounds, bounds[1:]):
+        # e^{ij beta} and e^{ikB beta} side by side: phases into .imag, then cos and sin of them
+        table = np.empty((hi - lo, starts.size), dtype=np.complex128)
+        np.outer(beta[lo:hi], starts, out=table.imag)
+        np.cos(table.imag, out=table.real)
+        np.sin(table.imag, out=table.imag)
+        inner, outer = table[:, :block], table[:, block:]
+        for row, row_out in zip(rows, out):
+            row_out[lo:hi] = np.einsum("pk,pk->p", outer, inner @ row.T).real
     out += fhat[..., half].real.reshape(-1, 1) * np.cos(half * beta)
     return out.reshape(values.shape[:-1] + beta.shape)

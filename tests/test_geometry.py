@@ -142,15 +142,18 @@ class TestResample:
         ])
         assert np.max(np.abs(gaps - length / n)) / (length / n) <= 1e-8
 
-    def test_cardioid_4096_peak_memory(self):
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_cardioid_peak_memory(self, n):
+        # the interpolant builds its phase table in blocks of points, so the
+        # peak grows like N: 2 MiB at N = 4096 and 4 MiB at N = 8192
         curve = catalog_curve("cardioid")
         tracemalloc.start()
         try:
-            resample_equal_arclength(curve, 4096)
+            resample_equal_arclength(curve, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 512 * n
 
     @staticmethod
     def interpolant_calls(monkeypatch, curve, n):
@@ -226,8 +229,8 @@ class TestThetaLState:
             ThetaLState(phi=values, length=2 * np.pi)
 
     @pytest.mark.parametrize("fields", [
-        dict(length=np.inf), dict(time=np.nan), dict(anchor=(np.nan, 0.0)),
-        dict(anchor=(0.0, -np.inf))], ids=["length", "time", "anchor-x", "anchor-y"])
+        dict(length=np.inf), dict(length=np.nan), dict(time=np.nan), dict(anchor=(np.nan, 0.0)),
+        dict(anchor=(0.0, -np.inf))], ids=["length", "length-nan", "time", "anchor-x", "anchor-y"])
     def test_rejects_non_finite_geometry(self, fields):
         # a non-finite length or anchor would make observe return nan
         # invariants, radius and centroid without raising

@@ -280,15 +280,17 @@ class TestPresets:
         assert overrides == {"n": 256, "dt": 1e-3, "scheme": "adb", "closure_tol": 1e-6}
         assert type(overrides["n"]) is int
 
-    @pytest.mark.parametrize("pair, message", [
+    @pytest.mark.parametrize("words, message", [
         ("dt", "is not key=value"),
         ("shape=circle", "unknown field 'shape'"),
         ("colour=blue", "unknown field 'colour'"),
+        ("n=256 n=128", "repeated override 'n'"),
     ])
-    def test_bad_override_rejected(self, pair, message, tmp_path, capsys):
+    def test_bad_override_rejected(self, words, message, tmp_path, capsys):
+        pairs = words.split()
         with pytest.raises(ValidationError, match=message):
-            harness.parse_overrides([pair])
-        assert cli.main(["preset", "E", pair, "--out", str(tmp_path)]) == 2
+            harness.parse_overrides(pairs)
+        assert cli.main(["preset", "E", *pairs, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
     def test_bad_override_value_rejected(self):
