@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--out", default=None)
         command.set_defaults(func=func)
 
-    preset = sub.add_parser("preset", help="run a named preset (E, E1, E2, PC3, CARDIOID)")
+    preset = sub.add_parser("preset", help=f"run a named preset ({', '.join(harness.PRESETS)})")
     preset.add_argument("name")
     preset.add_argument("overrides", nargs="*", metavar="key=value")
     preset.add_argument("--out", default=None)

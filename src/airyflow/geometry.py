@@ -121,23 +121,29 @@ def _cardioid():
     return fx, fy
 
 
+#: shape name -> (its parameters with their config types, the factory taking them)
 _CATALOG = {
-    "circle": (("r",), lambda r=1.0: _ellipse(r, r)),
-    "ellipse": (("a", "b"), lambda a=1.0, b=0.5: _ellipse(a, b)),
+    "circle": (dict(r=float), lambda r=1.0: _ellipse(r, r)),
+    "ellipse": (dict(a=float, b=float), lambda a=1.0, b=0.5: _ellipse(a, b)),
     "perturbed_circle": (
-        ("r0", "delta0", "m"),
+        dict(r0=float, delta0=float, m=int),
         lambda r0=1.0, delta0=0.1, m=2: _perturbed_circle(r0, delta0, m),
     ),
-    "pc3": ((), lambda: _perturbed_circle(1.0, 0.4, 3)),
-    "cardioid": ((), _cardioid),
+    "pc3": ({}, lambda: _perturbed_circle(1.0, 0.4, 3)),
+    "cardioid": ({}, _cardioid),
 }
+
+#: every shape parameter's type by name, read off the catalog
+SHAPE_PARAMS = {name: kind for params, _ in _CATALOG.values() for name, kind in params.items()}
 
 
 def catalog_curve(shape: str, **params) -> tuple[Callable, Callable]:
     """The evaluator pair (x(beta), y(beta)) of an analytic catalog curve.
 
-    Known shapes: circle(r), ellipse(a, b), perturbed_circle(r0, delta0, m),
-    pc3, cardioid.  All are simple, counterclockwise, and 2*pi-periodic.
+    Each shape's parameters and their types are its ``_CATALOG`` entry
+    (:data:`SHAPE_PARAMS` gathers them): circle(r), ellipse(a, b),
+    perturbed_circle(r0, delta0, m), pc3, cardioid.  All are simple,
+    counterclockwise, and 2*pi-periodic.
     """
     key = shape.lower()
     if key not in _CATALOG:

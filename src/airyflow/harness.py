@@ -28,13 +28,12 @@ from .errors import BlowUp, ClosureViolation, ParseError, StudyFailed, Validatio
 from .geometry import ThetaLState
 from .schemes import SchemeConfig
 
-_SHAPE_PARAM_KEYS = ("a", "b", "r", "r0", "delta0", "m")
-_INT_KEYS = {"n", "m", "snapshot_stride", "diagnostic_stride"}
-_FLOAT_KEYS = {"a", "b", "r", "r0", "delta0", "dt", "t_final", "t0", "closure_tol"}
-_STR_KEYS = {"kind", "shape", "scheme", "filter", "axis", "out"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-#: keys a preset override may set: the run settings, not the shape or the study
-_OVERRIDE_KEYS = _KNOWN_KEYS - {*_SHAPE_PARAM_KEYS, "shape", "kind", "axis", "t0", "out"}
+#: the run settings with their types, in config.txt's order: the keys a preset override may set
+_RUN_KEYS = dict(n=int, dt=float, t_final=float, scheme=str, filter=str,
+                 snapshot_stride=int, diagnostic_stride=int, closure_tol=float)
+#: every config key with its type
+_KEYS = dict(kind=str, shape=str, **geometry.SHAPE_PARAMS, **_RUN_KEYS, axis=str, t0=float,
+             out=str)
 
 #: scheme/filter variants exercised by the filter study, in output order
 FILTER_STUDY_VARIANTS = (
@@ -111,18 +110,8 @@ class RunConfig(SchemeConfig):
 
     def echo_pairs(self):
         """The resolved config as grammar-conformant (key, value) pairs."""
-        return [
-            ("shape", self.shape),
-            *sorted(self.shape_params.items()),
-            ("n", self.n),
-            ("dt", self.dt),
-            ("t_final", self.t_final),
-            ("scheme", self.scheme),
-            ("filter", self.filter),
-            ("snapshot_stride", self.snapshot_stride),
-            ("diagnostic_stride", self.diagnostic_stride),
-            ("closure_tol", self.closure_tol),
-        ]
+        return [("shape", self.shape), *sorted(self.shape_params.items()),
+                *((key, getattr(self, key)) for key in _RUN_KEYS)]
 
 
 @dataclass(frozen=True)
@@ -169,33 +158,29 @@ def _parse_lines(text: str):
         yield lineno, value_col, key, value
 
 
-def _finite_float(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(value)
-    return number
-
-
 def _convert(key: str, value: str):
-    """The value typed by its key; a ValueError names the key and the type.
+    """The value typed as :data:`_KEYS` says; a ValueError names the key and the type.
 
     Config text and preset overrides become numbers only here, so nan and
     inf are rejected here for every float setting.
     """
-    for keys, cast, kind in ((_INT_KEYS, int, "an integer"),
-                             (_FLOAT_KEYS, _finite_float, "a finite number")):
-        if key in keys:
-            try:
-                return cast(value)
-            except ValueError:
-                raise ValueError(f"{key} expects {kind}, got {value!r}") from None
-    return value
+    kind = _KEYS[key]
+    if kind is str:
+        return value
+    try:
+        number = kind(value)
+        if kind is float and not math.isfinite(number):
+            raise ValueError(value)
+    except ValueError:
+        expects = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{key} expects {expects}, got {value!r}") from None
+    return number
 
 
 def _run_config(values: dict, **fields) -> RunConfig:
     """RunConfig of config settings ``values`` and ``fields``; scheme is cnadb unless set."""
-    shape_params = {k: v for k, v in values.items() if k in _SHAPE_PARAM_KEYS}
-    settings = {k: v for k, v in values.items() if k not in _SHAPE_PARAM_KEYS}
+    shape_params = {k: v for k, v in values.items() if k in geometry.SHAPE_PARAMS}
+    settings = {k: v for k, v in values.items() if k not in geometry.SHAPE_PARAMS}
     return RunConfig(shape_params=shape_params, **{"scheme": "cnadb", **settings, **fields})
 
 
@@ -207,7 +192,7 @@ def parse_config(text: str):
     """
     values: dict = {}
     for lineno, col, key, value in _parse_lines(text):
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(f"unknown key {key!r} on line {lineno}")
         if key in values:
             raise ValidationError(f"duplicate key {key!r} on line {lineno}")
@@ -244,7 +229,7 @@ def parse_config(text: str):
 
 
 def _check_override(key: str) -> None:
-    if key not in _OVERRIDE_KEYS:
+    if key not in _RUN_KEYS:
         raise ValidationError(f"preset override for unknown field {key!r}")
 
 

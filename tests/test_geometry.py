@@ -80,8 +80,13 @@ class TestCatalog:
             catalog_curve("ellipse", a=1.0, b=-0.5)
         with pytest.raises(InvalidParameter):
             catalog_curve("perturbed_circle", r0=1.0, delta0=1.5, m=2)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter,
+                           match=r"^shape 'cardioid' does not take parameters \['a'\]$"):
             catalog_curve("cardioid", a=1.0)
+        with pytest.raises(InvalidParameter, match="base radius must be positive, got 0"):
+            catalog_curve("perturbed_circle", r0=0.0, delta0=0.0, m=2)
+        with pytest.raises(InvalidParameter, match="positive integer, got 2.5"):
+            catalog_curve("perturbed_circle", r0=1.0, delta0=0.1, m=2.5)
 
 
 class TestResample:
@@ -246,6 +251,10 @@ class TestThetaLState:
         with pytest.raises(ValueError, match=r"anchor must be an \(x, y\) pair"):
             ThetaLState(phi=np.zeros(16), length=2 * np.pi, anchor=anchor)
 
+    def test_rejects_non_positive_length(self):
+        with pytest.raises(ValueError, match="^curve length must be positive$"):
+            ThetaLState(phi=np.zeros(16), length=0.0)
+
     def test_rejects_non_1d_phi(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ThetaLState(phi=np.zeros((2, 16)), length=2 * np.pi)
@@ -270,6 +279,10 @@ class TestExtract:
         points = np.column_stack([np.cos(-alpha), np.sin(-alpha)])
         with pytest.raises(WindingError):
             extract_theta_l(points, 2 * np.pi)
+
+    def test_points_not_n_by_2_rejected(self):
+        with pytest.raises(ValueError, match=r"^points must be an \(n, 2\) array$"):
+            extract_theta_l(np.zeros((8, 3)), 2 * np.pi)
 
     def test_figure_eightish_rejected(self):
         alpha = grid_nodes(128)

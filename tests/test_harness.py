@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airyflow import cli, diagnostics, harness, schemes, spectral
+from airyflow import cli, diagnostics, geometry, harness, schemes, spectral
 from airyflow.errors import (
     BlowUp,
     ClosureViolation,
@@ -64,9 +64,12 @@ class TestParseConfig:
             parse_config("shape = circle\nn = 32\ndt = 1e-3\nt_final = 3.00000049\n")
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_config("shape = circle\nnonsense line\n")
-        assert err.value.line == 2
+        for line, message in (("nonsense line", "line 2, column 14: expected 'key = value'"),
+                              ("2n = 32", "line 2, column 1: bad key '2n'"),
+                              ("n =", "line 2, column 4: missing value for 'n'")):
+            with pytest.raises(ParseError) as err:
+                parse_config(f"shape = circle\n{line}\n")
+            assert err.value.line == 2 and str(err.value) == message
 
     def test_bad_number_is_parse_error(self):
         with pytest.raises(ParseError) as err:
@@ -114,6 +117,19 @@ class TestParseConfig:
         assert [cfg.t_final for cfg in study.level_configs()] == [0.1, 0.1, 0.1]
         assert [cfg.steps for cfg in study.level_configs()] == [10, 20, 40]
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind = batch\n" + MINIMAL, "kind must be 'run' or 'converge', got 'batch'"),
+        ("n = 32\ndt = 1e-2\nt_final = 0.1\n", "config must set 'shape'"),
+        ("shape = circle\nn = 32\nt_final = 0.1\n", "config must set ['dt']"),
+        (MINIMAL + "axis = time\n", "'axis'/'t0' are only valid with kind = converge"),
+        (MINIMAL + "kind = converge\naxis = both\nt0 = 0.5\n",
+         "axis must be 'time' or 'space', got 'both'"),
+    ], ids=["kind", "no-shape", "no-dt", "axis-in-run", "axis"])
+    def test_invalid_config_rejected_naming_the_fault(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
     def test_converge_requires_axis_and_t0(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "kind = converge\n")
@@ -138,7 +154,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("shape, params, error", [
         ("triangle", {}, UnknownShape),
         ("ellipse", {"m": 3}, InvalidParameter),
-    ], ids=["unknown", "ellipse-m"])
+        ("perturbed_circle", {"r0": 0.0}, InvalidParameter),
+    ], ids=["unknown", "ellipse-m", "perturbed-r0"])
     def test_bad_shape_rejected_when_built(self, shape, params, error, tmp_path, capsys):
         with pytest.raises(error):
             RunConfig(shape=shape, shape_params=params, n=32, dt=1e-2, t_final=0.1,
@@ -149,6 +166,13 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert cli.main(["run", str(config), "--out", str(out)]) == 2
         assert "error: " in capsys.readouterr().err and not out.exists()
+
+    def test_cli_run_without_output_directory_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.txt"
+        config.write_text("shape = circle\nn = 32\ndt = 1e-2\nt_final = 0.1\n")
+        assert cli.main(["run", str(config)]) == 2
+        message = "error: no output directory: set 'out' in the config or pass --out\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_unknown_shape_message_unquoted(self, tmp_path, capsys):
         # UnknownShape is a ValueError: str() is its message, not a KeyError repr
@@ -189,7 +213,7 @@ class TestParseConfig:
         section, block = self.readme_grammar()
         cfg = parse_config(block)
         assert isinstance(cfg, RunConfig) and cfg.shape == "ellipse" and cfg.steps == 4000
-        for key in harness._KNOWN_KEYS:
+        for key in harness._KEYS:
             assert re.search(rf"\b{key}\b", section), f"README grammar omits {key!r}"
         marked = [line for line in block.splitlines() if "(default)" in line]
         assert {line.split("=")[0].strip() for line in marked} == {
@@ -199,9 +223,11 @@ class TestParseConfig:
 
     def test_readme_grammar_lists_the_accepted_names(self):
         # the scheme and filter comments list exactly the names SchemeConfig
-        # accepts, so the grammar advertises no name the code rejects
+        # accepts, and the shape comment the catalog's shapes in its order,
+        # so the grammar advertises no name the code rejects
         block = self.readme_grammar()[1]
-        for key, names in (("scheme", schemes.SCHEMES), ("filter", spectral.FILTERS)):
+        for key, names in (("scheme", schemes.SCHEMES), ("filter", spectral.FILTERS),
+                           ("shape", tuple(geometry._CATALOG))):
             listed = re.search(rf"^{key} = .*#(.*)$", block, re.M).group(1).split("|")
             assert tuple(name.replace("(default)", "").strip() for name in listed) == names
 
@@ -236,7 +262,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(harness.PRESETS))
     def test_entry_is_config_text(self, name):
         entry = harness.PRESETS[name]
-        assert entry.keys() <= harness._KNOWN_KEYS
+        assert entry.keys() <= harness._KEYS.keys()
         text = "".join(f"{key} = {value if isinstance(value, str) else format_float(value)}\n"
                        for key, value in entry.items())
         assert parse_config(text) == preset_config(name)
