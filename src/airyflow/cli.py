@@ -7,7 +7,8 @@ Subcommands:
 * ``filters <config>``   -- scheme/filter comparison from shared initial data
 * ``preset <name> [key=value ...]`` -- run a named preset with overrides
 
-Each writes to ``--out`` if given, else to the config's ``out``.
+Each writes to ``--out`` if given, else to the config's ``out``, and takes
+its options and words in any order.
 """
 
 from __future__ import annotations
@@ -97,9 +98,24 @@ def _cmd_preset(args) -> int:
     return 0 if result.status == "completed" else 1
 
 
+class _AnyOrder(argparse.ArgumentParser):
+    """A subcommand parser taking options and words in any order, as
+    ``parse_intermixed_args`` does, which refuses the top parser's subcommands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if getattr(self, "_intermixing", False):  # the two passes it makes
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="airyflow", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = argparse.ArgumentParser(prog="airyflow", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_AnyOrder)
 
     for name, func, summary in (("run", _cmd_run, "evolve one configured trajectory"),
                                 ("converge", _cmd_converge, "three-level refinement study"),

@@ -37,8 +37,8 @@ class ConservedTriple:
 
 def conserved_quantities(state: ThetaLState) -> ConservedTriple:
     """M1, M2, M3 of one state's curvature, ds = (L/2*pi) d alpha: the
-    triple of ``observe([state])`` as floats."""
-    t = observe([state]).triple
+    triple of :func:`observe` on its one row, as floats."""
+    t = observe(state.phi[None], np.array([state.time]), state.length, state.anchor).triple
     return ConservedTriple(*(float(f[0]) for f in (t.m1, t.m2, t.m3, t.time)))
 
 
@@ -57,35 +57,30 @@ class Observation:
     closure: np.ndarray  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|, (S,)
 
 
-def observe(states) -> Observation:
-    """Every observer quantity of a block of S states in one stacked pass;
-    a state's rows are bitwise the same in any block.  It measures and
-    never raises: whether a ``closure`` defect ends a run is the run's
-    decision.
+def observe(phi: np.ndarray, time: np.ndarray, length: float, anchor) -> Observation:
+    """Every observer quantity of S states of one run in one stacked pass:
+    ``phi`` (S, N) at the grid nodes and ``time`` (S,), sharing the run's
+    ``length`` and (x, y) ``anchor``.  A state's rows are bitwise the
+    same in any block.  It measures and never raises: whether a
+    ``closure`` defect ends a run is the run's decision.
 
-    It reads each state's ``phi``, ``length``, ``anchor`` and ``time``
-    once; everything after works on arrays.  phi and the tangent rows
-    (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta), theta = alpha + phi,
-    of every state share one 3S-row :func:`spectral.rfft`; its phi rows
-    give the power spectra and the spectra of phi_alpha and
+    phi and the tangent rows (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta),
+    theta = alpha + phi, of every state share one 3S-row :func:`spectral.rfft`;
+    its phi rows give the power spectra and the spectra of phi_alpha and
     phi_alpha_alpha, and its tangent rows' mean slots the closure defects.
-    :func:`geometry.reconstruct_curve` builds the curves from the anchors,
+    :func:`geometry.reconstruct_curve` builds the curves from the anchor,
     their antiderivatives riding one 4S-row :func:`spectral.irfft` with
     phi_alpha and phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
     x y_alpha - y x_alpha and the centroid are row means over the block.
     """
-    block = list(states)
-    s, n = len(block), block[0].n
+    s, n = phi.shape
     stack = np.empty((3, s, n))  # the phi rows, then the tangent's x and y rows
-    stack[0] = [each.phi for each in block]
-    lengths = [each.length for each in block]
-    anchor = np.array([each.anchor for each in block])
-    time = np.array([each.time for each in block])
+    stack[0] = phi
     tangent = stack[1:]
     theta = np.add(stack[0], grid_nodes(n), out=tangent[1])
     np.cos(theta, out=tangent[0])
     np.sin(theta, out=theta)
-    tangent *= np.array([length / (2.0 * np.pi) for length in lengths])[:, None]
+    tangent *= length / (2.0 * np.pi)
     spectra = rfft(stack.reshape(3 * s, n)).reshape(3, s, -1)
     phi_hat, tangent_hat = spectra[0], spectra[1:]
     d = _derivative_symbol(n)
@@ -96,15 +91,15 @@ def observe(states) -> Observation:
     del slopes  # the row pass below is where the pass peaks
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
-    # k^4 = k^2 k^2): L times a row's mean is M1-M3; the scalars are each state's floats
+    # k^4 = k^2 k^2): L times a row's mean is M1-M3
     rows = np.empty((4, s, n))
-    scale = [2.0 * np.pi / length for length in lengths]
+    scale = 2.0 * np.pi / length
     k, k2, m3 = rows[:3]
     np.add(phi_a, 1.0, out=k)
-    k *= np.array(scale)[:, None]
+    k *= scale
     np.multiply(k, k, out=k2)
     np.multiply(phi_aa, phi_aa, out=m3)
-    m3 *= np.array([0.5 * each**4 for each in scale])[:, None]
+    m3 *= 0.5 * scale**4
     m3 -= 0.125 * (k2 * k2)
     cross = curve * tangent[::-1]  # x t_y and y t_x
     np.subtract(cross[0], cross[1], out=rows[3])
@@ -114,7 +109,7 @@ def observe(states) -> Observation:
     # which takes mu_y cx - mu_x cy off the integrand's mean
     mu_x, mu_y = tangent_hat[:, :, 0].real
     area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
-    return Observation(triple=ConservedTriple(*(means[:3] * np.array(lengths)), time), k=k,
+    return Observation(triple=ConservedTriple(*(means[:3] * length), time), k=k,
                        power=spectral.power_spectrum(phi_hat), points=points,
                        radius=np.sqrt(area / np.pi), centroid=centroid.T,
                        closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))

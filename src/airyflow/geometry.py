@@ -243,11 +243,10 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     )
 
 
-def reconstruct_curve(anchor: np.ndarray, tangent_hat: np.ndarray,
+def reconstruct_curve(anchor, tangent_hat: np.ndarray,
                       fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curve points (S, N, 2) of a block of S curves, curve i starting at
-    ``anchor[i]`` of the (S, 2) anchors, and the (F, S, N) node values of
-    ``fields``.
+    """Curve points (S, N, 2) of a block of S curves, each starting at the
+    (x, y) ``anchor``, and the (F, S, N) node values of ``fields``.
 
     ``tangent_hat`` holds the half spectra (2, S, N/2+1) of the tangent
     rows (x_alpha, y_alpha), by :func:`spectral.rfft`; ``fields``, further
@@ -266,5 +265,5 @@ def reconstruct_curve(anchor: np.ndarray, tangent_hat: np.ndarray,
     values = irfft(spectra.reshape(rows * s, -1)).reshape(rows, s, n)
     curve = values[:2]
     curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
-    curve += anchor.T[:, :, None]
+    curve += np.reshape(anchor, (2, 1, 1))
     return curve.transpose(1, 2, 0), values[2:]

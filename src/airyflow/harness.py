@@ -36,15 +36,9 @@ _KEYS = dict(kind=str, shape=str, **geometry.SHAPE_PARAMS, **_RUN_KEYS, axis=str
              out=str)
 
 #: scheme/filter variants exercised by the filter study, in output order
-FILTER_STUDY_VARIANTS = (
-    ("ADB", "adb", "none"),
-    ("ADBDPR", "adb", "dpr"),
-    ("ADBK", "adb", "krasny"),
-    ("CN", "cn", "none"),
-    ("CNDPR", "cn", "dpr"),
-    ("CNK", "cn", "krasny"),
-    ("CNADB", "cnadb", "none"),
-)
+FILTER_STUDY_VARIANTS = (("ADB", "adb", "none"), ("ADBDPR", "adb", "dpr"),
+                         ("ADBK", "adb", "krasny"), ("CN", "cn", "none"), ("CNDPR", "cn", "dpr"),
+                         ("CNK", "cn", "krasny"), ("CNADB", "cnadb", "none"))
 
 #: observed states per :func:`diagnostics.observe` pass, chosen on preset E; larger blocks risk
 #: glibc trimming a pass's temporaries and faulting them back, as the heap layout decides
@@ -286,7 +280,7 @@ class RunResult:
     it failed at and ``steps_completed`` is S - 1 (0 at step 0); ``final`` is the state
     at ``t_final``, or None after a failure."""
 
-    status: str  # "completed" | "blowup" | "closure"
+    status: str  # "completed" | "blowup" | "closure" | "interrupted"
     steps_completed: int
     rows: list
     error: Optional[str] = None
@@ -301,44 +295,50 @@ def build_initial_state(cfg: RunConfig) -> ThetaLState:
 
 
 class _BlockObserver:
-    """Diagnostics rows and snapshot files of one trajectory, read off
-    blocks of up to :data:`OBSERVE_BLOCK` observed states by one
+    """Diagnostics rows and snapshot files of one trajectory from ``initial``,
+    read off blocks of up to :data:`OBSERVE_BLOCK` observed phi rows by one
     :func:`diagnostics.observe` pass each, and the run's closure check.
 
     :meth:`run` is the one runner of every trajectory; :meth:`watch`
-    gives its callback of one output, "rows" or "snapshots".  A state due
-    for both is buffered once, and one that finds the buffer full flushes
-    it first.  A flush compares each state's closure defect with
-    ``closure_tol`` (``math.inf`` checks nothing) and raises
-    :class:`ClosureViolation` for the first state beyond it, after
-    recording the states before it.  The step-0 state sets the baselines
-    of ``xi`` and ``delta_n``.  The filter study reads ``power`` (the last
-    recorded) and ``closure`` (the largest).
+    gives its callback of one output, "rows" or "snapshots".  A step due
+    for both is copied once into the run's (OBSERVE_BLOCK, N) buffer, and
+    one that finds it full flushes it first; a row's time is
+    ``t0 + step * dt``, as in :func:`schemes.integrate`.  A flush compares
+    each state's closure defect with ``closure_tol`` (``math.inf`` checks
+    nothing) and raises :class:`ClosureViolation` for the first state
+    beyond it, after recording the states before it.  The step-0 state
+    sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
+    ``power`` (the last recorded) and ``closure`` (the largest), an
+    interrupted run ``recorded`` (the last recorded step).
     """
 
-    def __init__(self, cfg: RunConfig, closure_tol: float):
-        self.cfg, self.closure_tol = cfg, closure_tol
-        self.pending: dict = {}  # step -> (state, the outputs it is due for)
+    def __init__(self, cfg: RunConfig, initial: ThetaLState, closure_tol: float):
+        self.cfg, self.initial, self.closure_tol = cfg, initial, closure_tol
+        self.block = np.empty((OBSERVE_BLOCK, cfg.n))
+        self.pending: dict = {}  # step -> its outputs, in the order of the buffer's rows
         self.rows: list[DiagnosticsRow] = []
         self.written: list[Path] = []
-        self.power, self.closure = None, 0.0
+        self.power, self.closure, self.recorded = None, 0.0, 0
         # six decimals, or as many as tell steps of dt < 1e-6 apart
         self.decimals = max(6, math.ceil(-math.log10(cfg.dt)))
 
     def watch(self, output: str):
-        def callback(step: int, state: ThetaLState) -> None:
-            if step not in self.pending and len(self.pending) == OBSERVE_BLOCK:
-                self.flush()
-            self.pending.setdefault(step, (state, set()))[1].add(output)
+        def callback(step: int, phi: np.ndarray) -> None:
+            if step not in self.pending:
+                if len(self.pending) == OBSERVE_BLOCK:
+                    self.flush()
+                self.block[len(self.pending)] = phi
+                self.pending[step] = set()
+            self.pending[step].add(output)
 
         return callback
 
-    def run(self, initial: ThetaLState, observers) -> RunResult:
+    def run(self, observers) -> RunResult:
         """:func:`schemes.integrate` to ``cfg.t_final``, then the last flush, also after a
         :class:`BlowUp`, and how the run ended: a closure failure the flush finds wins."""
         try:
             try:
-                final = schemes.integrate(initial, self.cfg, self.cfg.t_final, observers)
+                final = schemes.integrate(self.initial, self.cfg, self.cfg.t_final, observers)
             finally:
                 self.flush()
         except (BlowUp, ClosureViolation) as exc:
@@ -347,48 +347,46 @@ class _BlockObserver:
         return RunResult("completed", self.cfg.steps, self.rows, final=final)
 
     def flush(self) -> None:
-        block, self.pending = self.pending, {}
-        if not block:
+        steps, self.pending = self.pending, {}
+        if not steps:
             return
-        obs = diagnostics.observe([state for state, _ in block.values()])
+        size, initial = len(steps), self.initial
+        time = initial.time + np.fromiter(steps, float, size) * self.cfg.dt
+        obs = diagnostics.observe(self.block[:size], time, initial.length, initial.anchor)
         beyond = obs.closure > self.closure_tol
-        count = int(beyond.argmax()) if beyond.any() else len(block)
-        self._record(block, obs, count)
-        if count < len(block):
-            step, (state, _) = list(block.items())[count]
-            raise ClosureViolation(step, state.time, float(obs.closure[count]), self.closure_tol)
-
-    def _record(self, block: dict, obs: diagnostics.Observation, count: int) -> None:
-        """Rows and snapshots of the first ``count`` states of the block."""
-        if not count:
-            return
-        triple, k, n = obs.triple, obs.k, obs.k.shape[1]
-        if 0 in block:
-            self.m3_baseline, self.r0 = triple.m3[0], obs.radius[0]
-        self.power = obs.power[count - 1]
-        self.closure = max(self.closure, float(obs.closure[:count].max()))
-        # the farthest node from the centroid: sqrt is monotone, so the max
-        # is taken over the squared distances
-        offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
-        offset *= offset
-        radial = np.sqrt((offset[0] + offset[1]).max(axis=1))
-        columns = (triple.time, triple.m1, triple.m2, triple.m3,
-                   diagnostics.m3_drift(triple.m3, self.m3_baseline),
-                   np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
-                   obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4
-        rows = zip(*(column.tolist() for column in columns))
-        for i, ((state, outputs), row) in enumerate(zip(list(block.values())[:count], rows)):
-            if "rows" in outputs:
-                self.rows.append(DiagnosticsRow(*row))
-            if "snapshots" in outputs:
-                tag = f"{state.time:.{self.decimals}f}"
-                curve, spectrum = (self.cfg.output_dir / "snapshots" / f"curve_t{tag}.csv",
-                                   self.cfg.output_dir / f"spectrum_t{tag}.csv")
-                _write_csv(curve, ("alpha", "x", "y", "k"),
-                           zip(spectral.grid_nodes(n), *obs.points[i].T, k[i]))
-                _write_csv(spectrum, ("m", "power"),
-                           zip(spectral.symmetric_wavenumbers(n), obs.power[i]))
-                self.written += [curve, spectrum]
+        count = int(beyond.argmax()) if beyond.any() else size
+        if count:  # the rows and snapshots of the states before the first open one
+            triple, k, n = obs.triple, obs.k, obs.k.shape[1]
+            if 0 in steps:
+                self.m3_baseline, self.r0 = triple.m3[0], obs.radius[0]
+            self.power = obs.power[count - 1]
+            self.closure = max(self.closure, float(obs.closure[:count].max()))
+            # the farthest node from the centroid: sqrt is monotone, so the max
+            # is taken over the squared distances
+            offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
+            offset *= offset
+            radial = np.sqrt((offset[0] + offset[1]).max(axis=1))
+            columns = (triple.time, triple.m1, triple.m2, triple.m3,
+                       diagnostics.m3_drift(triple.m3, self.m3_baseline),
+                       np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
+                       obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4
+            rows = zip(*(column.tolist() for column in columns))
+            for i, ((step, outputs), row) in enumerate(zip(list(steps.items())[:count], rows)):
+                self.recorded = step
+                if "rows" in outputs:
+                    self.rows.append(DiagnosticsRow(*row))
+                if "snapshots" in outputs:
+                    tag = f"{row[0]:.{self.decimals}f}"
+                    curve, spectrum = (self.cfg.output_dir / "snapshots" / f"curve_t{tag}.csv",
+                                       self.cfg.output_dir / f"spectrum_t{tag}.csv")
+                    _write_csv(curve, ("alpha", "x", "y", "k"),
+                               zip(spectral.grid_nodes(n), *obs.points[i].T, k[i]))
+                    _write_csv(spectrum, ("m", "power"),
+                               zip(spectral.symmetric_wavenumbers(n), obs.power[i]))
+                    self.written += [curve, spectrum]
+        if count < size:
+            raise ClosureViolation(list(steps)[count], float(time[count]),
+                                   float(obs.closure[count]), self.closure_tol)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -437,6 +435,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     ends the run as status "closure", also over a later blow-up ("blowup").
     Both keep the outputs of the states before the failure, and the
     manifest's ``error`` is the exception's message, which names its step.
+    A ``KeyboardInterrupt`` writes both too, with status "interrupted" and
+    ``steps_completed`` the last recorded step, and is then re-raised.
     Returns the run's :class:`RunResult`.
     """
     if cfg.output_dir is None:
@@ -448,9 +448,13 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     started = _time.perf_counter()
     initial = build_initial_state(cfg)
     setup = _time.perf_counter() - started
-    observer = _BlockObserver(cfg, cfg.closure_tol)
-    result = observer.run(initial, [(cfg.diagnostic_stride, observer.watch("rows")),
-                                    (cfg.snapshot_stride, observer.watch("snapshots"))])
+    observer = _BlockObserver(cfg, initial, cfg.closure_tol)
+    interrupt = None
+    try:
+        result = observer.run([(cfg.diagnostic_stride, observer.watch("rows")),
+                               (cfg.snapshot_stride, observer.watch("snapshots"))])
+    except KeyboardInterrupt as exc:
+        interrupt, result = exc, RunResult("interrupted", observer.recorded, observer.rows)
     wall = _time.perf_counter() - started
 
     rows = result.rows
@@ -458,13 +462,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     _write_csv(diag_path, DIAGNOSTICS_COLUMNS, rows)
 
     outputs = [out_dir / "config.txt", diag_path, *observer.written]
-    manifest = [
-        ("status", result.status),
-        ("steps_completed", result.steps_completed),
-        ("steps_requested", cfg.steps),
-        ("wall_time_s", wall),
-        ("setup_time_s", setup),
-    ]
+    manifest = [("status", result.status), ("steps_completed", result.steps_completed),
+                ("steps_requested", cfg.steps), ("wall_time_s", wall), ("setup_time_s", setup)]
     if rows:  # the run's extremes, read off its rows
         peak = max(rows, key=lambda row: abs(row.xi))
         manifest += [("max_abs_xi", abs(peak.xi)),
@@ -474,6 +473,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         manifest.append(("error", result.error))
     manifest += [(f"output.{i}", path.relative_to(out_dir)) for i, path in enumerate(outputs)]
     _write_keyvalue(out_dir / "manifest.txt", manifest)
+    if interrupt is not None:
+        raise interrupt
     return result
 
 
@@ -515,7 +516,7 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     output_dir = study.base.output_dir
     results, errors = {}, {}
     for level, cfg in enumerate(study.level_configs()):
-        results[level] = _BlockObserver(cfg, math.inf).run(build_initial_state(cfg), ())
+        results[level] = _BlockObserver(cfg, build_initial_state(cfg), math.inf).run(())
         if results[level].error:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
             errors[level] = f"level {level} ({setting}): {results[level].error}"
@@ -528,14 +529,8 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     err_coarse = diagnostics.state_difference_norm(states[0], states[1])
     err_fine = diagnostics.state_difference_norm(states[1], states[2])
     order = diagnostics.convergence_order(err_coarse, err_fine)
-    row = ConvergenceRow(
-        curve=study.base.shape,
-        scheme=study.base.scheme,
-        t0=study.comparison_time,
-        err_coarse=err_coarse,
-        err_fine=err_fine,
-        order=order,
-    )
+    row = ConvergenceRow(study.base.shape, study.base.scheme, study.comparison_time,
+                         err_coarse, err_fine, order)
     if output_dir is not None:
         _write_csv(output_dir / "convergence.csv",
                    [column.name for column in fields(ConvergenceRow)], [astuple(row)])
@@ -564,8 +559,8 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     results, xi_series, spectra, closure = {}, {}, {}, {}
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
-        observer = _BlockObserver(cfg, math.inf)  # no closure check: the study records the defect
-        results[label] = observer.run(initial, [(cfg.diagnostic_stride, observer.watch("rows"))])
+        observer = _BlockObserver(cfg, initial, math.inf)  # the study records the defect
+        results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
         xi_series[label] = [(row.time, row.xi) for row in observer.rows]
         spectra[label], closure[label] = observer.power, observer.closure
     labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
@@ -574,21 +569,15 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     out = base.output_dir
     if out is not None:
         m = spectral.symmetric_wavenumbers(base.n)
-        _write_csv(
-            out / "filters_spectra.csv",
-            ("m", *(f"power_{label}" for label in labels)),
-            zip(m, *(spectra[label] for label in labels)),
-        )
+        _write_csv(out / "filters_spectra.csv", ("m", *(f"power_{label}" for label in labels)),
+                   zip(m, *(spectra[label] for label in labels)))
         # every variant is observed at the same steps, so each series is a
         # prefix of the longest; a blown-up variant's late cells stay empty
         longest = max(xi_series.values(), key=len)
-        _write_csv(
-            out / "filters_xi.csv",
-            ("time", *(f"xi_{label}" for label in labels)),
-            zip_longest([t for t, _ in longest],
-                        *([xi for _, xi in xi_series[label]] for label in labels),
-                        fillvalue=""),
-        )
+        _write_csv(out / "filters_xi.csv", ("time", *(f"xi_{label}" for label in labels)),
+                   zip_longest([t for t, _ in longest],
+                               *([xi for _, xi in xi_series[label]] for label in labels),
+                               fillvalue=""))
         _write_keyvalue(out / "filters_manifest.txt", [
             *_study_status("variant", results, errors),
             *((f"closure.{label}", closure[label]) for label in labels)])

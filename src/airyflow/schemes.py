@@ -239,11 +239,12 @@ def integrate(
     ``t_final - initial.time`` must be a whole number of steps
     (:func:`step_count`).
     ``observers`` is an iterable of (stride, callback) pairs; each
-    callback(step_index, state), two positional arguments (the int step
-    and the ThetaLState), fires at step 0, every ``stride`` steps, and at
-    the final step; a stride that is not an integer >= 1 raises
-    :class:`ValidationError` before step 0.  A callback may keep states
-    (states are immutable and own their phi).
+    callback(step, phi) fires at step 0, every ``stride`` steps, and at the
+    final step (a stride that is not an integer >= 1 raises
+    :class:`ValidationError` before step 0).  phi is the grid row the loop
+    holds, ``initial.phi`` at step 0, which the next step overwrites: a
+    callback copies what it keeps and writes none of it.  Step j is at
+    ``initial.time + j * dt``; only the returned final state is a ThetaLState.
     Raises :class:`BlowUp` if max|phi| is non-finite or exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
@@ -257,10 +258,10 @@ def integrate(
     that rotate (j, j-1, and j+1 being written), the NL spectra of levels
     j and j-1, a half spectrum for D phi that the recurrence then uses for
     its products, and two node rows for theta_alpha and its cube.  Phi is
-    transformed into the theta_alpha row where it is needed, and an
-    observed state takes its own copy.  The mode filter is resolved into
-    the workspace too (:func:`spectral.mode_filter`: the DPR profile, the
-    Krasny |z| and mask buffers), and an unfiltered step calls no filter.
+    transformed into the theta_alpha row where it is needed, the row
+    observers are handed.  The mode filter is resolved into the workspace
+    too (:func:`spectral.mode_filter`: the DPR profile, the Krasny |z| and
+    mask buffers), and an unfiltered step calls no filter.
 
     ``nonlinear`` replaces :func:`nonlinear_term` for this call and is
     called as it is: ``(phi_hat, length, filter, d_phi, theta_a, cube)``,
@@ -285,12 +286,10 @@ def integrate(
     term = nonlinear or nonlinear_term
 
     def notify(j, phi):
-        """The state at step j, given to each observer due there."""
-        state = initial if j == 0 else ThetaLState(phi, length, t0 + j * dt, initial.anchor)
+        """Hand phi at step j to each observer due there."""
         for stride, callback in observers:
             if j == steps or j % stride == 0:
-                callback(j, state)
-        return state
+                callback(j, phi)
 
     def next_due(j):
         """The first step after j at which an observer fires: the final step at the latest."""
@@ -304,7 +303,7 @@ def integrate(
     filter = mode_filter(cfg.filter, n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
     rfft(initial.phi, phi_hat)
-    state = notify(0, initial.phi)
+    notify(0, initial.phi)
     due = next_due(0)
     for j in range(1, steps + 1):
         nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
@@ -328,6 +327,6 @@ def integrate(
             if not (math.isfinite(peak) and peak <= BLOWUP_LIMIT):
                 raise BlowUp(j, t0 + j * dt, f"max|phi| = {peak:.3e} exceeds {BLOWUP_LIMIT:.3e}")
         if j == due:
-            state = notify(j, phi)
+            notify(j, phi)
             due = next_due(j)
-    return state
+    return ThetaLState(theta_a, length, t0 + steps * dt, initial.anchor) if steps else initial

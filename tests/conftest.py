@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from airyflow import diagnostics, geometry, harness, schemes, spectral
+from airyflow.geometry import ThetaLState
 from airyflow.spectral import grid_nodes
 
 from oracles import linear_oracle
@@ -24,6 +25,32 @@ def catalog_state(shape, n, **params):
     curve = geometry.catalog_curve(shape, **params)
     points, length = geometry.resample_equal_arclength(curve, n)
     return geometry.extract_theta_l(points, length), points
+
+
+def observe_states(states):
+    """:func:`diagnostics.observe` of the block of ``states``, which share one
+    length and one anchor as one run's states do."""
+    first = states[0]
+    assert all((s.length, s.anchor) == (first.length, first.anchor) for s in states)
+    return diagnostics.observe(np.array([s.phi for s in states]),
+                               np.array([s.time for s in states]), first.length, first.anchor)
+
+
+def state_observer(initial, dt, callback):
+    """An ``integrate`` observer that calls ``callback(step, state)`` with the
+    state at each step it sees: its phi row copied into a ThetaLState at time
+    ``initial.time + step * dt``, with ``initial``'s length and anchor."""
+    return lambda j, phi: callback(
+        j, ThetaLState(phi, initial.length, initial.time + j * dt, initial.anchor))
+
+
+def observed_states(initial, cfg, t_final, stride=1, nonlinear=None):
+    """The states ``schemes.integrate`` hands its observers every ``stride`` steps."""
+    states = []
+    schemes.integrate(initial, cfg, t_final,
+                      [(stride, state_observer(initial, cfg.dt, lambda j, s: states.append(s)))],
+                      nonlinear)
+    return states
 
 
 #: numpy's own transforms, none of which the package calls
@@ -53,12 +80,13 @@ def count_transforms(monkeypatch):
 
 
 def fed_observer(states, closure_tol):
-    """A run's block observer holding ``states`` as the rows due at steps 0, 1, ...;
-    its ``flush`` observes them and checks their closure against ``closure_tol``."""
+    """The block observer of a run from ``states[0]`` with dt = 0.125, holding the
+    phi rows of ``states`` as those due at steps 0, 1, ...; its ``flush`` observes
+    them and checks their closure against ``closure_tol``."""
     cfg = harness.RunConfig(shape="circle", n=states[0].n, dt=0.125, t_final=1.0, scheme="cn")
-    observer = harness._BlockObserver(cfg, closure_tol)
+    observer = harness._BlockObserver(cfg, states[0], closure_tol)
     for step, state in enumerate(states):
-        observer.watch("rows")(step, state)
+        observer.watch("rows")(step, state.phi)
     return observer
 
 
@@ -72,8 +100,8 @@ def perturbation_error(delta0):
     cfg = harness.RunConfig(shape="perturbed_circle",
                             shape_params=dict(r0=1.0, delta0=delta0, m=2),
                             n=512, dt=1e-3, t_final=0.1, scheme="cnadb")
-    observer = harness._BlockObserver(cfg, cfg.closure_tol)
-    result = observer.run(harness.build_initial_state(cfg), [(cfg.steps, observer.watch("rows"))])
+    observer = harness._BlockObserver(cfg, harness.build_initial_state(cfg), cfg.closure_tol)
+    result = observer.run([(cfg.steps, observer.watch("rows"))])
     assert result.status == "completed", result.error
     delta_l = linear_oracle(1.0, delta0, 2, cfg.t_final).delta_magnitude
     return abs(delta_l - result.rows[-1].delta_n)

@@ -6,7 +6,7 @@ the package against.  Nothing in a run calls them.
 * :func:`mkdv_rhs`, :func:`curve_motion_rhs` -- the mKdV curvature rate in
   its direct and velocity-decomposition forms;
 * :func:`mkdv_residual` -- the centered time difference of the run's
-  curvature (``diagnostics.observe([state]).k[0]``) against :func:`mkdv_rhs`;
+  curvature (``diagnostics.observe`` of the three states) against :func:`mkdv_rhs`;
 * :func:`point_curvature` -- curvature from point samples of a curve;
 * :func:`complex_fft_curve` -- the curve by one complex FFT antiderivative
   of its tangent;
@@ -139,7 +139,9 @@ def mkdv_residual(states) -> float:
     dt1, dt2 = t1 - t0, t2 - t1
     if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
         raise ValueError("states must be equally spaced in time")
-    k0, k1, k2 = (diagnostics.observe([s]).k[0] for s in states)
+    # one run's states: one length and one anchor
+    k0, k1, k2 = diagnostics.observe(np.array([s.phi for s in states]), np.array([t0, t1, t2]),
+                                     states[0].length, states[0].anchor).k
     k_t = (k2 - k0) / (t2 - t0)
     return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
 

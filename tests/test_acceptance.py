@@ -12,13 +12,14 @@ import pytest
 from dataclasses import replace
 
 from airyflow import harness, schemes
-from airyflow.diagnostics import conserved_quantities, m3_drift, observe
+from airyflow.diagnostics import conserved_quantities, m3_drift
 from airyflow.errors import BlowUp
 from airyflow.geometry import ThetaLState
 from airyflow.harness import ConvergenceStudyConfig, RunConfig, preset_config
 from airyflow.schemes import SchemeConfig, integrate
 
-from conftest import band_limited_field, catalog_state, perturbation_error
+from conftest import (band_limited_field, catalog_state, observe_states, observed_states,
+                      perturbation_error)
 from oracles import curve_motion_rhs, mirror, mkdv_rhs
 
 EXTENDED = os.environ.get("AIRYFLOW_EXTENDED", "") not in ("", "0")
@@ -30,10 +31,7 @@ def _report(name, ok, detail):
 
 
 def _m3_series(state, cfg, t_final, stride):
-    triples = []
-    integrate(state, cfg, t_final,
-              observers=[(stride, lambda j, s: triples.append(conserved_quantities(s)))])
-    return triples
+    return [conserved_quantities(s) for s in observed_states(state, cfg, t_final, stride)]
 
 
 def _cnadb_start_xi(state, dt):
@@ -230,7 +228,7 @@ def test_criterion_7_shape_invariance():
         state, _ = catalog_state("circle", 64)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         final = integrate(state, cfg, 1.0)
-        dev = float(np.max(np.abs(observe([final]).k[0] - 1.0)))
+        dev = float(np.max(np.abs(observe_states([final]).k[0] - 1.0)))
         _report(
             f"criterion 7 ({scheme})",
             dev <= 1e-10,
@@ -291,7 +289,7 @@ def test_criterion_9_oracle_equivalence():
         ("cardioid", {}, 512),
     ):
         state, points = catalog_state(shape, n, **kw)
-        worst = max(worst, float(np.max(np.abs(observe([state]).points[0] - points))))
+        worst = max(worst, float(np.max(np.abs(observe_states([state]).points[0] - points))))
     _report("criterion 9 (round trip)", worst <= 1e-10,
             f"max reconstruct-extract deviation {worst:.2e} <= 1e-10")
 

@@ -65,7 +65,8 @@ def test_worker_output_checks_pass(monkeypatch, tmp_path, workload):
 
 
 def test_integrate_calls_observers_with_step_and_state():
-    # the probes wrap each observer as callback(step, state)
+    # the probes wrap each observer as callback(step, state), read the step and
+    # forward the second argument unread: an int step and phi's row, positionally
     calls = []
     state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
     integrate(state, SchemeConfig(scheme="cnadb", dt=1e-4), 5e-4,
@@ -73,7 +74,9 @@ def test_integrate_calls_observers_with_step_and_state():
     assert [args[0] for args, _ in calls] == [0, 2, 4, 5]
     for args, kwargs in calls:
         assert kwargs == {} and len(args) == 2
-        assert type(args[0]) is int and isinstance(args[1], ThetaLState)
+        assert type(args[0]) is int
+        assert isinstance(args[1], np.ndarray)
+        assert args[1].shape == (32,) and args[1].dtype == np.float64
 
 
 def test_conserved_quantities_of_one_state():

@@ -25,7 +25,10 @@ from conftest import (
     catalog_state,
     count_transforms,
     fed_observer,
+    observe_states,
+    observed_states,
     perturbation_error,
+    state_observer,
 )
 from oracles import (
     MissingSnapshots,
@@ -40,15 +43,9 @@ from oracles import (
 
 def run_keeping(state, cfg, keep_steps):
     """Step a trajectory, returning the states at the requested step indices."""
-    out = {}
-
-    def keep(j, s):
-        if j in keep_steps:
-            out[j] = s
-
     last = max(keep_steps)
-    integrate(state, cfg, state.time + last * cfg.dt, [(1, keep)])
-    return [out[j] for j in sorted(keep_steps)]
+    states = observed_states(state, cfg, state.time + last * cfg.dt)
+    return [states[j] for j in sorted(keep_steps)]
 
 
 def assert_row_equal(block, i, want):
@@ -92,7 +89,7 @@ class TestObservePass:
         state, _ = catalog_state(shape, 512, **params)
         if steps:
             state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt), steps * dt)
-        obs = diagnostics.observe([state])
+        obs = observe_states([state])
         triple = conserved_quantities(state)
         assert [f[0] for f in dataclasses.astuple(obs.triple)] == list(dataclasses.astuple(triple))
         assert obs.closure[0] <= tol  # the preset's states close
@@ -111,9 +108,10 @@ class TestObservePass:
     def test_probe_rows_match_reference(self, preset):
         dt = harness.PRESETS[preset]["dt"]
         cfg = harness.preset_config(preset, t_final=40 * dt, diagnostic_stride=20)
-        probe, states = harness._BlockObserver(cfg, cfg.closure_tol), []
-        result = probe.run(harness.build_initial_state(cfg),
-                           [(20, probe.watch("rows")), (20, lambda j, s: states.append(s))])
+        initial, states = harness.build_initial_state(cfg), []
+        probe = harness._BlockObserver(cfg, initial, cfg.closure_tol)
+        result = probe.run([(20, probe.watch("rows")),
+                            (20, state_observer(initial, cfg.dt, lambda j, s: states.append(s)))])
         assert result.status == "completed", result.error
         refs = [reference_observation(s) for s in states]
         m3_0, r0 = refs[0]["m"][2], refs[0]["radius"]
@@ -136,30 +134,29 @@ class TestObservePass:
     def preset_states(self, request):
         cfg = harness.preset_config(request.param)
         count = harness.OBSERVE_BLOCK + 1
-        states = []
-        integrate(harness.build_initial_state(cfg), cfg, 5 * (count - 1) * cfg.dt,
-                  [(5, lambda j, s: states.append(s))])
-        return states
+        return observed_states(harness.build_initial_state(cfg), cfg, 5 * (count - 1) * cfg.dt, 5)
 
     @pytest.mark.parametrize("size", [1, harness.OBSERVE_BLOCK - 1, harness.OBSERVE_BLOCK,
                                       harness.OBSERVE_BLOCK + 1])
     def test_block_pass_bitwise_equal_to_per_state_pass(self, preset_states, size):
         states = preset_states
-        block = diagnostics.observe(states[:size])
+        block = observe_states(states[:size])
         assert block.k.shape == (size, states[0].n)
         for i, state in enumerate(states[:size]):
             want = per_state_observe(state)
             assert_row_equal(block, i, want)
-            assert_row_equal(diagnostics.observe([state]), 0, want)
+            assert_row_equal(observe_states([state]), 0, want)
 
     def test_block_peak_memory(self, preset_states):
         # the slope spectra are dropped once the curve is built, before the
         # row pass, where the pass peaks
         block = preset_states[:harness.OBSERVE_BLOCK]
-        diagnostics.observe(block)  # builds the cached nodes and symbols
+        args = (np.array([s.phi for s in block]), np.array([s.time for s in block]),
+                block[0].length, block[0].anchor)
+        diagnostics.observe(*args)  # builds the cached nodes and symbols
         tracemalloc.start()
         try:
-            diagnostics.observe(block)
+            diagnostics.observe(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -170,7 +167,7 @@ class TestObservePass:
         counts, shapes = count_transforms(monkeypatch)
         # phi and the two tangent rows share the rfft; the slopes of phi
         # ride the irfft with the curve's antiderivative; never numpy's own
-        diagnostics.observe([state])
+        observe_states([state])
         assert counts == dict(rfft=1, irfft=1, **dict.fromkeys(NUMPY_TRANSFORMS, 0))
         assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
 
@@ -180,7 +177,7 @@ class TestObservePass:
         a = 2.2e-8
         state = ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi, time=0.375)
         mean_y = a / 2 * (1 - a**2 / 8)
-        defect = diagnostics.observe([state]).closure[0]
+        defect = observe_states([state]).closure[0]
         assert defect == pytest.approx(mean_y, rel=1e-8)
         # the check is strict: a defect at the tolerance passes
         for tol in (mean_y * (1 + 1e-6), defect):
@@ -198,26 +195,28 @@ class TestObservePass:
 
     def test_block_raises_for_its_first_open_state(self):
         # theta = alpha + a cos(alpha) has the mean tangent (0, J_1(a)) at L = 2 pi
+        # (fed at steps 0 to 3 of a run from t = 0.25 with dt = 0.125)
         closed = [ThetaLState(phi=np.full(64, c), length=2 * np.pi, time=0.25 + c)
                   for c in (0.0, 0.125)]
         block = closed + [ThetaLState(phi=a * np.cos(grid_nodes(64)), length=2 * np.pi,
-                                      time=0.5 + a) for a in (1e-3, 2e-3)]
+                                      time=0.25 + step * 0.125)
+                          for step, a in ((2, 1e-3), (3, 2e-3))]
         observer = fed_observer(block, 1e-6)
         with pytest.raises(ClosureViolation) as err:
             observer.flush()
-        assert (err.value.step, err.value.time) == (2, 0.501)
+        assert (err.value.step, err.value.time) == (2, 0.5)
         assert err.value.defect == per_state_observe(block[2]).closure
         # the closed states before it keep their rows, bit for bit
         assert observer.rows == per_state_rows(closed)
         assert observer.pending == {}
-        assert diagnostics.observe(block).closure.tolist() == [
+        assert observe_states(block).closure.tolist() == [
             per_state_observe(state).closure for state in block]
 
     def test_closure_is_the_larger_mean_tangent_part(self):
         # theta = alpha + a sin(alpha) with L = 2 pi has the mean tangent (-J_1(a), 0)
         a = 1e-3
         state = ThetaLState(phi=a * np.sin(grid_nodes(64)), length=2 * np.pi)
-        assert diagnostics.observe([state]).closure[0] == pytest.approx(a / 2 * (1 - a**2 / 8),
+        assert observe_states([state]).closure[0] == pytest.approx(a / 2 * (1 - a**2 / 8),
                                                                       rel=1e-12)
 
 
@@ -235,17 +234,13 @@ class TestRelativeM3Error:
         # percent-level drift bound holds at the coarse dt = 1e-3
         state, _ = catalog_state("ellipse", 256, a=1.0, b=np.sqrt(2) / 2)
         cfg = SchemeConfig(scheme="cnadb", dt=1e-3)
-        triples = []
-        integrate(state, cfg, 2.0,
-                  observers=[(5, lambda j, s: triples.append(conserved_quantities(s)))])
+        triples = [conserved_quantities(s) for s in observed_states(state, cfg, 2.0, 5)]
         assert max_abs_drift(triples) <= 0.025
 
     def test_e2_table_row(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=2 ** 0.25 / 2)
         cfg = SchemeConfig(scheme="cnadb", dt=5e-4)
-        triples = []
-        integrate(state, cfg, 2.0,
-                  observers=[(10, lambda j, s: triples.append(conserved_quantities(s)))])
+        triples = [conserved_quantities(s) for s in observed_states(state, cfg, 2.0, 10)]
         assert max_abs_drift(triples) <= 0.04
 
 
@@ -292,22 +287,25 @@ class TestMirror:
         assert (twice.length, twice.time, twice.anchor) == (state.length, state.time,
                                                            state.anchor)
         assert mirror(state).anchor == (x0, -y0)
-        obs = diagnostics.observe([state, mirror(state)])
+        # the mirror's anchor differs: one block each
+        obs, mirrored = observe_states([state]), observe_states([mirror(state)])
         triple, k = obs.triple, obs.k[0]
         # M3's roundoff scales with its summands, L mean(k_s^2/2 + k^4/8), not
         # with the difference they cancel to
         k_s = 2.0 * np.pi / length * spectral_derivative(k)
         summands = length * np.mean(k_s**2 / 2 + k**4 / 8)
-        for m, size in ((triple.m1, abs(triple.m1[0])), (triple.m2, abs(triple.m2[0])),
-                        (triple.m3, summands)):
-            assert abs(m[1] - m[0]) <= 1e-12 * max(1.0, size)
+        for name, size in (("m1", abs(triple.m1[0])), ("m2", abs(triple.m2[0])),
+                           ("m3", summands)):
+            m, m_mirrored = getattr(triple, name)[0], getattr(mirrored.triple, name)[0]
+            assert abs(m_mirrored - m) <= 1e-12 * max(1.0, size)
 
 
 class TestLinearComparison:
     def test_unperturbed_circle_is_exact(self):
         cfg = RunConfig(shape="circle", n=256, dt=1e-3, t_final=0.0, scheme="cnadb")
-        probe = harness._BlockObserver(cfg, cfg.closure_tol)
-        probe.watch("rows")(0, harness.build_initial_state(cfg))
+        initial = harness.build_initial_state(cfg)
+        probe = harness._BlockObserver(cfg, initial, cfg.closure_tol)
+        probe.watch("rows")(0, initial.phi)
         probe.flush()
         row = probe.rows[0]
         assert abs(row.delta_n) <= 1e-10
@@ -398,9 +396,7 @@ class TestConvergenceOrder:
         for dt in (4e-4, 2e-4):
             state, _ = catalog_state("ellipse", 128, a=1.0, b=np.sqrt(2) / 2)
             cfg = SchemeConfig(scheme="cnadb", dt=dt)
-            triples = []
-            integrate(state, cfg, 0.4,
-                      observers=[(25, lambda j, s: triples.append(conserved_quantities(s)))])
+            triples = [conserved_quantities(s) for s in observed_states(state, cfg, 0.4, 25)]
             m2_drift = max(abs(t.m2 - triples[0].m2) for t in triples)
             m3_drift = max(abs(t.m3 - triples[0].m3) for t in triples)
             drifts[dt] = (m2_drift, m3_drift)

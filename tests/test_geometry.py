@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from airyflow import harness, spectral
-from airyflow.diagnostics import observe
+from airyflow import geometry, harness, spectral
 from airyflow.errors import (
     ClosureViolation,
     InvalidParameter,
+    NoConvergence,
     NonFiniteField,
     NotRegular,
     UnknownShape,
@@ -22,7 +22,7 @@ from airyflow.geometry import (
 )
 from airyflow.spectral import grid_nodes, spectral_derivative
 
-from conftest import catalog_state, fed_observer
+from conftest import catalog_state, fed_observer, observe_states
 from oracles import linear_start_resample, point_curvature
 
 # perimeter of ellipse(1, 0.5) by adaptive quadrature of sqrt(sin^2 + 0.25 cos^2);
@@ -46,7 +46,7 @@ def pc3_curvature(alpha):
 class TestCatalog:
     def test_ellipse_max_squared_curvature(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = observe([state]).k[0]
+        k = observe_states([state]).k[0]
         assert np.max(np.abs(k)) ** 2 == pytest.approx(16.0, abs=1e-8)
 
     def test_circle_regularity_and_curvature(self):
@@ -56,7 +56,7 @@ class TestCatalog:
         y_a = spectral_derivative(fy(alpha))
         assert np.allclose(np.hypot(x_a, y_a), 2.0, atol=1e-12)
         state, _ = catalog_state("circle", 64, r=2.0)
-        assert np.allclose(observe([state]).k[0], 0.5, atol=1e-12)
+        assert np.allclose(observe_states([state]).k[0], 0.5, atol=1e-12)
 
     def test_perturbed_circle_matches_radial_formula(self):
         fx, fy = catalog_curve("perturbed_circle", r0=1.0, delta0=0.4, m=3)
@@ -97,6 +97,13 @@ class TestResample:
         assert abs(length - 2 * np.pi) <= 1e-12
         assert np.max(np.abs(points[:, 0] - np.cos(alpha))) < 1e-12
         assert np.max(np.abs(points[:, 1] - np.sin(alpha))) < 1e-12
+
+    def test_newton_without_iterations_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_NEWTON_MAX_ITER", 0)
+        with pytest.raises(NoConvergence) as err:
+            resample_equal_arclength(catalog_curve("circle"), 64)
+        assert str(err.value) == (
+            f"arc-length inversion did not reach {1e-12 * 2 * np.pi:.3e} in 0 iterations")
 
     def test_reparametrized_circle(self):
         fx = lambda t: np.cos(t + 0.3 * np.sin(t))
@@ -292,7 +299,7 @@ class TestExtract:
 
     def test_ellipse_curvature_extremes(self):
         state, _ = catalog_state("ellipse", 256, a=1.0, b=0.5)
-        k = observe([state]).k[0]
+        k = observe_states([state]).k[0]
         # resampling anchors node 0 at (1, 0), the max-curvature point, and
         # symmetry puts node N/4 at (0, b), the min-curvature point
         assert k[0] == pytest.approx(4.0, abs=1e-8)
@@ -312,7 +319,7 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.full(64, np.pi / 2), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = observe([state]).points[0]
+        points = observe_states([state]).points[0]
         alpha = grid_nodes(64)
         assert np.max(np.abs(points[:, 0] - np.cos(alpha))) <= 1e-12
         assert np.max(np.abs(points[:, 1] - np.sin(alpha))) <= 1e-12
@@ -326,14 +333,14 @@ class TestReconstruct:
             ("cardioid", {}, 512),
         ):
             state, points = catalog_state(shape, n, **kw)
-            again = observe([state]).points[0]
+            again = observe_states([state]).points[0]
             assert np.max(np.abs(again - points)) <= 1e-10
 
     def test_rotated_tangent_rotates_curve(self):
         state = ThetaLState(
             phi=np.full(64, np.pi / 2 + 0.5), length=2 * np.pi, anchor=(1.0, 0.0)
         )
-        points = observe([state]).points[0]
+        points = observe_states([state]).points[0]
         # still a closed unit circle, rotated about the anchor construction
         radii = np.hypot(points[:, 0] - np.mean(points[:, 0]),
                          points[:, 1] - np.mean(points[:, 1]))
@@ -346,7 +353,7 @@ class TestReconstruct:
         state = ThetaLState(
             phi=np.pi / 2 + 0.3 * np.cos(alpha), length=2 * np.pi
         )
-        obs = observe([state])
+        obs = observe_states([state])
         assert obs.closure[0] == pytest.approx(0.1483, abs=1e-4)
         assert obs.points.shape == (1, 64, 2)
         with pytest.raises(ClosureViolation) as err:
@@ -358,7 +365,7 @@ class TestCurvature:
     def test_circle_radius_r(self):
         for r in (0.5, 1.0, 3.0):
             state, _ = catalog_state("circle", 64, r=r)
-            assert np.allclose(observe([state]).k[0], 1.0 / r, atol=1e-12)
+            assert np.allclose(observe_states([state]).k[0], 1.0 / r, atol=1e-12)
 
     def test_pc3_matches_closed_form(self):
         # 1024 nodes: the dimpled profile needs ~768 modes to push the
@@ -366,7 +373,7 @@ class TestCurvature:
         state, points = catalog_state("pc3", 1024)
         # the radial graph lets each node recover its polar angle exactly
         beta = np.arctan2(points[:, 1], points[:, 0])
-        k = observe([state]).k[0]
+        k = observe_states([state]).k[0]
         assert np.max(np.abs(k - pc3_curvature(beta))) <= 1e-8
 
     def test_consistency_with_point_formula(self):
@@ -376,7 +383,7 @@ class TestCurvature:
             ("cardioid", {}, 1024),
         ):
             state, _ = catalog_state(shape, n, **kw)
-            obs = observe([state])
+            obs = observe_states([state])
             assert np.max(np.abs(point_curvature(obs.points[0]) - obs.k[0])) <= 1e-8
 
 
@@ -388,7 +395,8 @@ class TestShapeStatistics:
         x, y = state.anchor
         rotated = ThetaLState(phi=state.phi + 0.7, length=state.length,
                               anchor=(c * x - s * y, s * x + c * y))
-        area, area_rotated = (np.pi * observe([st]).radius[0] ** 2 for st in (state, rotated))
+        area, area_rotated = (np.pi * observe_states([st]).radius[0] ** 2
+                              for st in (state, rotated))
         assert abs(area_rotated - area) <= 1e-12
 
     def test_centroid_of_centered_shapes(self):

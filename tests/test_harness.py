@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +33,7 @@ from airyflow.harness import (
 )
 from airyflow.schemes import SchemeConfig
 
+from conftest import observe_states, observed_states, state_observer
 from oracles import per_state_observe, per_state_rows
 
 MINIMAL = """
@@ -323,12 +327,51 @@ class TestPresets:
         with pytest.raises(ValueError, match="n expects an integer"):
             harness.parse_overrides(["n=many"])
 
+    @pytest.mark.parametrize("words", [
+        "E t_final=0.01 n=64 --out {out}",
+        "E --out {out} t_final=0.01 n=64",
+        "E t_final=0.01 --out {out} n=64",
+        "--out {out} E t_final=0.01 n=64",
+    ])
+    def test_cli_overrides_before_or_after_out(self, words, tmp_path):
+        out = tmp_path / "e"
+        assert cli.main(["preset", *words.format(out=out).split()]) == 0
+        config = (out / "config.txt").read_text().splitlines()
+        assert "t_final = 0.01" in config and "n = 64" in config
+        assert read_manifest(out)["steps_requested"] == "20"
+
     @pytest.mark.parametrize("pair", ["t_final=inf", "t_final=nan", "dt=inf",
                                       "closure_tol=nan"])
     def test_non_finite_override_exits_2(self, pair, tmp_path, capsys):
         key = pair.split("=")[0]
         assert cli.main(["preset", "E", pair, "--out", str(tmp_path)]) == 2
         assert f"{key} expects a finite number" in capsys.readouterr().err
+
+
+def help_bullets(text):
+    """The ``* ``command`` ...`` bullet lines of ``text``, stripped."""
+    return [line.strip() for line in text.splitlines() if line.strip().startswith("* ``")]
+
+
+class TestCliHelp:
+    def test_help_keeps_each_subcommand_bullet_on_its_line(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(["--help"])
+        assert exit.value.code == 0
+        bullets = help_bullets(cli.__doc__)
+        assert [bullet.split("``")[1].split()[0] for bullet in bullets] == [
+            "run", "converge", "filters", "preset"]
+        assert help_bullets(capsys.readouterr().out) == bullets
+
+    def test_module_entry_point_prints_help(self):
+        # ``python -m airyflow.cli`` reaches the module's SystemExit(main())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "airyflow.cli", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: airyflow ")
+        assert help_bullets(done.stdout) == help_bullets(cli.__doc__)
 
 
 def small_run_config(tmp_path, **overrides):
@@ -532,10 +575,7 @@ class TestBlockObservation:
     FIRST_OPEN = 13
 
     def observed_states(self, cfg, steps):
-        states = []
-        schemes.integrate(harness.build_initial_state(cfg), cfg, steps * cfg.dt,
-                          [(1, lambda j, s: states.append(s))])
-        return states
+        return observed_states(harness.build_initial_state(cfg), cfg, steps * cfg.dt)
 
     def test_rows_bitwise_equal_to_per_state_rows(self, tmp_path):
         # two full blocks and a partial one, with snapshots due inside them
@@ -547,28 +587,29 @@ class TestBlockObservation:
         assert len(curves) == len(range(0, cfg.steps + 1, 5)) + (cfg.steps % 5 != 0)
 
     def test_buffered_states_keep_their_phi_until_observed(self, tmp_path, monkeypatch):
-        # the stepper keeps writing its workspace while states wait in a block
-        buffered, checked = {}, []
+        # the stepper keeps writing the row it hands out while earlier rows
+        # wait in a block: each pass reads every row as it was handed out
+        cfg = preset_config("E", t_final=(2 * self.K + 3) * 5e-4, diagnostic_stride=1,
+                            snapshot_stride=5, output_dir=tmp_path)
+        handed, checked = {}, []
         watch, observe = harness._BlockObserver.watch, diagnostics.observe
 
         def recording_watch(observer, output):
             callback = watch(observer, output)
 
-            def recorded(step, state):
-                buffered[step] = (state, state.phi.copy())
-                callback(step, state)
+            def recorded(step, phi):
+                handed[step] = phi.copy()
+                callback(step, phi)
 
             return recorded
 
-        def checked_observe(states):
-            checked.extend(np.array_equal(state.phi, phi) for state, phi in buffered.values()
-                           if any(state is s for s in states))
-            return observe(states)
+        def checked_observe(phi, time, *run):
+            checked.extend(np.array_equal(row, handed[round(t / cfg.dt)])
+                           for row, t in zip(phi, time))
+            return observe(phi, time, *run)
 
         monkeypatch.setattr(harness._BlockObserver, "watch", recording_watch)
         monkeypatch.setattr(diagnostics, "observe", checked_observe)
-        cfg = preset_config("E", t_final=(2 * self.K + 3) * 5e-4, diagnostic_stride=1,
-                            snapshot_stride=5, output_dir=tmp_path)
         assert run_experiment(cfg).status == "completed"
         assert len(checked) == cfg.steps + 1 and all(checked)
 
@@ -616,9 +657,9 @@ class TestBlockObservation:
         blocks = []
         original = diagnostics.observe
 
-        def observe(states):
-            blocks.append(len(states))
-            return original(states)
+        def observe(phi, *args):
+            blocks.append(len(phi))
+            return original(phi, *args)
 
         monkeypatch.setattr(diagnostics, "observe", observe)
         cfg = preset_config("E", t_final=0.05, output_dir=tmp_path)  # 100 steps, stride 1
@@ -633,9 +674,9 @@ class TestBlockObservation:
         observed, raised = [], []
         original, flush = diagnostics.observe, harness._BlockObserver.flush
 
-        def observe(states):
-            observed.extend(states)
-            return original(states)
+        def observe(phi, time, *run):
+            observed.extend(time.tolist())
+            return original(phi, time, *run)
 
         def recording_flush(observer):
             try:
@@ -647,10 +688,56 @@ class TestBlockObservation:
         monkeypatch.setattr(diagnostics, "observe", observe)
         monkeypatch.setattr(harness._BlockObserver, "flush", recording_flush)
         result = run_experiment(preset_config("E", **self.CLOSING, output_dir=tmp_path))
-        assert len(observed) == len({id(state) for state in observed}) == 16
+        assert len(observed) == len(set(observed)) == 16
         assert [exc.step for exc in raised] == [self.FIRST_OPEN]
         assert result.error == read_manifest(tmp_path)["error"] == str(raised[0])
         assert len(result.rows) == self.FIRST_OPEN
+
+    @pytest.mark.parametrize("stride, recorded", [(1, 29), (7, 28)])
+    def test_interrupted_run_writes_its_rows_and_manifest(self, stride, recorded, tmp_path,
+                                                          monkeypatch):
+        # Ctrl-C inside step 30: the rows of the steps observed before it are
+        # written, and steps_completed is the last of them
+        cfg = preset_config("E", t_final=0.05, diagnostic_stride=stride, snapshot_stride=50,
+                            output_dir=tmp_path / "whole")
+        whole = (run_experiment(cfg), (tmp_path / "whole" / "diagnostics.csv").read_text())
+        calls, original = [0], schemes.nonlinear_term
+
+        def interrupted(*args):
+            calls[0] += 1
+            if calls[0] == 30:
+                raise KeyboardInterrupt
+            return original(*args)
+
+        monkeypatch.setattr(schemes, "nonlinear_term", interrupted)
+        out = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(replace(cfg, output_dir=out))
+        manifest = read_manifest(out)
+        assert manifest["status"] == "interrupted" and "error" not in manifest
+        assert manifest["steps_completed"] == str(recorded)
+        assert manifest["steps_requested"] == str(cfg.steps)
+        rows = len(range(0, recorded + 1, stride))
+        assert (out / "diagnostics.csv").read_text().splitlines() == (
+            whole[1].splitlines()[:1 + rows])
+        assert float(manifest["max_abs_xi"]) == max(abs(row.xi) for row in whole[0].rows[:rows])
+        assert [value for key, value in manifest.items() if key.startswith("output.")] == [
+            "config.txt", "diagnostics.csv", "snapshots/curve_t0.000000.csv",
+            "spectrum_t0.000000.csv"]
+
+    def test_observed_run_builds_only_its_initial_and_final_states(self, tmp_path, monkeypatch):
+        built, post_init = [], geometry.ThetaLState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(geometry.ThetaLState, "__post_init__", counted)
+        cfg = preset_config("E", t_final=0.01, diagnostic_stride=1, snapshot_stride=1,
+                            output_dir=tmp_path)
+        result = run_experiment(cfg)
+        assert len(result.rows) == cfg.steps + 1
+        assert len(built) == 2 and built[1] is result.final
 
     def test_manifest_extremes_read_off_diagnostics(self, tmp_path):
         # cnadb at dt = 6.25e-3 completes with no BlowUp while xi reaches 26
@@ -836,11 +923,11 @@ class TestFilterStudy:
                         (tmp_path / "filters_manifest.txt").read_text().splitlines())
         for label, scheme, filter_mode in harness.FILTER_STUDY_VARIANTS:
             cfg = replace(FILTER_128, scheme=scheme, filter=filter_mode)
-            defects = []
+            defects, initial = [], harness.build_initial_state(cfg)
             with pytest.raises(BlowUp) if label in result.errors else nullcontext():
-                schemes.integrate(harness.build_initial_state(cfg), cfg, cfg.t_final,
-                                  [(cfg.diagnostic_stride, lambda j, s: defects.append(
-                                      diagnostics.observe([s]).closure[0]))])
+                schemes.integrate(initial, cfg, cfg.t_final, [(
+                    cfg.diagnostic_stride, state_observer(initial, cfg.dt, lambda j, s: (
+                        defects.append(observe_states([s]).closure[0]))))])
             assert float(manifest[f"closure.{label}"]) == max(defects), label
 
     def test_deterministic_reruns(self, tmp_path):

@@ -17,7 +17,8 @@ from airyflow.schemes import (
 )
 from airyflow.spectral import FILTERS, _derivative_symbol, grid_nodes, mode_filter
 
-from conftest import NUMPY_TRANSFORMS, band_limited_field, catalog_state, count_transforms
+from conftest import (NUMPY_TRANSFORMS, band_limited_field, catalog_state, count_transforms,
+                      observe_states, observed_states, state_observer)
 from oracles import reference_filter, reference_levels
 
 
@@ -41,10 +42,7 @@ def first_step(state, cfg, nonlinear=None):
 
 def trajectory(state, cfg, steps, nonlinear=None):
     """The states at steps 0..steps."""
-    states = []
-    integrate(state, cfg, state.time + steps * cfg.dt,
-              observers=[(1, lambda j, s: states.append(s))], nonlinear=nonlinear)
-    return states
+    return observed_states(state, cfg, state.time + steps * cfg.dt, 1, nonlinear)
 
 
 def exact_guard_run(state, cfg, steps, nonlinear=None):
@@ -174,7 +172,7 @@ class TestAdb:
         final = integrate(state, cfg, 0.1)
         spectrum = np.abs(phi_hat(final))
         assert np.max(spectrum[1:]) <= 1e-13
-        assert np.max(np.abs(diagnostics.observe([final]).k[0] - 1.0)) <= 1e-12
+        assert np.max(np.abs(observe_states([final]).k[0] - 1.0)) <= 1e-12
 
 
 class TestCn:
@@ -235,7 +233,7 @@ class TestCn:
         # extraction junk (~1e-14 per mode) stays put; curvature amplifies
         # it by m, so the pointwise bound is a few times 1e-12
         assert np.max(np.abs(phi_hat(final)[1:])) <= 1e-12
-        assert np.max(np.abs(diagnostics.observe([final]).k[0] - 1.0)) <= 1e-11
+        assert np.max(np.abs(observe_states([final]).k[0] - 1.0)) <= 1e-11
 
 
 class TestCnadb:
@@ -306,8 +304,26 @@ class TestIntegrate:
         state, _ = catalog_state("circle", 32)
         seen = {}
         final = integrate(state, SchemeConfig(scheme="cn", dt=1e-3), 0.01,
-                          observers=[(3, lambda j, s: seen.setdefault(j, s))])
-        assert final is seen[10]
+                          observers=[(3, lambda j, phi: seen.setdefault(j, phi.copy()))])
+        assert np.array_equal(final.phi, seen[10])
+        assert (final.length, final.time, final.anchor) == (state.length, state.time + 10 * 1e-3,
+                                                            state.anchor)
+
+    def test_observed_run_builds_only_the_final_state(self, monkeypatch):
+        # observers get grid rows: even a stride-1 observer makes no state
+        state, _ = catalog_state("ellipse", 32, a=1.0, b=0.8)
+        built, post_init = [], ThetaLState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ThetaLState, "__post_init__", counted)
+        seen = []
+        final = integrate(state, SchemeConfig(scheme="cnadb", dt=1e-4), 2e-3,
+                          observers=[(1, lambda j, phi: seen.append(j))])
+        assert seen == list(range(21))
+        assert len(built) == 1 and built[0] is final
 
     @pytest.mark.parametrize("stride", [0, -1, 2.5])
     def test_bad_observer_stride_rejected_before_step_0(self, stride):
@@ -388,8 +404,9 @@ class TestIntegrate:
         cfg = SchemeConfig(scheme="cnadb", dt=1e-4)
         every, sevenths = {}, {}
         t_final = 30 * cfg.dt
-        integrate(state, cfg, t_final, observers=[(1, lambda j, s: every.setdefault(j, s))])
-        integrate(state, cfg, t_final, observers=[(7, lambda j, s: sevenths.setdefault(j, s))])
+        for stride, seen in ((1, every), (7, sevenths)):
+            integrate(state, cfg, t_final,
+                      observers=[(stride, state_observer(state, cfg.dt, seen.setdefault))])
         unobserved = integrate(state, cfg, t_final)
         assert sorted(sevenths) == [0, 7, 14, 21, 28, 30]
         for j, level in reference_levels(state, cfg, 30):
@@ -434,11 +451,8 @@ class TestIntegrate:
         # dt = 5e-4 holds the relative energy drift at the percent level
         state, _ = catalog_state("ellipse", 512, a=1.0, b=np.sqrt(2) / 2)
         cfg = SchemeConfig(scheme="cnadb", dt=5e-4)
-        triples = []
-        integrate(
-            state, cfg, 2.0,
-            observers=[(40, lambda j, s: triples.append(diagnostics.conserved_quantities(s)))],
-        )
+        triples = [diagnostics.conserved_quantities(s)
+                   for s in observed_states(state, cfg, 2.0, 40)]
         m3_0 = triples[0].m3
         assert max(abs(diagnostics.m3_drift(t.m3, m3_0)) for t in triples) <= 0.01
 
@@ -489,16 +503,18 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_states_keep_their_phi_after_later_steps(self, scheme):
+        # observers see the workspace's row, which later steps overwrite; the
+        # returned state owns its phi, and step 0's row is the initial phi
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         cfg = SchemeConfig(scheme=scheme, dt=1e-4, filter="krasny")
         seen = []
         final = integrate(state, cfg, 30 * cfg.dt,
-                          observers=[(1, lambda j, s: seen.append((s, s.phi.copy())))])
+                          observers=[(1, lambda j, phi: seen.append((phi, phi.copy())))])
         kept = final.phi.copy()
         integrate(final, cfg, final.time + 10 * cfg.dt)
         assert len(seen) == 31 and np.array_equal(final.phi, kept)
-        for observed, phi in seen:
-            assert np.array_equal(observed.phi, phi)
+        assert seen[0][0] is state.phi and np.array_equal(seen[-1][1], kept)
+        assert not np.shares_memory(final.phi, seen[-1][0])
 
     def test_rule_without_terms_rejected(self):
         with pytest.raises(ValidationError):
