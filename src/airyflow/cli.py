@@ -98,24 +98,10 @@ def _cmd_preset(args) -> int:
     return 0 if result.status == "completed" else 1
 
 
-class _AnyOrder(argparse.ArgumentParser):
-    """A subcommand parser taking options and words in any order, as
-    ``parse_intermixed_args`` does, which refuses the top parser's subcommands."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        if getattr(self, "_intermixing", False):  # the two passes it makes
-            return super().parse_known_args(args, namespace)
-        self._intermixing = True
-        try:
-            return self.parse_known_intermixed_args(args, namespace)
-        finally:
-            self._intermixing = False
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="airyflow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_AnyOrder)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     for name, func, summary in (("run", _cmd_run, "evolve one configured trajectory"),
                                 ("converge", _cmd_converge, "three-level refinement study"),
@@ -134,7 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the subcommand of ``argv`` (``sys.argv[1:]`` for None) and return its exit code.
+
+    ``parse_known_args`` leaves a preset's words after ``--out`` over: they
+    are overrides too.  Any other word or option left over is refused as
+    argparse refuses it, with exit code 2.
+    """
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "preset":
+        args.overrides += [word for word in extra if not word.startswith("-")]
+        extra = [word for word in extra if word.startswith("-") and word != "--"]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (AiryflowError, OSError, ValueError) as exc:

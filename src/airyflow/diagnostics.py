@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, spectral
 from .errors import NonPositiveError
 from .geometry import ThetaLState
-from .spectral import _derivative_symbol, grid_nodes, l2_norm, rfft
+from .spectral import _derivative_symbol, grid_nodes, irfft, l2_norm, rfft
 
 
 @dataclass(frozen=True)
@@ -58,41 +58,40 @@ class Observation:
 
 
 def observe(phi: np.ndarray, time: np.ndarray, length: float, anchor) -> Observation:
-    """Every observer quantity of S states of one run in one stacked pass:
+    """Every observer quantity of S states of one run in one pass:
     ``phi`` (S, N) at the grid nodes and ``time`` (S,), sharing the run's
     ``length`` and (x, y) ``anchor``.  A state's rows are bitwise the
     same in any block.  It measures and never raises: whether a
     ``closure`` defect ends a run is the run's decision.
 
-    phi and the tangent rows (x_alpha, y_alpha) = (L/2*pi)(cos theta, sin theta),
-    theta = alpha + phi, of every state share one 3S-row :func:`spectral.rfft`;
-    its phi rows give the power spectra and the spectra of phi_alpha and
-    phi_alpha_alpha, and its tangent rows' mean slots the closure defects.
-    :func:`geometry.reconstruct_curve` builds the curves from the anchor,
-    their antiderivatives riding one 4S-row :func:`spectral.irfft` with
-    phi_alpha and phi_alpha_alpha (for k and k_s).  M1-M3, the area integrand
-    x y_alpha - y x_alpha and the centroid are row means over the block.
+    Each field takes its own transforms: phi's :func:`spectral.rfft`
+    gives the power spectra and the spectra of phi_alpha and
+    phi_alpha_alpha (for k and k_s), which come back by one
+    :func:`spectral.irfft`; the tangent rows (x_alpha, y_alpha) =
+    (L/2*pi)(cos theta, sin theta), theta = alpha + phi, take one more
+    ``rfft``, whose mean slots are the closure defects and from which
+    :func:`geometry.reconstruct_curve` builds the curves from the anchor.
+    M1-M3, the area integrand x y_alpha - y x_alpha and the centroid are
+    row means over the block.
     """
-    s, n = phi.shape
-    stack = np.empty((3, s, n))  # the phi rows, then the tangent's x and y rows
-    stack[0] = phi
-    tangent = stack[1:]
-    theta = np.add(stack[0], grid_nodes(n), out=tangent[1])
+    n = phi.shape[1]
+    tangent = np.empty((2, *phi.shape))  # the x and y rows
+    theta = np.add(phi, grid_nodes(n), out=tangent[1])
     np.cos(theta, out=tangent[0])
     np.sin(theta, out=theta)
     tangent *= length / (2.0 * np.pi)
-    spectra = rfft(stack.reshape(3 * s, n)).reshape(3, s, -1)
-    phi_hat, tangent_hat = spectra[0], spectra[1:]
+    phi_hat, tangent_hat = rfft(phi), rfft(tangent)
     d = _derivative_symbol(n)
     slopes = np.empty((2, *phi_hat.shape), dtype=np.complex128)  # of phi_alpha, phi_alpha_alpha
     np.multiply(d, phi_hat, out=slopes[0])
     np.multiply(d, slopes[0], out=slopes[1])
-    points, (phi_a, phi_aa) = geometry.reconstruct_curve(anchor, tangent_hat, slopes)
+    phi_a, phi_aa = irfft(slopes)
     del slopes  # the row pass below is where the pass peaks
+    points = geometry.reconstruct_curve(anchor, tangent_hat)
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
     # k^4 = k^2 k^2): L times a row's mean is M1-M3
-    rows = np.empty((4, s, n))
+    rows = np.empty((4, *phi.shape))
     scale = 2.0 * np.pi / length
     k, k2, m3 = rows[:3]
     np.add(phi_a, 1.0, out=k)

@@ -243,27 +243,19 @@ def extract_theta_l(points, length: float) -> ThetaLState:
     )
 
 
-def reconstruct_curve(anchor, tangent_hat: np.ndarray,
-                      fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_curve(anchor, tangent_hat: np.ndarray) -> np.ndarray:
     """Curve points (S, N, 2) of a block of S curves, each starting at the
-    (x, y) ``anchor``, and the (F, S, N) node values of ``fields``.
+    (x, y) ``anchor``.
 
     ``tangent_hat`` holds the half spectra (2, S, N/2+1) of the tangent
-    rows (x_alpha, y_alpha), by :func:`spectral.rfft`; ``fields``, further
-    half spectra (F, S, N/2+1), ride the one :func:`spectral.irfft` of the
-    tangent's antiderivative.  The antiderivative drops the tangent's
-    mean, so each reconstructed polygon is exactly periodic whether or not
-    the curve closes: the closure defect (that mean) is measured by
-    :func:`airyflow.diagnostics.observe`, and the run decides whether it
-    is too large.
+    rows (x_alpha, y_alpha), by :func:`spectral.rfft`.  The antiderivative
+    drops the tangent's mean, so each reconstructed polygon is exactly
+    periodic whether or not the curve closes: the closure defect (that
+    mean) is measured by :func:`airyflow.diagnostics.observe`, and the run
+    decides whether it is too large.
     """
-    s, half = tangent_hat.shape[1:]
-    n, rows = 2 * (half - 1), 2 + len(fields)
-    spectra = np.empty((rows, s, half), dtype=np.complex128)
-    np.multiply(tangent_hat, _antiderivative_symbol(n), out=spectra[:2])
-    spectra[2:] = fields
-    values = irfft(spectra.reshape(rows * s, -1)).reshape(rows, s, n)
-    curve = values[:2]
+    n = 2 * (tangent_hat.shape[-1] - 1)
+    curve = irfft(tangent_hat * _antiderivative_symbol(n))
     curve -= curve[:, :, :1].copy()  # a copy: numpy's own for an overlap costs more
     curve += np.reshape(anchor, (2, 1, 1))
-    return curve.transpose(1, 2, 0), values[2:]
+    return curve.transpose(1, 2, 0)

@@ -308,8 +308,8 @@ class _BlockObserver:
     nothing) and raises :class:`ClosureViolation` for the first state
     beyond it, after recording the states before it.  The step-0 state
     sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
-    ``power`` (the last recorded) and ``closure`` (the largest), an
-    interrupted run ``recorded`` (the last recorded step).
+    ``power`` (the last recorded) and ``closure`` (the largest), and
+    :meth:`interrupted` ends a run at ``recorded``, the last recorded step.
     """
 
     def __init__(self, cfg: RunConfig, initial: ThetaLState, closure_tol: float):
@@ -346,6 +346,10 @@ class _BlockObserver:
                              max(exc.step - 1, 0), self.rows, str(exc))
         return RunResult("completed", self.cfg.steps, self.rows, final=final)
 
+    def interrupted(self) -> RunResult:
+        """How a run ended that a ``KeyboardInterrupt`` stopped: at its last recorded step."""
+        return RunResult("interrupted", self.recorded, self.rows)
+
     def flush(self) -> None:
         steps, self.pending = self.pending, {}
         if not steps:
@@ -380,9 +384,9 @@ class _BlockObserver:
                     curve, spectrum = (self.cfg.output_dir / "snapshots" / f"curve_t{tag}.csv",
                                        self.cfg.output_dir / f"spectrum_t{tag}.csv")
                     _write_csv(curve, ("alpha", "x", "y", "k"),
-                               zip(spectral.grid_nodes(n), *obs.points[i].T, k[i]))
-                    _write_csv(spectrum, ("m", "power"),
-                               zip(spectral.symmetric_wavenumbers(n), obs.power[i]))
+                               np.column_stack((spectral.grid_nodes(n), obs.points[i], k[i])))
+                    _write_csv(spectrum, ("m", "power"), np.column_stack(
+                        (spectral.symmetric_wavenumbers(n), obs.power[i])))
                     self.written += [curve, spectrum]
         if count < size:
             raise ClosureViolation(list(steps)[count], float(time[count]),
@@ -392,21 +396,22 @@ class _BlockObserver:
 def _write_csv(path: Path, columns, rows) -> None:
     """A header line, then each row with every cell as :func:`_format_cell` writes it.
 
-    A table of numbers becomes one float array, and one vectorized
-    ``+ 0.0`` normalizes its -0.0; each row is then written with one
-    ``%.17g`` format, which prints an int below 2**53 as ``str`` does.  A
-    table that holds text (a curve name, the empty cells of a truncated
-    series) is written cell by cell.
+    ``rows`` is an array or an iterable of rows.  A table of numbers
+    becomes one float array, and one vectorized ``+ 0.0`` normalizes its
+    -0.0; the whole table is then written with one ``%.17g`` format per
+    cell, which prints an int below 2**53 as ``str`` does.  A table that
+    holds text (a curve name, the empty cells of a truncated series) is
+    written cell by cell.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = list(rows)
-    table = np.array(rows)
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    table = np.asarray(rows)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(columns) + "\n")
         if table.dtype.kind in "biuf":
             line = ",".join(["%.17g"] * len(columns)) + "\n"
-            for row in table + 0.0:
-                handle.write(line % tuple(row.tolist()))
+            handle.write((line * len(table)) % tuple((table + 0.0).ravel().tolist()))
         else:
             for row in rows:
                 handle.write(",".join(map(_format_cell, row)) + "\n")
@@ -454,7 +459,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         result = observer.run([(cfg.diagnostic_stride, observer.watch("rows")),
                                (cfg.snapshot_stride, observer.watch("snapshots"))])
     except KeyboardInterrupt as exc:
-        interrupt, result = exc, RunResult("interrupted", observer.recorded, observer.rows)
+        interrupt, result = exc, observer.interrupted()
     wall = _time.perf_counter() - started
 
     rows = result.rows
@@ -484,8 +489,10 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
 def _study_status(key: str, results: dict, errors: dict) -> list:
     """Manifest lines of a study's trajectories by label: ``key.LABEL`` (ok |
-    failed), then ``steps_completed.LABEL``, then ``error.LABEL`` of each failed one."""
-    return [*((f"{key}.{label}", "failed" if label in errors else "ok") for label in results),
+    failed | interrupted), then ``steps_completed.LABEL``, then ``error.LABEL``
+    of each failed one."""
+    word = {"completed": "ok", "interrupted": "interrupted"}
+    return [*((f"{key}.{label}", word.get(r.status, "failed")) for label, r in results.items()),
             *((f"steps_completed.{label}", r.steps_completed) for label, r in results.items()),
             *((f"error.{label}", message) for label, message in errors.items())]
 
@@ -511,12 +518,22 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     With the base config's ``output_dir``, ``convergence_manifest.txt`` there
     gives each level's status and steps completed, and ``convergence.csv``
     is written only when all three levels complete.  Raises
-    :class:`StudyFailed` after any level failed.
+    :class:`StudyFailed` after any level failed.  A ``KeyboardInterrupt``
+    writes the manifest of the levels so far, headed ``status =
+    interrupted``, with no CSV, and is then re-raised; the running level
+    is ``interrupted`` at step 0, since a level records no rows.
     """
     output_dir = study.base.output_dir
     results, errors = {}, {}
     for level, cfg in enumerate(study.level_configs()):
-        results[level] = _BlockObserver(cfg, build_initial_state(cfg), math.inf).run(())
+        try:
+            results[level] = _BlockObserver(cfg, build_initial_state(cfg), math.inf).run(())
+        except KeyboardInterrupt:
+            if output_dir is not None:
+                results[level] = RunResult("interrupted", 0, [])  # a level records no rows
+                _write_keyvalue(output_dir / "convergence_manifest.txt", [
+                    ("status", "interrupted"), *_study_status("level", results, errors)])
+            raise
         if results[level].error:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
             errors[level] = f"level {level} ({setting}): {results[level].error}"
@@ -553,24 +570,39 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     the final time, one relative M3 drift comparison CSV and a manifest
     of each variant's status, largest closure defect over the observed
     states and error.  The last power spectrum is the final state's, or
-    the last observed one's after a failure.
+    the last observed one's after a failure.  A ``KeyboardInterrupt``
+    writes only the manifest, headed ``status = interrupted``, of the
+    finished variants and the running one, ``interrupted`` at its last
+    recorded step, and is then re-raised.
     """
-    initial = build_initial_state(base)
-    results, xi_series, spectra, closure = {}, {}, {}, {}
+    initial, out = build_initial_state(base), base.output_dir
+    results, xi_series, spectra, closure, errors = {}, {}, {}, {}, {}
+
+    def manifest(*status):
+        _write_keyvalue(out / "filters_manifest.txt", [
+            *status, *_study_status("variant", results, errors),
+            *((f"closure.{label}", defect) for label, defect in closure.items())])
+
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
         observer = _BlockObserver(cfg, initial, math.inf)  # the study records the defect
-        results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
+        try:
+            results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
+        except KeyboardInterrupt:
+            if out is not None:
+                results[label] = observer.interrupted()
+                manifest(("status", "interrupted"))
+            raise
+        if results[label].error:
+            errors[label] = f"BlowUp: {results[label].error}"
         xi_series[label] = [(row.time, row.xi) for row in observer.rows]
         spectra[label], closure[label] = observer.power, observer.closure
-    labels = [label for label, *_ in FILTER_STUDY_VARIANTS]
-    errors = {label: f"BlowUp: {r.error}" for label, r in results.items() if r.error}
+    labels = list(results)
 
-    out = base.output_dir
     if out is not None:
         m = spectral.symmetric_wavenumbers(base.n)
         _write_csv(out / "filters_spectra.csv", ("m", *(f"power_{label}" for label in labels)),
-                   zip(m, *(spectra[label] for label in labels)))
+                   np.column_stack((m, *(spectra[label] for label in labels))))
         # every variant is observed at the same steps, so each series is a
         # prefix of the longest; a blown-up variant's late cells stay empty
         longest = max(xi_series.values(), key=len)
@@ -578,7 +610,5 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
                    zip_longest([t for t, _ in longest],
                                *([xi for _, xi in xi_series[label]] for label in labels),
                                fillvalue=""))
-        _write_keyvalue(out / "filters_manifest.txt", [
-            *_study_status("variant", results, errors),
-            *((f"closure.{label}", closure[label]) for label in labels)])
+        manifest()
     return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

@@ -165,11 +165,12 @@ class TestObservePass:
     def test_pass_takes_two_transforms(self, monkeypatch):
         state, _ = catalog_state("ellipse", 64, a=1.0, b=0.5)
         counts, shapes = count_transforms(monkeypatch)
-        # phi and the two tangent rows share the rfft; the slopes of phi
-        # ride the irfft with the curve's antiderivative; never numpy's own
+        # phi's rfft, the tangent rows' rfft, the irfft of phi's two slopes
+        # and the curve's (the tangent's antiderivative); never numpy's own
         observe_states([state])
-        assert counts == dict(rfft=1, irfft=1, **dict.fromkeys(NUMPY_TRANSFORMS, 0))
-        assert shapes == [("rfft", (3, 64)), ("irfft", (4, 33))]
+        assert counts == dict(rfft=2, irfft=2, **dict.fromkeys(NUMPY_TRANSFORMS, 0))
+        assert shapes == [("rfft", (1, 64)), ("rfft", (2, 1, 64)),
+                          ("irfft", (2, 1, 33)), ("irfft", (2, 1, 33))]
 
     def test_closure_boundary(self):
         # theta = alpha + a cos(alpha) with L = 2 pi has the mean tangent

@@ -405,3 +405,34 @@ class TestShapeStatistics:
             _, points = catalog_state(shape, 256, **kw)
             cx, cy = np.mean(points, axis=0)
             assert abs(cx) < 1e-10 and abs(cy) < 1e-10
+
+
+class TestReconstructCurve:
+    def test_circle_starts_at_the_anchor_and_closes(self):
+        # theta = alpha with L = 2 pi r: the circle of radius r whose tangent
+        # at the anchor is (1, 0), so centred r above it
+        r, anchor, n = 1.5, (0.25, -2.0), 64
+        alpha = grid_nodes(n)
+        tangent_hat = spectral.rfft(r * np.stack((np.cos(alpha), np.sin(alpha)))[:, None])
+        points = geometry.reconstruct_curve(anchor, tangent_hat)
+        assert points.shape == (1, n, 2)
+        x, y = points[0].T
+        assert (x[0], y[0]) == anchor
+        assert np.max(np.abs(x - (anchor[0] + r * np.sin(alpha)))) <= 1e-14 * r
+        assert np.max(np.abs(y - (anchor[1] + r - r * np.cos(alpha)))) <= 1e-14 * r
+        # every chord, the closing one from the last node back to the anchor
+        # included, is the circle's chord over 2 pi/N
+        chords = np.hypot(*(np.roll(points[0], -1, axis=0) - points[0]).T)
+        assert np.max(np.abs(chords - 2 * r * np.sin(np.pi / n))) <= 1e-14 * r
+
+    def test_block_rows_bitwise_equal_to_one_curve_blocks(self):
+        state, _ = catalog_state("ellipse", 128, a=1.0, b=0.5)
+        alpha = grid_nodes(128)
+        theta = alpha + state.phi + np.outer(np.arange(5) * 1e-2, np.cos(3 * alpha))
+        tangent = state.length / (2 * np.pi) * np.stack((np.cos(theta), np.sin(theta)))
+        tangent_hat = spectral.rfft(tangent)
+        block = geometry.reconstruct_curve(state.anchor, tangent_hat)
+        assert block.shape == (5, 128, 2)
+        for i in range(5):
+            one = geometry.reconstruct_curve(state.anchor, tangent_hat[:, i:i + 1].copy())
+            assert block[i].tobytes() == one[0].tobytes(), i

@@ -567,6 +567,26 @@ def kick_at(monkeypatch, step):
     monkeypatch.setattr(schemes, "nonlinear_term", kicked)
 
 
+def interrupt_run(monkeypatch, run, call):
+    """Make the nonlinear term raise ``KeyboardInterrupt`` at its ``call``-th
+    call in the ``run``-th trajectory (both counted from 1)."""
+    runs, calls = [0], [0]
+    observer_run, original = harness._BlockObserver.run, schemes.nonlinear_term
+
+    def counted_run(self, observers):
+        runs[0], calls[0] = runs[0] + 1, 0
+        return observer_run(self, observers)
+
+    def interrupted(*args):
+        calls[0] += 1
+        if (runs[0], calls[0]) == (run, call):
+            raise KeyboardInterrupt
+        return original(*args)
+
+    monkeypatch.setattr(harness._BlockObserver, "run", counted_run)
+    monkeypatch.setattr(schemes, "nonlinear_term", interrupted)
+
+
 class TestBlockObservation:
     # preset E with adb at dt = 2e-3: the curve first fails the closure
     # check at step 13, observed every step
@@ -821,6 +841,19 @@ class TestConvergenceStudy:
         assert row.err_coarse == diagnostics.state_difference_norm(states[0], states[1])
         assert row.err_fine == diagnostics.state_difference_norm(states[1], states[2])
 
+    def test_interrupted_study_writes_the_manifest_of_its_levels(self, tmp_path, monkeypatch):
+        # Ctrl-C inside level 1: level 0's lines, the running level, no CSV
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=64, dt=4e-4, t_final=0.2, scheme="cnadb", output_dir=tmp_path)
+        study = ConvergenceStudyConfig(base=base, axis="time", comparison_time=0.2)
+        interrupt_run(monkeypatch, 2, 300)
+        with pytest.raises(KeyboardInterrupt):
+            run_convergence_study(study)
+        assert (tmp_path / "convergence_manifest.txt").read_text().splitlines() == [
+            "status = interrupted", "level.0 = ok", "level.1 = interrupted",
+            "steps_completed.0 = 500", "steps_completed.1 = 0"]  # a level records no rows
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_cli_blowup_exits_1_with_manifest(self, tmp_path, capsys):
         config = tmp_path / "study.txt"
         config.write_text("kind = converge\naxis = time\nt0 = 0.5\nshape = ellipse\n"
@@ -916,6 +949,25 @@ class TestFilterStudy:
         assert lines[len(labels):2 * len(labels)] == [
             f"steps_completed.{label} = {failed.get(label, base.steps)}" for label in labels]
         assert lines[2 * len(labels)].startswith("error.")
+
+    def test_interrupted_study_writes_the_manifest_of_its_variants(self, tmp_path, monkeypatch):
+        # Ctrl-C inside ADBK, the third variant, at its step 23: the lines of
+        # ADB and ADBDPR as an uninterrupted study writes them, then ADBK's
+        # last recorded step, and no CSV
+        run_filter_study(replace(FILTER_128, output_dir=tmp_path / "whole"))
+        whole = (tmp_path / "whole" / "filters_manifest.txt").read_text().splitlines()
+        interrupt_run(monkeypatch, 3, 23)
+        out = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            run_filter_study(replace(FILTER_128, output_dir=out))
+        lines = (out / "filters_manifest.txt").read_text().splitlines()
+        kept = [line for line in whole
+                if line.split(" = ")[0].split(".")[1] in ("ADB", "ADBDPR")]
+        assert lines == ["status = interrupted", *kept[:2], "variant.ADBK = interrupted",
+                         *kept[2:4], "steps_completed.ADBK = 20", *kept[4:]]
+        assert [line.split(" = ")[0] for line in kept[4:]] == [
+            "error.ADB", "closure.ADB", "closure.ADBDPR"]
+        assert sorted(path.name for path in out.iterdir()) == ["filters_manifest.txt"]
 
     def test_closure_is_the_largest_observed_defect(self, tmp_path):
         result = run_filter_study(replace(FILTER_128, output_dir=tmp_path))
@@ -1037,6 +1089,18 @@ class TestFormatting:
         expected = [",".join(columns)]
         expected += [",".join(harness._format_cell(cell) for cell in row) for row in rows]
         assert path.read_text().splitlines() == expected
+
+    def test_numeric_table_same_bytes_as_array_rows_or_cells(self, tmp_path):
+        rows = [(-0.0, 3, 0.30000000000000004, 2**52 + 1),
+                (np.pi, -7, np.float64(-0.0), 1e-300),
+                (5e-324, 0, -2.0 / 3, 123456789.12345678)]
+        written = []
+        for name, table in (("array", np.array(rows)), ("tuples", rows)):
+            harness._write_csv(tmp_path / name, ("a", "b", "c", "d"), table)
+            written.append((tmp_path / name).read_bytes())
+        cells = "".join(",".join(map(harness._format_cell, row)) + "\n" for row in rows)
+        assert written == [("a,b,c,d\n" + cells).encode()] * 2
+        assert cells.splitlines()[0] == "0,3,0.30000000000000004,4503599627370497"
 
 
 # ---------------------------------------------------------------------------
