@@ -276,9 +276,9 @@ DIAGNOSTICS_COLUMNS = DiagnosticsRow._fields
 
 @dataclass
 class RunResult:
-    """How one trajectory ended (:meth:`_BlockObserver.run`): ``error`` names the step S
-    it failed at and ``steps_completed`` is S - 1 (0 at step 0); ``final`` is the state
-    at ``t_final``, or None after a failure."""
+    """How one trajectory ended, built only by :meth:`_BlockObserver.run`: ``error`` names
+    the step S it failed at and ``steps_completed`` is S - 1 (0 at step 0), or the last
+    recorded step if "interrupted"; ``final`` is the state at ``t_final`` once completed."""
 
     status: str  # "completed" | "blowup" | "closure" | "interrupted"
     steps_completed: int
@@ -308,8 +308,8 @@ class _BlockObserver:
     nothing) and raises :class:`ClosureViolation` for the first state
     beyond it, after recording the states before it.  The step-0 state
     sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
-    ``power`` (the last recorded) and ``closure`` (the largest), and
-    :meth:`interrupted` ends a run at ``recorded``, the last recorded step.
+    ``power`` (the last recorded) and ``closure`` (the largest); ``recorded``
+    is the last recorded step, where an interrupted run ends.
     """
 
     def __init__(self, cfg: RunConfig, initial: ThetaLState, closure_tol: float):
@@ -334,21 +334,26 @@ class _BlockObserver:
         return callback
 
     def run(self, observers) -> RunResult:
-        """:func:`schemes.integrate` to ``cfg.t_final``, then the last flush, also after a
-        :class:`BlowUp`, and how the run ended: a closure failure the flush finds wins."""
+        """:func:`schemes.integrate` to ``cfg.t_final``, the last flush whatever stopped it,
+        and how the run ended: "interrupted" at ``recorded`` by a ``KeyboardInterrupt`` in
+        either, any failure found being its ``error``; else a closure failure beats a blow-up."""
+        final = failure = None
         try:
             try:
                 final = schemes.integrate(self.initial, self.cfg, self.cfg.t_final, observers)
-            finally:
-                self.flush()
-        except (BlowUp, ClosureViolation) as exc:
-            return RunResult("blowup" if isinstance(exc, BlowUp) else "closure",
-                             max(exc.step - 1, 0), self.rows, str(exc))
+            except (BlowUp, ClosureViolation) as exc:
+                failure = exc
+            finally:  # also under an interrupt, which the flush's failure must not replace
+                try:
+                    self.flush()
+                except ClosureViolation as exc:
+                    failure = exc
+        except KeyboardInterrupt:
+            return RunResult("interrupted", self.recorded, self.rows, failure and str(failure))
+        if failure is not None:
+            return RunResult("blowup" if isinstance(failure, BlowUp) else "closure",
+                             max(failure.step - 1, 0), self.rows, str(failure))
         return RunResult("completed", self.cfg.steps, self.rows, final=final)
-
-    def interrupted(self) -> RunResult:
-        """How a run ended that a ``KeyboardInterrupt`` stopped: at its last recorded step."""
-        return RunResult("interrupted", self.recorded, self.rows)
 
     def flush(self) -> None:
         steps, self.pending = self.pending, {}
@@ -440,9 +445,9 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     ends the run as status "closure", also over a later blow-up ("blowup").
     Both keep the outputs of the states before the failure, and the
     manifest's ``error`` is the exception's message, which names its step.
-    A ``KeyboardInterrupt`` writes both too, with status "interrupted" and
-    ``steps_completed`` the last recorded step, and is then re-raised.
-    Returns the run's :class:`RunResult`.
+    A run that ends "interrupted" writes both too, with ``steps_completed``
+    the last recorded step and any failure found on the way as ``error``,
+    then raises ``KeyboardInterrupt``.  Returns the run's :class:`RunResult`.
     """
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
@@ -454,12 +459,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     initial = build_initial_state(cfg)
     setup = _time.perf_counter() - started
     observer = _BlockObserver(cfg, initial, cfg.closure_tol)
-    interrupt = None
-    try:
-        result = observer.run([(cfg.diagnostic_stride, observer.watch("rows")),
-                               (cfg.snapshot_stride, observer.watch("snapshots"))])
-    except KeyboardInterrupt as exc:
-        interrupt, result = exc, observer.interrupted()
+    result = observer.run([(cfg.diagnostic_stride, observer.watch("rows")),
+                           (cfg.snapshot_stride, observer.watch("snapshots"))])
     wall = _time.perf_counter() - started
 
     rows = result.rows
@@ -478,8 +479,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         manifest.append(("error", result.error))
     manifest += [(f"output.{i}", path.relative_to(out_dir)) for i, path in enumerate(outputs)]
     _write_keyvalue(out_dir / "manifest.txt", manifest)
-    if interrupt is not None:
-        raise interrupt
+    if result.status == "interrupted":
+        raise KeyboardInterrupt
     return result
 
 
@@ -488,11 +489,13 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
 
 def _study_status(key: str, results: dict, errors: dict) -> list:
-    """Manifest lines of a study's trajectories by label: ``key.LABEL`` (ok |
-    failed | interrupted), then ``steps_completed.LABEL``, then ``error.LABEL``
-    of each failed one."""
+    """Manifest lines of a study's trajectories by label: ``status = interrupted``
+    if one was, then ``key.LABEL`` (ok | failed | interrupted), then
+    ``steps_completed.LABEL``, then ``error.LABEL`` of each failed one."""
     word = {"completed": "ok", "interrupted": "interrupted"}
-    return [*((f"{key}.{label}", word.get(r.status, "failed")) for label, r in results.items()),
+    statuses = [r.status for r in results.values()]
+    return [*[("status", "interrupted")] * ("interrupted" in statuses),
+            *((f"{key}.{label}", word.get(r.status, "failed")) for label, r in results.items()),
             *((f"steps_completed.{label}", r.steps_completed) for label, r in results.items()),
             *((f"error.{label}", message) for label, message in errors.items())]
 
@@ -518,28 +521,26 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     With the base config's ``output_dir``, ``convergence_manifest.txt`` there
     gives each level's status and steps completed, and ``convergence.csv``
     is written only when all three levels complete.  Raises
-    :class:`StudyFailed` after any level failed.  A ``KeyboardInterrupt``
-    writes the manifest of the levels so far, headed ``status =
-    interrupted``, with no CSV, and is then re-raised; the running level
-    is ``interrupted`` at step 0, since a level records no rows.
+    :class:`StudyFailed` after any level failed.  All three initial states
+    are built first.  A level that ends "interrupted" (at step 0: a level
+    records no rows) writes the manifest of the levels so far, headed
+    ``status = interrupted``, and no CSV, then raises ``KeyboardInterrupt``.
     """
     output_dir = study.base.output_dir
+    levels = [(cfg, build_initial_state(cfg)) for cfg in study.level_configs()]
     results, errors = {}, {}
-    for level, cfg in enumerate(study.level_configs()):
-        try:
-            results[level] = _BlockObserver(cfg, build_initial_state(cfg), math.inf).run(())
-        except KeyboardInterrupt:
-            if output_dir is not None:
-                results[level] = RunResult("interrupted", 0, [])  # a level records no rows
-                _write_keyvalue(output_dir / "convergence_manifest.txt", [
-                    ("status", "interrupted"), *_study_status("level", results, errors)])
-            raise
-        if results[level].error:
+    for level, (cfg, initial) in enumerate(levels):
+        result = results[level] = _BlockObserver(cfg, initial, math.inf).run(())
+        if result.error:
             setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
-            errors[level] = f"level {level} ({setting}): {results[level].error}"
+            errors[level] = f"level {level} ({setting}): {result.error}"
+        if result.status == "interrupted":
+            break
     if output_dir is not None:
         _write_keyvalue(output_dir / "convergence_manifest.txt",
                         _study_status("level", results, errors))
+    if result.status == "interrupted":
+        raise KeyboardInterrupt
     if errors:
         raise StudyFailed(errors)
     states = [result.final for result in results.values()]
@@ -570,31 +571,29 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     the final time, one relative M3 drift comparison CSV and a manifest
     of each variant's status, largest closure defect over the observed
     states and error.  The last power spectrum is the final state's, or
-    the last observed one's after a failure.  A ``KeyboardInterrupt``
-    writes only the manifest, headed ``status = interrupted``, of the
-    finished variants and the running one, ``interrupted`` at its last
-    recorded step, and is then re-raised.
+    the last observed one's after a failure.  A variant that ends
+    "interrupted" writes only the manifest, headed ``status = interrupted``,
+    of the finished variants and the running one at its last recorded
+    step, then raises ``KeyboardInterrupt``.
     """
     initial, out = build_initial_state(base), base.output_dir
     results, xi_series, spectra, closure, errors = {}, {}, {}, {}, {}
 
-    def manifest(*status):
+    def manifest():
         _write_keyvalue(out / "filters_manifest.txt", [
-            *status, *_study_status("variant", results, errors),
+            *_study_status("variant", results, errors),
             *((f"closure.{label}", defect) for label, defect in closure.items())])
 
     for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
         cfg = replace(base, scheme=scheme, filter=filter_mode)
         observer = _BlockObserver(cfg, initial, math.inf)  # the study records the defect
-        try:
-            results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
-        except KeyboardInterrupt:
+        result = results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
+        if result.error:
+            errors[label] = f"BlowUp: {result.error}"
+        if result.status == "interrupted":
             if out is not None:
-                results[label] = observer.interrupted()
-                manifest(("status", "interrupted"))
-            raise
-        if results[label].error:
-            errors[label] = f"BlowUp: {results[label].error}"
+                manifest()
+            raise KeyboardInterrupt
         xi_series[label] = [(row.time, row.xi) for row in observer.rows]
         spectra[label], closure[label] = observer.power, observer.closure
     labels = list(results)

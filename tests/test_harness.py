@@ -745,6 +745,57 @@ class TestBlockObservation:
             "config.txt", "diagnostics.csv", "snapshots/curve_t0.000000.csv",
             "spectrum_t0.000000.csv"]
 
+    def test_interrupt_outlives_the_closure_failure_its_flush_finds(self, tmp_path,
+                                                                     monkeypatch):
+        # Ctrl-C at the nonlinear term's 16th call, with steps 12 .. 15 buffered:
+        # the flush finds step 13 open, and the run still ends interrupted at 12
+        cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path / "whole")
+        whole = run_experiment(cfg)
+        assert whole.status == "closure" and whole.steps_completed == self.FIRST_OPEN - 1
+        out = tmp_path / "cut"
+        interrupt_run(monkeypatch, 1, 16)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(replace(cfg, output_dir=out))
+        manifest = read_manifest(out)
+        assert manifest["status"] == "interrupted"
+        assert manifest["steps_completed"] == str(self.FIRST_OPEN - 1)
+        assert manifest["error"] == whole.error
+        assert whole.error.startswith(f"closure at step {self.FIRST_OPEN} ")
+        rows = (out / "diagnostics.csv").read_bytes().splitlines()
+        assert rows == (tmp_path / "whole" / "diagnostics.csv").read_bytes().splitlines()[
+            :1 + self.FIRST_OPEN]
+        assert len(rows) == 1 + self.FIRST_OPEN
+
+    @pytest.mark.parametrize("blowup, last, recorded", [(None, 9, 95),
+                                                        (harness.OBSERVE_BLOCK + 5, 2, 11)])
+    def test_interrupt_in_the_last_flush(self, blowup, last, recorded, tmp_path, monkeypatch):
+        # the last flush, the observe pass number ``last``, comes after the
+        # stepping ends: at step 100 (eight full blocks before it) or at a
+        # blow-up (one full block before it)
+        if blowup:
+            kick_at(monkeypatch, blowup)
+        cfg = preset_config("E", t_final=0.05, diagnostic_stride=1, output_dir=tmp_path)
+        calls, original = [0], diagnostics.observe
+
+        def observe(*args):
+            calls[0] += 1
+            if calls[0] == last:
+                raise KeyboardInterrupt
+            return original(*args)
+
+        monkeypatch.setattr(diagnostics, "observe", observe)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        manifest = read_manifest(tmp_path)
+        assert calls[0] == last
+        assert manifest["status"] == "interrupted"
+        assert manifest["steps_completed"] == str(recorded)
+        if blowup is None:
+            assert "error" not in manifest
+        else:  # the blow-up found on the way
+            assert manifest["error"].startswith(f"blow-up at step {blowup} ")
+        assert len((tmp_path / "diagnostics.csv").read_text().splitlines()) == 2 + recorded
+
     def test_observed_run_builds_only_its_initial_and_final_states(self, tmp_path, monkeypatch):
         built, post_init = [], geometry.ThetaLState.__post_init__
 
@@ -853,6 +904,27 @@ class TestConvergenceStudy:
             "status = interrupted", "level.0 = ok", "level.1 = interrupted",
             "steps_completed.0 = 500", "steps_completed.1 = 0"]  # a level records no rows
         assert not (tmp_path / "convergence.csv").exists()
+
+    def test_interrupt_in_setup_comes_before_any_level_steps(self, tmp_path, monkeypatch):
+        # every level's initial state is built before level 0 steps, so Ctrl-C
+        # while building the finest has no finished level to lose
+        base = RunConfig(shape="ellipse", shape_params={"a": 1.0, "b": 0.5},
+                         n=64, dt=4e-4, t_final=0.2, scheme="cnadb", output_dir=tmp_path)
+        study = ConvergenceStudyConfig(base=base, axis="space", comparison_time=0.2)
+        built, stepped, build = [], [], harness.build_initial_state
+
+        def interrupted_build(cfg):
+            built.append(cfg.n)
+            if len(built) == 3:
+                raise KeyboardInterrupt
+            return build(cfg)
+
+        monkeypatch.setattr(harness, "build_initial_state", interrupted_build)
+        monkeypatch.setattr(schemes, "integrate", lambda *args: stepped.append(args))
+        with pytest.raises(KeyboardInterrupt):
+            run_convergence_study(study)
+        assert built == [64, 128, 256] and not stepped
+        assert not any(tmp_path.iterdir())
 
     def test_cli_blowup_exits_1_with_manifest(self, tmp_path, capsys):
         config = tmp_path / "study.txt"
