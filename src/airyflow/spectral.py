@@ -28,7 +28,11 @@ from .errors import ValidationError
 
 FILTERS = ("none", "dpr", "krasny")
 KRASNY_THRESHOLD = 1e-13
-PHASE_TABLE_ENTRIES = 1 << 14  # trig_interpolate's phase table per block of points: 256 KiB
+#: trig_interpolate's Taylor terms: |m*h*u| <= pi/2, so the first dropped
+#: term is at most (pi/2)^23/23! ~ 1e-18 of the coefficients' l1 norm
+_TAYLOR_TERMS = 23
+#: 2*pi as three doubles, the first two of 25 bits: an integer below 2^28 times either is exact
+_TWO_PI_PARTS = (6.283185243606567, 6.357301884918343e-08, 2.4492935982947064e-16)
 
 
 def _check_grid_size(n: int) -> None:
@@ -182,40 +186,34 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     """Evaluate the trigonometric interpolant of real samples at points beta.
 
     ``values`` is one row of N samples or a stack (R, N) of rows; the
-    result has the same leading shape, with one entry per point.  Uses the
-    symmetric interpolant: the Nyquist coefficient contributes
-    cos(N*beta/2) so the result is real for real input; modes 1..N/2-1 are
-    doubled.  With m = kB + j and B ~ sqrt(N/2), e^{im beta} = e^{ij beta} e^{ikB beta}:
-    the points go in blocks whose P x B and P x K phase tables hold at most
-    :data:`PHASE_TABLE_ENTRIES` entries together (N <= 512 points fit one
-    block), so the tables do not grow with the number of points.  Each
-    block's tables are built once for all rows, with one matrix product
-    per row.
+    result has the same leading shape, with one entry per point, and each
+    row of a stack is bitwise that row alone.  The interpolant is the
+    symmetric one, with the Nyquist coefficient as cos(N*beta/2), summed as
+    its Taylor series about the nearest node: beta = alpha_k + u*h with
+    h = 2*pi/N and |u| <= 1/2, and term j is u^j times the j-th derivative
+    over j! at node k, one :func:`irfft` of the spectrum times (i*m*h)^j/j!.
+    :data:`_TAYLOR_TERMS` terms make the sum exact to roundoff, in
+    O(R*N log N) time and O(R*N) memory.  The Nyquist slot keeps its
+    symbol: the even terms sum to (-1)^k cos(pi*u) = cos(N*beta/2), and
+    :func:`irfft` drops the odd ones.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
     _check_grid_size(n)
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    half = n // 2
-    fhat = rfft(values)
-    coeffs = 2.0 * fhat[..., :half]
-    coeffs[..., 0] = fhat[..., 0]
-    block = 1 << (half.bit_length() // 2)  # B; the K = N/2 / B block starts are kB
-    rows = coeffs.reshape(-1, half // block, block)
-    starts = np.append(np.arange(block), np.arange(0, half, block))
-    # blocks of near-equal size: a lone point would take numpy's matrix-vector
-    # product, whose sums round otherwise than the matrix product's
-    count = max(1, -(-beta.size // (PHASE_TABLE_ENTRIES // starts.size)))
-    bounds = [beta.size * i // count for i in range(count + 1)]
-    out = np.empty((rows.shape[0], beta.size))
-    for lo, hi in zip(bounds, bounds[1:]):
-        # e^{ij beta} and e^{ikB beta} side by side: phases into .imag, then cos and sin of them
-        table = np.empty((hi - lo, starts.size), dtype=np.complex128)
-        np.outer(beta[lo:hi], starts, out=table.imag)
-        np.cos(table.imag, out=table.real)
-        np.sin(table.imag, out=table.imag)
-        inner, outer = table[:, :block], table[:, block:]
-        for row, row_out in zip(rows, out):
-            row_out[lo:hi] = np.einsum("pk,pk->p", outer, inner @ row.T).real
-    out += fhat[..., half].real.reshape(-1, 1) * np.cos(half * beta)
-    return out.reshape(values.shape[:-1] + beta.shape)
+    h = 2.0 * np.pi / n
+    nearest = np.rint(beta / h)
+    # u in full for any beta: one rounded 2*pi would move each point by beta
+    # times its rounding, which the Nyquist mode's phase scales by N/2
+    hi, mid, lo = _TWO_PI_PARTS
+    u = (beta - nearest * (hi / n) - nearest * (mid / n) - nearest * (lo / n)) / h
+    k = nearest.astype(np.intp) % n
+    symbol = 1j * h * np.arange(n // 2 + 1)
+    term = rfft(values)
+    out = values[..., k]  # term 0: the interpolant takes the samples at the nodes
+    power = np.ones_like(u)
+    for j in range(1, _TAYLOR_TERMS):
+        term *= symbol / j
+        power *= u
+        out += power * irfft(term)[..., k]
+    return out

@@ -588,14 +588,28 @@ def interrupt_run(monkeypatch, run, call):
 
 
 class TestBlockObservation:
-    # preset E with adb at dt = 2e-3: the curve first fails the closure
-    # check at step 13, observed every step
+    # preset E with adb at dt = 1.7e-3, observed every step: the curve fails
+    # the closure check inside the second block (step 14), a few steps
+    # before the run blows up in that block (step 19)
     K = harness.OBSERVE_BLOCK
-    CLOSING = dict(scheme="adb", dt=2e-3, t_final=0.1, diagnostic_stride=1)
-    FIRST_OPEN = 13
+    CLOSING = dict(scheme="adb", dt=1.7e-3, t_final=0.085, diagnostic_stride=1)
 
     def observed_states(self, cfg, steps):
         return observed_states(harness.build_initial_state(cfg), cfg, steps * cfg.dt)
+
+    @pytest.fixture(scope="class")
+    def closing(self):
+        """(first_open, blowup, states): the first step whose state's closure
+        defect exceeds the tolerance, the step at which the run blows up, and
+        the states of the steps before it, each from ``schemes.integrate``."""
+        cfg = preset_config("E", **self.CLOSING)
+        initial, states = harness.build_initial_state(cfg), []
+        with pytest.raises(BlowUp) as err:
+            schemes.integrate(initial, cfg, cfg.t_final,
+                              [(1, state_observer(initial, cfg.dt, lambda j, s: states.append(s)))])
+        defects = [per_state_observe(state).closure for state in states]
+        first_open = next(j for j, defect in enumerate(defects) if defect > cfg.closure_tol)
+        return first_open, err.value.step, states
 
     def test_rows_bitwise_equal_to_per_state_rows(self, tmp_path):
         # two full blocks and a partial one, with snapshots due inside them
@@ -633,13 +647,10 @@ class TestBlockObservation:
         assert run_experiment(cfg).status == "completed"
         assert len(checked) == cfg.steps + 1 and all(checked)
 
-    def test_first_failing_state_inside_a_block_ends_the_run(self, tmp_path):
+    def test_first_failing_state_inside_a_block_ends_the_run(self, tmp_path, closing):
         cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path)
-        assert 0 < self.FIRST_OPEN % self.K < self.K - 1  # inside a block, not its last
-        open_at = self.FIRST_OPEN
-        states = self.observed_states(cfg, open_at)
-        defects = [per_state_observe(state).closure for state in states]
-        assert max(defects[:open_at]) <= cfg.closure_tol < defects[open_at]
+        open_at, _, states = closing
+        assert 0 < open_at % self.K < self.K - 1  # inside a block, not its last
         result = run_experiment(cfg)
         assert result.status == "closure"
         assert result.error.startswith(f"closure at step {open_at} ")
@@ -647,18 +658,19 @@ class TestBlockObservation:
         assert result.rows == per_state_rows(states[:open_at])
         assert read_manifest(tmp_path)["steps_completed"] == str(open_at - 1)
 
-    def test_closure_in_a_block_wins_over_a_later_blowup(self, tmp_path, monkeypatch):
+    def test_closure_in_a_block_wins_over_a_later_blowup(self, tmp_path, monkeypatch, closing):
         # the guard trips one step after the failing state, before its block
         # is full, so the block is flushed while the BlowUp propagates
-        kick_at(monkeypatch, self.FIRST_OPEN + 1)
+        open_at = closing[0]
+        kick_at(monkeypatch, open_at + 1)
         loose = run_experiment(preset_config("E", **self.CLOSING, closure_tol=1.0,
                                              output_dir=tmp_path / "loose"))
-        assert loose.status == "blowup" and loose.steps_completed == self.FIRST_OPEN
-        kick_at(monkeypatch, self.FIRST_OPEN + 1)
+        assert loose.status == "blowup" and loose.steps_completed == open_at
+        kick_at(monkeypatch, open_at + 1)
         result = run_experiment(preset_config("E", **self.CLOSING, output_dir=tmp_path / "e"))
         assert result.status == "closure"
-        assert result.steps_completed == self.FIRST_OPEN - 1
-        assert len(result.rows) == self.FIRST_OPEN  # steps 0 .. 12
+        assert result.steps_completed == open_at - 1
+        assert len(result.rows) == open_at  # steps 0 .. open_at - 1
         assert read_manifest(tmp_path / "e")["status"] == "closure"
 
     def test_blowup_keeps_every_buffered_row(self, tmp_path, monkeypatch):
@@ -688,9 +700,13 @@ class TestBlockObservation:
         assert blocks == [self.K] * (sum(blocks) // self.K) + [sum(blocks) % self.K] * bool(
             sum(blocks) % self.K)
 
-    def test_each_due_state_observed_once_when_closure_fails(self, monkeypatch, tmp_path):
-        # the run blows up at step 16 with steps 12 .. 15 buffered; the final
-        # flush finds step 13 open and records step 12 from the same pass
+    def test_each_due_state_observed_once_when_closure_fails(self, monkeypatch, tmp_path,
+                                                             closing):
+        # the run blows up with the failing state and the steps after it
+        # buffered; the final flush finds that state open and records the
+        # buffered steps before it from the same pass
+        open_at, blowup, _ = closing
+        assert blowup // self.K == open_at // self.K  # one block holds both
         observed, raised = [], []
         original, flush = diagnostics.observe, harness._BlockObserver.flush
 
@@ -708,10 +724,10 @@ class TestBlockObservation:
         monkeypatch.setattr(diagnostics, "observe", observe)
         monkeypatch.setattr(harness._BlockObserver, "flush", recording_flush)
         result = run_experiment(preset_config("E", **self.CLOSING, output_dir=tmp_path))
-        assert len(observed) == len(set(observed)) == 16
-        assert [exc.step for exc in raised] == [self.FIRST_OPEN]
+        assert len(observed) == len(set(observed)) == blowup
+        assert [exc.step for exc in raised] == [open_at]
         assert result.error == read_manifest(tmp_path)["error"] == str(raised[0])
-        assert len(result.rows) == self.FIRST_OPEN
+        assert len(result.rows) == open_at
 
     @pytest.mark.parametrize("stride, recorded", [(1, 29), (7, 28)])
     def test_interrupted_run_writes_its_rows_and_manifest(self, stride, recorded, tmp_path,
@@ -746,25 +762,29 @@ class TestBlockObservation:
             "spectrum_t0.000000.csv"]
 
     def test_interrupt_outlives_the_closure_failure_its_flush_finds(self, tmp_path,
-                                                                     monkeypatch):
-        # Ctrl-C at the nonlinear term's 16th call, with steps 12 .. 15 buffered:
-        # the flush finds step 13 open, and the run still ends interrupted at 12
+                                                                     monkeypatch, closing):
+        # Ctrl-C at the nonlinear term's call for the step two past the failing
+        # state, before the blow-up and with both buffered in one block: the
+        # flush finds that state open, and the run still ends interrupted
+        open_at, blowup, _ = closing
+        call = open_at + 2
+        assert call < blowup and call // self.K == open_at // self.K
         cfg = preset_config("E", **self.CLOSING, output_dir=tmp_path / "whole")
         whole = run_experiment(cfg)
-        assert whole.status == "closure" and whole.steps_completed == self.FIRST_OPEN - 1
+        assert whole.status == "closure" and whole.steps_completed == open_at - 1
         out = tmp_path / "cut"
-        interrupt_run(monkeypatch, 1, 16)
+        interrupt_run(monkeypatch, 1, call)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(replace(cfg, output_dir=out))
         manifest = read_manifest(out)
         assert manifest["status"] == "interrupted"
-        assert manifest["steps_completed"] == str(self.FIRST_OPEN - 1)
+        assert manifest["steps_completed"] == str(open_at - 1)
         assert manifest["error"] == whole.error
-        assert whole.error.startswith(f"closure at step {self.FIRST_OPEN} ")
+        assert whole.error.startswith(f"closure at step {open_at} ")
         rows = (out / "diagnostics.csv").read_bytes().splitlines()
         assert rows == (tmp_path / "whole" / "diagnostics.csv").read_bytes().splitlines()[
-            :1 + self.FIRST_OPEN]
-        assert len(rows) == 1 + self.FIRST_OPEN
+            :1 + open_at]
+        assert len(rows) == 1 + open_at
 
     @pytest.mark.parametrize("blowup, last, recorded", [(None, 9, 95),
                                                         (harness.OBSERVE_BLOCK + 5, 2, 11)])
@@ -1008,7 +1028,7 @@ class TestFilterStudy:
 
     @pytest.mark.parametrize("study, failed", [
         ("filter-128", {"ADB": 30, "ADBK": 30}),
-        ("criterion-4", {"ADB": 1986}),
+        ("criterion-4", {"ADB": 1971}),
     ], ids=["filter-128", "criterion-4"])
     def test_steps_completed_per_variant(self, study, failed, tmp_path, request):
         if study == "criterion-4":

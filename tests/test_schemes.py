@@ -493,13 +493,20 @@ class TestWorkspace:
         assert np.array_equal(final.phi, np.fft.irfft(reference[-1], n, norm="forward"))
 
     def test_criterion_4_adb_blowup_unchanged(self):
-        # ADB's blow-up step moves with roundoff: the workspace must not move it
+        # ADB's blow-up step moves with roundoff: the workspace must blow up at
+        # the first step where the plain loop's max|phi| leaves the limit
         state, _ = catalog_state("ellipse", 512, a=1.0, b=0.5)
+        cfg = SchemeConfig(scheme="adb", dt=1e-4)
+        for j, level in reference_levels(state, cfg, 5000):
+            peak = np.max(np.abs(np.fft.irfft(level, 512, norm="forward")))
+            if not peak <= schemes.BLOWUP_LIMIT:
+                break
+        assert j < 5000  # the plain loop blew up before t = 0.5
         with pytest.raises(BlowUp) as err:
-            integrate(state, SchemeConfig(scheme="adb", dt=1e-4), 0.5)
-        assert err.value.step == 1987
+            integrate(state, cfg, 0.5)
+        assert err.value.step == j
         assert str(err.value) == (
-            "blow-up at step 1987 (t=0.1987): max|phi| = 1.626e+08 exceeds 1.000e+03")
+            f"blow-up at step {j} (t={j * cfg.dt:.6g}): max|phi| = {peak:.3e} exceeds 1.000e+03")
 
     @pytest.mark.parametrize("scheme", schemes.SCHEMES)
     def test_states_keep_their_phi_after_later_steps(self, scheme):

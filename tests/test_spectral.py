@@ -325,18 +325,27 @@ class TestInterpolation:
         exact = np.array([np.sum(fhat * np.exp(1j * m * a)).real for a in alpha])
         assert np.max(np.abs(trig_interpolate(f, alpha) - exact)) < 1e-12
 
-    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("n", [8, 16, 512, 4096, 8192])
     def test_matches_dense_reference(self, n, rng):
         # the sum over the whole spectrum, one exp per point and mode, with
-        # the Nyquist mode as cos(N*beta/2)
-        f = rng.normal(size=n)
-        beta = rng.uniform(0.0, 2 * np.pi, 200)
-        fhat = np.fft.fft(f) / n
+        # the Nyquist mode as cos(N*beta/2), in extended precision: in doubles
+        # the phases m*beta round, by up to 1e-12 of max|f| at N = 8192.  The
+        # points lie anywhere in [0, 2pi), on midpoints between nodes (|u| =
+        # 1/2, the series' worst case), below 0 and beyond 2pi; the rows are
+        # random and the Nyquist mode alone
+        h = 2 * np.pi / n
+        nodes = rng.integers(0, n, 10)
+        beta = np.concatenate([rng.uniform(0.0, 2 * np.pi, 10), (nodes + 0.5) * h,
+                               (nodes - 0.5) * h, rng.uniform(-4 * np.pi, 0.0, 10),
+                               rng.uniform(2 * np.pi, 6 * np.pi, 10)])
         m = fft_wavenumbers(n)
         interior = m != n // 2
-        dense = (np.exp(1j * np.outer(beta, m[interior])) @ fhat[interior]).real
-        dense += fhat[n // 2].real * np.cos(n // 2 * beta)
-        assert np.max(np.abs(trig_interpolate(f, beta) - dense)) <= 1e-12 * np.max(np.abs(f))
+        phase = np.outer(beta.astype(np.longdouble), m[interior])
+        for f in (rng.normal(size=n), np.cos(np.pi * np.arange(n))):
+            fhat = np.fft.fft(f) / n
+            dense = np.cos(phase) @ fhat[interior].real - np.sin(phase) @ fhat[interior].imag
+            dense += fhat[n // 2].real * np.cos(n // 2 * beta.astype(np.longdouble))
+            assert np.max(np.abs(trig_interpolate(f, beta) - dense)) <= 1e-12 * np.max(np.abs(f))
 
     @pytest.mark.parametrize("n", [8, 16, 512, 4096])
     def test_stack_matches_one_call_per_row(self, n, rng):
@@ -349,7 +358,7 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("n", [8, 16, 4096])
     def test_band_limited_exact_across_block_splits(self, n, rng):
-        # N/2 = 4 splits modes into 2 x 2 blocks, N/2 = 8 and 2048 into unequal ones
+        # every mode below the Nyquist one, where the series' terms are largest
         alpha = np.array([0.3, 1.234, 5.9])
         f = band_limited_field(n, n // 2 - 1, rng, scale=1.0 / np.sqrt(n))
         fhat = np.fft.fft(f) / n
