@@ -452,7 +452,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     if cfg.output_dir is None:
         raise ValidationError("run_experiment requires output_dir")
     out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_keyvalue(out_dir / "config.txt", cfg.echo_pairs())
 
     started = _time.perf_counter()
@@ -594,7 +593,7 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
             if out is not None:
                 manifest()
             raise KeyboardInterrupt
-        xi_series[label] = [(row.time, row.xi) for row in observer.rows]
+        xi_series[label] = [(row.time, row.xi) for row in result.rows]
         spectra[label], closure[label] = observer.power, observer.closure
     labels = list(results)
 

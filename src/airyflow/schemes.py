@@ -30,7 +30,7 @@ of the same arguments passed to :func:`integrate`.  A run ends with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,15 +144,13 @@ def step_rules(cfg: SchemeConfig, n: int, length: float) -> tuple[StepRule, Step
     zeta1 = (1 - i gamma)/(1 + i gamma)   |zeta1| = 1
     zeta2 = (1 - i gamma)/(1 + gamma^2)   |zeta2| <= 1
 
-    with gamma_m = dt (2 pi m / L)^3 over the half spectrum m = 0..N/2.
-    The Nyquist gamma is zeroed: the third-derivative symbol is odd and
-    carries no information there on a real grid, and a real multiplier
-    keeps phi real.
+    with gamma_m = dt (2 pi m / L)^3 over the half spectrum m = 0..N/2, m
+    read off the derivative symbol i m, so the Nyquist gamma is zeroed as
+    that symbol is: the third-derivative symbol is odd and carries no
+    information there on a real grid, and a real multiplier keeps phi real.
     """
     dt = cfg.dt
-    m = np.arange(n // 2 + 1, dtype=np.float64)
-    m[-1] = 0.0
-    gamma = dt * (2.0 * np.pi * m / length) ** 3
+    gamma = dt * (2.0 * np.pi * _derivative_symbol(n).imag / length) ** 3
     zeta = np.exp(-1j * gamma)
     if cfg.scheme == "adb":
         return (StepRule(a=zeta, c=dt * zeta),
@@ -241,10 +239,13 @@ def integrate(
     ``observers`` is an iterable of (stride, callback) pairs; each
     callback(step, phi) fires at step 0, every ``stride`` steps, and at the
     final step (a stride that is not an integer >= 1 raises
-    :class:`ValidationError` before step 0).  phi is the grid row the loop
+    :class:`ValidationError` before step 0), by one closure that calls
+    those due and returns the next due step.  phi is the grid row the loop
     holds, ``initial.phi`` at step 0, which the next step overwrites: a
     callback copies what it keeps and writes none of it.  Step j is at
-    ``initial.time + j * dt``; only the returned final state is a ThetaLState.
+    ``initial.time + j * dt``.  Only the state's phi, length and time are
+    read: ``initial`` is returned with phi and time replaced (itself for
+    zero steps), its other fields passed through.
     Raises :class:`BlowUp` if max|phi| is non-finite or exceeds :data:`BLOWUP_LIMIT`.
 
     The guard reads max|phi| off the grid only when the spectral bound
@@ -286,14 +287,13 @@ def integrate(
     term = nonlinear or nonlinear_term
 
     def notify(j, phi):
-        """Hand phi at step j to each observer due there."""
+        """Hand phi to each observer due at step j; return the next due step (<= steps)."""
+        due = steps
         for stride, callback in observers:
             if j == steps or j % stride == 0:
                 callback(j, phi)
-
-    def next_due(j):
-        """The first step after j at which an observer fires: the final step at the latest."""
-        return min([steps] + [j + stride - j % stride for stride, _ in observers])
+            due = min(due, j + stride - j % stride)
+        return due
 
     # the workspace: levels j, j-1, j+1; NL spectra j, j-1; D phi; theta_alpha,
     # cube; the filter's own buffers
@@ -303,8 +303,7 @@ def integrate(
     filter = mode_filter(cfg.filter, n)
     bound_sq = (BLOWUP_LIMIT / 2) ** 2
     rfft(initial.phi, phi_hat)
-    notify(0, initial.phi)
-    due = next_due(0)
+    due = notify(0, initial.phi)
     for j in range(1, steps + 1):
         nl = term(phi_hat, length, filter, d_phi, theta_a, cube)
         rfft(nl, nl_hat)
@@ -327,6 +326,5 @@ def integrate(
             if not (math.isfinite(peak) and peak <= BLOWUP_LIMIT):
                 raise BlowUp(j, t0 + j * dt, f"max|phi| = {peak:.3e} exceeds {BLOWUP_LIMIT:.3e}")
         if j == due:
-            notify(j, phi)
-            due = next_due(j)
-    return ThetaLState(theta_a, length, t0 + steps * dt, initial.anchor) if steps else initial
+            due = notify(j, phi)
+    return replace(initial, phi=theta_a, time=t0 + steps * dt) if steps else initial

@@ -300,6 +300,27 @@ class TestPresets:
             cfg = preset_config(name)
             assert (int(n), float(dt), float(t_final)) == (cfg.n, cfg.dt, cfg.t_final), name
 
+    def test_readme_closure_example(self, tmp_path, monkeypatch):
+        # README's "Outputs" quotes a preset run's closure error and how the
+        # same run ends when stopped after a step: run both as quoted
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = " ".join(readme.split("### Outputs", 1)[1].split("\n#", 1)[0].split())
+        name, words, message = re.search(
+            r"preset (\w+) with `([^`]+)` gives `([^`]+)`", section).groups()
+        stopped, open_at, recorded = map(int, re.search(
+            r"Stopped after step (\d+), .*? finds step (\d+) open, and ends `interrupted` "
+            r"with `steps_completed = (\d+)`", section).groups())
+        cfg = preset_config(name, **harness.parse_overrides(words.split()),
+                            output_dir=tmp_path / "whole")
+        assert run_experiment(cfg).error == message
+        assert message.startswith(f"closure at step {open_at} ")
+        interrupt_run(monkeypatch, 1, stopped + 1)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(replace(cfg, output_dir=tmp_path / "cut"))
+        manifest = read_manifest(tmp_path / "cut")
+        assert (manifest["status"], manifest["steps_completed"], manifest["error"]) == (
+            "interrupted", str(recorded), message)
+
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_config("Q")

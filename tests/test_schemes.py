@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import re
 import tracemalloc
@@ -299,6 +301,27 @@ class TestIntegrate:
         integrate(state, cfg, 0.01, observers=[(3, lambda j, s: seen.append(j)),
                                                (np.int64(3), lambda j, s: seen_np.append(j))])
         assert seen == seen_np == [0, 3, 6, 9, 10]
+
+    @pytest.mark.parametrize("strides, calls", [
+        ((3, 4), ["A0", "B0", "A3", "B4", "A6", "B8", "A9", "A10", "B10"]),
+        ((20,), ["A0", "A10"]),
+    ], ids=["strides-3-and-4", "stride-past-the-end"])
+    def test_observers_of_different_strides_fire_in_step_order(self, strides, calls):
+        # the next due step is the nearest over all strides, and a stride
+        # longer than the run fires at step 0 and the final step only
+        state, _ = catalog_state("circle", 32)
+        seen = []
+        observers = [(stride, lambda j, phi, name=name: seen.append(f"{name}{j}"))
+                     for name, stride in zip("AB", strides)]
+        integrate(state, SchemeConfig(scheme="cn", dt=1e-3), 0.01, observers=observers)
+        assert seen == calls
+
+    def test_integrate_reads_no_anchor(self):
+        # the stepper reads only phi, length and time; the returned state
+        # carries the rest of ``initial`` over unread
+        attrs = {node.attr for node in ast.walk(ast.parse(inspect.getsource(integrate)))
+                 if isinstance(node, ast.Attribute)}
+        assert "anchor" not in attrs and {"phi", "length", "time"} <= attrs
 
     def test_returns_the_state_observed_at_the_final_step(self):
         state, _ = catalog_state("circle", 32)
