@@ -183,15 +183,15 @@ def resample_equal_arclength(curve: tuple[Callable, Callable],
     length = 2.0 * np.pi * float(np.mean(s_a))
 
     # s(beta) = (L/2pi) beta + periodic part, 0 at beta = 0; strictly increasing since s_a > 0.
-    # Newton's second row is s_beta: s_a less the Nyquist mode, which the antiderivative zeroes
+    # Its slope s_beta is s_a less the Nyquist mode, which the antiderivative zeroes
     periodic = spectral_antiderivative(s_a - np.mean(s_a))
     periodic = periodic - periodic[0]
-    rows = np.stack([periodic, length / (2.0 * np.pi) + spectral_derivative(periodic)])
     targets = np.arange(n) * length / n
     # Newton starts from the cubic Hermite inverse of s: knots s(alpha_k), which
     # the FFT antiderivative gives exactly, and slopes 1/s_beta there
     knots = np.append(length / (2.0 * np.pi) * alpha + periodic, length)
-    slopes = 1.0 / np.append(rows[1], rows[1, 0])
+    s_beta = length / (2.0 * np.pi) + spectral_derivative(periodic)
+    slopes = 1.0 / np.append(s_beta, s_beta[0])
     k = np.searchsorted(knots, targets, side="right") - 1
     h = knots[k + 1] - knots[k]
     u = (targets - knots[k]) / h
@@ -199,11 +199,11 @@ def resample_equal_arclength(curve: tuple[Callable, Callable],
             + h * u * (1.0 - u) * ((1.0 - u) * slopes[k] - u * slopes[k + 1]))
     tol_abs = DEFAULT_RESAMPLE_TOL * length
     for _ in range(_NEWTON_MAX_ITER):
-        value, slope = spectral.trig_interpolate(rows, beta)
+        value, derivative = spectral.trig_interpolate(periodic, beta)
         resid = length / (2.0 * np.pi) * beta + value - targets
         # update before the convergence test: the final step polishes the
         # just-in-tolerance residual down to the interpolation floor
-        beta = beta - resid / slope
+        beta = beta - resid / (length / (2.0 * np.pi) + derivative)
         if np.max(np.abs(resid)) <= tol_abs:
             break
     else:

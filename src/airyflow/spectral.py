@@ -182,20 +182,22 @@ def l2_norm(values) -> float:
     return float(np.sqrt(2.0 * np.pi / v.size * np.sum(np.abs(v) ** 2)))
 
 
-def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of real samples at points beta.
+def trig_interpolate(values: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The trigonometric interpolant of real samples and its derivative at
+    points beta.
 
-    ``values`` is one row of N samples or a stack (R, N) of rows; the
-    result has the same leading shape, with one entry per point, and each
-    row of a stack is bitwise that row alone.  The interpolant is the
+    ``values`` is one row of N samples or a stack (R, N) of rows; each of
+    the pair has the same leading shape, with one entry per point, and
+    each row of a stack is bitwise that row alone.  The interpolant is the
     symmetric one, with the Nyquist coefficient as cos(N*beta/2), summed as
     its Taylor series about the nearest node: beta = alpha_k + u*h with
-    h = 2*pi/N and |u| <= 1/2, and term j is u^j times the j-th derivative
-    over j! at node k, one :func:`irfft` of the spectrum times (i*m*h)^j/j!.
-    :data:`_TAYLOR_TERMS` terms make the sum exact to roundoff, in
-    O(R*N log N) time and O(R*N) memory.  The Nyquist slot keeps its
-    symbol: the even terms sum to (-1)^k cos(pi*u) = cos(N*beta/2), and
-    :func:`irfft` drops the odd ones.
+    h = 2*pi/N and |u| <= 1/2, and term j is u^j T_j, T_j the j-th
+    derivative over j! at node k, one :func:`irfft` of the spectrum times
+    (i*m*h)^j/j!.  The derivative sums j u^(j-1) T_j / h off the same
+    transforms.  :data:`_TAYLOR_TERMS` terms make both sums exact to
+    roundoff, in O(R*N log N) time and O(R*N) memory.  The Nyquist slot
+    keeps its symbol: the even terms sum to (-1)^k cos(pi*u) =
+    cos(N*beta/2), and :func:`irfft` drops the odd ones.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
@@ -211,9 +213,13 @@ def trig_interpolate(values: np.ndarray, beta) -> np.ndarray:
     symbol = 1j * h * np.arange(n // 2 + 1)
     term = rfft(values)
     out = values[..., k]  # term 0: the interpolant takes the samples at the nodes
+    slope = np.zeros_like(out)
     power = np.ones_like(u)
     for j in range(1, _TAYLOR_TERMS):
         term *= symbol / j
+        row = irfft(term)[..., k]
+        slope += j * power * row
         power *= u
-        out += power * irfft(term)[..., k]
-    return out
+        row *= power
+        out += row
+    return out, slope / h

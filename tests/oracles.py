@@ -14,6 +14,9 @@ the package against.  Nothing in a run calls them.
   ``diagnostics.observe`` reads off a state, in the full complex FFT;
 * :func:`linear_start_resample` -- equal-arc-length resampling started by
   linear interpolation, one interpolant row per call;
+* :func:`two_row_resample` -- equal-arc-length resampling whose Newton
+  interpolates the arc length and its slope as two rows, the reference the
+  one-row Newton must equal bit for bit;
 * :func:`per_state_observe`, :func:`per_state_rows` -- ``diagnostics.observe``
   and the diagnostics rows one state at a time, the references the block
   pass and the run's rows must equal bit for bit;
@@ -207,7 +210,7 @@ def linear_start_resample(curve, n: int):
     The cumulative arc length s(alpha) comes from the spectral
     antiderivative of s_alpha; Newton inverts its interpolant, started from
     the linear interpolant of s at the nodes and divided by the interpolant
-    of s_alpha itself, each evaluated by its own ``trig_interpolate`` call.
+    of s_alpha itself, each the value of its own ``trig_interpolate`` call.
     """
     fx, fy = curve
     alpha = grid_nodes(n)
@@ -219,8 +222,39 @@ def linear_start_resample(curve, n: int):
     at_nodes = length / (2.0 * np.pi) * alpha + periodic
     beta = np.interp(targets, np.append(at_nodes, length), np.append(alpha, 2.0 * np.pi))
     for _ in range(50):
-        resid = length / (2.0 * np.pi) * beta + trig_interpolate(periodic, beta) - targets
-        beta = beta - resid / trig_interpolate(s_a, beta)
+        resid = length / (2.0 * np.pi) * beta + trig_interpolate(periodic, beta)[0] - targets
+        beta = beta - resid / trig_interpolate(s_a, beta)[0]
+        if np.max(np.abs(resid)) <= 1e-12 * length:
+            return np.column_stack([fx(beta), fy(beta)]), length
+    raise NoConvergence("arc-length inversion did not converge in 50 iterations")
+
+
+def two_row_resample(curve, n: int):
+    """Points (n, 2) and length of ``curve`` resampled uniformly in arc length,
+    as ``geometry.resample_equal_arclength`` does from the same cubic Hermite
+    start, but with Newton's slope interpolated as a row of its own: each
+    iteration takes the values of one ``trig_interpolate`` call on the stack
+    of the periodic arc length and s_beta = L/(2*pi) + its spectral derivative.
+    """
+    fx, fy = curve
+    alpha = grid_nodes(n)
+    s_a = np.hypot(*spectral_derivative(np.stack((fx(alpha), fy(alpha)))))
+    length = 2.0 * np.pi * float(np.mean(s_a))
+    periodic = spectral_antiderivative(s_a - np.mean(s_a))
+    periodic = periodic - periodic[0]
+    rows = np.stack([periodic, length / (2.0 * np.pi) + spectral_derivative(periodic)])
+    targets = np.arange(n) * length / n
+    knots = np.append(length / (2.0 * np.pi) * alpha + periodic, length)
+    slopes = 1.0 / np.append(rows[1], rows[1, 0])
+    k = np.searchsorted(knots, targets, side="right") - 1
+    h = knots[k + 1] - knots[k]
+    u = (targets - knots[k]) / h
+    beta = (alpha[k] + u * u * (3.0 - 2.0 * u) * (2.0 * np.pi / n)
+            + h * u * (1.0 - u) * ((1.0 - u) * slopes[k] - u * slopes[k + 1]))
+    for _ in range(50):
+        value, slope = trig_interpolate(rows, beta)[0]
+        resid = length / (2.0 * np.pi) * beta + value - targets
+        beta = beta - resid / slope
         if np.max(np.abs(resid)) <= 1e-12 * length:
             return np.column_stack([fx(beta), fy(beta)]), length
     raise NoConvergence("arc-length inversion did not converge in 50 iterations")

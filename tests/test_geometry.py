@@ -22,12 +22,22 @@ from airyflow.geometry import (
 )
 from airyflow.spectral import grid_nodes, spectral_derivative
 
-from conftest import catalog_state, fed_observer, observe_states
-from oracles import linear_start_resample, point_curvature
+from conftest import catalog_state, count_transforms, fed_observer, observe_states
+from oracles import linear_start_resample, point_curvature, two_row_resample
 
 # perimeter of ellipse(1, 0.5) by adaptive quadrature of sqrt(sin^2 + 0.25 cos^2);
 # scipy.integrate.quad reports an error estimate of 5.4e-14
 ELLIPSE_PERIMETER = 4.844224110273837
+
+
+#: the resampling tests' shapes: smooth, thin, dimpled, three-lobed and strongly perturbed
+RESAMPLE_SHAPES = [
+    ("ellipse", dict(a=1.0, b=0.5)),
+    ("ellipse", dict(a=1.0, b=0.05)),
+    ("cardioid", {}),
+    ("pc3", {}),
+    ("perturbed_circle", dict(r0=1.0, delta0=0.9, m=5)),
+]
 
 
 def ellipse_curvature(t, a=1.0, b=0.5):
@@ -157,8 +167,8 @@ class TestResample:
     @pytest.mark.parametrize("n", [4096, 8192])
     def test_cardioid_peak_memory(self, n):
         # the interpolant holds a few rows of N per term, so the peak grows
-        # like N: 0.98 MiB at N = 4096 and 1.88 MiB at N = 8192, with the
-        # grid's cached tables
+        # like N: 0.82 MiB at N = 4096 and 1.63 MiB at N = 8192 (210*N and
+        # 209*N bytes), with the grid's cached tables
         curve = catalog_curve("cardioid")
         tracemalloc.start()
         try:
@@ -192,19 +202,37 @@ class TestResample:
         assert self.interpolant_calls(monkeypatch, curve, 8) <= 4
 
     @pytest.mark.parametrize("n", [8, 16, 64, 512, 4096])
-    @pytest.mark.parametrize("shape, params", [
-        ("ellipse", dict(a=1.0, b=0.5)),
-        ("ellipse", dict(a=1.0, b=0.05)),
-        ("cardioid", {}),
-        ("pc3", {}),
-        ("perturbed_circle", dict(r0=1.0, delta0=0.9, m=5)),
-    ])
+    @pytest.mark.parametrize("shape, params", RESAMPLE_SHAPES)
     def test_matches_linear_start_reference(self, shape, params, n):
         curve = catalog_curve(shape, **params)
         points, length = resample_equal_arclength(curve, n)
         ref_points, ref_length = linear_start_resample(curve, n)
         assert length == ref_length
         assert np.max(np.abs(points - ref_points)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 512, 2048, 4096])
+    @pytest.mark.parametrize("shape, params", RESAMPLE_SHAPES)
+    def test_matches_two_row_newton_bitwise(self, shape, params, n):
+        # the interpolant's derivative is the slope row's interpolant up to
+        # roundoff, and the final Newton step polishes that away
+        curve = catalog_curve(shape, **params)
+        points, length = resample_equal_arclength(curve, n)
+        ref_points, ref_length = two_row_resample(curve, n)
+        assert length == ref_length
+        assert np.array_equal(points, ref_points)
+
+    @pytest.mark.parametrize("n, calls", [(512, 2), (2048, 1)])
+    def test_newton_transforms_one_row(self, monkeypatch, n, calls):
+        # the setup's three derivative and antiderivative pairs, then per
+        # Newton call one rfft of the arc length and one irfft per Taylor
+        # term, from which the interpolant takes both its value and its slope
+        _, shapes = count_transforms(monkeypatch)
+        resample_equal_arclength(catalog_curve("cardioid"), n)
+        half = n // 2 + 1
+        setup = [("rfft", (2, n)), ("irfft", (2, half)), ("rfft", (n,)), ("irfft", (half,)),
+                 ("rfft", (n,)), ("irfft", (half,))]
+        newton = [("rfft", (n,))] + [("irfft", (half,))] * 22
+        assert shapes == setup + newton * calls
 
     def test_newton_slope_drops_the_nyquist_mode(self, monkeypatch):
         # s_alpha's Nyquist coefficient here is -1.56, which the residual's
