@@ -46,14 +46,17 @@ def _load(args, kind: str):
     return _require_out(cfg, args.out)
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args, "run")
+def _run(cfg: RunConfig) -> int:
     result = harness.run_experiment(cfg)
     print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {cfg.output_dir}")
     if result.rows:
         last = result.rows[-1]
         print(f"final diagnostics: t={last.time:g} xi={last.xi:.3e} max|k|={last.max_curvature:.4g}")
     return 0 if result.status == "completed" else 1
+
+
+def _cmd_run(args) -> int:
+    return _run(_load(args, "run"))
 
 
 def _cmd_converge(args) -> int:
@@ -93,9 +96,7 @@ def _cmd_preset(args) -> int:
                        args.out)
     if cfg.steps >= LONG_RUN_STEPS:
         print(f"note: {args.name.upper()} runs {cfg.steps} steps")
-    result = harness.run_experiment(cfg)
-    print(f"{result.status}: {result.steps_completed}/{cfg.steps} steps -> {cfg.output_dir}")
-    return 0 if result.status == "completed" else 1
+    return _run(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -307,9 +307,9 @@ class _BlockObserver:
     each state's closure defect with ``closure_tol`` (``math.inf`` checks
     nothing) and raises :class:`ClosureViolation` for the first state
     beyond it, after recording the states before it.  The step-0 state
-    sets the baselines of ``xi`` and ``delta_n``.  The filter study reads
-    ``power`` (the last recorded) and ``closure`` (the largest); ``recorded``
-    is the last recorded step, where an interrupted run ends.
+    sets the baselines of ``xi`` and ``delta_n``.  A study reads ``closure``
+    (the largest) and the filter study ``power`` (the last recorded);
+    ``recorded`` is the last recorded step, where an interrupted run ends.
     """
 
     def __init__(self, cfg: RunConfig, initial: ThetaLState, closure_tol: float):
@@ -487,16 +487,41 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 # studies
 
 
-def _study_status(key: str, results: dict, errors: dict) -> list:
-    """Manifest lines of a study's trajectories by label: ``status = interrupted``
-    if one was, then ``key.LABEL`` (ok | failed | interrupted), then
-    ``steps_completed.LABEL``, then ``error.LABEL`` of each failed one."""
-    word = {"completed": "ok", "interrupted": "interrupted"}
-    statuses = [r.status for r in results.values()]
-    return [*[("status", "interrupted")] * ("interrupted" in statuses),
+def _run_study(trajectories, key: str, manifest: Optional[Path]):
+    """Run a study's (label, config, initial state, outputs, error context)
+    trajectories in order through :meth:`_BlockObserver.run`, with no closure
+    check and each output watched at ``diagnostic_stride``, up to the first
+    that ends "interrupted"; a failure's error reads ``"CONTEXT: message"``.
+
+    ``manifest``, if given, gets ``status = interrupted`` if one was, then
+    ``KEY.LABEL`` (ok | failed | interrupted), ``steps_completed.LABEL`` and
+    ``error.LABEL`` of each trajectory run, then ``closure.LABEL`` (the
+    largest defect over its rows) of each finished one with rows.  Raises
+    ``KeyboardInterrupt`` after an interrupt, else returns the results,
+    observers and errors by label.
+    """
+    results, observers, errors = {}, {}, {}
+    for label, cfg, initial, outputs, context in trajectories:
+        observer = observers[label] = _BlockObserver(cfg, initial, math.inf)
+        result = results[label] = observer.run(
+            [(cfg.diagnostic_stride, observer.watch(output)) for output in outputs])
+        if result.error:
+            errors[label] = f"{context}: {result.error}"
+        if result.status == "interrupted":
+            break
+    interrupted = result.status == "interrupted"
+    if manifest is not None:
+        word = {"completed": "ok", "interrupted": "interrupted"}
+        _write_keyvalue(manifest, [
+            *[("status", "interrupted")] * interrupted,
             *((f"{key}.{label}", word.get(r.status, "failed")) for label, r in results.items()),
             *((f"steps_completed.{label}", r.steps_completed) for label, r in results.items()),
-            *((f"error.{label}", message) for label, message in errors.items())]
+            *((f"error.{label}", message) for label, message in errors.items()),
+            *((f"closure.{label}", observers[label].closure) for label, r in results.items()
+              if r.rows and r.status != "interrupted")])
+    if interrupted:
+        raise KeyboardInterrupt
+    return results, observers, errors
 
 
 @dataclass(frozen=True)
@@ -521,25 +546,15 @@ def run_convergence_study(study: ConvergenceStudyConfig) -> ConvergenceRow:
     gives each level's status and steps completed, and ``convergence.csv``
     is written only when all three levels complete.  Raises
     :class:`StudyFailed` after any level failed.  All three initial states
-    are built first.  A level that ends "interrupted" (at step 0: a level
-    records no rows) writes the manifest of the levels so far, headed
-    ``status = interrupted``, and no CSV, then raises ``KeyboardInterrupt``.
+    are built first.  An interrupted level (at step 0: a level records no
+    rows) ends the study as :func:`_run_study` says, with no CSV.
     """
     output_dir = study.base.output_dir
-    levels = [(cfg, build_initial_state(cfg)) for cfg in study.level_configs()]
-    results, errors = {}, {}
-    for level, (cfg, initial) in enumerate(levels):
-        result = results[level] = _BlockObserver(cfg, initial, math.inf).run(())
-        if result.error:
-            setting = f"dt = {cfg.dt!r}" if study.axis == "time" else f"n = {cfg.n}"
-            errors[level] = f"level {level} ({setting}): {result.error}"
-        if result.status == "interrupted":
-            break
-    if output_dir is not None:
-        _write_keyvalue(output_dir / "convergence_manifest.txt",
-                        _study_status("level", results, errors))
-    if result.status == "interrupted":
-        raise KeyboardInterrupt
+    setting = "dt = {0.dt!r}" if study.axis == "time" else "n = {0.n}"
+    levels = [(level, cfg, build_initial_state(cfg), (), f"level {level} ({setting.format(cfg)})")
+              for level, cfg in enumerate(study.level_configs())]
+    results, _, errors = _run_study(levels, "level", output_dir and (
+        output_dir / "convergence_manifest.txt"))
     if errors:
         raise StudyFailed(errors)
     states = [result.final for result in results.values()]
@@ -570,32 +585,17 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
     the final time, one relative M3 drift comparison CSV and a manifest
     of each variant's status, largest closure defect over the observed
     states and error.  The last power spectrum is the final state's, or
-    the last observed one's after a failure.  A variant that ends
-    "interrupted" writes only the manifest, headed ``status = interrupted``,
-    of the finished variants and the running one at its last recorded
-    step, then raises ``KeyboardInterrupt``.
+    the last observed one's after a failure.  An interrupted variant ends
+    the study as :func:`_run_study` says, with no CSV.
     """
     initial, out = build_initial_state(base), base.output_dir
-    results, xi_series, spectra, closure, errors = {}, {}, {}, {}, {}
-
-    def manifest():
-        _write_keyvalue(out / "filters_manifest.txt", [
-            *_study_status("variant", results, errors),
-            *((f"closure.{label}", defect) for label, defect in closure.items())])
-
-    for label, scheme, filter_mode in FILTER_STUDY_VARIANTS:
-        cfg = replace(base, scheme=scheme, filter=filter_mode)
-        observer = _BlockObserver(cfg, initial, math.inf)  # the study records the defect
-        result = results[label] = observer.run([(cfg.diagnostic_stride, observer.watch("rows"))])
-        if result.error:
-            errors[label] = f"BlowUp: {result.error}"
-        if result.status == "interrupted":
-            if out is not None:
-                manifest()
-            raise KeyboardInterrupt
-        xi_series[label] = [(row.time, row.xi) for row in result.rows]
-        spectra[label], closure[label] = observer.power, observer.closure
+    variants = [(label, replace(base, scheme=scheme, filter=filter_mode), initial, ("rows",),
+                 "BlowUp") for label, scheme, filter_mode in FILTER_STUDY_VARIANTS]
+    results, observers, errors = _run_study(variants, "variant", out and (
+        out / "filters_manifest.txt"))
     labels = list(results)
+    xi_series = {label: [(row.time, row.xi) for row in r.rows] for label, r in results.items()}
+    spectra = {label: observer.power for label, observer in observers.items()}
 
     if out is not None:
         m = spectral.symmetric_wavenumbers(base.n)
@@ -608,5 +608,4 @@ def run_filter_study(base: RunConfig) -> FilterStudyResult:
                    zip_longest([t for t, _ in longest],
                                *([xi for _, xi in xi_series[label]] for label in labels),
                                fillvalue=""))
-        manifest()
     return FilterStudyResult(labels=labels, xi_series=xi_series, spectra=spectra, errors=errors)

@@ -279,6 +279,13 @@ class TestPresets:
         assert cli.main(["preset", name, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith(note + "completed: ")
 
+    def test_preset_prints_what_run_prints(self, tmp_path, capsys):
+        # preset and run share one body: the status line, then the final diagnostics
+        assert cli.main(["preset", "E", "t_final=0.01", "--out", str(tmp_path)]) == 0
+        status, final = capsys.readouterr().out.splitlines()
+        assert status == f"completed: 20/20 steps -> {tmp_path}"
+        assert final.startswith("final diagnostics: t=0.01 xi=")
+
     def test_overrides(self, tmp_path):
         cfg = preset_config("E", dt=1e-3, t_final=0.5, output_dir=tmp_path)
         assert cfg.dt == 1e-3 and cfg.t_final == 0.5 and cfg.output_dir == tmp_path

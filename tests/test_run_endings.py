@@ -1,4 +1,5 @@
-"""One place decides how a trajectory ends: ``harness._BlockObserver.run``."""
+"""One place decides how a trajectory ends: ``harness._BlockObserver.run``;
+and one how a run or a study ends: ``run_experiment`` or ``_run_study``."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "airyflow").glob("*.py"))
 RUNNER = "harness._BlockObserver.run"
+ENDINGS = {"harness.run_experiment", "harness._run_study"}
 
 
 def scoped_nodes(path):
@@ -43,3 +45,15 @@ def test_only_the_runner_builds_a_run_result():
     building = scopes_of(lambda node: isinstance(node, ast.Call) and (
         "RunResult" in named(node.func)))
     assert building and set(building) == {RUNNER}
+
+
+def test_only_a_run_or_the_study_runner_builds_a_block_observer():
+    building = scopes_of(lambda node: isinstance(node, ast.Call) and (
+        "_BlockObserver" in named(node.func)))
+    assert set(building) == ENDINGS
+
+
+def test_only_a_run_or_the_study_runner_raises_the_interrupt():
+    raising = scopes_of(lambda node: isinstance(node, ast.Raise) and node.exc is not None and (
+        "KeyboardInterrupt" in named(node.exc)))
+    assert set(raising) == ENDINGS

@@ -76,7 +76,7 @@ CONFIGS = {
 
 def run_config(name: str, out: Path) -> dict:
     """Run config ``name`` with the airyflow on the path, writing to ``out``;
-    return its headline figures."""
+    return its headline figures.  Safe to call more than once in one process."""
     from airyflow import diagnostics, harness, schemes
     from airyflow.errors import StudyFailed
 
@@ -106,6 +106,8 @@ def run_config(name: str, out: Path) -> dict:
         row = harness.run_convergence_study(replace(cfg, base=replace(cfg.base, output_dir=out)))
     except StudyFailed as exc:
         return {"errors": exc.errors}
+    finally:
+        schemes.integrate = integrate
     m3 = lambda state: diagnostics.conserved_quantities(state).m3
     drift = [abs((m3(final) - m3(initial)) / m3(initial)) for initial, final in ends]
     return {"order": row.order, "max_xi": max(drift)}
