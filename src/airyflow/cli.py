@@ -22,7 +22,7 @@ from . import harness
 from .errors import AiryflowError, StudyFailed
 from .harness import ConvergenceStudyConfig, RunConfig, parse_config, preset_config
 
-#: prints a note: ~4 s of preset E at the 24,700 steps/s (reference CPU speed, median of
+#: prints a note: ~3.8 s of preset E at the 26,570 steps/s (reference CPU speed, median of
 #: ten 40 s runs) that ``python3 perfbench/run.py --workload preset-e --trace 0`` reads
 LONG_RUN_STEPS = 10**5
 

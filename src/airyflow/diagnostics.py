@@ -5,8 +5,8 @@ The flow conserves three integrals of the curvature,
 
     M1 = int k ds,   M2 = int k^2 ds,   M3 = int (k_s^2/2 - k^4/8) ds,
 
-interpreted as mass, momentum, and energy.  M1 is the turning number
-times 2*pi and is conserved to roundoff; M3 is the most sensitive to the
+interpreted as mass, momentum, and energy.  M1, 2*pi per turn of the
+tangent, is conserved to roundoff; M3 is the most sensitive to the
 scheme and its relative drift is the primary accuracy measure used
 throughout the experiment harness.
 """
@@ -26,20 +26,19 @@ from .spectral import _derivative_symbol, grid_nodes, irfft, l2_norm, rfft
 
 @dataclass(frozen=True)
 class ConservedTriple:
-    """The three invariants and the time: one state's floats, or (S,) rows
-    of a block in an :class:`Observation`."""
+    """M1, M2, M3: one state's floats, or (S,) rows of a block in an
+    :class:`Observation`."""
 
     m1: float | np.ndarray
     m2: float | np.ndarray
     m3: float | np.ndarray
-    time: float | np.ndarray
 
 
 def conserved_quantities(state: ThetaLState) -> ConservedTriple:
     """M1, M2, M3 of one state's curvature, ds = (L/2*pi) d alpha: the
     triple of :func:`observe` on its one row, as floats."""
-    t = observe(state.phi[None], np.array([state.time]), state.length, state.anchor).triple
-    return ConservedTriple(*(float(f[0]) for f in (t.m1, t.m2, t.m3, t.time)))
+    t = observe(state.phi[None], state.length, state.anchor).triple
+    return ConservedTriple(*(float(f[0]) for f in (t.m1, t.m2, t.m3)))
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,12 @@ class Observation:
     closure: np.ndarray  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|, (S,)
 
 
-def observe(phi: np.ndarray, time: np.ndarray, length: float, anchor) -> Observation:
+def observe(phi: np.ndarray, length: float, anchor) -> Observation:
     """Every observer quantity of S states of one run in one pass:
-    ``phi`` (S, N) at the grid nodes and ``time`` (S,), sharing the run's
-    ``length`` and (x, y) ``anchor``.  A state's rows are bitwise the
-    same in any block.  It measures and never raises: whether a
-    ``closure`` defect ends a run is the run's decision.
+    ``phi`` (S, N) at the grid nodes, sharing the run's ``length`` and
+    (x, y) ``anchor``.  A state's rows are bitwise the same in any
+    block.  It measures and never raises: whether a ``closure`` defect
+    ends a run is the run's decision.
 
     Each field takes its own transforms: phi's :func:`spectral.rfft`
     gives the power spectra and the spectra of phi_alpha and
@@ -90,7 +89,7 @@ def observe(phi: np.ndarray, time: np.ndarray, length: float, anchor) -> Observa
     points = geometry.reconstruct_curve(anchor, tangent_hat)
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
-    # k^4 = k^2 k^2): L times a row's mean is M1-M3
+    # k^4 = k^2 k^2): a row's mean, scaled by L, is M1-M3
     rows = np.empty((4, *phi.shape))
     scale = 2.0 * np.pi / length
     k, k2, m3 = rows[:3]
@@ -108,7 +107,7 @@ def observe(phi: np.ndarray, time: np.ndarray, length: float, anchor) -> Observa
     # which takes mu_y cx - mu_x cy off the integrand's mean
     mu_x, mu_y = tangent_hat[:, :, 0].real
     area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
-    return Observation(triple=ConservedTriple(*(means[:3] * length), time), k=k,
+    return Observation(triple=ConservedTriple(*(means[:3] * length)), k=k,
                        power=spectral.power_spectrum(phi_hat), points=points,
                        radius=np.sqrt(area / np.pi), centroid=centroid.T,
                        closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))

@@ -361,7 +361,7 @@ class _BlockObserver:
             return
         size, initial = len(steps), self.initial
         time = initial.time + np.fromiter(steps, float, size) * self.cfg.dt
-        obs = diagnostics.observe(self.block[:size], time, initial.length, initial.anchor)
+        obs = diagnostics.observe(self.block[:size], initial.length, initial.anchor)
         beyond = obs.closure > self.closure_tol
         count = int(beyond.argmax()) if beyond.any() else size
         if count:  # the rows and snapshots of the states before the first open one
@@ -375,7 +375,7 @@ class _BlockObserver:
             offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
             offset *= offset
             radial = np.sqrt((offset[0] + offset[1]).max(axis=1))
-            columns = (triple.time, triple.m1, triple.m2, triple.m3,
+            columns = (time, triple.m1, triple.m2, triple.m3,
                        diagnostics.m3_drift(triple.m3, self.m3_baseline),
                        np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
                        obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4

@@ -32,8 +32,7 @@ def observe_states(states):
     length and one anchor as one run's states do."""
     first = states[0]
     assert all((s.length, s.anchor) == (first.length, first.anchor) for s in states)
-    return diagnostics.observe(np.array([s.phi for s in states]),
-                               np.array([s.time for s in states]), first.length, first.anchor)
+    return diagnostics.observe(np.array([s.phi for s in states]), first.length, first.anchor)
 
 
 def state_observer(initial, dt, callback):

@@ -24,7 +24,9 @@ the package against.  Nothing in a run calls them.
 * :func:`reference_filter` -- a mode filter as its formula states it;
 * :func:`reference_levels` -- ``schemes.integrate``'s loop in plain
   allocating steps, the reference its workspace levels must equal bit
-  for bit.
+  for bit;
+* :func:`travelling_wave` -- an exact travelling wave of the nonlinear
+  flow, the true solution a scheme's error is measured against.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ def mkdv_residual(states) -> float:
     if not (dt1 > 0 and abs(dt1 - dt2) <= 1e-9 * dt1):
         raise ValueError("states must be equally spaced in time")
     # one run's states: one length and one anchor
-    k0, k1, k2 = diagnostics.observe(np.array([s.phi for s in states]), np.array([t0, t1, t2]),
-                                     states[0].length, states[0].anchor).k
+    k0, k1, k2 = diagnostics.observe(np.array([s.phi for s in states]), states[0].length,
+                                     states[0].anchor).k
     k_t = (k2 - k0) / (t2 - t0)
     return float(np.max(np.abs(k_t - mkdv_rhs(k1, states[1].length))))
 
@@ -306,7 +308,7 @@ def per_state_observe(state) -> diagnostics.Observation:
     area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
     power = np.abs(phi_hat) ** 2
     return diagnostics.Observation(
-        triple=diagnostics.ConservedTriple(m1=m1, m2=m2, m3=m3, time=state.time), k=k,
+        triple=diagnostics.ConservedTriple(m1=m1, m2=m2, m3=m3), k=k,
         power=np.concatenate([power[-2:0:-1], power]), points=points,
         radius=float(np.sqrt(area / np.pi)), centroid=(float(means[4]), float(means[5])),
         closure=max(abs(mu_x), abs(mu_y)))
@@ -380,3 +382,78 @@ def reference_levels(state, cfg, steps, nonlinear=None):
                 new = coef * x if new is None else new + coef * x
         prev, prev_nl, level = level, nl_hat, new
         yield j, level
+
+
+@dataclass(frozen=True)
+class TravellingWave:
+    """An exact solution of the flow on a curve of length 2*pi, at N nodes.
+
+    Its curvature k = 1 + phi0' solves k_ss + k^3/2 = mu k + p, so mKdV
+    gives k_t = mu k_s: the curvature travels along the curve, and
+    phi(alpha, t) = phi0(alpha + mu t) + (mu + p) t.
+    """
+
+    m: int
+    coefficients: np.ndarray  # b_1 .. b_K of phi0 = sum_q b_q sin(q m alpha)
+    mu: float
+    p: float
+    n: int
+
+    def exact(self, t: float) -> np.ndarray:
+        """The exact phi at time t at the N nodes."""
+        modes = self.m * np.arange(1, self.coefficients.size + 1)
+        nodes = grid_nodes(self.n) + self.mu * t
+        return np.sin(np.outer(nodes, modes)) @ self.coefficients + (self.mu + self.p) * t
+
+    @property
+    def phi0(self) -> np.ndarray:
+        return self.exact(0.0)
+
+    def state(self) -> ThetaLState:
+        """The wave at t = 0 as a state of length 2*pi."""
+        return ThetaLState(self.phi0, 2.0 * np.pi)
+
+
+def travelling_wave(m: int, eps: float, n: int) -> TravellingWave:
+    """The m-fold travelling wave phi0 = eps sin(m alpha) + ..., at N = ``n`` nodes.
+
+    The unknowns are b_2 .. b_K (K = 48), mu and p; the equations
+    are the cosine coefficients at 0, m, ..., Km of
+    phi0''' + (1 + phi0')^3/2 - mu (1 + phi0') - p, taken by one ``rfft``
+    on 8Km collocation points, where the cube does not alias.  Newton,
+    with a central-difference Jacobian, starts at the circle's branch
+    point mu = 3/2 - m^2, p = m^2 - 1.  Raises :class:`NoConvergence` if
+    the residual stays above 1e-14, and ``ValueError`` if N nodes leave
+    more than roundoff of the wave's modes unresolved.
+    """
+    terms = 48
+    size = 8 * terms * m
+    modes = m * np.arange(1, terms + 1)
+
+    def equations(x):
+        spectrum = np.zeros(size // 2 + 1)
+        spectrum[modes] = 0.5 * modes * np.concatenate(([eps], x[:-2]))
+        slope = np.fft.irfft(spectrum, size, norm="forward")
+        spectrum[modes] *= -(modes**2.0)
+        third = np.fft.irfft(spectrum, size, norm="forward")
+        mu, p = x[-2:]
+        profile = third + 0.5 * (1.0 + slope) ** 3 - mu * (1.0 + slope) - p
+        return np.fft.rfft(profile, norm="forward").real[m * np.arange(terms + 1)]
+
+    x = np.zeros(terms + 1)
+    x[-2:] = 1.5 - m * m, m * m - 1.0
+    h = 1e-7
+    for _ in range(12):
+        r = equations(x)
+        residual = float(np.abs(r).max())
+        if residual <= 1e-14:
+            break
+        jacobian = np.column_stack([(equations(x + h * e) - equations(x - h * e)) / (2 * h)
+                                    for e in np.eye(x.size)])
+        x -= np.linalg.solve(jacobian, r)
+    else:
+        raise NoConvergence(f"travelling wave ({m}, {eps}): residual {residual:.1e} after 12 steps")
+    coefficients = np.concatenate(([eps], x[:-2]))
+    if np.abs(coefficients[modes >= n // 2]).sum() > 1e-15:
+        raise ValueError(f"N = {n} does not resolve the travelling wave ({m}, {eps})")
+    return TravellingWave(m, coefficients, float(x[-2]), float(x[-1]), n)

@@ -151,8 +151,7 @@ class TestObservePass:
         # the slope spectra are dropped once the curve is built, before the
         # row pass, where the pass peaks
         block = preset_states[:harness.OBSERVE_BLOCK]
-        args = (np.array([s.phi for s in block]), np.array([s.time for s in block]),
-                block[0].length, block[0].anchor)
+        args = (np.array([s.phi for s in block]), block[0].length, block[0].anchor)
         diagnostics.observe(*args)  # builds the cached nodes and symbols
         tracemalloc.start()
         try:
@@ -227,7 +226,7 @@ def max_abs_drift(triples):
 
 class TestRelativeM3Error:
     def test_constant_series_is_zero(self):
-        series = [ConservedTriple(m1=1, m2=2, m3=-0.7, time=0.1 * i) for i in range(5)]
+        series = [ConservedTriple(m1=1, m2=2, m3=-0.7) for _ in range(5)]
         assert all(m3_drift(t.m3, series[0].m3) == 0.0 for t in series)
 
     def test_e1_table_row(self):

@@ -653,8 +653,9 @@ class TestBlockObservation:
         # wait in a block: each pass reads every row as it was handed out
         cfg = preset_config("E", t_final=(2 * self.K + 3) * 5e-4, diagnostic_stride=1,
                             snapshot_stride=5, output_dir=tmp_path)
-        handed, checked = {}, []
-        watch, observe = harness._BlockObserver.watch, diagnostics.observe
+        handed, due, checked = {}, [], []
+        watch, flush, observe = (harness._BlockObserver.watch, harness._BlockObserver.flush,
+                                 diagnostics.observe)
 
         def recording_watch(observer, output):
             callback = watch(observer, output)
@@ -665,12 +666,16 @@ class TestBlockObservation:
 
             return recorded
 
-        def checked_observe(phi, time, *run):
-            checked.extend(np.array_equal(row, handed[round(t / cfg.dt)])
-                           for row, t in zip(phi, time))
-            return observe(phi, time, *run)
+        def recording_flush(observer):
+            due[:] = observer.pending  # the steps of the block's rows, in order
+            flush(observer)
+
+        def checked_observe(phi, *run):
+            checked.extend(np.array_equal(row, handed[step]) for row, step in zip(phi, due))
+            return observe(phi, *run)
 
         monkeypatch.setattr(harness._BlockObserver, "watch", recording_watch)
+        monkeypatch.setattr(harness._BlockObserver, "flush", recording_flush)
         monkeypatch.setattr(diagnostics, "observe", checked_observe)
         assert run_experiment(cfg).status == "completed"
         assert len(checked) == cfg.steps + 1 and all(checked)
@@ -735,14 +740,15 @@ class TestBlockObservation:
         # buffered steps before it from the same pass
         open_at, blowup, _ = closing
         assert blowup // self.K == open_at // self.K  # one block holds both
-        observed, raised = [], []
+        observed, due, raised = [], [], []
         original, flush = diagnostics.observe, harness._BlockObserver.flush
 
-        def observe(phi, time, *run):
-            observed.extend(time.tolist())
-            return original(phi, time, *run)
+        def observe(phi, *run):
+            observed.extend(due)
+            return original(phi, *run)
 
         def recording_flush(observer):
+            due[:] = observer.pending  # the steps of the block's rows, in order
             try:
                 flush(observer)
             except ClosureViolation as exc:
