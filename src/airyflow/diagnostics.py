@@ -26,33 +26,36 @@ from .spectral import _derivative_symbol, grid_nodes, irfft, l2_norm, rfft
 
 @dataclass(frozen=True)
 class ConservedTriple:
-    """M1, M2, M3: one state's floats, or (S,) rows of a block in an
-    :class:`Observation`."""
+    """M1, M2, M3 of one state, as floats."""
 
-    m1: float | np.ndarray
-    m2: float | np.ndarray
-    m3: float | np.ndarray
+    m1: float
+    m2: float
+    m3: float
 
 
 def conserved_quantities(state: ThetaLState) -> ConservedTriple:
     """M1, M2, M3 of one state's curvature, ds = (L/2*pi) d alpha: the
-    triple of :func:`observe` on its one row, as floats."""
-    t = observe(state.phi[None], state.length, state.anchor).triple
-    return ConservedTriple(*(float(f[0]) for f in (t.m1, t.m2, t.m3)))
+    fields of :func:`observe` on its one row, as floats."""
+    obs = observe(state.phi[None], state.length, state.anchor)
+    return ConservedTriple(float(obs.m1[0]), float(obs.m2[0]), float(obs.m3[0]))
 
 
 @dataclass(frozen=True)
 class Observation:
     """What the run's observers read off a block of S states of N nodes,
-    every field from the one pass of :func:`observe`; row i of each field
-    (and of the triple's) is state i's."""
+    every field from the one pass of :func:`observe`; row i of each field is state i's."""
 
-    triple: ConservedTriple
+    m1: np.ndarray  # (S,)
+    m2: np.ndarray  # (S,)
+    m3: np.ndarray  # (S,)
     k: np.ndarray  # curvature at the nodes, (S, N)
+    max_curvature: np.ndarray  # max |k|, (S,)
     power: np.ndarray  # |phi_hat|^2 mirrored to m = -N/2+1 ... N/2, (S, N)
+    tail: np.ndarray  # the largest |phi_hat_m|^2 for m > N/4, (S,)
     points: np.ndarray  # the reconstructed curves, (S, N, 2)
     radius: np.ndarray  # effective radius sqrt(area / pi), (S,)
     centroid: np.ndarray  # (S, 2)
+    reach: np.ndarray  # the farthest node's distance from the centroid, (S,)
     closure: np.ndarray  # closure defect: the larger of |mean x_alpha| and |mean y_alpha|, (S,)
 
 
@@ -71,7 +74,7 @@ def observe(phi: np.ndarray, length: float, anchor) -> Observation:
     ``rfft``, whose mean slots are the closure defects and from which
     :func:`geometry.reconstruct_curve` builds the curves from the anchor.
     M1-M3, the area integrand x y_alpha - y x_alpha and the centroid are
-    row means over the block.
+    row means, and max |k|, the reach and the tail are row maxima.
     """
     n = phi.shape[1]
     tangent = np.empty((2, *phi.shape))  # the x and y rows
@@ -85,7 +88,7 @@ def observe(phi: np.ndarray, length: float, anchor) -> Observation:
     np.multiply(d, phi_hat, out=slopes[0])
     np.multiply(d, slopes[0], out=slopes[1])
     phi_a, phi_aa = irfft(slopes)
-    del slopes  # the row pass below is where the pass peaks
+    del slopes
     points = geometry.reconstruct_curve(anchor, tangent_hat)
     curve = points.transpose(2, 0, 1)  # the x and y rows
     # k = (2 pi/L)(1 + phi_alpha), k^2 and k_s^2/2 - k^4/8 (k_s = (2 pi/L)^2 phi_alpha_alpha,
@@ -101,15 +104,22 @@ def observe(phi: np.ndarray, length: float, anchor) -> Observation:
     m3 -= 0.125 * (k2 * k2)
     cross = curve * tangent[::-1]  # x t_y and y t_x
     np.subtract(cross[0], cross[1], out=rows[3])
+    del cross, phi_a, phi_aa  # before the reductions below, beside which they would peak
     # np.mean's bits, without its Python-level overhead
     means, centroid = rows.sum(axis=2) / n, curve.sum(axis=2) / n
     # the closed curve's tangent is the tangent less its mean (mu_x, mu_y),
     # which takes mu_y cx - mu_x cy off the integrand's mean
     mu_x, mu_y = tangent_hat[:, :, 0].real
     area = np.abs(np.pi * (means[3] - mu_y * centroid[0] + mu_x * centroid[1]))
-    return Observation(triple=ConservedTriple(*(means[:3] * length)), k=k,
-                       power=spectral.power_spectrum(phi_hat), points=points,
+    # the farthest node from the centroid, its max over squared distances (sqrt is monotone)
+    offset = curve - centroid[:, :, None]
+    offset *= offset
+    return Observation(*(means[:3] * length), k=k,
+                       max_curvature=np.maximum(k.max(axis=1), -k.min(axis=1)),
+                       power=spectral.power_spectrum(phi_hat),
+                       tail=(np.abs(phi_hat[:, n // 4 + 1:]) ** 2).max(axis=1), points=points,
                        radius=np.sqrt(area / np.pi), centroid=centroid.T,
+                       reach=np.sqrt((offset[0] + offset[1]).max(axis=1)),
                        closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))
 
 

@@ -98,13 +98,18 @@ def _ellipse(a: float, b: float):
     return (lambda t: a * np.cos(t)), (lambda t: b * np.sin(t))
 
 
+def _circle(r: float):
+    if r <= 0:
+        raise InvalidParameter(f"circle radius must be positive, got r={r}")
+    return _ellipse(r, r)
+
+
 def _perturbed_circle(r0: float, delta0: float, m: int):
     if r0 <= 0:
         raise InvalidParameter(f"base radius must be positive, got {r0}")
     if delta0 < 0 or r0 - delta0 <= 0:
-        raise InvalidParameter(
-            f"perturbation must satisfy 0 <= delta0 < r0, got delta0={delta0}, r0={r0}"
-        )
+        raise InvalidParameter("perturbation must satisfy 0 <= delta0 < r0, "
+                               f"got delta0={delta0}, r0={r0}")
     if int(m) != m or m < 1:
         raise InvalidParameter(f"perturbation wavenumber must be a positive integer, got {m}")
     m = int(m)
@@ -123,7 +128,7 @@ def _cardioid():
 
 #: shape name -> (its parameters with their config types, the factory taking them)
 _CATALOG = {
-    "circle": (dict(r=float), lambda r=1.0: _ellipse(r, r)),
+    "circle": (dict(r=float), lambda r=1.0: _circle(r)),
     "ellipse": (dict(a=float, b=float), lambda a=1.0, b=0.5: _ellipse(a, b)),
     "perturbed_circle": (
         dict(r0=float, delta0=float, m=int),

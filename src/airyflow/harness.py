@@ -145,7 +145,7 @@ def _parse_lines(text: str):
         key = key.strip()
         if not key.isidentifier():
             raise ParseError(lineno, key_start, f"bad key {key!r}")
-        value_col = line.index("=") + 2
+        value_col = len(line) - len(value.lstrip()) + 1
         value = value.strip()
         if not value:
             raise ParseError(lineno, value_col, f"missing value for {key!r}")
@@ -359,26 +359,19 @@ class _BlockObserver:
         steps, self.pending = self.pending, {}
         if not steps:
             return
-        size, initial = len(steps), self.initial
+        size, initial, n = len(steps), self.initial, self.cfg.n
         time = initial.time + np.fromiter(steps, float, size) * self.cfg.dt
         obs = diagnostics.observe(self.block[:size], initial.length, initial.anchor)
         beyond = obs.closure > self.closure_tol
         count = int(beyond.argmax()) if beyond.any() else size
         if count:  # the rows and snapshots of the states before the first open one
-            triple, k, n = obs.triple, obs.k, obs.k.shape[1]
             if 0 in steps:
-                self.m3_baseline, self.r0 = triple.m3[0], obs.radius[0]
+                self.m3_baseline, self.r0 = obs.m3[0], obs.radius[0]
             self.power = obs.power[count - 1]
             self.closure = max(self.closure, float(obs.closure[:count].max()))
-            # the farthest node from the centroid: sqrt is monotone, so the max
-            # is taken over the squared distances
-            offset = obs.points.transpose(2, 0, 1) - obs.centroid.T[:, :, None]
-            offset *= offset
-            radial = np.sqrt((offset[0] + offset[1]).max(axis=1))
-            columns = (time, triple.m1, triple.m2, triple.m3,
-                       diagnostics.m3_drift(triple.m3, self.m3_baseline),
-                       np.maximum(k.max(axis=1), -k.min(axis=1)), radial - self.r0, obs.radius,
-                       obs.power[:, 3 * n // 4:].max(axis=1), *obs.centroid.T)  # tail: m > N/4
+            columns = (time, obs.m1, obs.m2, obs.m3, diagnostics.m3_drift(obs.m3, self.m3_baseline),
+                       obs.max_curvature, obs.reach - self.r0, obs.radius, obs.tail,
+                       *obs.centroid.T)
             rows = zip(*(column.tolist() for column in columns))
             for i, ((step, outputs), row) in enumerate(zip(list(steps.items())[:count], rows)):
                 self.recorded = step
@@ -389,7 +382,7 @@ class _BlockObserver:
                     curve, spectrum = (self.cfg.output_dir / "snapshots" / f"curve_t{tag}.csv",
                                        self.cfg.output_dir / f"spectrum_t{tag}.csv")
                     _write_csv(curve, ("alpha", "x", "y", "k"),
-                               np.column_stack((spectral.grid_nodes(n), obs.points[i], k[i])))
+                               np.column_stack((spectral.grid_nodes(n), obs.points[i], obs.k[i])))
                     _write_csv(spectrum, ("m", "power"), np.column_stack(
                         (spectral.symmetric_wavenumbers(n), obs.power[i])))
                     self.written += [curve, spectrum]

@@ -190,8 +190,9 @@ def complex_fft_curve(state) -> np.ndarray:
 def reference_observation(state) -> dict:
     """The observer quantities computed independently in the full complex
     FFT: two real derivatives for k and k_s, :func:`complex_fft_curve` for
-    the curve, spectral derivatives of x and y for the area, and fft/N
-    power."""
+    the curve, spectral derivatives of x and y for the area, the farthest
+    node from the centroid by ``hypot``, and fft/N power with its largest
+    value at |m| > N/4."""
     n, length = state.n, state.length
     k = 2 * np.pi / length * (1.0 + _fft_derivative(state.phi))
     k_s = 2 * np.pi / length * _fft_derivative(k)
@@ -199,11 +200,13 @@ def reference_observation(state) -> dict:
     points = complex_fft_curve(state)
     x, y = points[:, 0], points[:, 1]
     area = abs(np.pi * np.mean(x * _fft_derivative(y) - y * _fft_derivative(x)))
-    coeffs = np.fft.fft(state.phi) / n
-    power = np.abs(coeffs[np.arange(-(n // 2) + 1, n // 2 + 1) % n]) ** 2
+    m = np.arange(-(n // 2) + 1, n // 2 + 1)
+    power = np.abs((np.fft.fft(state.phi) / n)[m % n]) ** 2
+    cx, cy = np.mean(x), np.mean(y)
     return dict(m=(length * np.mean(k), length * np.mean(k**2), m3), max_k=np.max(np.abs(k)),
-                points=points, radius=np.sqrt(area / np.pi),
-                centroid=(np.mean(x), np.mean(y)), power=power)
+                points=points, radius=np.sqrt(area / np.pi), centroid=(cx, cy),
+                reach=np.max(np.hypot(x - cx, y - cy)), power=power,
+                tail=np.max(power[np.abs(m) > n // 4]))
 
 
 def linear_start_resample(curve, n: int):
@@ -307,10 +310,14 @@ def per_state_observe(state) -> diagnostics.Observation:
     m1, m2, m3 = (means[:3] * length).tolist()
     area = abs(np.pi * float(means[3] - mu_y * means[4] + mu_x * means[5]))
     power = np.abs(phi_hat) ** 2
+    offset = points - means[4:]
+    offset *= offset
     return diagnostics.Observation(
-        triple=diagnostics.ConservedTriple(m1=m1, m2=m2, m3=m3), k=k,
-        power=np.concatenate([power[-2:0:-1], power]), points=points,
-        radius=float(np.sqrt(area / np.pi)), centroid=(float(means[4]), float(means[5])),
+        m1=m1, m2=m2, m3=m3, k=k, max_curvature=max(float(k.max()), -float(k.min())),
+        power=np.concatenate([power[-2:0:-1], power]), tail=float(power[n // 4 + 1:].max()),
+        points=points, radius=float(np.sqrt(area / np.pi)),
+        centroid=(float(means[4]), float(means[5])),
+        reach=math.sqrt(float((offset[:, 0] + offset[:, 1]).max())),
         closure=max(abs(mu_x), abs(mu_y)))
 
 
@@ -324,14 +331,9 @@ def per_state_rows(states) -> list[tuple]:
     for state in states:
         obs = per_state_observe(state)
         if not rows:
-            m3_0, r0 = obs.triple.m3, obs.radius
-        offset = obs.points - obs.centroid
-        offset *= offset
-        radial = math.sqrt(float((offset[:, 0] + offset[:, 1]).max()))
-        rows.append((state.time, obs.triple.m1, obs.triple.m2, obs.triple.m3,
-                     diagnostics.m3_drift(obs.triple.m3, m3_0),
-                     max(float(obs.k.max()), -float(obs.k.min())), radial - r0, obs.radius,
-                     float(obs.power[3 * state.n // 4:].max()), *obs.centroid))
+            m3_0, r0 = obs.m3, obs.radius
+        rows.append((state.time, obs.m1, obs.m2, obs.m3, diagnostics.m3_drift(obs.m3, m3_0),
+                     obs.max_curvature, obs.reach - r0, obs.radius, obs.tail, *obs.centroid))
     return rows
 
 

@@ -85,7 +85,8 @@ def test_conserved_quantities_of_one_state():
     state = integrate(state, SchemeConfig(scheme="cnadb", dt=1e-5), 3e-5)
     triple = diagnostics.conserved_quantities(state)
     assert isinstance(triple, diagnostics.ConservedTriple)
-    assert triple == per_state_observe(state).triple
+    obs = per_state_observe(state)
+    assert triple == diagnostics.ConservedTriple(obs.m1, obs.m2, obs.m3)
     assert all(type(value) is float for value in dataclasses.astuple(triple))
 
 # replaced by Probes.install on every repeat, besides the _SPANNED names

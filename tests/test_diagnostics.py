@@ -51,11 +51,7 @@ def run_keeping(state, cfg, keep_steps):
 def assert_row_equal(block, i, want):
     """Row i of every field of a block's Observation bitwise equal to one state's."""
     for field in dataclasses.fields(diagnostics.Observation):
-        got, expected = getattr(block, field.name), getattr(want, field.name)
-        if field.name == "triple":
-            assert [f[i] for f in dataclasses.astuple(got)] == list(dataclasses.astuple(expected))
-        else:
-            assert np.array_equal(got[i], expected), field.name
+        assert np.array_equal(getattr(block, field.name)[i], getattr(want, field.name)), field.name
 
 
 class TestConservedQuantities:
@@ -91,18 +87,21 @@ class TestObservePass:
             state = integrate(state, SchemeConfig(scheme="cnadb", dt=dt), steps * dt)
         obs = observe_states([state])
         triple = conserved_quantities(state)
-        assert [f[0] for f in dataclasses.astuple(obs.triple)] == list(dataclasses.astuple(triple))
+        assert (obs.m1[0], obs.m2[0], obs.m3[0]) == dataclasses.astuple(triple)
         assert obs.closure[0] <= tol  # the preset's states close
         ref = reference_observation(state)
         for got, want in zip((triple.m1, triple.m2, triple.m3), ref["m"]):
             assert abs(got - want) <= 1e-12 * abs(want)
         assert abs(np.max(np.abs(obs.k[0])) - ref["max_k"]) <= 1e-12 * ref["max_k"]
+        assert abs(obs.max_curvature[0] - ref["max_k"]) <= 1e-12 * ref["max_k"]
         assert abs(obs.radius[0] - ref["radius"]) <= 1e-12 * ref["radius"]
-        # points and centroid relative to the size of the curve
+        # points, centroid and reach relative to the size of the curve
         size = np.max(np.abs(ref["points"]))
         assert np.max(np.abs(obs.points[0] - ref["points"])) <= 1e-12 * size
         assert np.max(np.abs(np.subtract(obs.centroid[0], ref["centroid"]))) <= 1e-12 * size
+        assert abs(obs.reach[0] - ref["reach"]) <= 1e-12 * size
         assert np.max(np.abs(obs.power[0] - ref["power"])) <= 1e-15
+        assert abs(obs.tail[0] - ref["tail"]) <= 1e-15
 
     @pytest.mark.parametrize("preset", ["E", "CARDIOID"])
     def test_probe_rows_match_reference(self, preset):
@@ -123,11 +122,38 @@ class TestObservePass:
             assert abs(row.xi - (ref["m"][2] - m3_0) / m3_0) <= 1e-12
             assert abs(row.max_curvature - ref["max_k"]) <= 1e-12 * ref["max_k"]
             assert abs(row.radius_n - ref["radius"]) <= 1e-12 * ref["radius"]
-            x, y = ref["points"].T
             cx, cy = ref["centroid"]
-            assert abs(row.delta_n - (np.max(np.hypot(x - cx, y - cy)) - r0)) <= 1e-12 * size
+            assert abs(row.delta_n - (ref["reach"] - r0)) <= 1e-12 * size
             assert max(abs(row.centroid_x - cx), abs(row.centroid_y - cy)) <= 1e-12 * size
-            assert abs(row.tail_max - np.max(ref["power"][3 * cfg.n // 4:])) <= 1e-15
+            assert abs(row.tail_max - ref["tail"]) <= 1e-15
+
+    def test_rows_read_the_observation(self, monkeypatch):
+        # shifting the Observation's max_curvature, reach and tail moves each
+        # row's max_curvature, delta_n and tail_max, and no other column
+        cfg = harness.preset_config("E", t_final=40 * 5e-4, diagnostic_stride=20)
+        observe, shifted = diagnostics.observe, []
+
+        def shifted_observe(*args):
+            obs = observe(*args)
+            shifted.append(dataclasses.replace(obs, max_curvature=obs.max_curvature + 1.0,
+                                               reach=obs.reach + 2.0, tail=obs.tail + 3.0))
+            return shifted[-1]
+
+        def rows():
+            probe = harness._BlockObserver(cfg, harness.build_initial_state(cfg), cfg.closure_tol)
+            return probe.run([(cfg.diagnostic_stride, probe.watch("rows"))]).rows
+
+        plain = rows()
+        monkeypatch.setattr(diagnostics, "observe", shifted_observe)
+        moved = rows()
+        (obs,) = shifted  # the run's three rows fill one block
+        assert len(plain) == len(moved) == 3
+        for i, (row, was) in enumerate(zip(moved, plain)):
+            assert row.max_curvature == obs.max_curvature[i] == was.max_curvature + 1.0
+            assert row.delta_n == obs.reach[i] - obs.radius[0] != was.delta_n
+            assert row.tail_max == obs.tail[i] == was.tail_max + 3.0
+            assert row._replace(max_curvature=0, delta_n=0, tail_max=0) == was._replace(
+                max_curvature=0, delta_n=0, tail_max=0)
 
     # observed states of presets E and CARDIOID, every fifth step
     @pytest.fixture(scope="class", params=["E", "CARDIOID"])
@@ -148,8 +174,10 @@ class TestObservePass:
             assert_row_equal(observe_states([state]), 0, want)
 
     def test_block_peak_memory(self, preset_states):
-        # the slope spectra are dropped once the curve is built, before the
-        # row pass, where the pass peaks
+        # the pass peaks at about 726 KiB at the reach's squared offsets,
+        # beside the power spectra, and within a few KiB of that at the cross
+        # products x t_y, y t_x; phi's slope rows and the cross products go
+        # before the reductions (797 KiB while they stayed, at the spectra)
         block = preset_states[:harness.OBSERVE_BLOCK]
         args = (np.array([s.phi for s in block]), block[0].length, block[0].anchor)
         diagnostics.observe(*args)  # builds the cached nodes and symbols
@@ -289,14 +317,14 @@ class TestMirror:
         assert mirror(state).anchor == (x0, -y0)
         # the mirror's anchor differs: one block each
         obs, mirrored = observe_states([state]), observe_states([mirror(state)])
-        triple, k = obs.triple, obs.k[0]
+        k = obs.k[0]
         # M3's roundoff scales with its summands, L mean(k_s^2/2 + k^4/8), not
         # with the difference they cancel to
         k_s = 2.0 * np.pi / length * spectral_derivative(k)
         summands = length * np.mean(k_s**2 / 2 + k**4 / 8)
-        for name, size in (("m1", abs(triple.m1[0])), ("m2", abs(triple.m2[0])),
+        for name, size in (("m1", abs(obs.m1[0])), ("m2", abs(obs.m2[0])),
                            ("m3", summands)):
-            m, m_mirrored = getattr(triple, name)[0], getattr(mirrored.triple, name)[0]
+            m, m_mirrored = getattr(obs, name)[0], getattr(mirrored, name)[0]
             assert abs(m_mirrored - m) <= 1e-12 * max(1.0, size)
 
 

@@ -93,6 +93,8 @@ class TestCatalog:
         with pytest.raises(InvalidParameter,
                            match=r"^shape 'cardioid' does not take parameters \['a'\]$"):
             catalog_curve("cardioid", a=1.0)
+        with pytest.raises(InvalidParameter, match=r"^circle radius must be positive, got r=0\.0$"):
+            catalog_curve("circle", r=0.0)
         with pytest.raises(InvalidParameter, match="base radius must be positive, got 0"):
             catalog_curve("perturbed_circle", r0=0.0, delta0=0.0, m=2)
         with pytest.raises(InvalidParameter, match="positive integer, got 2.5"):

@@ -75,6 +75,12 @@ class TestParseConfig:
                 parse_config(f"shape = circle\n{line}\n")
             assert err.value.line == 2 and str(err.value) == message
 
+    @pytest.mark.parametrize("line, column", [("dt=abc", 4), ("dt = abc", 6), ("dt =  abc", 7)])
+    def test_bad_value_column_is_the_values_first_character(self, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"shape = circle\n{line}\n")
+        assert str(err.value) == f"line 2, column {column}: dt expects a finite number, got 'abc'"
+
     def test_bad_number_is_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse_config("shape = circle\nn = 32\ndt = fast\nt_final = 1\n")
