@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -92,19 +92,19 @@ def _as_points(points) -> tuple[np.ndarray, np.ndarray]:
 # shape catalog
 
 
-def _ellipse(a: float, b: float):
+def _ellipse(a: float = 1.0, b: float = 0.5):
     if a <= 0 or b <= 0:
         raise InvalidParameter(f"ellipse semi-axes must be positive, got a={a}, b={b}")
     return (lambda t: a * np.cos(t)), (lambda t: b * np.sin(t))
 
 
-def _circle(r: float):
+def _circle(r: float = 1.0):
     if r <= 0:
         raise InvalidParameter(f"circle radius must be positive, got r={r}")
     return _ellipse(r, r)
 
 
-def _perturbed_circle(r0: float, delta0: float, m: int):
+def _perturbed_circle(r0: float = 1.0, delta0: float = 0.1, m: int = 2):
     if r0 <= 0:
         raise InvalidParameter(f"base radius must be positive, got {r0}")
     if delta0 < 0 or r0 - delta0 <= 0:
@@ -126,38 +126,35 @@ def _cardioid():
     return fx, fy
 
 
-#: shape name -> (its parameters with their config types, the factory taking them)
-_CATALOG = {
-    "circle": (dict(r=float), lambda r=1.0: _circle(r)),
-    "ellipse": (dict(a=float, b=float), lambda a=1.0, b=0.5: _ellipse(a, b)),
-    "perturbed_circle": (
-        dict(r0=float, delta0=float, m=int),
-        lambda r0=1.0, delta0=0.1, m=2: _perturbed_circle(r0, delta0, m),
-    ),
-    "pc3": ({}, lambda: _perturbed_circle(1.0, 0.4, 3)),
-    "cardioid": ({}, _cardioid),
-}
+#: shape name -> its factory, whose signature states the shape's parameters, types and defaults
+_CATALOG = {"circle": _circle, "ellipse": _ellipse, "perturbed_circle": _perturbed_circle,
+            "pc3": lambda: _perturbed_circle(1.0, 0.4, 3), "cardioid": _cardioid}
+#: shape name -> its parameters' types by name, read once off its factory's signature
+_PARAMS = {shape: get_type_hints(factory) for shape, factory in _CATALOG.items()}
 
 #: every shape parameter's type by name, read off the catalog
-SHAPE_PARAMS = {name: kind for params, _ in _CATALOG.values() for name, kind in params.items()}
+SHAPE_PARAMS = {name: kind for params in _PARAMS.values() for name, kind in params.items()}
 
 
 def catalog_curve(shape: str, **params) -> tuple[Callable, Callable]:
     """The evaluator pair (x(beta), y(beta)) of an analytic catalog curve.
 
-    Each shape's parameters and their types are its ``_CATALOG`` entry
-    (:data:`SHAPE_PARAMS` gathers them): circle(r), ellipse(a, b),
-    perturbed_circle(r0, delta0, m), pc3, cardioid.  All are simple,
-    counterclockwise, and 2*pi-periodic.
+    A shape's parameters, their types and defaults are its factory's
+    signature in ``_CATALOG`` (:data:`SHAPE_PARAMS` gathers them).  A
+    parameter the shape does not take, or a non-finite one, raises
+    :class:`InvalidParameter` before the factory runs.  All shapes are
+    simple, counterclockwise, and 2*pi-periodic.
     """
     key = shape.lower()
     if key not in _CATALOG:
         raise UnknownShape(f"unknown shape {shape!r}; known: {sorted(_CATALOG)}")
-    allowed, factory = _CATALOG[key]
-    extra = set(params) - set(allowed)
+    extra = set(params) - set(_PARAMS[key])
     if extra:
         raise InvalidParameter(f"shape {shape!r} does not take parameters {sorted(extra)}")
-    return factory(**params)
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParameter(f"shape {shape!r} parameter {name} must be finite, got {value}")
+    return _CATALOG[key](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,26 @@ class TestCatalog:
         with pytest.raises(InvalidParameter, match="positive integer, got 2.5"):
             catalog_curve("perturbed_circle", r0=1.0, delta0=0.1, m=2.5)
 
+    @pytest.mark.parametrize("shape, name, value", [
+        ("circle", "r", np.nan), ("ellipse", "a", np.nan), ("ellipse", "b", np.nan),
+        ("ellipse", "b", np.inf), ("perturbed_circle", "r0", np.nan),
+        ("perturbed_circle", "r0", np.inf), ("perturbed_circle", "delta0", np.nan),
+        ("perturbed_circle", "m", np.nan), ("perturbed_circle", "m", np.inf),
+    ])
+    def test_non_finite_parameter_refused_before_the_factory(self, shape, name, value,
+                                                             monkeypatch):
+        # the factories' range checks alone would pass NaN, and b=inf and r0=inf
+        # to resampling's RuntimeWarning, and raise ValueError or OverflowError on m
+        monkeypatch.setitem(geometry._CATALOG, shape, lambda **_: pytest.fail("factory ran"))
+        with pytest.raises(InvalidParameter,
+                           match=rf"^shape '{shape}' parameter {name} must be finite, got {value}$"):
+            catalog_curve(shape, **{name: value})
+
+    def test_shape_params_are_the_factories_signatures(self):
+        # each parameter's name and type are stated once, by its factory
+        assert list(geometry.SHAPE_PARAMS.items()) == [
+            ("r", float), ("a", float), ("b", float), ("r0", float), ("delta0", float), ("m", int)]
+
 
 class TestResample:
     def test_circle_is_fixed_point(self):
@@ -250,10 +270,12 @@ class TestResample:
         with pytest.raises(NotRegular):
             resample_equal_arclength(curve, 64)
 
-    @pytest.mark.parametrize("a", [np.nan, np.inf])
-    def test_non_finite_curve_rejected(self, a):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_curve_rejected(self, value):
+        # an evaluator pair of its own: the catalog refuses a non-finite parameter
+        curve = (lambda t: np.where(t > 1.0, value, np.cos(t)), np.sin)
         with pytest.raises(NotRegular, match="non-finite"):
-            resample_equal_arclength(catalog_curve("ellipse", a=a), 64)
+            resample_equal_arclength(curve, 64)
 
 
 class TestThetaLState:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -165,7 +166,15 @@ class TestParseConfig:
         ("triangle", {}, UnknownShape),
         ("ellipse", {"m": 3}, InvalidParameter),
         ("perturbed_circle", {"r0": 0.0}, InvalidParameter),
-    ], ids=["unknown", "ellipse-m", "perturbed-r0"])
+        # a non-finite parameter is refused here, not as NotRegular (or a
+        # RuntimeWarning) once the curve is resampled; config text cannot say nan
+        ("circle", {"r": math.nan}, InvalidParameter),
+        ("ellipse", {"b": math.inf}, InvalidParameter),
+        ("perturbed_circle", {"r0": math.inf}, InvalidParameter),
+        ("perturbed_circle", {"delta0": math.nan}, InvalidParameter),
+        ("perturbed_circle", {"m": math.inf}, InvalidParameter),
+    ], ids=["unknown", "ellipse-m", "perturbed-r0", "circle-r-nan", "ellipse-b-inf",
+            "perturbed-r0-inf", "perturbed-delta0-nan", "perturbed-m-inf"])
     def test_bad_shape_rejected_when_built(self, shape, params, error, tmp_path, capsys):
         with pytest.raises(error):
             RunConfig(shape=shape, shape_params=params, n=32, dt=1e-2, t_final=0.1,
@@ -176,6 +185,11 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert cli.main(["run", str(config), "--out", str(out)]) == 2
         assert "error: " in capsys.readouterr().err and not out.exists()
+
+    def test_fractional_wavenumber_is_parse_error(self):
+        with pytest.raises(ParseError, match="m expects an integer, got '2.5'") as err:
+            parse_config("shape = perturbed_circle\nm = 2.5\nn = 32\ndt = 1e-2\nt_final = 0.1\n")
+        assert err.value.line == 2
 
     def test_cli_run_without_output_directory_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.txt"
@@ -240,6 +254,16 @@ class TestParseConfig:
                            ("shape", tuple(geometry._CATALOG))):
             listed = re.search(rf"^{key} = .*#(.*)$", block, re.M).group(1).split("|")
             assert tuple(name.replace("(default)", "").strip() for name in listed) == names
+        # the shape-parameter comment lists each factory's parameters in its
+        # signature's order, and names the shape after them
+        comments = [line.split("#", 1)[1].strip() for line in block.splitlines() if "#" in line]
+        first = next(i for i, text in enumerate(comments) if text.startswith("shape parameters:"))
+        text = " ".join(comments[first:first + 2]).removeprefix("shape parameters:")
+        listed = {shape: tuple(re.split(r",\s*", names))
+                  for names, shape in re.findall(r"(\w[\w, ]*?) \((\w+)\)", text)}
+        signatures = {shape: tuple(inspect.signature(factory).parameters)
+                      for shape, factory in geometry._CATALOG.items()}
+        assert listed == {shape: params for shape, params in signatures.items() if params}
 
     def test_readme_cli_block(self):
         # every command line of README's CLI block parses, optional
