@@ -114,10 +114,10 @@ def observe(phi: np.ndarray, length: float, anchor) -> Observation:
     # the farthest node from the centroid, its max over squared distances (sqrt is monotone)
     offset = curve - centroid[:, :, None]
     offset *= offset
+    power = spectral.power_spectrum(phi_hat)  # m = N/4+1 ... N/2 from column 3N/4 on
     return Observation(*(means[:3] * length), k=k,
-                       max_curvature=np.maximum(k.max(axis=1), -k.min(axis=1)),
-                       power=spectral.power_spectrum(phi_hat),
-                       tail=(np.abs(phi_hat[:, n // 4 + 1:]) ** 2).max(axis=1), points=points,
+                       max_curvature=np.maximum(k.max(axis=1), -k.min(axis=1)), power=power,
+                       tail=power[:, 3 * n // 4:].max(axis=1), points=points,
                        radius=np.sqrt(area / np.pi), centroid=centroid.T,
                        reach=np.sqrt((offset[0] + offset[1]).max(axis=1)),
                        closure=np.maximum(np.abs(mu_x), np.abs(mu_y)))

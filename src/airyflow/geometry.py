@@ -141,9 +141,9 @@ def catalog_curve(shape: str, **params) -> tuple[Callable, Callable]:
 
     A shape's parameters, their types and defaults are its factory's
     signature in ``_CATALOG`` (:data:`SHAPE_PARAMS` gathers them).  A
-    parameter the shape does not take, or a non-finite one, raises
-    :class:`InvalidParameter` before the factory runs.  All shapes are
-    simple, counterclockwise, and 2*pi-periodic.
+    parameter the shape does not take, a non-finite one or one too large
+    for a float raises :class:`InvalidParameter` before the factory runs.
+    All shapes are simple, counterclockwise, and 2*pi-periodic.
     """
     key = shape.lower()
     if key not in _CATALOG:
@@ -152,7 +152,12 @@ def catalog_curve(shape: str, **params) -> tuple[Callable, Callable]:
     if extra:
         raise InvalidParameter(f"shape {shape!r} does not take parameters {sorted(extra)}")
     for name, value in params.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidParameter(
+                f"shape {shape!r} parameter {name} is too large for a float") from None
+        if not finite:
             raise InvalidParameter(f"shape {shape!r} parameter {name} must be finite, got {value}")
     return _CATALOG[key](**params)
 

@@ -32,8 +32,7 @@ from .schemes import SchemeConfig
 _RUN_KEYS = dict(n=int, dt=float, t_final=float, scheme=str, filter=str,
                  snapshot_stride=int, diagnostic_stride=int, closure_tol=float)
 #: every config key with its type
-_KEYS = dict(kind=str, shape=str, **geometry.SHAPE_PARAMS, **_RUN_KEYS, axis=str, t0=float,
-             out=str)
+_KEYS = dict(kind=str, shape=str, **geometry.SHAPE_PARAMS, **_RUN_KEYS, axis=str, out=str)
 
 #: scheme/filter variants exercised by the filter study, in output order
 FILTER_STUDY_VARIANTS = (("ADB", "adb", "none"), ("ADBDPR", "adb", "dpr"),
@@ -119,7 +118,7 @@ class ConvergenceStudyConfig:
     def __post_init__(self):
         if self.axis not in ("time", "space"):
             raise ValidationError(f"axis must be 'time' or 'space', got {self.axis!r}")
-        schemes.step_count(self.comparison_time, self.base.dt, "t0")
+        schemes.step_count(self.comparison_time, self.base.dt, "comparison_time")
 
     def level_configs(self):
         """The three run configs, coarsest first."""
@@ -181,8 +180,10 @@ def _run_config(values: dict, **fields) -> RunConfig:
 def parse_config(text: str):
     """Parse config text into a RunConfig or ConvergenceStudyConfig.
 
-    Unknown keys and violated invariants raise :class:`ValidationError`;
-    malformed lines raise :class:`ParseError` with line/column.
+    A converge config is a run config plus ``kind = converge`` and
+    ``axis``.  Unknown keys and violated invariants raise
+    :class:`ValidationError`; malformed lines raise :class:`ParseError`
+    with line/column.
     """
     values: dict = {}
     for lineno, col, key, value in _parse_lines(text):
@@ -201,25 +202,18 @@ def parse_config(text: str):
     if "shape" not in values:
         raise ValidationError("config must set 'shape'")
     axis = values.pop("axis", None)
-    t0 = values.pop("t0", None)
     out = values.pop("out", None)
-
-    if kind == "converge":
-        if axis is None or t0 is None:
-            raise ValidationError("kind = converge requires 'axis' and 't0'")
-        if "t_final" not in values and "dt" in values:
-            # every level runs to t0: name t0, not the t_final copied from it
-            schemes.step_count(t0, values["dt"], "t0")
-        values.setdefault("t_final", t0)
     missing = [k for k in ("n", "dt", "t_final") if k not in values]
     if missing:
         raise ValidationError(f"config must set {missing}")
     run = _run_config(values, output_dir=out)
     if kind == "run":
-        if axis is not None or t0 is not None:
-            raise ValidationError("'axis'/'t0' are only valid with kind = converge")
+        if axis is not None:
+            raise ValidationError("'axis' is only valid with kind = converge")
         return run
-    return ConvergenceStudyConfig(base=run, axis=axis, comparison_time=t0)
+    if axis is None:
+        raise ValidationError("kind = converge requires 'axis'")
+    return ConvergenceStudyConfig(base=run, axis=axis, comparison_time=run.t_final)
 
 
 def _check_override(key: str) -> None:

@@ -115,6 +115,14 @@ class TestCatalog:
                            match=rf"^shape '{shape}' parameter {name} must be finite, got {value}$"):
             catalog_curve(shape, **{name: value})
 
+    def test_integer_too_large_for_a_float_refused_before_the_factory(self, monkeypatch):
+        # math.isfinite itself raises OverflowError on it
+        monkeypatch.setitem(geometry._CATALOG, "perturbed_circle",
+                            lambda **_: pytest.fail("factory ran"))
+        with pytest.raises(InvalidParameter, match=r"^shape 'perturbed_circle' parameter m "
+                                                   r"is too large for a float$"):
+            catalog_curve("perturbed_circle", m=10**400)
+
     def test_shape_params_are_the_factories_signatures(self):
         # each parameter's name and type are stated once, by its factory
         assert list(geometry.SHAPE_PARAMS.items()) == [

@@ -49,6 +49,12 @@ scheme = cnadb
 """
 
 
+def preset_text(name: str) -> str:
+    """Config text of preset ``name``'s entry, key by key."""
+    return "".join(f"{key} = {value if isinstance(value, str) else format_float(value)}\n"
+                   for key, value in harness.PRESETS[name].items())
+
+
 class TestParseConfig:
     def test_minimal_ellipse_accepted(self):
         cfg = parse_config(MINIMAL)
@@ -112,28 +118,47 @@ class TestParseConfig:
         assert cfg.shape == "circle"
 
     def test_converge_kind(self):
-        text = MINIMAL + "kind = converge\naxis = time\nt0 = 0.92\ndt_ignored_not_a_key = 1"
+        text = MINIMAL + "kind = converge\naxis = time\ndt_ignored_not_a_key = 1"
         with pytest.raises(ValidationError):
             parse_config(text)  # unknown key still rejected
-        study = parse_config(MINIMAL + "kind = converge\naxis = time\nt0 = 0.92\n")
+        study = parse_config(MINIMAL + "kind = converge\naxis = time\n")
         assert isinstance(study, ConvergenceStudyConfig)
-        assert study.axis == "time" and study.comparison_time == 0.92
+        assert study.axis == "time" and study.comparison_time == 2.0
 
-    @pytest.mark.parametrize("t_final", ["", "t_final = 7\n"], ids=["unset", "set"])
-    def test_converge_levels_run_to_t0(self, t_final):
-        # t_final is optional under kind = converge: every level runs to t0
-        study = parse_config("kind = converge\naxis = time\nt0 = 0.1\nshape = circle\n"
-                             f"n = 32\ndt = 1e-2\n{t_final}")
-        assert isinstance(study, ConvergenceStudyConfig)
+    @pytest.mark.parametrize("text", [pytest.param(MINIMAL, id="minimal"), *(
+        pytest.param(preset_text(name), id=name) for name in sorted(harness.PRESETS))])
+    @pytest.mark.parametrize("axis", ["time", "space"])
+    def test_converge_config_is_a_run_config_and_an_axis(self, text, axis):
+        # the study compares its levels at the run's own t_final
+        run = parse_config(text)
+        assert parse_config(text + f"kind = converge\naxis = {axis}\n") == (
+            ConvergenceStudyConfig(base=run, axis=axis, comparison_time=run.t_final))
+
+    def test_converge_levels_run_to_t_final(self):
+        study = parse_config("kind = converge\naxis = time\nshape = circle\n"
+                             "n = 32\ndt = 1e-2\nt_final = 0.1\n")
         assert [cfg.t_final for cfg in study.level_configs()] == [0.1, 0.1, 0.1]
         assert [cfg.steps for cfg in study.level_configs()] == [10, 20, 40]
+
+    @pytest.mark.parametrize("kind", ["run", "converge"])
+    def test_t0_is_an_unknown_key(self, kind, tmp_path, capsys):
+        # a converge config states its comparison time once, as t_final
+        config = tmp_path / "config.txt"
+        config.write_text(MINIMAL + f"kind = {kind}\naxis = time\n" * (kind == "converge")
+                          + "t0 = 2\n")
+        with pytest.raises(ValidationError, match=r"^unknown key 't0' on line \d+$"):
+            parse_config(config.read_text())
+        out = tmp_path / "out"
+        assert cli.main([kind, str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown key 't0'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("kind = batch\n" + MINIMAL, "kind must be 'run' or 'converge', got 'batch'"),
         ("n = 32\ndt = 1e-2\nt_final = 0.1\n", "config must set 'shape'"),
         ("shape = circle\nn = 32\nt_final = 0.1\n", "config must set ['dt']"),
-        (MINIMAL + "axis = time\n", "'axis'/'t0' are only valid with kind = converge"),
-        (MINIMAL + "kind = converge\naxis = both\nt0 = 0.5\n",
+        (MINIMAL + "axis = time\n", "'axis' is only valid with kind = converge"),
+        (MINIMAL + "kind = converge\naxis = both\n",
          "axis must be 'time' or 'space', got 'both'"),
     ], ids=["kind", "no-shape", "no-dt", "axis-in-run", "axis"])
     def test_invalid_config_rejected_naming_the_fault(self, text, message):
@@ -142,18 +167,17 @@ class TestParseConfig:
         assert str(err.value) == message
 
     def test_converge_requires_axis_and_t0(self):
-        with pytest.raises(ValidationError):
+        # the comparison time t0 is the run's t_final, which a converge config sets as a run's
+        with pytest.raises(ValidationError, match=r"^kind = converge requires 'axis'$"):
             parse_config(MINIMAL + "kind = converge\n")
+        with pytest.raises(ValidationError, match=r"^config must set \['t_final'\]$"):
+            parse_config("kind = converge\naxis = time\nshape = circle\nn = 32\ndt = 1e-2\n")
 
     def test_t0_incommensurate_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_config(MINIMAL + "kind = converge\naxis = time\nt0 = 0.9213\n")
-
-    def test_t0_incommensurate_named_without_t_final(self):
-        # without t_final every level runs to t0, so the error names t0
-        with pytest.raises(NonCommensurateTime, match=r"^t0 spans 0\.10025, not a whole"):
-            parse_config("kind = converge\naxis = time\nt0 = 0.10025\nshape = circle\n"
-                         "n = 32\ndt = 1e-2")
+        # a comparison time that is no whole number of steps is refused as a run's t_final
+        with pytest.raises(NonCommensurateTime, match=r"^t_final spans 0\.9213, not a whole"):
+            parse_config(MINIMAL.replace("t_final = 2", "t_final = 0.9213")
+                         + "kind = converge\naxis = time\n")
 
     @pytest.mark.parametrize("key, stride", [("diagnostic_stride", 2.5),
                                              ("snapshot_stride", -1)])
@@ -173,8 +197,10 @@ class TestParseConfig:
         ("perturbed_circle", {"r0": math.inf}, InvalidParameter),
         ("perturbed_circle", {"delta0": math.nan}, InvalidParameter),
         ("perturbed_circle", {"m": math.inf}, InvalidParameter),
+        # config text can say this one: an integer, but too large for a float
+        ("perturbed_circle", {"m": 10**400}, InvalidParameter),
     ], ids=["unknown", "ellipse-m", "perturbed-r0", "circle-r-nan", "ellipse-b-inf",
-            "perturbed-r0-inf", "perturbed-delta0-nan", "perturbed-m-inf"])
+            "perturbed-r0-inf", "perturbed-delta0-nan", "perturbed-m-inf", "perturbed-m-huge"])
     def test_bad_shape_rejected_when_built(self, shape, params, error, tmp_path, capsys):
         with pytest.raises(error):
             RunConfig(shape=shape, shape_params=params, n=32, dt=1e-2, t_final=0.1,
@@ -211,9 +237,9 @@ class TestParseConfig:
             parse_config("shape = circle\nn = 100\ndt = 1e-2\nt_final = 0.1\n")
 
     @pytest.mark.parametrize("command, kind, text", [
-        ("run", "run", "kind = converge\naxis = time\nt0 = 0.1\n"),
+        ("run", "run", "kind = converge\naxis = time\nt_final = 0.1\n"),
         ("converge", "converge", "t_final = 0.1\n"),
-        ("filters", "run", "kind = converge\naxis = time\nt0 = 0.1\n"),
+        ("filters", "run", "kind = converge\naxis = time\nt_final = 0.1\n"),
     ])
     def test_cli_rejects_config_of_other_kind(self, command, kind, text, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -244,6 +270,18 @@ class TestParseConfig:
             "kind", "scheme", "filter", "closure_tol"}
         unset = "\n".join(line for line in block.splitlines() if line not in marked)
         assert parse_config(unset) == cfg
+
+    def test_readme_converge_block(self):
+        # README's converge block is two lines that make its run block, less
+        # the default kind = run, a study comparing the levels at its t_final
+        section, run_block = self.readme_grammar()
+        block = section.split("```ini\n")[2].split("```", 1)[0]
+        assert [line.split("=")[0].strip() for line in block.splitlines()] == ["kind", "axis"]
+        text = "".join(line + "\n" for line in run_block.splitlines()
+                       if not line.startswith("kind ="))
+        run = parse_config(text)
+        assert parse_config(text + block) == ConvergenceStudyConfig(
+            base=run, axis="time", comparison_time=run.t_final)
 
     def test_readme_grammar_lists_the_accepted_names(self):
         # the scheme and filter comments list exactly the names SchemeConfig
@@ -295,11 +333,8 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(harness.PRESETS))
     def test_entry_is_config_text(self, name):
-        entry = harness.PRESETS[name]
-        assert entry.keys() <= harness._KEYS.keys()
-        text = "".join(f"{key} = {value if isinstance(value, str) else format_float(value)}\n"
-                       for key, value in entry.items())
-        assert parse_config(text) == preset_config(name)
+        assert harness.PRESETS[name].keys() <= harness._KEYS.keys()
+        assert parse_config(preset_text(name)) == preset_config(name)
 
     @pytest.mark.parametrize("name, note", [("PC3", "note: PC3 runs 900000 steps\n"),
                                             ("e", "")])
@@ -1012,7 +1047,7 @@ class TestConvergenceStudy:
 
     def test_cli_blowup_exits_1_with_manifest(self, tmp_path, capsys):
         config = tmp_path / "study.txt"
-        config.write_text("kind = converge\naxis = time\nt0 = 0.5\nshape = ellipse\n"
+        config.write_text("kind = converge\naxis = time\nshape = ellipse\n"
                           "a = 1\nb = 0.5\nn = 128\ndt = 2e-3\nt_final = 0.5\n"
                           "scheme = adb\n")
         out = tmp_path / "out"
@@ -1025,8 +1060,8 @@ class TestConvergenceStudy:
 
     def test_cli_writes_order(self, tmp_path, capsys):
         config = tmp_path / "study.txt"
-        config.write_text("kind = converge\naxis = time\nt0 = 0.05\nshape = ellipse\n"
-                          "a = 1\nb = 0.5\nn = 64\ndt = 1e-3\nscheme = cn\n")
+        config.write_text("kind = converge\naxis = time\nshape = ellipse\n"
+                          "a = 1\nb = 0.5\nn = 64\ndt = 1e-3\nt_final = 0.05\nscheme = cn\n")
         out = tmp_path / "out"
         assert cli.main(["converge", str(config), "--out", str(out)]) == 0
         assert "ellipse/cn t0=0.05: err " in capsys.readouterr().out
@@ -1185,7 +1220,7 @@ class TestFilterStudy:
 def test_entry_point_writes_where_config_says(entry, kind, written, tmp_path, monkeypatch):
     text = "shape = ellipse\na = 1\nb = 0.5\nn = 64\ndt = 1e-3\nt_final = 0.02\nscheme = cn\n"
     if kind == "converge":
-        text += "kind = converge\naxis = time\nt0 = 0.02\n"
+        text += "kind = converge\naxis = time\n"
     monkeypatch.chdir(tmp_path)  # where a study writing without a directory would land
     if entry is not run_experiment:  # which requires an output directory
         entry(parse_config(text))
@@ -1266,17 +1301,14 @@ class TestFormatting:
 _SCHEME = dict(scheme="cnadb", dt=1e-2)
 _RUN = dict(shape="circle", n=32, t_final=0.1, **_SCHEME)
 _BAD = [("scheme", "rk4"), ("filter", "lowpass"), ("dt", 0.0), ("dt", -1e-3), ("n", 24),
-        ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("t0", 0.10025),
-        ("closure_tol", 0.0), ("closure_tol", -1e-8)]
+        ("n", 4), ("t_final", -0.1), ("t_final", 0.10025), ("closure_tol", 0.0),
+        ("closure_tol", -1e-8)]
 _SCHEME_KEYS = {"scheme", "filter", "dt"}
 _RUN_KEYS = _SCHEME_KEYS | {"n", "t_final", "closure_tol"}
 
 
 def _parse_with(key, value):
-    settings = {**_RUN, key: value}
-    if key == "t0":
-        settings.update(kind="converge", axis="time")
-    return parse_config("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return parse_config("".join(f"{k} = {v}\n" for k, v in {**_RUN, key: value}.items()))
 
 
 def _integrate_to(key, t_final):
@@ -1285,7 +1317,7 @@ def _integrate_to(key, t_final):
 
 
 _ENTRY_POINTS = {
-    "parse_config": (_parse_with, ValidationError, _RUN_KEYS | {"t0"}),
+    "parse_config": (_parse_with, ValidationError, _RUN_KEYS),
     "RunConfig": (lambda key, value: RunConfig(**{**_RUN, key: value}), ValidationError,
                   _RUN_KEYS),
     "preset_config": (lambda key, value: preset_config("E", **{key: value}), ValidationError,
